@@ -20,22 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-import sympy
-from sympy.abc import t as T_SYM
-
-from .elliptic import (
-    AT_INFINITY,
-    BaseChangeOfGammaLessOne,
-    ConstantJ,
-    fastenberg_check,
-    genus_one_weierstrass,
-    kodaira_type,
-    weierstrass_invariants,
-)
+from .elliptic import BaseChangeOfGammaLessOne, ConstantJ, genus_one_section
 from .errors import NotConvertibleError, UnsupportedShapeError, ValidationError
 from .exact import rational_to_json
 from .model import surface_from_json, surface_to_json
@@ -142,34 +130,28 @@ def _verdict_json(verdict) -> dict:
     }
 
 
-def _genus_one_section(minimal, locus) -> Optional[dict]:
+def _genus_one_json(minimal, trichotomy, locus) -> Optional[dict]:
     try:
-        model = genus_one_weierstrass(minimal)
+        section = genus_one_section(minimal, trichotomy, locus)
     except NotConvertibleError:
         return None
-    inv = weierstrass_invariants(model)
-    orbit = sympy.expand(
-        T_SYM ** locus.exponent
-        - sympy.Rational(locus.value.numerator, locus.value.denominator)
-    )
-    fibers = [
-        _fiber_json("0", kodaira_type(model, Fraction(0))),
-        _fiber_json(str(orbit), kodaira_type(model, orbit)),
-        _fiber_json("infinity", kodaira_type(model, AT_INFINITY)),
-    ]
-    verdict = fastenberg_check(minimal)
-    section = {
+    model, inv, verdict = section.model, section.invariants, section.verdict
+    report = {
         "weierstrass": {
             name: str(getattr(model, name)) for name in ("a1", "a2", "a3", "a4", "a6")
         },
-        "discriminant": str(sympy.expand(inv.delta)),
+        "discriminant": str(inv.delta),
         "j": str(inv.j),
-        "fibers": fibers,
+        "fibers": [
+            _fiber_json("0", section.at_zero),
+            _fiber_json(str(section.orbit), section.away),
+            _fiber_json("infinity", section.at_infinity),
+        ],
         "verdict": _verdict_json(verdict),
     }
     if isinstance(verdict, BaseChangeOfGammaLessOne):
-        section["gamma"] = rational_to_json(verdict.gamma)
-    return section
+        report["gamma"] = rational_to_json(verdict.gamma)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +233,7 @@ def run_analyze(args) -> dict:
         and trichotomy.generic_genus == 1
         and not locus.degenerate
     ):
-        section = _genus_one_section(minimal, locus)
+        section = _genus_one_json(minimal, trichotomy, locus)
         if section is not None:
             report["genus_one"] = section
 

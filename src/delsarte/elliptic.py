@@ -4,7 +4,10 @@ Everything is exact.  Models live over Q(t): the five coefficients are sympy
 expressions in t, the invariants are computed by the standard b/c formulas
 (with the two classical identities asserted on every call), and places of the
 base line are rational numbers, the point at infinity, or a polynomial whose
-roots form one Galois orbit.
+roots form one Galois orbit.  ``weierstrass_invariants`` also keeps c4, c6
+and delta as reduced fractions of polynomials in t, and ``kodaira_type``
+reads its valuations off those, so one model's invariants are computed once
+however many places are classified.
 
 The classification at a place uses the characteristic-zero correspondence
 between Kodaira symbols and the valuations (v(c4), v(c6), v(delta)) of the
@@ -27,18 +30,17 @@ from .errors import NotConvertibleError, UnsupportedShapeError, ValidationError
 from .reduction import MinimalFibration, plane_model
 from .singular import (
     Isotrivial,
+    SingularLocus,
     Superelliptic,
+    Trichotomy,
     classify_isotrivial,
     classify_trichotomy,
+    rational_to_sympy,
     singular_locus,
     superelliptic_form,
 )
 
 AT_INFINITY = sympy.oo
-
-
-def _rat(q: Fraction) -> sympy.Rational:
-    return sympy.Rational(q.numerator, q.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +70,20 @@ class WeierstrassModel:
         )
 
 
+# A function of t as (numerator, denominator), cancelled, both Polys in t.
+TFraction = tuple[sympy.Poly, sympy.Poly]
+
+
+def _t_fraction(expr: sympy.Expr) -> TFraction:
+    num, den = expr.as_numer_denom()
+    return sympy.Poly(num, T_SYM).cancel(sympy.Poly(den, T_SYM), include=True)
+
+
 @dataclass(frozen=True)
 class WeierstrassInvariants:
+    """The invariants as expressions, plus c4, c6 and delta as cancelled
+    fractions (``c4_t``, ``c6_t``, ``delta_t``) for the valuations."""
+
     b2: sympy.Expr
     b4: sympy.Expr
     b6: sympy.Expr
@@ -78,11 +92,15 @@ class WeierstrassInvariants:
     c6: sympy.Expr
     delta: sympy.Expr
     j: sympy.Expr
+    c4_t: TFraction
+    c6_t: TFraction
+    delta_t: TFraction
 
 
 def weierstrass_invariants(model: WeierstrassModel) -> WeierstrassInvariants:
     """The b-, c-invariants, discriminant and j, with both classical
-    identities (4 b8 = b2 b6 - b4^2 and c4^3 - c6^2 = 1728 delta) asserted."""
+    identities (4 b8 = b2 b6 - b4^2 and c4^3 - c6^2 = 1728 delta) asserted,
+    and c4, c6, delta as cancelled fractions in t."""
     a1, a2, a3, a4, a6 = (
         sympy.expand(sympy.sympify(a))
         for a in (model.a1, model.a2, model.a3, model.a4, model.a6)
@@ -101,7 +119,10 @@ def weierstrass_invariants(model: WeierstrassModel) -> WeierstrassInvariants:
     assert sympy.expand(4 * b8 - (b2 * b6 - b4**2)) == 0
     assert sympy.expand(c4**3 - c6**2 - 1728 * delta) == 0
     j = sympy.cancel(c4**3 / delta)
-    return WeierstrassInvariants(b2, b4, b6, b8, c4, c6, delta, j)
+    return WeierstrassInvariants(
+        b2, b4, b6, b8, c4, c6, delta, j,
+        _t_fraction(c4), _t_fraction(c6), _t_fraction(delta),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +174,17 @@ def _multiplicity(p: sympy.Poly, pi: sympy.Poly) -> int:
         p, n = q, n + 1
 
 
-def _valuation(expr: sympy.Expr, place: Place):
+def _valuation(fraction: TFraction, place: Place):
     """Order of vanishing at a place of P^1; sympy.oo for the zero function."""
-    expr = sympy.cancel(sympy.sympify(expr))
-    if expr == 0:
+    num, den = fraction
+    if num.is_zero:
         return sympy.oo
-    num_e, den_e = sympy.fraction(sympy.together(expr))
-    num = sympy.Poly(num_e, T_SYM)
-    den = sympy.Poly(den_e, T_SYM)
     if place is AT_INFINITY:
         return den.degree() - num.degree()
+    if isinstance(place, Fraction) and place == 0:  # monoms() run high to low
+        return num.monoms()[-1][0] - den.monoms()[-1][0]
     if isinstance(place, Fraction):
-        pi = sympy.Poly(T_SYM - _rat(place), T_SYM)
+        pi = sympy.Poly(T_SYM - rational_to_sympy(place), T_SYM)
     else:
         pi = sympy.Poly(place, T_SYM)
     return _multiplicity(num, pi) - _multiplicity(den, pi)
@@ -204,14 +224,15 @@ def _classify_valuations(v4, v6, vd) -> KodairaFiber:
     return kodaira_fiber(symbol)
 
 
-def kodaira_type(model: WeierstrassModel, place: Place) -> KodairaFiber:
-    """Fiber type of the relatively minimal model over the given place.
+def kodaira_type(inv: WeierstrassInvariants, place: Place) -> KodairaFiber:
+    """Fiber type over the given place of the relatively minimal model whose
+    invariants are ``inv``, as in ``kodaira_type(weierstrass_invariants(model),
+    Fraction(0))``.
 
     ``place`` is a rational number, AT_INFINITY, or a polynomial in t whose
     roots form one orbit (it is factored; the conjugate places must agree on
     their valuation data, which is asserted).
     """
-    inv = weierstrass_invariants(model)
     if place is AT_INFINITY or isinstance(place, Fraction):
         factors = [place]
     else:
@@ -220,9 +241,9 @@ def kodaira_type(model: WeierstrassModel, place: Place) -> KodairaFiber:
         assert factors, "orbit place must involve t"
     triples = {
         (
-            _valuation(inv.c4, pi),
-            _valuation(inv.c6, pi),
-            _valuation(inv.delta, pi),
+            _valuation(inv.c4_t, pi),
+            _valuation(inv.c6_t, pi),
+            _valuation(inv.delta_t, pi),
         )
         for pi in factors
     }
@@ -268,12 +289,12 @@ def _psi_direct(minimal: MinimalFibration) -> Optional[sympy.Expr]:
             continue
         if any(ey != 0 for j, (_, ey) in enumerate(pairs) if j != i):
             continue
-        lead = _rat(coeffs[i]) * (T_SYM if i == 3 else 1)
+        lead = rational_to_sympy(coeffs[i]) * (T_SYM if i == 3 else 1)
         psi = sympy.Integer(0)
         for j, (ex, _) in enumerate(pairs):
             if j == i:
                 continue
-            term = _rat(coeffs[j]) * X_SYM**ex
+            term = rational_to_sympy(coeffs[j]) * X_SYM**ex
             if j == 3:
                 term *= T_SYM
             psi += term
@@ -374,12 +395,7 @@ FastenbergVerdict = Union[ConstantJ, BaseChangeOfGammaLessOne]
 
 
 def _exponents_multiple_of(expr: sympy.Expr, k: int) -> bool:
-    num, den = sympy.fraction(sympy.together(expr))
-    for part in (num, den):
-        poly = sympy.Poly(part, T_SYM)
-        if any(m[0] % k != 0 for m in poly.monoms()):
-            return False
-    return True
+    return all(m[0] % k == 0 for part in _t_fraction(expr) for m in part.monoms())
 
 
 def _isotrivial_j(minimal: MinimalFibration) -> Optional[Fraction]:
@@ -395,13 +411,84 @@ def _isotrivial_j(minimal: MinimalFibration) -> Optional[Fraction]:
     return Fraction(int(inv.j.as_numer_denom()[0]), int(inv.j.as_numer_denom()[1]))
 
 
+@dataclass(frozen=True)
+class GenusOneSection:
+    """The genus-one data of one fibration, each part computed once: the
+    Weierstrass model, its invariants, the fibers at 0, over the away orbit
+    ``orbit`` (t^k4 - c) and at infinity, and the verdict."""
+
+    model: WeierstrassModel
+    invariants: WeierstrassInvariants
+    orbit: sympy.Expr
+    at_zero: KodairaFiber
+    away: KodairaFiber
+    at_infinity: KodairaFiber
+    verdict: FastenbergVerdict
+
+
+def _base_change_verdict(
+    inv: WeierstrassInvariants,
+    locus: SingularLocus,
+    at_zero: KodairaFiber,
+    away: KodairaFiber,
+    at_infinity: KodairaFiber,
+) -> BaseChangeOfGammaLessOne:
+    """The gamma verdict of a nonconstant-j family from its fiber table.
+
+    The away fibers must be multiplicative (asserted); the quotient by
+    t -> t^{k4} has a single away fiber I_nu, and its gamma is
+    1 - (nu + n0/k4 + n_inf/k4)/6, the divisibilities being consequences of
+    j living in Q(t^{k4}) (asserted too).
+    """
+    k4 = locus.exponent
+    assert _exponents_multiple_of(inv.j, k4), "j must be a function of t^k4"
+
+    # delta = unit * t^m * (t^k4 - c)^nu exactly
+    num, den = inv.delta_t
+    assert len(den.monoms()) == 1
+    orbit = locus.polynomial()
+    nu = _multiplicity(num, orbit)
+    assert nu >= 1, "away locus must divide the discriminant"
+    rest = sympy.div(num, orbit**nu)[0]
+    assert len(rest.monoms()) == 1, "discriminant has roots outside {0, away orbit}"
+
+    assert away.symbol == f"I{nu}", "away fiber of a nonconstant-j family"
+    assert at_zero.n % k4 == 0 and at_infinity.n % k4 == 0
+    quotient_gamma = 1 - Fraction(nu + at_zero.n // k4 + at_infinity.n // k4, 6)
+    return BaseChangeOfGammaLessOne(quotient_gamma, away, k4, at_zero, at_infinity)
+
+
+def genus_one_section(
+    minimal: MinimalFibration, trichotomy: Trichotomy, locus: SingularLocus
+) -> GenusOneSection:
+    """Model, invariants, fiber table and verdict of a genus-one fibration.
+
+    ``trichotomy`` and ``locus`` are those of ``minimal`` (the locus must not
+    be degenerate; its exponent is k4).  Raises NotConvertibleError when the
+    fibration has no Weierstrass model here.
+    """
+    model = genus_one_weierstrass(minimal)
+    inv = weierstrass_invariants(model)
+    orbit = locus.polynomial().as_expr()
+    at_zero = kodaira_type(inv, Fraction(0))
+    away = kodaira_type(inv, orbit)
+    at_infinity = kodaira_type(inv, AT_INFINITY)
+    if isinstance(trichotomy, Superelliptic) and trichotomy.constant_j is not None:
+        verdict: FastenbergVerdict = ConstantJ(trichotomy.constant_j)
+    elif not inv.j.has(T_SYM):
+        num, den = inv.j.as_numer_denom()
+        verdict = ConstantJ(Fraction(int(num), int(den)))
+    else:
+        verdict = _base_change_verdict(inv, locus, at_zero, away, at_infinity)
+    return GenusOneSection(model, inv, orbit, at_zero, away, at_infinity, verdict)
+
+
 def fastenberg_check(minimal: MinimalFibration) -> FastenbergVerdict:
     """Constant j, or the gamma < 1 base-change verdict of the quotient.
 
-    For nonconstant j the away fibers must be multiplicative (asserted); the
-    quotient by t -> t^{k4} has a single away fiber I_nu, and its gamma is
-    1 - (nu + n0/k4 + n_inf/k4)/6, the divisibilities being consequences of
-    j living in Q(t^{k4}) (asserted too).
+    Isotrivial shapes and superelliptic ones with a known constant j are
+    answered without a model; everything else is ``genus_one_section``'s
+    verdict.
     """
     plane = plane_model(minimal)
     trichotomy = classify_trichotomy(minimal, plane)
@@ -414,34 +501,4 @@ def fastenberg_check(minimal: MinimalFibration) -> FastenbergVerdict:
             )
         if trichotomy.constant_j is not None:
             return ConstantJ(trichotomy.constant_j)
-    model = genus_one_weierstrass(minimal)
-    inv = weierstrass_invariants(model)
-    if not inv.j.has(T_SYM):
-        num, den = inv.j.as_numer_denom()
-        return ConstantJ(Fraction(int(num), int(den)))
-
-    k4 = plane.kernel[3]
-    locus = singular_locus(plane)
-    assert _exponents_multiple_of(inv.j, k4), "j must be a function of t^k4"
-    orbit = sympy.expand(T_SYM**k4 - _rat(locus.value))
-
-    # delta = unit * t^m * (t^k4 - c)^nu exactly
-    delta_num, delta_den = sympy.fraction(sympy.together(inv.delta))
-    assert len(sympy.Poly(delta_den, T_SYM).monoms()) == 1
-    num = sympy.Poly(delta_num, T_SYM)
-    nu = _multiplicity(num, sympy.Poly(orbit, T_SYM))
-    assert nu >= 1, "away locus must divide the discriminant"
-    rest = sympy.div(num.as_expr(), orbit**nu)[0]
-    assert len(sympy.Poly(rest, T_SYM).monoms()) == 1, (
-        "discriminant has roots outside {0, away orbit}"
-    )
-
-    away = kodaira_type(model, orbit)
-    assert away.symbol == f"I{nu}", "away fiber of a nonconstant-j family"
-    at_zero = kodaira_type(model, Fraction(0))
-    at_infinity = kodaira_type(model, AT_INFINITY)
-    assert at_zero.n % k4 == 0 and at_infinity.n % k4 == 0
-    quotient_gamma = 1 - Fraction(nu + at_zero.n // k4 + at_infinity.n // k4, 6)
-    return BaseChangeOfGammaLessOne(
-        quotient_gamma, away, k4, at_zero, at_infinity
-    )
+    return genus_one_section(minimal, trichotomy, singular_locus(plane)).verdict

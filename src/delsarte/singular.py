@@ -57,7 +57,7 @@ from .reduction import MinimalFibration, PlaneModel
 # ---------------------------------------------------------------------------
 
 
-def _rat(q: Fraction) -> sympy.Rational:
+def rational_to_sympy(q: Fraction) -> sympy.Rational:
     return sympy.Rational(q.numerator, q.denominator)
 
 
@@ -67,7 +67,7 @@ def equation_as_expr(eq: AffineEquation, x=X_SYM, y=Y_SYM, t=T_SYM):
     for coeff, (ex, ey, et) in eq.terms:
         if et < 0:
             raise ValidationError("cannot convert Laurent equation to polynomial")
-        total += _rat(coeff) * x**ex * y**ey * t**et
+        total += rational_to_sympy(coeff) * x**ex * y**ey * t**et
     return total
 
 
@@ -75,7 +75,7 @@ def plane_curve_expr(plane: PlaneModel, x=X_SYM, y=Y_SYM, z=Z_SYM, t=T_SYM):
     """The plane projective family: sum of coeff * t^{[i = 4]} * x^a y^b z^c."""
     total = sympy.Integer(0)
     for i, ((a, b, c), coeff) in enumerate(zip(plane.exponents, plane.coefficients)):
-        term = _rat(coeff) * x**a * y**b * z**c
+        term = rational_to_sympy(coeff) * x**a * y**b * z**c
         if i == 3:
             term *= t
         total += term
@@ -109,7 +109,8 @@ class SingularLocus:
     def polynomial(self):
         """t^exponent - value, as a sympy Poly in t."""
         assert not self.degenerate, "degenerate locus has no closed form"
-        return sympy.Poly(T_SYM**self.exponent - _rat(self.value), T_SYM)
+        value = rational_to_sympy(self.value)
+        return sympy.Poly(T_SYM**self.exponent - value, T_SYM)
 
 
 def _kernel_product(plane: PlaneModel) -> Fraction:
@@ -376,7 +377,7 @@ class SuperellipticForm:
     def psi_expr(self, v, t):
         total = sympy.Integer(0)
         for coeff, e, has_t in self.terms:
-            term = _rat(coeff) * v**e
+            term = rational_to_sympy(coeff) * v**e
             if has_t:
                 term *= t
             total += term
@@ -571,7 +572,7 @@ def fiber_singularities_are_nodal(plane: PlaneModel, t0: Fraction) -> bool:
     complex numbers, which the Groebner basis decides.
     """
     x, y, z = X_SYM, Y_SYM, Z_SYM
-    F = plane_curve_expr(plane).subs(T_SYM, _rat(t0))
+    F = plane_curve_expr(plane).subs(T_SYM, rational_to_sympy(t0))
     for g, (v1, v2) in (
         (F.subs(z, 1), (x, y)),
         (F.subs(y, 1), (x, z)),

@@ -61,7 +61,8 @@ def minimal_and_plane(triples):
 
 
 def fiber_symbols(model: WeierstrassModel, *places) -> tuple[str, ...]:
-    return tuple(kodaira_type(model, place).symbol for place in places)
+    inv = weierstrass_invariants(model)
+    return tuple(kodaira_type(inv, place).symbol for place in places)
 
 
 def oracle_scope(surface) -> bool:
@@ -197,9 +198,9 @@ def test_criterion_5_elliptic_worked_examples():
     inv = weierstrass_invariants(tx_model)
     assert sympy.cancel(inv.j - 256 * (3 * t - 1) ** 3 / (4 * t**3 - t**2)) == 0
 
-    assert kodaira_type(tx_model, Fraction(0)).symbol == "I2"
-    assert kodaira_type(tx_model, Fraction(1, 4)).symbol == "I1"
-    assert kodaira_type(tx_model, AT_INFINITY).symbol == "III*"
+    assert kodaira_type(inv, Fraction(0)).symbol == "I2"
+    assert kodaira_type(inv, Fraction(1, 4)).symbol == "I1"
+    assert kodaira_type(inv, AT_INFINITY).symbol == "III*"
 
     # gamma(at zero, at infinity, away) for (I1; I1; II*) and (IV; I1; I1*)
     I1 = kodaira_fiber("I1")

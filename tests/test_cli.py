@@ -9,10 +9,12 @@ mismatch, 2 unreadable input, 3 invalid input, 4 unsupported shape).
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -59,6 +61,50 @@ def test_analyze_full_report_on_worked_cubic(capsys):
     assert by_place["t + 4/27"] == "I1"
     assert section["verdict"]["kind"] == "base_change_gamma_lt_one"
     assert section["verdict"]["base_change_exponent"] == 1
+
+
+def count_calls(monkeypatch, targets) -> Counter:
+    """Count calls to each (module, function) of ``targets``, rebinding the
+    counter in every delsarte module that holds the function so that calls
+    made inside the package are seen too."""
+    calls: Counter = Counter()
+    holders = [
+        module
+        for name, module in list(sys.modules.items())
+        if name == "delsarte" or name.startswith("delsarte.")
+    ]
+    for module_name, func in targets:
+        original = getattr(importlib.import_module(f"delsarte.{module_name}"), func)
+
+        def counted(*args, _func=func, _original=original, **kwargs):
+            calls[_func] += 1
+            return _original(*args, **kwargs)
+
+        for holder in holders:
+            for attr, value in list(vars(holder).items()):
+                if value is original:
+                    monkeypatch.setattr(holder, attr, counted)
+    return calls
+
+
+def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
+    calls = count_calls(
+        monkeypatch,
+        [
+            ("singular", "classify_trichotomy"),
+            ("elliptic", "genus_one_weierstrass"),
+            ("elliptic", "weierstrass_invariants"),
+            ("elliptic", "kodaira_type"),
+        ],
+    )
+    report = run_json(capsys, "analyze", CUBIC_WITH_SECTION)
+    assert report["genus_one"]["gamma"] == "2/3"
+    assert calls == {
+        "classify_trichotomy": 1,
+        "genus_one_weierstrass": 1,
+        "weierstrass_invariants": 1,
+        "kodaira_type": 3,  # at 0, over the away orbit, at infinity
+    }
 
 
 def test_analyze_reads_file_stdin_and_inline_identically(capsys, tmp_path, monkeypatch):
