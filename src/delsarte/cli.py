@@ -10,9 +10,13 @@ of the double-cover family for given (p, a).
 
 Output is a single JSON document on stdout with sorted keys; all numbers
 are integers or exact "p/q" strings, so identical invocations are
-byte-identical.  Exit codes: 2 for unreadable input, 3 for invalid input,
-4 for valid surfaces outside the supported analysis shapes, 1 for a
---verify mismatch (the oracle disagreeing with the closed form).
+byte-identical.  Exit codes: 2 for unreadable input, 3 for invalid input
+(including --threads outside 1..64), 4 for valid surfaces outside the
+supported analysis shapes, 1 for a --verify mismatch (the oracle disagreeing
+with the closed form).
+
+Only the genus-one section and --verify load sympy; ``picard`` and the
+integer stages of ``analyze`` run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -23,13 +27,14 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .elliptic import BaseChangeOfGammaLessOne, ConstantJ, genus_one_section
 from .errors import NotConvertibleError, UnsupportedShapeError, ValidationError
 from .exact import rational_to_json
 from .model import surface_from_json, surface_to_json
 from .reduction import classify_degenerate, plane_model, reduce_to_minimal
 from .shioda import (
+    MAX_THREADS,
     FamilyParams,
+    check_threads,
     enumerate_L0,
     excluded_fractions,
     exhaustive_sums,
@@ -114,6 +119,8 @@ def _fiber_json(place: str, fiber) -> dict:
 
 
 def _verdict_json(verdict) -> dict:
+    from .elliptic import BaseChangeOfGammaLessOne, ConstantJ
+
     if isinstance(verdict, ConstantJ):
         return {
             "kind": verdict.kind,
@@ -131,6 +138,9 @@ def _verdict_json(verdict) -> dict:
 
 
 def _genus_one_json(minimal, trichotomy, locus) -> Optional[dict]:
+    # the one stage of a plain analyze that needs sympy, so imported here
+    from .elliptic import BaseChangeOfGammaLessOne, genus_one_section
+
     try:
         section = genus_one_section(minimal, trichotomy, locus)
     except NotConvertibleError:
@@ -365,7 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="recheck formula results against their brute-force oracles",
         )
         command.add_argument(
-            "--threads", type=int, default=1, help="worker threads for enumeration"
+            "--threads",
+            type=int,
+            default=1,
+            help=f"worker threads for enumeration, 1 to {MAX_THREADS}",
         )
         command.add_argument(
             "--json-indent",
@@ -379,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_threads(args.threads)
         if args.command == "analyze":
             payload = run_analyze(args)
         else:

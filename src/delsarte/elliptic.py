@@ -32,6 +32,7 @@ from .singular import (
     Isotrivial,
     SingularLocus,
     Superelliptic,
+    SuperellipticForm,
     Trichotomy,
     classify_isotrivial,
     classify_trichotomy,
@@ -343,19 +344,27 @@ def _double_cover_model(psi: sympy.Expr) -> WeierstrassModel:
     )
 
 
-def genus_one_weierstrass(minimal: MinimalFibration) -> WeierstrassModel:
+def genus_one_weierstrass(
+    minimal: MinimalFibration, form: Optional[SuperellipticForm] = None
+) -> WeierstrassModel:
     """Weierstrass model of a genus-one minimal fibration, when the equation
     is (or straightens to) a double cover y^2 = cubic-or-quartic; raises
-    NotConvertibleError otherwise."""
+    NotConvertibleError otherwise.
+
+    ``form`` is the fibration's cyclic-cover normal form when the caller has
+    it already (a superelliptic trichotomy); otherwise it is derived from the
+    plane model when the equation has no direct y^2 shape.
+    """
     psi = _psi_direct(minimal)
     if psi is None:
-        plane = plane_model(minimal)
-        zeros = [i for i in range(3) if plane.kernel[i] == 0]
-        if len(zeros) != 1:
-            raise NotConvertibleError(
-                "no y^2-in-x shape and no cyclic-cover structure"
-            )
-        form = superelliptic_form(minimal, plane)
+        if form is None:
+            plane = plane_model(minimal)
+            zeros = [i for i in range(3) if plane.kernel[i] == 0]
+            if len(zeros) != 1:
+                raise NotConvertibleError(
+                    "no y^2-in-x shape and no cyclic-cover structure"
+                )
+            form = superelliptic_form(minimal, plane)
         if form.cover_exponent != 2:
             raise NotConvertibleError(
                 f"cyclic cover of exponent {form.cover_exponent}, not 2"
@@ -467,7 +476,8 @@ def genus_one_section(
     be degenerate; its exponent is k4).  Raises NotConvertibleError when the
     fibration has no Weierstrass model here.
     """
-    model = genus_one_weierstrass(minimal)
+    form = trichotomy.form if isinstance(trichotomy, Superelliptic) else None
+    model = genus_one_weierstrass(minimal, form)
     inv = weierstrass_invariants(model)
     orbit = locus.polynomial().as_expr()
     at_zero = kodaira_type(inv, Fraction(0))

@@ -18,18 +18,49 @@ brute-force check of which j-fractions fall outside Lambda.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
-import sympy
-
 from .errors import ValidationError
 from .exact import ExactMatrix, RationalLike, frac_part
 
 GENERATOR_TARGETS = ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1))
+
+# Worker threads accepted by the enumerations (and by --threads).
+MAX_THREADS = 64
+
+# Largest p accepted.  Miller-Rabin with the first twelve primes as
+# witnesses decides primality exactly below 3.18 * 10**23 (Sorenson and
+# Webster, Math. Comp. 86, 2017), which covers every n < MAX_P.
+MAX_P = 2**64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality of an integer n < 2**64 (deterministic Miller-Rabin)."""
+    if n >= MAX_P:
+        raise ValueError(f"{n} is outside the range decided exactly")
+    if n < 2:
+        return False
+    for w in _WITNESSES:
+        if n % w == 0:
+            return n == w
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for w in _WITNESSES:
+        x = pow(w, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -83,7 +114,9 @@ class FamilyParams:
     a: int
 
     def __post_init__(self) -> None:
-        if not (sympy.isprime(self.p) and self.p % 2 == 1):
+        if self.p >= MAX_P:
+            raise ValidationError(f"p = {self.p} must be below 2**64")
+        if not (is_prime(self.p) and self.p % 2 == 1):
             raise ValidationError(f"p = {self.p} must be an odd prime")
         if self.a < 1:
             raise ValidationError(f"a = {self.a} must be positive")
@@ -275,14 +308,25 @@ def gs_hodge_counts(params: FamilyParams) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
+def check_threads(threads: int) -> None:
+    """Reject a worker-thread count outside [1, MAX_THREADS]."""
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValidationError(
+            f"threads = {threads} must be between 1 and {MAX_THREADS}"
+        )
+
+
 def _parallel_map(fn, items: list, threads: int) -> list:
     """Order-preserving map, optionally fanned out over worker threads.
 
     Results are independent of the thread count: the chunking is positional
     and the concatenation keeps input order.
     """
-    if threads <= 1 or len(items) < 2:
+    check_threads(threads)
+    if threads == 1 or len(items) < 2:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     size = -(-len(items) // threads)
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -38,31 +38,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd
-from typing import Optional, Sequence, Union
-
-import sympy
-from sympy.abc import t as T_SYM
-from sympy.abc import u as U_SYM
-from sympy.abc import x as X_SYM
-from sympy.abc import y as Y_SYM
-from sympy.abc import z as Z_SYM
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import UnsupportedShapeError, ValidationError
 from .exact import rational_kth_roots
 from .model import AffineEquation
 from .reduction import MinimalFibration, PlaneModel
 
+if TYPE_CHECKING:
+    import sympy
+
 # ---------------------------------------------------------------------------
 # sympy bridge
+#
+# The closed-form locus, the orbit structure and the trichotomy are integer
+# arithmetic; only the oracle, the nodality certificate and the expression
+# builders below need sympy, and they import it when they run.
 # ---------------------------------------------------------------------------
+
+
+def _symbols():
+    """The sympy symbols (t, u, x, y, z) of this module's expressions."""
+    from sympy.abc import t, u, x, y, z
+
+    return t, u, x, y, z
 
 
 def rational_to_sympy(q: Fraction) -> sympy.Rational:
+    import sympy
+
     return sympy.Rational(q.numerator, q.denominator)
 
 
-def equation_as_expr(eq: AffineEquation, x=X_SYM, y=Y_SYM, t=T_SYM):
-    """The affine equation as a sympy expression (t-exponents must be >= 0)."""
+def equation_as_expr(eq: AffineEquation, x=None, y=None, t=None):
+    """The affine equation as a sympy expression (t-exponents must be >= 0);
+    the variables default to the symbols x, y and t."""
+    import sympy
+
+    t0, _, x0, y0, _ = _symbols()
+    x = x0 if x is None else x
+    y = y0 if y is None else y
+    t = t0 if t is None else t
     total = sympy.Integer(0)
     for coeff, (ex, ey, et) in eq.terms:
         if et < 0:
@@ -71,8 +87,16 @@ def equation_as_expr(eq: AffineEquation, x=X_SYM, y=Y_SYM, t=T_SYM):
     return total
 
 
-def plane_curve_expr(plane: PlaneModel, x=X_SYM, y=Y_SYM, z=Z_SYM, t=T_SYM):
-    """The plane projective family: sum of coeff * t^{[i = 4]} * x^a y^b z^c."""
+def plane_curve_expr(plane: PlaneModel, x=None, y=None, z=None, t=None):
+    """The plane projective family: sum of coeff * t^{[i = 4]} * x^a y^b z^c;
+    the variables default to the symbols x, y, z and t."""
+    import sympy
+
+    t0, _, x0, y0, z0 = _symbols()
+    x = x0 if x is None else x
+    y = y0 if y is None else y
+    z = z0 if z is None else z
+    t = t0 if t is None else t
     total = sympy.Integer(0)
     for i, ((a, b, c), coeff) in enumerate(zip(plane.exponents, plane.coefficients)):
         term = rational_to_sympy(coeff) * x**a * y**b * z**c
@@ -108,9 +132,11 @@ class SingularLocus:
 
     def polynomial(self):
         """t^exponent - value, as a sympy Poly in t."""
+        import sympy
+
         assert not self.degenerate, "degenerate locus has no closed form"
-        value = rational_to_sympy(self.value)
-        return sympy.Poly(T_SYM**self.exponent - value, T_SYM)
+        t = _symbols()[0]
+        return sympy.Poly(t**self.exponent - rational_to_sympy(self.value), t)
 
 
 def _kernel_product(plane: PlaneModel) -> Fraction:
@@ -145,6 +171,8 @@ def _eliminant(system, eliminate, keep) -> Optional[sympy.Expr]:
     Returns None when the elimination ideal is zero (the stratum is critical
     for every value of ``keep``), 1 when the system is infeasible.
     """
+    import sympy
+
     basis = sympy.groebner(system, *eliminate, keep, order="lex")
     only_keep = [p for p in basis.exprs if p.free_symbols <= {keep}]
     if not only_keep:
@@ -191,7 +219,9 @@ def _persistent_vertex_eliminant(coeff_at, v1, v2) -> Optional[sympy.Expr]:
     coefficient vanishes (changing the boundary itself).  Faces that are
     degenerate for every t carry no information and make us give up (None).
     """
-    t, u = T_SYM, U_SYM
+    import sympy
+
+    t, u = _symbols()[:2]
     hull = _newton_boundary(coeff_at)
     result = sympy.Integer(1)
     for point in hull:
@@ -226,7 +256,9 @@ def discriminant_oracle(plane: PlaneModel) -> sympy.Poly:
     This route never looks at the relation vector, which makes it a genuine
     second opinion on ``singular_locus``.
     """
-    x, y, z, t, u = X_SYM, Y_SYM, Z_SYM, T_SYM, U_SYM
+    import sympy
+
+    t, u, x, y, z = _symbols()
     F = plane_curve_expr(plane)
     contributions = []
 
@@ -298,7 +330,9 @@ def oracle_matches_locus(oracle: sympy.Poly, locus: SingularLocus) -> bool:
     Compares the squarefree part of the oracle, with all powers of t divided
     out, against t^{k4} - c up to a constant.
     """
-    t = T_SYM
+    import sympy
+
+    t = _symbols()[0]
     expr = oracle.as_expr()
     if expr.is_zero:
         return False
@@ -375,6 +409,8 @@ class SuperellipticForm:
     terms: tuple[tuple[Fraction, int, bool], ...]
 
     def psi_expr(self, v, t):
+        import sympy
+
         total = sympy.Integer(0)
         for coeff, e, has_t in self.terms:
             term = rational_to_sympy(coeff) * v**e
@@ -571,8 +607,10 @@ def fiber_singularities_are_nodal(plane: PlaneModel, t0: Fraction) -> bool:
     system {g = 0, grad g = 0, det Hess g = 0} must be infeasible over the
     complex numbers, which the Groebner basis decides.
     """
-    x, y, z = X_SYM, Y_SYM, Z_SYM
-    F = plane_curve_expr(plane).subs(T_SYM, rational_to_sympy(t0))
+    import sympy
+
+    t, _, x, y, z = _symbols()
+    F = plane_curve_expr(plane).subs(t, rational_to_sympy(t0))
     for g, (v1, v2) in (
         (F.subs(z, 1), (x, y)),
         (F.subs(y, 1), (x, z)),

@@ -9,6 +9,7 @@ mismatch, 2 unreadable input, 3 invalid input, 4 unsupported shape).
 
 from __future__ import annotations
 
+import concurrent.futures
 import importlib
 import io
 import json
@@ -22,6 +23,8 @@ from delsarte import cli
 from delsarte.errors import UnsupportedShapeError
 
 CUBIC_WITH_SECTION = '{"monomials": [[0,2,0,1],[3,0,0,0],[2,0,0,1],[0,0,1,2]]}'
+# x y^2 + x^3 + x^2 + t: no direct y^2 shape, a double cover after straightening
+ODD_ORDER_QUARTIC = '{"monomials": [[1,2,0,0],[3,0,0,0],[2,0,0,1],[0,0,1,2]]}'
 DEGENERATE = '{"monomials": [[2,0,0,0],[0,2,0,0],[1,1,0,0],[0,0,2,0]]}'
 ISOTRIVIAL = '{"monomials": [[5,0,0,0],[0,5,0,0],[0,4,0,1],[0,4,1,0]]}'
 
@@ -68,6 +71,8 @@ def count_calls(monkeypatch, targets) -> Counter:
     counter in every delsarte module that holds the function so that calls
     made inside the package are seen too."""
     calls: Counter = Counter()
+    for module_name, _ in targets:  # so that every holder exists below
+        importlib.import_module(f"delsarte.{module_name}")
     holders = [
         module
         for name, module in list(sys.modules.items())
@@ -91,20 +96,29 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
     calls = count_calls(
         monkeypatch,
         [
+            ("reduction", "plane_model"),
             ("singular", "classify_trichotomy"),
             ("elliptic", "genus_one_weierstrass"),
             ("elliptic", "weierstrass_invariants"),
             ("elliptic", "kodaira_type"),
         ],
     )
-    report = run_json(capsys, "analyze", CUBIC_WITH_SECTION)
-    assert report["genus_one"]["gamma"] == "2/3"
-    assert calls == {
+    once = {
+        "plane_model": 1,
         "classify_trichotomy": 1,
         "genus_one_weierstrass": 1,
         "weierstrass_invariants": 1,
         "kodaira_type": 3,  # at 0, over the away orbit, at infinity
     }
+    report = run_json(capsys, "analyze", CUBIC_WITH_SECTION)
+    assert report["genus_one"]["gamma"] == "2/3"
+    assert calls == once
+
+    # the Weierstrass step reuses the trichotomy's cyclic-cover form
+    calls.clear()
+    report = run_json(capsys, "analyze", ODD_ORDER_QUARTIC)
+    assert report["genus_one"]["gamma"] == "5/6"
+    assert calls == once
 
 
 def test_analyze_reads_file_stdin_and_inline_identically(capsys, tmp_path, monkeypatch):
@@ -209,6 +223,23 @@ def test_picard_threads_do_not_change_the_bytes(capsys):
     assert one == four
 
 
+@pytest.mark.parametrize("threads", ["0", "-2", "65", "100000"])
+def test_threads_outside_the_bound_exit_3_before_any_pool(capsys, monkeypatch, threads):
+    def no_pool(*args, **kwargs):
+        pytest.fail("a thread pool was built for an out-of-range --threads")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    for argv in (
+        ("picard", "--p", "7", "--a", "2"),
+        ("analyze", CUBIC_WITH_SECTION),
+        ("analyze", CUBIC_WITH_SECTION, "--shioda"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--threads", threads)
+        assert code == 3
+        assert out == ""
+        assert "threads" in err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -244,9 +275,11 @@ def test_genus_zero_surface_exits_3(capsys):
 
 
 def test_composite_p_exits_3(capsys):
-    code, out, err = run_cli(capsys, "picard", "--p", "4", "--a", "1")
-    assert code == 3
-    assert "odd prime" in err
+    for p in ("4", "1", "2", "9", "-3"):
+        code, out, err = run_cli(capsys, "picard", "--p", p, "--a", "1")
+        assert code == 3
+        assert out == ""
+        assert "odd prime" in err
 
 
 def test_unsupported_shape_maps_to_exit_4(capsys, monkeypatch):

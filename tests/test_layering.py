@@ -1,0 +1,107 @@
+"""Which stages load sympy.
+
+sympy is a lazy dependency: only the genus-one section, the --verify oracle
+and the symbolic helpers of ``singular`` import it.  Each test here runs a
+fresh ``python -X importtime -m delsarte.cli`` process and reads the modules
+it imported from the import-time report on stderr, so the entry point is
+exercised exactly as a user runs it.  The stdout hashes of the sympy paths
+pin the bytes they printed before sympy became lazy.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import delsarte
+
+SRC = Path(delsarte.__file__).resolve().parents[1]
+
+WORKED_CUBIC = '{"monomials": [[0,2,0,1],[3,0,0,0],[2,0,0,1],[0,0,1,2]]}'
+HESSE_PENCIL = '{"monomials": [[3,0,0,0],[0,3,0,0],[0,0,0,3],[1,1,1,0]]}'
+ISOTRIVIAL = '{"monomials": [[5,0,0,0],[0,5,0,0],[0,4,0,1],[0,4,1,0]]}'
+GENUS_TWO = '{"monomials": [[0,2,0,3],[5,0,0,0],[1,0,0,4],[0,0,1,4]]}'
+
+
+def run_entry_point(*argv: str) -> tuple[int, str, set[str]]:
+    """(exit code, stdout, names of the modules imported) of one process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "delsarte.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, proc.stdout, imported
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("picard", "--p", "11", "--a", "1", "--hodge", "--excluded"),
+        ("analyze", HESSE_PENCIL),
+        ("analyze", ISOTRIVIAL),
+        ("analyze", GENUS_TWO),
+    ],
+    ids=["picard", "semistable_away", "isotrivial", "higher_genus"],
+)
+def test_integer_stages_run_without_sympy(argv):
+    code, out, imported = run_entry_point(*argv)
+    assert code == 0, out
+    assert "delsarte.singular" in imported  # the report was read
+    assert "sympy" not in imported
+    assert "genus_one" not in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ("analyze", WORKED_CUBIC),
+            "32b150728a5ba2d74564deb2994863f30f714e05c193c5d1f99057d3e755a84f",
+        ),
+        (
+            ("analyze", WORKED_CUBIC, "--verify"),
+            "e4b4c45531524e17c626165ec571bd738b1a6e45719b86dc8c5976617b1c8735",
+        ),
+        (
+            ("analyze", HESSE_PENCIL, "--verify"),
+            "88e78509261d313a4222636461b0420f2f04e0ce51a620b3f2a2470aea67351d",
+        ),
+    ],
+    ids=["genus_one", "verify_genus_one", "verify_semistable_away"],
+)
+def test_symbolic_stages_load_sympy_and_keep_their_bytes(argv, sha256):
+    code, out, imported = run_entry_point(*argv)
+    assert code == 0, out
+    assert "sympy" in imported
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_every_public_name_resolves():
+    for name in delsarte.__all__:
+        assert getattr(delsarte, name) is not None, name
+    assert "fastenberg_check" in dir(delsarte)
+    with pytest.raises(AttributeError):
+        delsarte.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from delsarte import *", namespace)
+    assert set(delsarte.__all__) <= set(namespace)
+    assert namespace["plane_model"] is sys.modules["delsarte.reduction"].plane_model

@@ -5,24 +5,30 @@ on whole small lattices, per the build rule that optimized and unoptimized
 routes must both exist and agree.
 """
 
+import concurrent.futures
 from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 
 from corpus import nondegenerate_surfaces
 from delsarte.errors import ValidationError
 from delsarte.exact import ExactMatrix, frac_part
 from delsarte.shioda import (
+    MAX_P,
+    MAX_THREADS,
     CharacterVector,
     FamilyParams,
     character_vector,
+    check_threads,
     enumerate_L0,
     excluded_fractions,
     exhaustive_sums,
     family_L0_count,
     gs_hodge_counts,
+    is_prime,
     lambda_membership,
     lefschetz_number,
     picard_family,
@@ -220,6 +226,38 @@ def test_family_params_validation():
         FamilyParams(2, 1)
     with pytest.raises(ValidationError):
         FamilyParams(5, 0)
+    for p in (1, 9, -3, MAX_P + 13):
+        with pytest.raises(ValidationError):
+            FamilyParams(p, 1)
+
+
+def test_is_prime_agrees_with_sympy():
+    for n in range(-10, 10**4 + 1):
+        assert is_prime(n) == sympy.isprime(n), n
+    # two Carmichael numbers, a Mersenne prime, a prime above 10**6, the
+    # least strong pseudoprime to the first eleven prime witnesses, and the
+    # largest prime below 2**64
+    special = (561, 1105, 2**31 - 1, 1_000_003, 3825123056546413051, MAX_P - 59)
+    for n in special:
+        assert is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(ValueError):
+        is_prime(MAX_P)
+
+
+def test_thread_counts_are_bounded(monkeypatch):
+    def no_pool(*args, **kwargs):
+        pytest.fail("a thread pool was built for an out-of-range thread count")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    check_threads(1)
+    check_threads(MAX_THREADS)
+    for threads in (0, -1, MAX_THREADS + 1):
+        with pytest.raises(ValidationError):
+            check_threads(threads)
+        with pytest.raises(ValidationError):
+            picard_family(FamilyParams(3, 1), threads=threads)
+        with pytest.raises(ValidationError):
+            lefschetz_number(FamilyParams(3, 1).matrix, threads=threads)
 
 
 # ---------------------------------------------------------------------------
