@@ -10,10 +10,10 @@ of the double-cover family for given (p, a).
 
 Output is a single JSON document on stdout with sorted keys; all numbers
 are integers or exact "p/q" strings, so identical invocations are
-byte-identical.  Exit codes: 2 for unreadable input, 3 for invalid input
-(including --threads outside 1..64), 4 for valid surfaces outside the
-supported analysis shapes, 1 for a --verify mismatch (the oracle disagreeing
-with the closed form).
+byte-identical.  Exit codes: 2 for unreadable input or a command-line usage
+error, 3 for invalid input, 4 for valid surfaces outside the supported
+analysis shapes, 1 for a --verify mismatch (the oracle disagreeing with the
+closed form).
 
 Only the genus-one section and --verify load sympy; ``picard`` and the
 integer stages of ``analyze`` run on the standard library alone.
@@ -32,9 +32,7 @@ from .exact import rational_to_json
 from .model import surface_from_json, surface_to_json
 from .reduction import classify_degenerate, plane_model, reduce_to_minimal
 from .shioda import (
-    MAX_THREADS,
     FamilyParams,
-    check_threads,
     enumerate_L0,
     excluded_fractions,
     exhaustive_sums,
@@ -52,7 +50,6 @@ from .singular import (
     classify_trichotomy,
     discriminant_oracle,
     oracle_matches_locus,
-    singular_locus,
     structure_decomposition,
 )
 
@@ -225,17 +222,16 @@ def run_analyze(args) -> dict:
     }
     report["kernel"] = list(plane.kernel)
 
-    locus = singular_locus(plane)
-    report["singular_locus"] = _locus_json(locus)
-
     structure = structure_decomposition(plane)
+    locus = structure.locus
+    report["singular_locus"] = _locus_json(locus)
     report["structure"] = {
         "exponent": structure.exponent,
         "value": rational_to_json(structure.value),
         "negation_invariant": structure.negation_invariant,
     }
 
-    trichotomy = classify_trichotomy(minimal, plane)
+    trichotomy = classify_trichotomy(minimal, plane, locus)
     report["trichotomy"] = _trichotomy_json(trichotomy)
 
     if (
@@ -248,7 +244,7 @@ def run_analyze(args) -> dict:
             report["genus_one"] = section
 
     if args.shioda:
-        lam = lefschetz_number(surface.matrix, threads=args.threads)
+        lam = lefschetz_number(surface.matrix)
         shioda_section: dict = {"lambda": lam}
         if args.h2 is not None:
             shioda_section["h2"] = args.h2
@@ -282,7 +278,7 @@ def _verify_analysis(plane, locus) -> dict:
 
 def run_picard(args) -> dict:
     params = FamilyParams(args.p, args.a)
-    rho_tilde = picard_family(params, threads=args.threads)
+    rho_tilde = picard_family(params)
     count = family_L0_count(params)
     record = {
         "p": params.p,
@@ -375,12 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="recheck formula results against their brute-force oracles",
         )
         command.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help=f"worker threads for enumeration, 1 to {MAX_THREADS}",
-        )
-        command.add_argument(
             "--json-indent",
             type=int,
             default=None,
@@ -392,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        check_threads(args.threads)
         if args.command == "analyze":
             payload = run_analyze(args)
         else:

@@ -30,6 +30,7 @@ from .errors import NotConvertibleError, UnsupportedShapeError, ValidationError
 from .reduction import MinimalFibration, plane_model
 from .singular import (
     Isotrivial,
+    SemistableAway,
     SingularLocus,
     Superelliptic,
     SuperellipticForm,
@@ -476,6 +477,10 @@ def genus_one_section(
     be degenerate; its exponent is k4).  Raises NotConvertibleError when the
     fibration has no Weierstrass model here.
     """
+    if isinstance(trichotomy, SemistableAway):
+        # every k_i is nonzero: no cyclic-cover form, and no y^2 shape either
+        # (a monomial y^2 beside y-free ones would force its k_i to 0)
+        raise NotConvertibleError("no y^2-in-x shape and no cyclic-cover structure")
     form = trichotomy.form if isinstance(trichotomy, Superelliptic) else None
     model = genus_one_weierstrass(minimal, form)
     inv = weierstrass_invariants(model)
@@ -501,7 +506,8 @@ def fastenberg_check(minimal: MinimalFibration) -> FastenbergVerdict:
     verdict.
     """
     plane = plane_model(minimal)
-    trichotomy = classify_trichotomy(minimal, plane)
+    locus = singular_locus(plane)
+    trichotomy = classify_trichotomy(minimal, plane, locus)
     if isinstance(trichotomy, Isotrivial):
         return ConstantJ(_isotrivial_j(minimal))
     if isinstance(trichotomy, Superelliptic):
@@ -511,4 +517,4 @@ def fastenberg_check(minimal: MinimalFibration) -> FastenbergVerdict:
             )
         if trichotomy.constant_j is not None:
             return ConstantJ(trichotomy.constant_j)
-    return genus_one_section(minimal, trichotomy, singular_locus(plane)).verdict
+    return genus_one_section(minimal, trichotomy, locus).verdict

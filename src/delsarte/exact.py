@@ -4,14 +4,14 @@ Everything in this package is computed over Q.  Floating point is never used
 for anything that feeds a decision, so this module provides the few pieces of
 exact machinery the rest of the code leans on:
 
-* fractional parts and orders in Q/Z (``frac_part``, ``ord_plus``, ``QmodZ``);
+* fractional parts, the representatives of Q/Z in [0, 1) (``frac_part``);
 * JSON-friendly parsing/formatting of rationals ("p/q" strings, bare ints);
 * exact k-th roots of rationals (for locating rational points on a locus
   ``t^k = c``);
 * ``ExactMatrix``: an immutable matrix of ``Fraction`` entries with exact
-  determinant, inverse, products, and an integer left-kernel routine that is
-  fraction-free (cofactor based), so there is no intermediate blowup and no
-  pivoting nondeterminism.
+  determinant, inverse, vector products and right-kernel basis, and an
+  integer left-kernel routine that is fraction-free (cofactor based), so
+  there is no intermediate blowup and no pivoting nondeterminism.
 """
 
 from __future__ import annotations
@@ -37,36 +37,6 @@ def frac_part(q: RationalLike) -> Fraction:
     """
     q = Fraction(q)
     return q - (q.numerator // q.denominator)
-
-
-def ord_plus(q: RationalLike) -> int:
-    """Order of ``q`` in Q/Z: the least n >= 1 with ``n * q`` an integer."""
-    return Fraction(q).denominator
-
-
-@dataclass(frozen=True)
-class QmodZ:
-    """An element of Q/Z, stored as its canonical representative in [0, 1)."""
-
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", frac_part(self.value))
-
-    @property
-    def order(self) -> int:
-        return self.value.denominator
-
-    def __add__(self, other: "QmodZ") -> "QmodZ":
-        return QmodZ(self.value + other.value)
-
-    def __mul__(self, n: int) -> "QmodZ":
-        return QmodZ(self.value * n)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        return format_rational(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +167,6 @@ class ExactMatrix:
             raise ValidationError("matrix rows must be nonempty and equal length")
         return ExactMatrix(tuple(tuple(Fraction(x) for x in r) for r in rows))
 
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -211,17 +175,8 @@ class ExactMatrix:
     def ncols(self) -> int:
         return len(self.rows[0])
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i]
-
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.rows)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.rows)))
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self.rows for x in r)
 
     # -- products ----------------------------------------------------------
 
@@ -240,17 +195,6 @@ class ExactMatrix:
         return tuple(
             sum(vf[i] * self.rows[i][j] for i in range(self.nrows))
             for j in range(self.ncols)
-        )
-
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise ValidationError("dimension mismatch in matmul")
-        cols = [other.col(j) for j in range(other.ncols)]
-        return ExactMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(r, c)) for c in cols)
-                for r in self.rows
-            )
         )
 
     # -- determinant, inverse, kernel --------------------------------------
@@ -330,10 +274,6 @@ class ExactMatrix:
             if rank == len(m):
                 break
         return m, pivots
-
-    def rank(self) -> int:
-        """Rank over Q (plain exact row reduction)."""
-        return len(self._rref()[1])
 
     def nullspace_basis(self) -> list[tuple[Fraction, ...]]:
         """A basis of the right kernel {v : self . v = 0}, one vector per free

@@ -16,8 +16,9 @@ t = X2, so the affine member over t is
     f(x, y, t) = F(x, y, t, 1).
 
 Base changes of the form (x, y, t) -> (x t^a, y t^b, t^c) followed by
-division by a power of t act on exponent vectors linearly; that action is
-what ``apply_base_change`` implements, with Laurent exponents in t allowed.
+division by a power of t act on exponent vectors linearly, with Laurent
+exponents in t allowed; ``BaseChangeRecord`` records the one a reduction
+used.
 """
 
 from __future__ import annotations
@@ -155,16 +156,6 @@ class AffineEquation:
     def t_exponents(self) -> tuple[int, ...]:
         return tuple(et for _, (_, _, et) in self.terms)
 
-    def term_set(self) -> frozenset[Term]:
-        """Order-insensitive view, for equality up to reordering."""
-        return frozenset(self.terms)
-
-    def scale_t_exponents(self, n: int) -> "AffineEquation":
-        """Substitute t -> t^n at the exponent level (n may be negative)."""
-        return AffineEquation(
-            tuple((c, (ex, ey, et * n)) for c, (ex, ey, et) in self.terms)
-        )
-
     def __str__(self) -> str:
         parts = []
         for coeff, exps in self.terms:
@@ -211,22 +202,6 @@ class BaseChangeRecord:
     inner_degree: int
     cleared_power: int
     degree: int
-
-
-def apply_base_change(
-    eq: AffineEquation, a: int, b: int, c: int, e: int = 0
-) -> AffineEquation:
-    """Exponent-level substitution (x, y, t) -> (x t^a, y t^b, t^c), then
-    division by t^e.  ``c`` must be nonzero so distinct monomials stay
-    distinct."""
-    if c == 0:
-        raise ValidationError("base change needs a nonzero t-degree")
-    return AffineEquation(
-        tuple(
-            (coeff, (ex, ey, ex * a + ey * b + et * c - e))
-            for coeff, (ex, ey, et) in eq.terms
-        )
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import ValidationError
 from .exact import ExactMatrix, RationalLike, frac_part
 
 GENERATOR_TARGETS = ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1))
-
-# Worker threads accepted by the enumerations (and by --threads).
-MAX_THREADS = 64
 
 # Largest p accepted.  Miller-Rabin with the first twelve primes as
 # witnesses decides primality exactly below 3.18 * 10**23 (Sorenson and
@@ -229,22 +226,10 @@ def exhaustive_sums(v: CharacterVector) -> dict[int, Fraction]:
     return sums
 
 
-def lefschetz_number(matrix: ExactMatrix, threads: int = 1) -> int:
+def lefschetz_number(matrix: ExactMatrix) -> int:
     """#(L0 ∩ Lambda) for the surface with the given exponent matrix."""
-    vectors = sorted(enumerate_L0(*shioda_vectors(matrix)), key=lambda v: v.entries)
-    flags = _parallel_map(
-        lambda v: 1 if lambda_membership(v).in_lambda else 0, vectors, threads
-    )
-    return sum(flags)
-
-
-def picard_from_h_two(matrix: ExactMatrix, h_two: int, threads: int = 1) -> int:
-    """rho of the desingularization, given its second Betti-type input h².
-
-    The identity rho = h² - lambda needs h² supplied by the caller; it is
-    not computed for general exponent matrices.
-    """
-    return h_two - lefschetz_number(matrix, threads=threads)
+    vectors = enumerate_L0(*shioda_vectors(matrix))
+    return sum(1 for v in vectors if lambda_membership(v).in_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +252,13 @@ def family_L0_count(params: FamilyParams) -> int:
     return (params.p - 1) * (params.weight - 2)
 
 
-def picard_family(params: FamilyParams, threads: int = 1) -> int:
+def picard_family(params: FamilyParams) -> int:
     """rho of the desingularized family member: 2 plus the number of L0
     characters whose fractional-part sums equal 2 for every unit scaling."""
     d = params.weight
-    fixed = _parallel_map(
-        lambda n: 0 if _integer_verdict(n, d)[0] else 1,
-        list(_family_vectors(params)),
-        threads,
+    return 2 + sum(
+        1 for n in _family_vectors(params) if not _integer_verdict(n, d)[0]
     )
-    return 2 + sum(fixed)
 
 
 def excluded_fractions(params: FamilyParams) -> set[Fraction]:
@@ -301,34 +283,3 @@ def gs_hodge_counts(params: FamilyParams) -> tuple[int, int, int]:
         assert total % d == 0
         counts[total // d] += 1
     return counts[1], counts[2], counts[3]
-
-
-# ---------------------------------------------------------------------------
-# deterministic parallel map
-# ---------------------------------------------------------------------------
-
-
-def check_threads(threads: int) -> None:
-    """Reject a worker-thread count outside [1, MAX_THREADS]."""
-    if not 1 <= threads <= MAX_THREADS:
-        raise ValidationError(
-            f"threads = {threads} must be between 1 and {MAX_THREADS}"
-        )
-
-
-def _parallel_map(fn, items: list, threads: int) -> list:
-    """Order-preserving map, optionally fanned out over worker threads.
-
-    Results are independent of the thread count: the chunking is positional
-    and the concatenation keeps input order.
-    """
-    check_threads(threads)
-    if threads == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    size = -(-len(items) // threads)
-    chunks = [items[i : i + size] for i in range(0, len(items), size)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda chunk: [fn(item) for item in chunk], chunks)
-        return [value for part in parts for value in part]

@@ -375,10 +375,13 @@ class OrbitStructure:
 
 
 def structure_decomposition(plane: PlaneModel) -> OrbitStructure:
+    """The away orbit and its closed-form locus, which ``locus`` carries so
+    that callers need not compute it again."""
+    locus = singular_locus(plane)
     # knowable from the kernel alone, even when the closed-form locus is
     # degenerate (duplicated monomial)
-    locus = singular_locus(plane)
-    return OrbitStructure(plane.kernel[3], _kernel_product(plane), locus)
+    value = _kernel_product(plane) if locus.degenerate else locus.value
+    return OrbitStructure(plane.kernel[3], value, locus)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +443,11 @@ class SemistableAway:
 Trichotomy = Union[Isotrivial, Superelliptic, SemistableAway]
 
 
-def classify_trichotomy(minimal: MinimalFibration, plane: PlaneModel) -> Trichotomy:
+def classify_trichotomy(
+    minimal: MinimalFibration, plane: PlaneModel, locus: SingularLocus
+) -> Trichotomy:
+    """The structure branch of ``minimal``; ``plane`` and ``locus`` are its
+    plane model and closed-form locus (the semistable branch carries it)."""
     pairs = [(ex, ey) for _, (ex, ey, _) in minimal.equation.terms]
     coeffs = [c for c, _ in minimal.equation.terms]
     for i in range(3):
@@ -459,7 +466,7 @@ def classify_trichotomy(minimal: MinimalFibration, plane: PlaneModel) -> Trichot
         if genus == 1 and form.cover_exponent >= 3:
             jval = constant_j_value(form)
         return Superelliptic(form, genus, jval)
-    return SemistableAway(singular_locus(plane))
+    return SemistableAway(locus)
 
 
 # ---------------------------------------------------------------------------

@@ -3,22 +3,20 @@
 Most tests call ``main(argv)`` directly and read stdout through capsys; one
 subprocess test checks the ``python -m`` entry point for real. The contract
 under test: a single sorted-key JSON document on stdout, byte-identical
-across runs and thread counts, and the exit-code mapping (0 ok, 1 verify
-mismatch, 2 unreadable input, 3 invalid input, 4 unsupported shape).
+across runs, and the exit-code mapping (0 ok, 1 verify mismatch, 2 unreadable
+input or usage error, 3 invalid input, 4 unsupported shape).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import importlib
 import io
 import json
 import subprocess
 import sys
-from collections import Counter
 
 import pytest
 
+from calls import count_calls
 from delsarte import cli
 from delsarte.errors import UnsupportedShapeError
 
@@ -27,6 +25,8 @@ CUBIC_WITH_SECTION = '{"monomials": [[0,2,0,1],[3,0,0,0],[2,0,0,1],[0,0,1,2]]}'
 ODD_ORDER_QUARTIC = '{"monomials": [[1,2,0,0],[3,0,0,0],[2,0,0,1],[0,0,1,2]]}'
 DEGENERATE = '{"monomials": [[2,0,0,0],[0,2,0,0],[1,1,0,0],[0,0,2,0]]}'
 ISOTRIVIAL = '{"monomials": [[5,0,0,0],[0,5,0,0],[0,4,0,1],[0,4,1,0]]}'
+# x y^2 + x^3 y + y + x t: every kernel entry nonzero
+SEMISTABLE = '{"monomials": [[1,2,0,1],[3,1,0,0],[0,1,0,3],[1,0,1,2]]}'
 
 
 def run_cli(capsys, *argv):
@@ -66,32 +66,6 @@ def test_analyze_full_report_on_worked_cubic(capsys):
     assert section["verdict"]["base_change_exponent"] == 1
 
 
-def count_calls(monkeypatch, targets) -> Counter:
-    """Count calls to each (module, function) of ``targets``, rebinding the
-    counter in every delsarte module that holds the function so that calls
-    made inside the package are seen too."""
-    calls: Counter = Counter()
-    for module_name, _ in targets:  # so that every holder exists below
-        importlib.import_module(f"delsarte.{module_name}")
-    holders = [
-        module
-        for name, module in list(sys.modules.items())
-        if name == "delsarte" or name.startswith("delsarte.")
-    ]
-    for module_name, func in targets:
-        original = getattr(importlib.import_module(f"delsarte.{module_name}"), func)
-
-        def counted(*args, _func=func, _original=original, **kwargs):
-            calls[_func] += 1
-            return _original(*args, **kwargs)
-
-        for holder in holders:
-            for attr, value in list(vars(holder).items()):
-                if value is original:
-                    monkeypatch.setattr(holder, attr, counted)
-    return calls
-
-
 def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
     calls = count_calls(
         monkeypatch,
@@ -119,6 +93,20 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
     report = run_json(capsys, "analyze", ODD_ORDER_QUARTIC)
     assert report["genus_one"]["gamma"] == "5/6"
     assert calls == once
+
+
+@pytest.mark.parametrize(
+    "surface, branch",
+    [(CUBIC_WITH_SECTION, "superelliptic"), (SEMISTABLE, "semistable_away")],
+    ids=["cubic", "semistable"],
+)
+def test_analyze_computes_the_locus_once(capsys, monkeypatch, surface, branch):
+    calls = count_calls(
+        monkeypatch, [("singular", "singular_locus"), ("singular", "_kernel_product")]
+    )
+    report = run_json(capsys, "analyze", surface)
+    assert report["trichotomy"]["branch"] == branch
+    assert calls == {"singular_locus": 1, "_kernel_product": 1}
 
 
 def test_analyze_reads_file_stdin_and_inline_identically(capsys, tmp_path, monkeypatch):
@@ -217,27 +205,16 @@ def test_picard_verify_recounts_from_the_matrix(capsys):
     assert record["rho_tilde"] == 10
 
 
-def test_picard_threads_do_not_change_the_bytes(capsys):
-    _, one, _ = run_cli(capsys, "picard", "--p", "7", "--a", "2")
-    _, four, _ = run_cli(capsys, "picard", "--p", "7", "--a", "2", "--threads", "4")
-    assert one == four
-
-
-@pytest.mark.parametrize("threads", ["0", "-2", "65", "100000"])
-def test_threads_outside_the_bound_exit_3_before_any_pool(capsys, monkeypatch, threads):
-    def no_pool(*args, **kwargs):
-        pytest.fail("a thread pool was built for an out-of-range --threads")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+def test_threads_is_a_usage_error(capsys):
+    # the enumeration is serial; --threads is an unknown option like any other
     for argv in (
-        ("picard", "--p", "7", "--a", "2"),
-        ("analyze", CUBIC_WITH_SECTION),
-        ("analyze", CUBIC_WITH_SECTION, "--shioda"),
+        ("picard", "--p", "7", "--a", "2", "--threads", "4"),
+        ("analyze", CUBIC_WITH_SECTION, "--threads", "1"),
     ):
-        code, out, err = run_cli(capsys, *argv, "--threads", threads)
-        assert code == 3
-        assert out == ""
-        assert "threads" in err
+        with pytest.raises(SystemExit) as info:
+            cli.main(list(argv))
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

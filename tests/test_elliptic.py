@@ -13,6 +13,7 @@ import sympy
 from hypothesis import given, assume, settings, strategies as st
 from sympy.abc import t, x
 
+from calls import count_calls
 from corpus import deterministic_corpus, surface_from_affine_triples
 from delsarte.elliptic import (
     AT_INFINITY,
@@ -253,6 +254,17 @@ def test_not_convertible_shapes():
         genus_one_weierstrass(fibration([(0, 3, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)]))
     with pytest.raises(NotConvertibleError):
         genus_one_weierstrass(fibration([(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)]))
+
+
+def test_semistable_check_builds_the_plane_once(monkeypatch):
+    # x y^2 + x^3 y + y + x t: no cyclic cover, so no Weierstrass model
+    minimal = fibration([(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)])
+    calls = count_calls(
+        monkeypatch, [("reduction", "plane_model"), ("singular", "singular_locus")]
+    )
+    with pytest.raises(NotConvertibleError):
+        fastenberg_check(minimal)
+    assert calls == {"plane_model": 1, "singular_locus": 1}
 
 
 # ---------------------------------------------------------------------------

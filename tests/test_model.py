@@ -1,4 +1,6 @@
-"""Tests for the surface model: validation, affine charts, base changes, JSON."""
+"""Tests for the surface model: validation, affine charts and JSON, plus the
+exponent-level base change (tests/base_change.py) the reduction tests rely
+on."""
 
 from __future__ import annotations
 
@@ -8,11 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from base_change import apply_base_change, term_set
 from delsarte.errors import ValidationError
 from delsarte.model import (
     AffineEquation,
     affine_equation,
-    apply_base_change,
     surface_from_json,
     surface_to_json,
     validate_surface,
@@ -33,7 +35,7 @@ def test_validate_fermat():
     assert s.degree == d
     assert s.determinant() == d**4
     eq = affine_equation(s)
-    assert eq.term_set() == {
+    assert term_set(eq) == {
         (Fraction(1), (d, 0, 0)),
         (Fraction(1), (0, d, 0)),
         (Fraction(1), (0, 0, d)),

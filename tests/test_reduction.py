@@ -5,8 +5,9 @@ returns must satisfy, at the level of exponent vectors,
 
     f(x t^a, y t^b, t^c) = t^e * g(x, y, t^n)
 
-which ``apply_base_change`` lets us verify literally, term set against term
-set, with no reference to how the reducer found (a, b, c, e, n).
+which ``apply_base_change`` (tests/base_change.py) lets us verify literally,
+term set against term set, with no reference to how the reducer found
+(a, b, c, e, n).
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ import pytest
 import sympy
 from hypothesis import given, settings
 
+from base_change import apply_base_change, scale_t_exponents, term_set
 from corpus import nondegenerate_surfaces, surface_from_affine_triples
 from delsarte.errors import DegenerateFibrationError, ValidationError
 from delsarte.model import (
     AffineEquation,
     BaseChangeRecord,
     affine_equation,
-    apply_base_change,
     validate_surface,
 )
 from delsarte.reduction import (
@@ -43,8 +44,8 @@ def check_round_trip(surface, minimal) -> None:
     e = minimal.base_change.cleared_power
     n = minimal.base_change.degree
     lhs = apply_base_change(affine_equation(surface), a, b, c, e)
-    rhs = minimal.equation.scale_t_exponents(n)
-    assert lhs.term_set() == rhs.term_set()
+    rhs = scale_t_exponents(minimal.equation, n)
+    assert term_set(lhs) == term_set(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ on whole small lattices, per the build rule that optimized and unoptimized
 routes must both exist and agree.
 """
 
-import concurrent.futures
 from fractions import Fraction
 from math import gcd
 
@@ -18,11 +17,9 @@ from delsarte.errors import ValidationError
 from delsarte.exact import ExactMatrix, frac_part
 from delsarte.shioda import (
     MAX_P,
-    MAX_THREADS,
     CharacterVector,
     FamilyParams,
     character_vector,
-    check_threads,
     enumerate_L0,
     excluded_fractions,
     exhaustive_sums,
@@ -32,7 +29,6 @@ from delsarte.shioda import (
     lambda_membership,
     lefschetz_number,
     picard_family,
-    picard_from_h_two,
     shioda_vectors,
 )
 
@@ -203,22 +199,6 @@ def test_picard_p3_depends_on_gcd_with_60():
     assert picard_family(FamilyParams(3, 1)) == 10
 
 
-def test_picard_threads_deterministic():
-    params = FamilyParams(11, 2)
-    single = picard_family(params, threads=1)
-    assert picard_family(params, threads=3) == single
-    assert picard_family(params, threads=8) == single
-    assert lefschetz_number(FamilyParams(3, 2).matrix, threads=4) == lefschetz_number(
-        FamilyParams(3, 2).matrix
-    )
-
-
-def test_picard_from_supplied_h_two():
-    params = FamilyParams(3, 2)
-    h_two = 2 + family_L0_count(params)
-    assert picard_from_h_two(params.matrix, h_two) == picard_family(params)
-
-
 def test_family_params_validation():
     with pytest.raises(ValidationError):
         FamilyParams(4, 1)
@@ -242,22 +222,6 @@ def test_is_prime_agrees_with_sympy():
         assert is_prime(n) == sympy.isprime(n), n
     with pytest.raises(ValueError):
         is_prime(MAX_P)
-
-
-def test_thread_counts_are_bounded(monkeypatch):
-    def no_pool(*args, **kwargs):
-        pytest.fail("a thread pool was built for an out-of-range thread count")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    check_threads(1)
-    check_threads(MAX_THREADS)
-    for threads in (0, -1, MAX_THREADS + 1):
-        with pytest.raises(ValidationError):
-            check_threads(threads)
-        with pytest.raises(ValidationError):
-            picard_family(FamilyParams(3, 1), threads=threads)
-        with pytest.raises(ValidationError):
-            lefschetz_number(FamilyParams(3, 1).matrix, threads=threads)
 
 
 # ---------------------------------------------------------------------------

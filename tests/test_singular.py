@@ -229,7 +229,7 @@ def test_structure_survives_degenerate_locus():
 
 def test_trichotomy_isotrivial_duplicate():
     m, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 1)])
-    tri = classify_trichotomy(m, p)
+    tri = classify_trichotomy(m, p, singular_locus(p))
     assert isinstance(tri, Isotrivial)
     assert tri.duplicate_index == 2
     assert tri.degeneration_value == Fraction(-1)
@@ -237,14 +237,14 @@ def test_trichotomy_isotrivial_duplicate():
 
 def test_trichotomy_isotrivial_constant_term():
     m, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (0, 0, 0), (0, 0, 1)])
-    tri = classify_trichotomy(m, p)
+    tri = classify_trichotomy(m, p, singular_locus(p))
     assert isinstance(tri, Isotrivial)
     assert tri.duplicate_index == 2
 
 
 def test_trichotomy_superelliptic_weierstrass_shape():
     m, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
-    tri = classify_trichotomy(m, p)
+    tri = classify_trichotomy(m, p, singular_locus(p))
     assert isinstance(tri, Superelliptic)
     assert tri.form == SuperellipticForm(
         2,
@@ -262,7 +262,7 @@ def test_trichotomy_superelliptic_after_coordinate_change():
     # k = (0, -1, -1, 2): the three on-line monomials are not axis-aligned,
     # so the normal form needs the unimodular substitution
     m, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (1, 0, 0), (2, 0, 1)])
-    tri = classify_trichotomy(m, p)
+    tri = classify_trichotomy(m, p, singular_locus(p))
     assert isinstance(tri, Superelliptic)
     assert tri.form.cover_exponent == 2
     assert [(e, flag) for _, e, flag in tri.form.terms] == [
@@ -275,7 +275,7 @@ def test_trichotomy_superelliptic_after_coordinate_change():
 
 def test_trichotomy_superelliptic_genus_two():
     m, p = minimal_and_plane([(0, 5, 0), (2, 0, 0), (1, 0, 0), (0, 0, 3)])
-    tri = classify_trichotomy(m, p)
+    tri = classify_trichotomy(m, p, singular_locus(p))
     assert isinstance(tri, Superelliptic)
     assert tri.form.cover_exponent == 5
     assert tri.generic_genus == 2
@@ -284,19 +284,19 @@ def test_trichotomy_superelliptic_genus_two():
 
 def test_trichotomy_constant_j_cover():
     m, p = minimal_and_plane([(0, 3, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
-    tri = classify_trichotomy(m, p)
+    tri = classify_trichotomy(m, p, singular_locus(p))
     assert isinstance(tri, Superelliptic)
     assert (tri.form.cover_exponent, tri.generic_genus) == (3, 1)
     assert tri.constant_j == Fraction(0)
 
     m, p = minimal_and_plane([(0, 4, 0), (2, 0, 0), (1, 0, 0), (0, 0, 1)])
-    tri = classify_trichotomy(m, p)
+    tri = classify_trichotomy(m, p, singular_locus(p))
     assert tri.constant_j == Fraction(1728)
 
 
 def test_trichotomy_semistable_branch():
     m, p = minimal_and_plane([(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)])
-    tri = classify_trichotomy(m, p)
+    tri = classify_trichotomy(m, p, singular_locus(p))
     assert isinstance(tri, SemistableAway)
     assert (tri.locus.exponent, tri.locus.value) == (3, Fraction(729, 1024))
 
@@ -304,7 +304,7 @@ def test_trichotomy_semistable_branch():
 def test_trichotomy_rejects_rational_fibers():
     m, p = minimal_and_plane([(0, 1, 0), (0, 3, 0), (1, 2, 0), (0, 0, 1)])
     with pytest.raises(ValidationError):
-        classify_trichotomy(m, p)
+        classify_trichotomy(m, p, singular_locus(p))
 
 
 def test_trichotomy_branch_two_iff_kernel_zero():
@@ -315,7 +315,7 @@ def test_trichotomy_branch_two_iff_kernel_zero():
         [(0, 3, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)],
     ):
         m, p = minimal_and_plane(triples)
-        tri = classify_trichotomy(m, p)
+        tri = classify_trichotomy(m, p, singular_locus(p))
         has_zero = any(p.kernel[i] == 0 for i in range(3))
         assert isinstance(tri, Superelliptic) == has_zero
 
