@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,10 +292,15 @@ def test_missing_subcommand_exits_2(capsys):
 
 
 def test_module_entry_point_round_trips():
+    # the child imports the package from where this process found it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "delsarte.cli", "picard", "--p", "5", "--a", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
