@@ -278,7 +278,8 @@ def _verify_analysis(plane, locus) -> dict:
 
 def run_picard(args) -> dict:
     params = FamilyParams(args.p, args.a)
-    rho_tilde = picard_family(params)
+    excluded = excluded_fractions(params)
+    rho_tilde = picard_family(params, excluded)
     count = family_L0_count(params)
     record = {
         "p": params.p,
@@ -293,7 +294,7 @@ def run_picard(args) -> dict:
         record.update({"h20": h20, "h11prim": h11, "h02": h02})
     if args.excluded:
         record["excluded_fractions"] = [
-            rational_to_json(q) for q in sorted(excluded_fractions(params))
+            rational_to_json(q) for q in sorted(excluded)
         ]
     if args.verify:
         record["verify"] = _verify_picard(params, record)
@@ -301,7 +302,11 @@ def run_picard(args) -> dict:
 
 
 def _verify_picard(params: FamilyParams, record: dict) -> dict:
-    """Recount everything from the matrix route with the exhaustive scan."""
+    """Recount everything from the matrix route with the exhaustive scan.
+
+    This enumerates all of L0, so it checks the slice count of
+    ``picard_family`` as well as the early-exit scan on every member.
+    """
     members = enumerate_L0(*shioda_vectors(params.matrix))
     if len(members) != record["L0_count"]:
         raise VerificationError(
@@ -311,7 +316,7 @@ def _verify_picard(params: FamilyParams, record: dict) -> dict:
     for vector in members:
         slow = any(s != 2 for s in exhaustive_sums(vector).values())
         if slow != lambda_membership(vector).in_lambda:
-            raise VerificationError(f"scan disagreement at {vector.entries}")
+            raise VerificationError(f"scan disagreement at {vector}")
         lam += slow
     if lam != record["lambda"]:
         raise VerificationError(f"lambda {lam} != {record['lambda']}")

@@ -27,7 +27,7 @@ from sympy.abc import t as T_SYM
 from sympy.abc import x as X_SYM
 
 from .errors import NotConvertibleError, UnsupportedShapeError, ValidationError
-from .reduction import MinimalFibration, plane_model
+from .reduction import MinimalFibration, PlaneModel, plane_model
 from .singular import (
     Isotrivial,
     SemistableAway,
@@ -346,7 +346,10 @@ def _double_cover_model(psi: sympy.Expr) -> WeierstrassModel:
 
 
 def genus_one_weierstrass(
-    minimal: MinimalFibration, form: Optional[SuperellipticForm] = None
+    minimal: MinimalFibration,
+    form: Optional[SuperellipticForm] = None,
+    *,
+    plane: Optional[PlaneModel] = None,
 ) -> WeierstrassModel:
     """Weierstrass model of a genus-one minimal fibration, when the equation
     is (or straightens to) a double cover y^2 = cubic-or-quartic; raises
@@ -354,12 +357,14 @@ def genus_one_weierstrass(
 
     ``form`` is the fibration's cyclic-cover normal form when the caller has
     it already (a superelliptic trichotomy); otherwise it is derived from the
-    plane model when the equation has no direct y^2 shape.
+    plane model when the equation has no direct y^2 shape.  ``plane`` is
+    that plane model when the caller has it already.
     """
     psi = _psi_direct(minimal)
     if psi is None:
         if form is None:
-            plane = plane_model(minimal)
+            if plane is None:
+                plane = plane_model(minimal)
             zeros = [i for i in range(3) if plane.kernel[i] == 0]
             if len(zeros) != 1:
                 raise NotConvertibleError(
@@ -408,9 +413,9 @@ def _exponents_multiple_of(expr: sympy.Expr, k: int) -> bool:
     return all(m[0] % k == 0 for part in _t_fraction(expr) for m in part.monoms())
 
 
-def _isotrivial_j(minimal: MinimalFibration) -> Optional[Fraction]:
+def _isotrivial_j(minimal: MinimalFibration, plane: PlaneModel) -> Optional[Fraction]:
     try:
-        inv = weierstrass_invariants(genus_one_weierstrass(minimal))
+        inv = weierstrass_invariants(genus_one_weierstrass(minimal, plane=plane))
     except (NotConvertibleError, ValidationError):
         try:
             return classify_isotrivial(minimal).j_value
@@ -509,7 +514,7 @@ def fastenberg_check(minimal: MinimalFibration) -> FastenbergVerdict:
     locus = singular_locus(plane)
     trichotomy = classify_trichotomy(minimal, plane, locus)
     if isinstance(trichotomy, Isotrivial):
-        return ConstantJ(_isotrivial_j(minimal))
+        return ConstantJ(_isotrivial_j(minimal, plane))
     if isinstance(trichotomy, Superelliptic):
         if trichotomy.generic_genus != 1:
             raise ValidationError(

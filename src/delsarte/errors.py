@@ -38,7 +38,3 @@ class DegenerateFibrationError(ValidationError):
 
 class NotConvertibleError(UnsupportedShapeError):
     """No Weierstrass model can be extracted from this equation shape."""
-
-
-class NeedsNormalizationError(UnsupportedShapeError):
-    """The fibration is not in minimal form; reduce it first."""

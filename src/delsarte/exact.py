@@ -4,7 +4,6 @@ Everything in this package is computed over Q.  Floating point is never used
 for anything that feeds a decision, so this module provides the few pieces of
 exact machinery the rest of the code leans on:
 
-* fractional parts, the representatives of Q/Z in [0, 1) (``frac_part``);
 * JSON-friendly parsing/formatting of rationals ("p/q" strings, bare ints);
 * exact k-th roots of rationals (for locating rational points on a locus
   ``t^k = c``);
@@ -24,19 +23,6 @@ from typing import Iterable, Sequence, Union
 from .errors import RankDeficiencyError, SingularMatrixError, ValidationError
 
 RationalLike = Union[int, Fraction]
-
-
-# ---------------------------------------------------------------------------
-# Q/Z helpers
-# ---------------------------------------------------------------------------
-
-def frac_part(q: RationalLike) -> Fraction:
-    """Fractional part of ``q``: the unique representative in [0, 1).
-
-    Works for negative inputs too: ``frac_part(Fraction(-1, 3)) == 2/3``.
-    """
-    q = Fraction(q)
-    return q - (q.numerator // q.denominator)
 
 
 # ---------------------------------------------------------------------------

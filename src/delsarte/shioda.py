@@ -9,11 +9,21 @@ fractional parts at 2; the characters escaping that condition for some t
 form the set Lambda, and #(L0 ∩ Lambda) is the Lefschetz number
 h^2 - rho of the desingularization.
 
-Everything here is exact integer arithmetic: a vector with common
-denominator D is stored as numerators n_k, and the defining condition reads
-sum((t*n_k) mod D) == 2*D.  The double-cover family
-y^2 = x^p + t^{2ap} + s^{2ap} gets dedicated entry points, including the
-brute-force check of which j-fractions fall outside Lambda.
+Everything here is exact integer arithmetic: a character is stored as
+numerators n_k over its order D, and the defining condition reads
+sum((t*n_k) mod D) == 2*D.
+
+For the double-cover family y^2 = x^p + t^{2ap} + s^{2ap} one slice of L0
+suffices.  Its members are (ap, 2ai, j, k)/2ap with 1 <= i < p and k
+forced by the entry sum.  Take a unit u modulo 2ap with u = i (mod p); one
+exists for every i.  As u is odd it fixes ap, it sends 2a to 2ai, and it
+permutes the nonzero j, so scaling by u maps the slice i = 1 one-to-one
+onto the slice i.  Unit scaling preserves both L0 and Lambda, so every
+slice has as many members outside Lambda as the first, and rho of the
+smooth model is 2 + (p - 1) times the number of excluded j-fractions of
+that slice.
+``picard --verify`` does not rely on this: it enumerates all of L0 from
+the inverse matrix and rescans every member with the exhaustive scan.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .errors import ValidationError
-from .exact import ExactMatrix, RationalLike, frac_part
+from .exact import ExactMatrix, RationalLike
 
 GENERATOR_TARGETS = ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1))
 
@@ -62,37 +72,52 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class CharacterVector:
-    """An element of (Q/Z)^4 with integer entry sum, stored in [0, 1)^4."""
+    """An element of (Q/Z)^4 with integer entry sum: numerators in
+    [0, modulus) over ``modulus``, the lcm of the entry orders."""
 
-    entries: tuple[Fraction, Fraction, Fraction, Fraction]
+    numerators: tuple[int, int, int, int]
+    modulus: int
 
     def __post_init__(self) -> None:
-        if len(self.entries) != 4:
+        if len(self.numerators) != 4:
             raise ValidationError("character vectors have four entries")
-        reduced = tuple(frac_part(e) for e in self.entries)
-        if sum(reduced).denominator != 1:
-            raise ValidationError(f"entry sum of {reduced} is not an integer")
-        object.__setattr__(self, "entries", reduced)
+        d = self.modulus
+        if d < 1:
+            raise ValidationError(f"modulus {d} is not positive")
+        reduced = tuple(n % d for n in self.numerators)
+        if sum(reduced) % d:
+            raise ValidationError(
+                f"entry sum of {_readable(reduced, d)} is not an integer"
+            )
+        g = gcd(d, *reduced)
+        object.__setattr__(self, "numerators", tuple(n // g for n in reduced))
+        object.__setattr__(self, "modulus", d // g)
 
     @property
-    def modulus(self) -> int:
-        """lcm of the entry orders in Q/Z."""
-        return lcm(*(e.denominator for e in self.entries))
-
-    def numerators(self) -> tuple[int, int, int, int]:
-        """The entries as numerators over the common denominator modulus."""
-        d = self.modulus
-        return tuple(int(e * d) for e in self.entries)
+    def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The entries as fractions in [0, 1)."""
+        return tuple(Fraction(n, self.modulus) for n in self.numerators)
 
     def scaled(self, n: int) -> "CharacterVector":
-        return CharacterVector(tuple(e * n for e in self.entries))
+        return CharacterVector(tuple(n * e for e in self.numerators), self.modulus)
 
     def has_zero_entry(self) -> bool:
-        return any(e == 0 for e in self.entries)
+        return 0 in self.numerators
+
+    def __str__(self) -> str:
+        return _readable(self.numerators, self.modulus)
+
+
+def _readable(numerators: Sequence[int], modulus: int) -> str:
+    return "(" + ", ".join(str(Fraction(n, modulus)) for n in numerators) + ")"
 
 
 def character_vector(values: Sequence[RationalLike]) -> CharacterVector:
-    return CharacterVector(tuple(Fraction(v) for v in values))
+    fractions = [Fraction(v) for v in values]
+    d = lcm(*(q.denominator for q in fractions))
+    return CharacterVector(
+        tuple(q.numerator * (d // q.denominator) for q in fractions), d
+    )
 
 
 @dataclass(frozen=True)
@@ -160,23 +185,21 @@ def shioda_vectors(
 def enumerate_L0(
     v1: CharacterVector, v2: CharacterVector, v3: CharacterVector
 ) -> frozenset[CharacterVector]:
-    """All-nonzero members of the subgroup generated by v1, v2, v3."""
-    members: set[CharacterVector] = set()
-    for i in range(_generator_order(v1)):
-        base1 = v1.scaled(i)
-        for k in range(_generator_order(v2)):
-            base2 = _add(base1, v2.scaled(k))
-            for j in range(_generator_order(v3)):
-                members.add(_add(base2, v3.scaled(j)))
-    return frozenset(v for v in members if not v.has_zero_entry())
+    """All-nonzero members of the subgroup generated by v1, v2, v3.
 
-
-def _generator_order(v: CharacterVector) -> int:
-    return v.modulus
-
-
-def _add(u: CharacterVector, v: CharacterVector) -> CharacterVector:
-    return CharacterVector(tuple(a + b for a, b in zip(u.entries, v.entries)))
+    The sums are taken on numerators over the lcm D of the generator moduli.
+    """
+    d = lcm(v1.modulus, v2.modulus, v3.modulus)
+    g1, g2, g3 = (
+        tuple(n * (d // v.modulus) for n in v.numerators) for v in (v1, v2, v3)
+    )
+    members: set[tuple[int, ...]] = set()
+    for i in range(v1.modulus):
+        for k in range(v2.modulus):
+            base = [i * x + k * y for x, y in zip(g1, g2)]
+            for j in range(v3.modulus):
+                members.add(tuple((b + j * z) % d for b, z in zip(base, g3)))
+    return frozenset(CharacterVector(n, d) for n in members if 0 not in n)
 
 
 def _integer_verdict(
@@ -206,24 +229,23 @@ def lambda_membership(v: CharacterVector) -> LambdaVerdict:
     exactly the order-preserving scaling.  Intended for vectors without zero
     entries (members of L0).
     """
-    denominator = v.modulus
-    in_lambda, witness = _integer_verdict(v.numerators(), denominator)
-    return LambdaVerdict(v, in_lambda, witness, denominator)
+    in_lambda, witness = _integer_verdict(v.numerators, v.modulus)
+    return LambdaVerdict(v, in_lambda, witness, v.modulus)
 
 
-def exhaustive_sums(v: CharacterVector) -> dict[int, Fraction]:
+def exhaustive_sums(v: CharacterVector) -> dict[int, int]:
     """All unit scalings with their fractional-part sums (no early exit).
 
     The unoptimized form of the Lambda test, kept as the reference the
-    early-exit scan is validated against.
+    early-exit scan is validated against.  Each sum is an integer because
+    the entry sum is.
     """
-    modulus = v.modulus
-    sums = {}
-    for t in range(1, modulus + 1):
-        if gcd(t, modulus) != 1:
-            continue
-        sums[t] = sum((frac_part(t * e) for e in v.entries), Fraction(0))
-    return sums
+    d = v.modulus
+    return {
+        t: sum((t * n) % d for n in v.numerators) // d
+        for t in range(1, d + 1)
+        if gcd(t, d) == 1
+    }
 
 
 def lefschetz_number(matrix: ExactMatrix) -> int:
@@ -252,13 +274,16 @@ def family_L0_count(params: FamilyParams) -> int:
     return (params.p - 1) * (params.weight - 2)
 
 
-def picard_family(params: FamilyParams) -> int:
+def picard_family(
+    params: FamilyParams, excluded: Optional[set[Fraction]] = None
+) -> int:
     """rho of the desingularized family member: 2 plus the number of L0
-    characters whose fractional-part sums equal 2 for every unit scaling."""
-    d = params.weight
-    return 2 + sum(
-        1 for n in _family_vectors(params) if not _integer_verdict(n, d)[0]
-    )
+    characters outside Lambda, which is p - 1 times the number on the slice
+    i = 1 (see the module docstring).  ``excluded`` is that slice's
+    ``excluded_fractions`` when the caller has it already."""
+    if excluded is None:
+        excluded = excluded_fractions(params)
+    return 2 + (params.p - 1) * len(excluded)
 
 
 def excluded_fractions(params: FamilyParams) -> set[Fraction]:

@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import UnsupportedShapeError, ValidationError
 from .exact import rational_kth_roots
-from .model import AffineEquation
 from .reduction import MinimalFibration, PlaneModel
 
 if TYPE_CHECKING:
@@ -68,23 +67,6 @@ def rational_to_sympy(q: Fraction) -> sympy.Rational:
     import sympy
 
     return sympy.Rational(q.numerator, q.denominator)
-
-
-def equation_as_expr(eq: AffineEquation, x=None, y=None, t=None):
-    """The affine equation as a sympy expression (t-exponents must be >= 0);
-    the variables default to the symbols x, y and t."""
-    import sympy
-
-    t0, _, x0, y0, _ = _symbols()
-    x = x0 if x is None else x
-    y = y0 if y is None else y
-    t = t0 if t is None else t
-    total = sympy.Integer(0)
-    for coeff, (ex, ey, et) in eq.terms:
-        if et < 0:
-            raise ValidationError("cannot convert Laurent equation to polynomial")
-        total += rational_to_sympy(coeff) * x**ex * y**ey * t**et
-    return total
 
 
 def plane_curve_expr(plane: PlaneModel, x=None, y=None, z=None, t=None):

@@ -9,6 +9,7 @@ input or usage error, 3 invalid input, 4 unsupported shape).
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -278,6 +279,41 @@ def test_verify_mismatch_exits_1_with_no_partial_json(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "verification failed" in err
+
+
+PICARD_VERIFY = ("picard", "--p", "11", "--a", "1", "--verify")
+
+
+def test_picard_verify_catches_a_slice_missing_a_fraction(capsys, monkeypatch):
+    # the slice scan loses one excluded j, so rho_tilde and lambda are off
+    real = cli.excluded_fractions
+    monkeypatch.setattr(
+        cli, "excluded_fractions", lambda params: set(sorted(real(params))[1:])
+    )
+    code, out, err = run_cli(capsys, *PICARD_VERIFY)
+    assert code == 1
+    assert out == ""
+    assert "verification failed: lambda 140 != 150" in err
+
+
+def test_picard_verify_catches_a_flipped_early_exit_verdict(capsys, monkeypatch):
+    real = cli.lambda_membership
+    flipped = []
+
+    def flip_first(vector):
+        verdict = real(vector)
+        if flipped:
+            return verdict
+        flipped.append(vector)
+        return dataclasses.replace(verdict, in_lambda=not verdict.in_lambda)
+
+    monkeypatch.setattr(cli, "lambda_membership", flip_first)
+    code, out, err = run_cli(capsys, *PICARD_VERIFY)
+    assert code == 1
+    assert out == ""
+    entries = ", ".join(str(e) for e in flipped[0].entries)
+    assert f"verification failed: scan disagreement at ({entries})" in err
+    assert "scan disagreement at (1/2, " in err  # every family member has x-entry 1/2
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -267,6 +267,15 @@ def test_semistable_check_builds_the_plane_once(monkeypatch):
     assert calls == {"plane_model": 1, "singular_locus": 1}
 
 
+def test_isotrivial_check_builds_the_plane_once(monkeypatch):
+    # x^5 + y^5 + y^4 + y^4 t: no direct y^2 shape, so the model attempt
+    # needs the plane model that fastenberg_check already holds
+    minimal = fibration([(5, 0, 0), (0, 5, 0), (0, 4, 0), (0, 4, 1)])
+    calls = count_calls(monkeypatch, [("reduction", "plane_model")])
+    assert fastenberg_check(minimal) == ConstantJ(None)
+    assert calls == {"plane_model": 1}
+
+
 # ---------------------------------------------------------------------------
 # the eligibility verdict
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from delsarte.errors import RankDeficiencyError, SingularMatrixError, Validation
 from delsarte.exact import (
     ExactMatrix,
     format_rational,
-    frac_part,
     left_kernel_normalized,
     parse_rational,
     primitive_integer_vector,
@@ -27,6 +26,7 @@ from delsarte.exact import (
     rational_to_json,
     vec_gcd,
 )
+from shioda_oracle import frac_part
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -94,7 +94,7 @@ def parallel(u, v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Q/Z helpers
+# Q/Z helpers (the fractional part is a test oracle, in shioda_oracle.py)
 # ---------------------------------------------------------------------------
 
 

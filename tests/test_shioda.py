@@ -1,10 +1,13 @@
 """Character-lattice enumeration: generators, L0, Lambda, Picard numbers.
 
 The early-exit unit scan is validated against the exhaustive reference scan
-on whole small lattices, per the build rule that optimized and unoptimized
-routes must both exist and agree.
+on whole small lattices, and both against a ``Fraction`` reference; the
+one-slice family count is validated against the count over every member of
+L0 (``shioda_oracle.py``).
 """
 
+import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 
 from corpus import nondegenerate_surfaces
 from delsarte.errors import ValidationError
-from delsarte.exact import ExactMatrix, frac_part
+from delsarte.exact import ExactMatrix
 from delsarte.shioda import (
     MAX_P,
     CharacterVector,
@@ -31,6 +34,7 @@ from delsarte.shioda import (
     picard_family,
     shioda_vectors,
 )
+from shioda_oracle import frac_part, fraction_exhaustive_sums, picard_family_all_vectors
 
 
 def family_slice_vector(p: int, a: int, j: int, i: int = 1) -> CharacterVector:
@@ -59,7 +63,7 @@ def test_character_vector_normalization():
     v = character_vector([Fraction(-1, 3), Fraction(4, 3), 0, 1])
     assert v.entries == (Fraction(2, 3), Fraction(1, 3), Fraction(0), Fraction(0))
     assert v.modulus == 3
-    assert v.numerators() == (2, 1, 0, 0)
+    assert v.numerators == (2, 1, 0, 0)
     assert v.scaled(2).entries == (Fraction(1, 3), Fraction(2, 3), Fraction(0), Fraction(0))
     assert v.has_zero_entry()
 
@@ -68,7 +72,7 @@ def test_character_vector_rejects_non_integer_sum():
     with pytest.raises(ValidationError):
         character_vector([Fraction(1, 2), 0, 0, 0])
     with pytest.raises(ValidationError):
-        CharacterVector((Fraction(1, 3), Fraction(0), Fraction(0)))
+        CharacterVector((1, 0, 0), 3)
 
 
 def test_family_generators():
@@ -159,6 +163,40 @@ def test_early_exit_agrees_with_exhaustive_scan():
             assert set(sums.values()) <= {1, 2, 3}
 
 
+def test_dual_routes_agree_on_seeded_draws():
+    # Seeded differential fuzz of the family count: the one-slice count, the
+    # matrix route (integer scans, early-exit and exhaustive) and the
+    # Fraction reference scan must give the same lambda.  Twelve draws of a
+    # prime p <= 23, then of a with |L0| = (p - 1)(2ap - 2) <= 1500, run
+    # cheapest first; no draw starts after 1.5 s unless fewer than three
+    # have run, so the test takes about two seconds.
+    rng = random.Random(20260)
+    draws = []
+    for _ in range(12):
+        p = rng.choice((3, 5, 7, 11, 13, 17, 19, 23))
+        draws.append(FamilyParams(p, rng.randint(1, (1500 // (p - 1) + 2) // (2 * p))))
+    draws.sort(key=lambda params: family_L0_count(params) * params.weight)
+    deadline = time.perf_counter() + 1.5
+    checked = 0
+    for params in draws:
+        if checked >= 3 and time.perf_counter() > deadline:
+            break
+        count = family_L0_count(params)
+        members = enumerate_L0(*shioda_vectors(params.matrix))
+        assert len(members) == count
+        lam = lam_fraction = 0
+        for v in members:
+            sums = exhaustive_sums(v)
+            reference = fraction_exhaustive_sums(v.entries)
+            assert sums == reference, (params, v)
+            slow = any(s != 2 for s in sums.values())
+            assert lambda_membership(v).in_lambda == slow, (params, v)
+            lam += slow
+            lam_fraction += any(s != 2 for s in reference.values())
+        assert lam == lam_fraction == count - (picard_family(params) - 2), params
+        checked += 1
+
+
 # ---------------------------------------------------------------------------
 # Picard numbers
 # ---------------------------------------------------------------------------
@@ -197,6 +235,25 @@ def test_picard_p3_depends_on_gcd_with_60():
     assert picard_family(FamilyParams(3, 90)) == 62
     assert picard_family(FamilyParams(3, 60)) == 70
     assert picard_family(FamilyParams(3, 1)) == 10
+
+
+def test_picard_large_member():
+    assert picard_family(FamilyParams(101, 30)) == 602
+
+
+# a spread of the p <= 43, a <= 10 grid: every a for the small primes, whose
+# values depend on a, and two values of a (plus the grid's corner) beyond
+SLICE_SPREAD = (
+    [(p, a) for p in (3, 5, 7) for a in range(1, 11)]
+    + [(p, a) for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43) for a in (1, 6)]
+    + [(43, 10)]
+)
+
+
+def test_slice_count_matches_the_count_over_all_of_L0():
+    for p, a in SLICE_SPREAD:
+        rho = picard_family(FamilyParams(p, a))
+        assert rho == picard_family_all_vectors(p, a), (p, a)
 
 
 def test_family_params_validation():
