@@ -34,7 +34,6 @@ _EXPORTS = {
     "classify_trichotomy": "singular",
     "discriminant_oracle": "singular",
     "singular_locus": "singular",
-    "structure_decomposition": "singular",
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__"]

@@ -3,7 +3,7 @@
 Two commands.  ``analyze`` takes a surface description (a JSON file path,
 an inline JSON object, or ``-`` for standard input) and runs the full
 pipeline: validation, degeneracy check, reduction to minimal form, plane
-model, singular locus, structure decomposition, trichotomy, and — for
+model, singular locus (with its away orbit), trichotomy, and — for
 genus-one fibrations with a Weierstrass reduction — discriminant, j, fiber
 table and the gamma verdict.  ``picard`` enumerates the character lattice
 of the double-cover family for given (p, a).
@@ -50,7 +50,7 @@ from .singular import (
     classify_trichotomy,
     discriminant_oracle,
     oracle_matches_locus,
-    structure_decomposition,
+    singular_locus,
 )
 
 
@@ -222,23 +222,18 @@ def run_analyze(args) -> dict:
     }
     report["kernel"] = list(plane.kernel)
 
-    structure = structure_decomposition(plane)
-    locus = structure.locus
+    locus = singular_locus(plane)
     report["singular_locus"] = _locus_json(locus)
     report["structure"] = {
-        "exponent": structure.exponent,
-        "value": rational_to_json(structure.value),
-        "negation_invariant": structure.negation_invariant,
+        "exponent": locus.exponent,
+        "value": rational_to_json(locus.value),
+        "negation_invariant": locus.negation_invariant,
     }
 
     trichotomy = classify_trichotomy(minimal, plane, locus)
     report["trichotomy"] = _trichotomy_json(trichotomy)
 
-    if (
-        isinstance(trichotomy, Superelliptic)
-        and trichotomy.generic_genus == 1
-        and not locus.degenerate
-    ):
+    if isinstance(trichotomy, Superelliptic) and trichotomy.generic_genus == 1:
         section = _genus_one_json(minimal, trichotomy, locus)
         if section is not None:
             report["genus_one"] = section
@@ -391,7 +386,7 @@ def main(argv=None) -> int:
             payload = run_analyze(args)
         else:
             payload = run_picard(args)
-    except (json.JSONDecodeError, FileNotFoundError, IsADirectoryError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:

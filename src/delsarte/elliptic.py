@@ -14,6 +14,9 @@ between Kodaira symbols and the valuations (v(c4), v(c6), v(delta)) of the
 minimal model there; minimality is reached by shifting with the largest
 k <= min(v4/4, v6/6, vd/12), which in residue characteristic zero is the
 whole of Tate's algorithm.
+
+``genus_one_section`` computes each genus-one quantity once; its verdict's
+gamma is ``gamma`` of the fiber table (the away orbit as k4 places) over k4.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import sympy
 from sympy.abc import t as T_SYM
 from sympy.abc import x as X_SYM
 
-from .errors import NotConvertibleError, UnsupportedShapeError, ValidationError
-from .reduction import MinimalFibration, PlaneModel, plane_model
+from .errors import NotConvertibleError, ValidationError
+from .reduction import MinimalFibration, plane_model
 from .singular import (
     Isotrivial,
     SemistableAway,
@@ -35,11 +38,9 @@ from .singular import (
     Superelliptic,
     SuperellipticForm,
     Trichotomy,
-    classify_isotrivial,
     classify_trichotomy,
     rational_to_sympy,
     singular_locus,
-    superelliptic_form,
 )
 
 AT_INFINITY = sympy.oo
@@ -346,31 +347,19 @@ def _double_cover_model(psi: sympy.Expr) -> WeierstrassModel:
 
 
 def genus_one_weierstrass(
-    minimal: MinimalFibration,
-    form: Optional[SuperellipticForm] = None,
-    *,
-    plane: Optional[PlaneModel] = None,
+    minimal: MinimalFibration, form: Optional[SuperellipticForm] = None
 ) -> WeierstrassModel:
     """Weierstrass model of a genus-one minimal fibration, when the equation
     is (or straightens to) a double cover y^2 = cubic-or-quartic; raises
     NotConvertibleError otherwise.
 
-    ``form`` is the fibration's cyclic-cover normal form when the caller has
-    it already (a superelliptic trichotomy); otherwise it is derived from the
-    plane model when the equation has no direct y^2 shape.  ``plane`` is
-    that plane model when the caller has it already.
+    Any shape other than y^2 + (y-free terms) needs ``form``, the cyclic-cover
+    normal form of a superelliptic trichotomy.
     """
     psi = _psi_direct(minimal)
     if psi is None:
         if form is None:
-            if plane is None:
-                plane = plane_model(minimal)
-            zeros = [i for i in range(3) if plane.kernel[i] == 0]
-            if len(zeros) != 1:
-                raise NotConvertibleError(
-                    "no y^2-in-x shape and no cyclic-cover structure"
-                )
-            form = superelliptic_form(minimal, plane)
+            raise NotConvertibleError("no y^2-in-x shape and no cyclic-cover structure")
         if form.cover_exponent != 2:
             raise NotConvertibleError(
                 f"cyclic cover of exponent {form.cover_exponent}, not 2"
@@ -413,14 +402,13 @@ def _exponents_multiple_of(expr: sympy.Expr, k: int) -> bool:
     return all(m[0] % k == 0 for part in _t_fraction(expr) for m in part.monoms())
 
 
-def _isotrivial_j(minimal: MinimalFibration, plane: PlaneModel) -> Optional[Fraction]:
+def _isotrivial_j(minimal: MinimalFibration) -> Optional[Fraction]:
+    """The constant j of an isotrivial fibration, or None when it has no
+    direct y^2 model to read j from."""
     try:
-        inv = weierstrass_invariants(genus_one_weierstrass(minimal, plane=plane))
+        inv = weierstrass_invariants(genus_one_weierstrass(minimal))
     except (NotConvertibleError, ValidationError):
-        try:
-            return classify_isotrivial(minimal).j_value
-        except UnsupportedShapeError:
-            return None
+        return None
     if inv.j.has(T_SYM):  # moving coefficient absorbed: cannot happen
         raise AssertionError("isotrivial family with nonconstant j")
     return Fraction(int(inv.j.as_numer_denom()[0]), int(inv.j.as_numer_denom()[1]))
@@ -451,9 +439,9 @@ def _base_change_verdict(
     """The gamma verdict of a nonconstant-j family from its fiber table.
 
     The away fibers must be multiplicative (asserted); the quotient by
-    t -> t^{k4} has a single away fiber I_nu, and its gamma is
-    1 - (nu + n0/k4 + n_inf/k4)/6, the divisibilities being consequences of
-    j living in Q(t^{k4}) (asserted too).
+    t -> t^{k4} has a single away fiber I_nu, and its gamma is this table's
+    (k4 away places) over k4, 1 - (nu + n0/k4 + n_inf/k4)/6, the
+    divisibilities being consequences of j living in Q(t^{k4}) (asserted too).
     """
     k4 = locus.exponent
     assert _exponents_multiple_of(inv.j, k4), "j must be a function of t^k4"
@@ -469,7 +457,7 @@ def _base_change_verdict(
 
     assert away.symbol == f"I{nu}", "away fiber of a nonconstant-j family"
     assert at_zero.n % k4 == 0 and at_infinity.n % k4 == 0
-    quotient_gamma = 1 - Fraction(nu + at_zero.n // k4 + at_infinity.n // k4, 6)
+    quotient_gamma = gamma(at_zero, at_infinity, [(away, k4)]) / k4
     return BaseChangeOfGammaLessOne(quotient_gamma, away, k4, at_zero, at_infinity)
 
 
@@ -493,11 +481,9 @@ def genus_one_section(
     at_zero = kodaira_type(inv, Fraction(0))
     away = kodaira_type(inv, orbit)
     at_infinity = kodaira_type(inv, AT_INFINITY)
-    if isinstance(trichotomy, Superelliptic) and trichotomy.constant_j is not None:
-        verdict: FastenbergVerdict = ConstantJ(trichotomy.constant_j)
-    elif not inv.j.has(T_SYM):
+    if not inv.j.has(T_SYM):
         num, den = inv.j.as_numer_denom()
-        verdict = ConstantJ(Fraction(int(num), int(den)))
+        verdict: FastenbergVerdict = ConstantJ(Fraction(int(num), int(den)))
     else:
         verdict = _base_change_verdict(inv, locus, at_zero, away, at_infinity)
     return GenusOneSection(model, inv, orbit, at_zero, away, at_infinity, verdict)
@@ -506,15 +492,15 @@ def genus_one_section(
 def fastenberg_check(minimal: MinimalFibration) -> FastenbergVerdict:
     """Constant j, or the gamma < 1 base-change verdict of the quotient.
 
-    Isotrivial shapes and superelliptic ones with a known constant j are
-    answered without a model; everything else is ``genus_one_section``'s
-    verdict.
+    Isotrivial shapes (j read off a direct y^2 model when there is one, else
+    unknown) and superelliptic ones with a known constant j are answered
+    early; everything else is ``genus_one_section``'s verdict.
     """
     plane = plane_model(minimal)
     locus = singular_locus(plane)
     trichotomy = classify_trichotomy(minimal, plane, locus)
     if isinstance(trichotomy, Isotrivial):
-        return ConstantJ(_isotrivial_j(minimal, plane))
+        return ConstantJ(_isotrivial_j(minimal))
     if isinstance(trichotomy, Superelliptic):
         if trichotomy.generic_genus != 1:
             raise ValidationError(

@@ -12,7 +12,8 @@ Two independent routes to the singular fibers are provided:
 
       t0^{k4} = prod_i k_i^{k_i} / prod_i coeff_i^{k_i},
 
-  a single orbit of values (the "away" orbit).
+  a single orbit of values (the "away" orbit), which the returned
+  ``SingularLocus`` carries.
 
 * ``discriminant_oracle`` knows nothing about k.  It stratifies the plane
   (torus, the three punctured coordinate lines, the three vertices) and
@@ -25,8 +26,9 @@ Two independent routes to the singular fibers are provided:
 The structure classification (``classify_trichotomy``) splits minimal
 fibrations three ways, by the shape of k:
 
-1. the t-monomial repeats another monomial's (x, y)-part -- the family is a
-   fixed curve with one coefficient moving, degenerating at a single t;
+1. the t-monomial repeats another monomial (the locus is ``degenerate``) --
+   the family is a fixed curve with one coefficient moving, degenerating at
+   the single t given by the locus;
 2. some k_i = 0 (i < 4) -- the generic fiber is a cyclic cover u^a = psi(v)
    of the line, made explicit by ``superelliptic_form``;
 3. all k_i != 0 -- the away fibers are expected to be nodal; use
@@ -40,7 +42,7 @@ from fractions import Fraction
 from math import ceil, gcd
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .errors import UnsupportedShapeError, ValidationError
+from .errors import ValidationError
 from .exact import rational_kth_roots
 from .reduction import MinimalFibration, PlaneModel
 
@@ -50,9 +52,9 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # sympy bridge
 #
-# The closed-form locus, the orbit structure and the trichotomy are integer
-# arithmetic; only the oracle, the nodality certificate and the expression
-# builders below need sympy, and they import it when they run.
+# The closed-form locus and the trichotomy are integer arithmetic; only the
+# oracle, the nodality certificate and the expression builders below need
+# sympy, and they import it when they run.
 # ---------------------------------------------------------------------------
 
 
@@ -97,26 +99,33 @@ def plane_curve_expr(plane: PlaneModel, x=None, y=None, z=None, t=None):
 class SingularLocus:
     """The away orbit of singular fibers: the solutions of t^exponent = value.
 
-    ``rational_points`` lists the members of the orbit that are rational
-    (0, 1 or 2 of them); the rest live in a cyclotomic-radical extension.
+    The locus only involves t^exponent, so the order-``exponent`` rotations
+    of the base permute its members.  ``rational_points`` lists the rational
+    ones (0, 1 or 2); the rest live in a cyclotomic-radical extension.
 
-    When the moving monomial duplicates one of the fixed ones the closed form
-    does not apply; the locus is reported as ``degenerate`` with the equation
-    omitted and ``duplicate_index`` pointing at the repeated monomial (the
-    fibration is m1 + m2 + (gamma_i + gamma_4 t) m_i in that case).
+    When the moving monomial duplicates monomial ``duplicate_index`` the
+    locus is ``degenerate``: the fibration is m1 + m2 + (gamma_i + gamma_4 t)
+    m_i, the kernel is e_4 - e_i, and t^1 = -gamma_i/gamma_4 is its single
+    degenerate fiber, with no closed form (``polynomial`` refuses).
     """
 
-    exponent: Optional[int]
-    value: Optional[Fraction]
+    exponent: int
+    value: Fraction
     rational_points: tuple[Fraction, ...]
     degenerate: bool = False
     duplicate_index: Optional[int] = None
+
+    @property
+    def negation_invariant(self) -> bool:
+        """Is the away locus stable under t -> -t?"""
+        return self.exponent % 2 == 0
 
     def polynomial(self):
         """t^exponent - value, as a sympy Poly in t."""
         import sympy
 
-        assert not self.degenerate, "degenerate locus has no closed form"
+        if self.degenerate:  # raised, not asserted: must hold under -O too
+            raise AssertionError("degenerate locus has no closed form")
         t = _symbols()[0]
         return sympy.Poly(t**self.exponent - rational_to_sympy(self.value), t)
 
@@ -133,12 +142,14 @@ def _kernel_product(plane: PlaneModel) -> Fraction:
 
 def singular_locus(plane: PlaneModel) -> SingularLocus:
     """Evaluate the closed-form locus from the relation vector and coefficients."""
-    for i in range(3):
-        if plane.exponents[i] == plane.exponents[3]:
-            return SingularLocus(None, None, (), degenerate=True, duplicate_index=i)
     value = _kernel_product(plane)
     exponent = plane.kernel[3]
     points = tuple(rational_kth_roots(value, exponent))
+    for i in range(3):
+        if plane.exponents[i] == plane.exponents[3]:
+            return SingularLocus(
+                exponent, value, points, degenerate=True, duplicate_index=i
+            )
     return SingularLocus(exponent, value, points)
 
 
@@ -332,41 +343,6 @@ def oracle_matches_locus(oracle: sympy.Poly, locus: SingularLocus) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Orbit structure of the away fibers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrbitStructure:
-    """The away singular fibers as one orbit under t -> zeta * t.
-
-    The locus polynomial t^exponent - value only involves t^exponent, so the
-    away fibers are permuted by the order-``exponent`` rotation group of the
-    base; in the quotient parameter s = t^exponent they sit over the single
-    value s = ``value``.
-    """
-
-    exponent: int
-    value: Fraction
-    locus: SingularLocus
-
-    @property
-    def negation_invariant(self) -> bool:
-        """Is the away locus stable under t -> -t?"""
-        return self.exponent % 2 == 0
-
-
-def structure_decomposition(plane: PlaneModel) -> OrbitStructure:
-    """The away orbit and its closed-form locus, which ``locus`` carries so
-    that callers need not compute it again."""
-    locus = singular_locus(plane)
-    # knowable from the kernel alone, even when the closed-form locus is
-    # degenerate (duplicated monomial)
-    value = _kernel_product(plane) if locus.degenerate else locus.value
-    return OrbitStructure(plane.kernel[3], value, locus)
-
-
-# ---------------------------------------------------------------------------
 # Trichotomy
 # ---------------------------------------------------------------------------
 
@@ -429,12 +405,10 @@ def classify_trichotomy(
     minimal: MinimalFibration, plane: PlaneModel, locus: SingularLocus
 ) -> Trichotomy:
     """The structure branch of ``minimal``; ``plane`` and ``locus`` are its
-    plane model and closed-form locus (the semistable branch carries it)."""
-    pairs = [(ex, ey) for _, (ex, ey, _) in minimal.equation.terms]
-    coeffs = [c for c, _ in minimal.equation.terms]
-    for i in range(3):
-        if pairs[i] == pairs[3]:
-            return Isotrivial(i, -coeffs[i] / coeffs[3])
+    plane model and closed-form locus (a degenerate locus is the isotrivial
+    branch; the semistable branch carries the locus)."""
+    if locus.degenerate:
+        return Isotrivial(locus.duplicate_index, locus.value)
     k = plane.kernel
     if any(k[i] == 0 for i in range(3)):
         form = superelliptic_form(minimal, plane)
@@ -611,58 +585,3 @@ def fiber_singularities_are_nodal(plane: PlaneModel, t0: Fraction) -> bool:
         if list(basis.exprs) != [sympy.Integer(1)]:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Named constant-modulus families
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IsotrivialFamily:
-    """A recognized family whose fibers have constant modulus.
-
-    kinds: "duplicate_monomial" (a fixed three-term curve, one moving
-    coefficient), "cubic_cover" (cube cover of a nodal-cubic base shape:
-    u^3 + v^3 + v^2 + t^n), "conic_cover" (u^a + v^2 + v + t^n).
-    """
-
-    kind: str
-    power: int
-    cover_exponent: Optional[int]
-    j_value: Optional[Fraction]
-
-
-def classify_isotrivial(minimal: MinimalFibration) -> IsotrivialFamily:
-    """Match a minimal fibration against the named constant-modulus shapes.
-
-    The patterns are matched on exponents, up to swapping the two fiber
-    variables and reordering the t-free monomials.  ``power`` is the degree
-    of the base change recorded during reduction (the family as given was
-    m1 + m2 + m3 + t^power * m4).
-    """
-    n = abs(minimal.base_change.degree)
-    pairs = [(ex, ey) for _, (ex, ey, _) in minimal.equation.terms]
-    for i in range(3):
-        if pairs[i] == pairs[3]:
-            return IsotrivialFamily("duplicate_monomial", n, None, None)
-
-    if pairs[3] != (0, 0):
-        raise UnsupportedShapeError("no constant-modulus pattern matched")
-    for swap in (False, True):
-        qs = [(q, p) for p, q in pairs[:3]] if swap else list(pairs[:3])
-        if sorted(qs) == [(0, 3), (2, 0), (3, 0)]:
-            # u^3 + v^3 + v^2 + t^n: cube cover of a three-term cubic, j = 0
-            return IsotrivialFamily("cubic_cover", n, 3, Fraction(0))
-        onvar = sorted(pq for pq in qs if pq[1] == 0)
-        offvar = [pq for pq in qs if pq[0] == 0 and pq[1] != 0]
-        if onvar == [(1, 0), (2, 0)] and len(offvar) == 1:
-            # u^a + v^2 + v + t^n: degree-a cover of a moving conic
-            a = offvar[0][1]
-            j = None
-            if a == 3:
-                j = Fraction(0)
-            elif a == 4:
-                j = Fraction(1728)
-            return IsotrivialFamily("conic_cover", n, a, j)
-    raise UnsupportedShapeError("no constant-modulus pattern matched")

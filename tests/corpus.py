@@ -8,6 +8,7 @@ and distinct rows, so only the common-variable and degeneracy checks filter.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 
 from hypothesis import assume
@@ -47,8 +48,14 @@ def deterministic_corpus(min_count: int = 50, max_total: int = 6, keep=None):
 
     Scans combinations of small affine exponent triples in a fixed order and
     keeps the first ``min_count`` that validate (and satisfy ``keep``, when
-    given); no randomness involved.
+    given); no randomness involved.  The scan takes seconds, so each corpus
+    is built once per process; each call gets its own list of it.
     """
+    return list(_scan(min_count, max_total, keep))
+
+
+@lru_cache(maxsize=None)
+def _scan(min_count: int, max_total: int, keep) -> tuple[DelsarteSurface, ...]:
     small = [
         (a, b, c)
         for a, b, c in product(range(4), range(4), range(3))
@@ -76,4 +83,4 @@ def deterministic_corpus(min_count: int = 50, max_total: int = 6, keep=None):
         if len(out) >= min_count:
             break
     assert len(out) >= min_count, "corpus scan exhausted too early"
-    return out
+    return tuple(out)

@@ -45,7 +45,6 @@ from delsarte.singular import (
     generic_fiber_genus,
     oracle_matches_locus,
     singular_locus,
-    structure_decomposition,
     superelliptic_form,
 )
 
@@ -294,7 +293,7 @@ def test_criterion_8_structure_theorem_smoke():
     value -4/27, and the two away singular parameters are swapped by the
     base involution t -> -t."""
     _, pm = minimal_and_plane([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)])
-    st = structure_decomposition(pm)
+    st = singular_locus(pm)
     assert st.exponent == 2
     assert st.value == Fraction(-4, 27)
     assert st.negation_invariant  # t -> -t preserves the away locus as a set
@@ -306,4 +305,4 @@ def test_criterion_8_structure_theorem_smoke():
     assert len(roots) == 2 and all(m == 1 for m in roots.values())
     r1, r2 = roots
     assert r1 == -r2 and r1 != r2
-    assert not st.locus.rational_points
+    assert not st.rational_points

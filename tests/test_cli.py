@@ -1,7 +1,8 @@
 """End-to-end tests of the command-line interface.
 
-Most tests call ``main(argv)`` directly and read stdout through capsys; one
-subprocess test checks the ``python -m`` entry point for real. The contract
+Most tests call ``main(argv)`` directly and read stdout through capsys;
+subprocess tests check the ``python -m`` entry point for real and the pinned
+stdout of ``analyze`` under ``python -O``. The contract
 under test: a single sorted-key JSON document on stdout, byte-identical
 across runs, and the exit-code mapping (0 ok, 1 verify mismatch, 2 unreadable
 input or usage error, 3 invalid input, 4 unsupported shape).
@@ -10,6 +11,8 @@ input or usage error, 3 invalid input, 4 unsupported shape).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import io
 import json
 import os
@@ -20,7 +23,9 @@ from pathlib import Path
 import pytest
 
 from calls import count_calls
+from corpus import deterministic_corpus
 from delsarte import cli
+from digest import run_quietly
 from delsarte.errors import UnsupportedShapeError
 
 CUBIC_WITH_SECTION = '{"monomials": [[0,2,0,1],[3,0,0,0],[2,0,0,1],[0,0,1,2]]}'
@@ -30,6 +35,8 @@ DEGENERATE = '{"monomials": [[2,0,0,0],[0,2,0,0],[1,1,0,0],[0,0,2,0]]}'
 ISOTRIVIAL = '{"monomials": [[5,0,0,0],[0,5,0,0],[0,4,0,1],[0,4,1,0]]}'
 # x y^2 + x^3 y + y + x t: every kernel entry nonzero
 SEMISTABLE = '{"monomials": [[1,2,0,1],[3,1,0,0],[0,1,0,3],[1,0,1,2]]}'
+# y + y^3 + x*y^2 + t: superelliptic with a = 1, rational generic fiber
+GENUS_ZERO = '{"monomials": [[0,1,0,2],[0,3,0,0],[1,2,0,0],[0,0,1,2]]}'
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +245,19 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert out == ""
 
 
+def test_unreadable_file_exits_2(capsys, tmp_path):
+    # bytes that are not UTF-8, and a directory: both unreadable, neither
+    # may end in a traceback or in exit 1 (the --verify mismatch code)
+    path = tmp_path / "surface.json"
+    path.write_bytes(b"\xff\xfe")
+    for source in (path, tmp_path):
+        code, out, err = run_cli(capsys, "analyze", str(source))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read input: ")
+        assert "Traceback" not in err
+
+
 def test_invalid_surface_exits_3(capsys):
     bad = '{"monomials": [[0,2,0,1],[3,0,0,0],[2,0,0,1],[0,0,1,2]], "bogus": 1}'
     code, out, err = run_cli(capsys, "analyze", bad)
@@ -247,9 +267,7 @@ def test_invalid_surface_exits_3(capsys):
 
 
 def test_genus_zero_surface_exits_3(capsys):
-    # y + y^3 + x*y^2 + t: superelliptic with a = 1, rational generic fiber
-    rational = '{"monomials": [[0,1,0,2],[0,3,0,0],[1,2,0,0],[0,0,1,2]]}'
-    code, out, err = run_cli(capsys, "analyze", rational)
+    code, out, err = run_cli(capsys, "analyze", GENUS_ZERO)
     assert code == 3
     assert "genus" in err
 
@@ -320,6 +338,88 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main([])
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# pinned stdout
+# ---------------------------------------------------------------------------
+
+# sha256 over the exit code and stdout of every command in pinned_commands();
+# any change to the bytes of analyze on these inputs shows here, so change it
+# only with a deliberate change of output
+PINNED_ANALYZE_SHA256 = (
+    "1c803db5c2e96327e32575e1cc4cb131cb73be0f77a28bc7ef9b6b989deffdf3"
+)
+
+RATIONAL_COEFFICIENTS = [2, "3/5", -7, "4/3"]
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_commands() -> tuple[tuple[str, ...], ...]:
+    """analyze --shioda --h2 40 on the first 100 corpus surfaces, the named
+    inputs above, and two of them with non-unit rational coefficients."""
+    sources = [
+        json.dumps({"monomials": [list(row) for row in surface.rows]})
+        for surface in deterministic_corpus(min_count=120)[:100]
+    ]
+    sources += [
+        CUBIC_WITH_SECTION, ODD_ORDER_QUARTIC, DEGENERATE, ISOTRIVIAL, SEMISTABLE,
+        GENUS_ZERO,
+    ]
+    for named in (ISOTRIVIAL, CUBIC_WITH_SECTION):
+        with_coefficients = dict(json.loads(named), coefficients=RATIONAL_COEFFICIENTS)
+        sources.append(json.dumps(with_coefficients))
+    return tuple(("analyze", source, "--shioda", "--h2", "40") for source in sources)
+
+
+def test_analyze_stdout_is_pinned():
+    reached = set()
+    digest = hashlib.sha256()
+    for argv in pinned_commands():
+        code, out = run_quietly(argv)
+        digest.update(f"{code}\n{out}".encode())
+        if code != 0:
+            reached.add(f"exit {code}")
+            continue
+        report = json.loads(out)
+        if report["degeneracy"]["kind"] != "nondegenerate":
+            reached.add("degenerate surface")
+            continue
+        reached.add(report["trichotomy"]["branch"])
+        if report["singular_locus"]["degenerate"]:
+            reached.add("degenerate locus")
+        if "genus_one" in report:
+            reached.add("genus_one")
+    assert reached == {
+        "isotrivial", "superelliptic", "semistable_away", "genus_one",
+        "degenerate surface", "degenerate locus", "exit 3",
+    }
+    assert digest.hexdigest() == PINNED_ANALYZE_SHA256
+
+
+def test_analyze_stdout_is_pinned_under_optimize():
+    # assert statements are stripped under -O; the bytes must not move
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, tests, env.get("PYTHONPATH")) if p
+    )
+    script = (
+        "import json, sys\n"
+        "from digest import stdout_digest\n"
+        "print(stdout_digest(json.load(sys.stdin)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        input=json.dumps(pinned_commands()),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == PINNED_ANALYZE_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -307,11 +307,21 @@ def test_verdict_constant_j_families():
     assert fastenberg_check(
         fibration([(5, 0, 0), (0, 5, 0), (0, 4, 0), (0, 4, 1)])
     ) == ConstantJ(None)
+    # cube covers u^3 + v^3 + v^2 + t^n of a nodal-cubic shape, in both
+    # variable orders and with n = 2 reduced away: constant j = 0
+    for triples in (
+        [(0, 3, 0), (3, 0, 0), (2, 0, 0), (0, 0, 2)],
+        [(3, 0, 0), (0, 3, 0), (0, 2, 0), (0, 0, 1)],
+    ):
+        assert fastenberg_check(fibration(triples)) == ConstantJ(Fraction(0))
 
 
 def test_verdict_rejects_wrong_genus():
     with pytest.raises(ValidationError):
         fastenberg_check(fibration([(0, 2, 0), (5, 0, 0), (1, 0, 0), (0, 0, 1)]))
+    # the conic cover u^5 + v^2 + v + t^3 has genus two
+    with pytest.raises(ValidationError, match="genus-2"):
+        fastenberg_check(fibration([(0, 5, 0), (2, 0, 0), (1, 0, 0), (0, 0, 3)]))
 
 
 def test_verdict_gamma_below_one_on_corpus():

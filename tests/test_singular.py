@@ -16,15 +16,19 @@ import sympy
 from hypothesis import assume, given, settings
 from sympy.abc import t
 
-from corpus import nondegenerate_surfaces, surface_from_affine_triples
-from delsarte.errors import UnsupportedShapeError, ValidationError
+from corpus import (
+    deterministic_corpus,
+    nondegenerate_surfaces,
+    surface_from_affine_triples,
+)
+from delsarte.errors import ValidationError
+from delsarte.model import validate_surface
 from delsarte.reduction import plane_model, reduce_to_minimal
 from delsarte.singular import (
     Isotrivial,
     SemistableAway,
     Superelliptic,
     SuperellipticForm,
-    classify_isotrivial,
     classify_trichotomy,
     constant_j_value,
     discriminant_oracle,
@@ -33,7 +37,6 @@ from delsarte.singular import (
     generic_profile,
     oracle_matches_locus,
     singular_locus,
-    structure_decomposition,
     superelliptic_form,
     superelliptic_genus,
 )
@@ -110,12 +113,13 @@ def test_locus_all_kernel_entries_nonzero():
 
 
 def test_locus_degenerate_duplicate_monomial():
-    # t rides on a copy of x^2: no closed form, the duplicate is reported
+    # t rides on a copy of x^2: no closed form, the duplicate is reported;
+    # the kernel e4 - e3 still gives the single degenerate fiber t = -1
     _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 1)])
     loc = singular_locus(p)
     assert loc.degenerate
     assert loc.duplicate_index == 2
-    assert loc.exponent is None and loc.value is None
+    assert (loc.exponent, loc.value) == (1, Fraction(-1))
     with pytest.raises(AssertionError):
         loc.polynomial()
 
@@ -194,13 +198,13 @@ def test_oracle_matches_locus_property(surface):
 
 
 # ---------------------------------------------------------------------------
-# Orbit structure of the away fibers
+# Orbit structure of the away fibers (carried by the locus)
 # ---------------------------------------------------------------------------
 
 
 def test_structure_one_orbit_under_rotation():
     _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)])
-    orbit = structure_decomposition(p)
+    orbit = singular_locus(p)
     assert orbit.exponent == 2
     assert orbit.value == Fraction(-4, 27)
     # the two away fibers are swapped by t -> -t
@@ -209,17 +213,17 @@ def test_structure_one_orbit_under_rotation():
 
 def test_structure_trivial_orbit():
     _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
-    orbit = structure_decomposition(p)
+    orbit = singular_locus(p)
     assert orbit.exponent == 1
     assert not orbit.negation_invariant
 
 
 def test_structure_survives_degenerate_locus():
     _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 1)])
-    orbit = structure_decomposition(p)
+    orbit = singular_locus(p)
     assert orbit.exponent == 1
     assert orbit.value == Fraction(-1)
-    assert orbit.locus.degenerate
+    assert orbit.degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +296,40 @@ def test_trichotomy_constant_j_cover():
     m, p = minimal_and_plane([(0, 4, 0), (2, 0, 0), (1, 0, 0), (0, 0, 1)])
     tri = classify_trichotomy(m, p, singular_locus(p))
     assert tri.constant_j == Fraction(1728)
+
+    # the cube cover with t^2 (reduced to t), and with x and y swapped
+    for triples in (
+        [(0, 3, 0), (3, 0, 0), (2, 0, 0), (0, 0, 2)],
+        [(3, 0, 0), (0, 3, 0), (0, 2, 0), (0, 0, 1)],
+    ):
+        m, p = minimal_and_plane(triples)
+        tri = classify_trichotomy(m, p, singular_locus(p))
+        assert isinstance(tri, Superelliptic)
+        assert (tri.form.cover_exponent, tri.generic_genus) == (3, 1)
+        assert tri.constant_j == Fraction(0)
+
+
+def test_isotrivial_branch_is_the_degenerate_locus():
+    # read off the minimal equation directly: the t-monomial repeats monomial
+    # i exactly on the isotrivial branch, which degenerates at -c_i / c_4
+    coefficients = [Fraction(2), Fraction(3, 5), Fraction(-7), Fraction(4, 3)]
+    isotrivial = 0
+    for surface in deterministic_corpus(min_count=120)[:40]:
+        m = reduce_to_minimal(validate_surface(surface.rows, coefficients))
+        p = plane_model(m)
+        try:
+            tri = classify_trichotomy(m, p, singular_locus(p))
+        except ValidationError:  # rational generic fiber
+            continue
+        pairs = [(ex, ey) for _, (ex, ey, _) in m.equation.terms]
+        coeffs = [c for c, _ in m.equation.terms]
+        repeats = [i for i in range(3) if pairs[i] == pairs[3]]
+        assert isinstance(tri, Isotrivial) == bool(repeats)
+        if repeats:
+            isotrivial += 1
+            assert tri.duplicate_index == repeats[0]
+            assert tri.degeneration_value == -coeffs[repeats[0]] / coeffs[3]
+    assert isotrivial >= 10
 
 
 def test_trichotomy_semistable_branch():
@@ -388,46 +426,3 @@ def test_duplicate_family_node_vs_cusp():
     assert fiber_singularities_are_nodal(p, Fraction(0))
     # t = -1: y^2 + x^3 has a cusp
     assert not fiber_singularities_are_nodal(p, Fraction(-1))
-
-
-# ---------------------------------------------------------------------------
-# Named constant-modulus families
-# ---------------------------------------------------------------------------
-
-
-def test_isotrivial_family_duplicate():
-    m, _ = minimal_and_plane([(0, 2, 0), (3, 0, 0), (0, 0, 0), (0, 0, 1)])
-    fam = classify_isotrivial(m)
-    assert (fam.kind, fam.power) == ("duplicate_monomial", 1)
-
-
-def test_isotrivial_family_cubic_cover():
-    m, _ = minimal_and_plane([(0, 3, 0), (3, 0, 0), (2, 0, 0), (0, 0, 2)])
-    fam = classify_isotrivial(m)
-    assert fam.kind == "cubic_cover"
-    assert fam.power == 2
-    assert fam.cover_exponent == 3
-    assert fam.j_value == Fraction(0)
-
-
-def test_isotrivial_family_cubic_cover_swapped_variables():
-    m, _ = minimal_and_plane([(3, 0, 0), (0, 3, 0), (0, 2, 0), (0, 0, 1)])
-    fam = classify_isotrivial(m)
-    assert (fam.kind, fam.power) == ("cubic_cover", 1)
-
-
-def test_isotrivial_family_conic_cover():
-    m, _ = minimal_and_plane([(0, 5, 0), (2, 0, 0), (1, 0, 0), (0, 0, 3)])
-    fam = classify_isotrivial(m)
-    assert fam.kind == "conic_cover"
-    assert (fam.power, fam.cover_exponent, fam.j_value) == (3, 5, None)
-
-    m, _ = minimal_and_plane([(0, 4, 0), (2, 0, 0), (1, 0, 0), (0, 0, 1)])
-    fam = classify_isotrivial(m)
-    assert (fam.cover_exponent, fam.j_value) == (4, Fraction(1728))
-
-
-def test_isotrivial_family_rejects_moving_modulus():
-    m, _ = minimal_and_plane([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)])
-    with pytest.raises(UnsupportedShapeError):
-        classify_isotrivial(m)
