@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import NotConvertibleError, UnsupportedShapeError, ValidationError
-from .exact import rational_to_json
+from .exact import adjugate, rational_to_json
 from .model import surface_from_json, surface_to_json
 from .reduction import classify_degenerate, plane_model, reduce_to_minimal
 from .shioda import (
@@ -56,6 +56,11 @@ from .singular import (
 
 class VerificationError(Exception):
     """A --verify oracle disagreed with the formula it was checking."""
+
+
+class UnreadableInputError(Exception):
+    """The parser refused the surface text: bad syntax, or an integer or a
+    nesting depth past Python's limits."""
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +181,10 @@ def _load_surface_source(source: str) -> dict:
         if not path.exists():
             raise FileNotFoundError(f"no such file: {source}")
         text = path.read_text()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise UnreadableInputError(exc) from exc
 
 
 def run_analyze(args) -> dict:
@@ -239,7 +247,7 @@ def run_analyze(args) -> dict:
             report["genus_one"] = section
 
     if args.shioda:
-        lam = lefschetz_number(surface.matrix)
+        lam = lefschetz_number(surface.adjugate)
         shioda_section: dict = {"lambda": lam}
         if args.h2 is not None:
             shioda_section["h2"] = args.h2
@@ -302,7 +310,7 @@ def _verify_picard(params: FamilyParams, record: dict) -> dict:
     This enumerates all of L0, so it checks the slice count of
     ``picard_family`` as well as the early-exit scan on every member.
     """
-    members = enumerate_L0(*shioda_vectors(params.matrix))
+    members = enumerate_L0(*shioda_vectors(adjugate(params.matrix)))
     if len(members) != record["L0_count"]:
         raise VerificationError(
             f"L0 size {len(members)} != direct count {record['L0_count']}"
@@ -386,7 +394,7 @@ def main(argv=None) -> int:
             payload = run_analyze(args)
         else:
             payload = run_picard(args)
-    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (UnreadableInputError, UnicodeDecodeError, OSError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic primitives and small dense exact linear algebra.
+"""Exact rational arithmetic and integer linear algebra on exponent matrices.
 
 Everything in this package is computed over Q.  Floating point is never used
 for anything that feeds a decision, so this module provides the few pieces of
@@ -7,22 +7,26 @@ exact machinery the rest of the code leans on:
 * JSON-friendly parsing/formatting of rationals ("p/q" strings, bare ints);
 * exact k-th roots of rationals (for locating rational points on a locus
   ``t^k = c``);
-* ``ExactMatrix``: an immutable matrix of ``Fraction`` entries with exact
-  determinant, inverse, vector products and right-kernel basis, and an
-  integer left-kernel routine that is fraction-free (cofactor based), so
-  there is no intermediate blowup and no pivoting nondeterminism.
+* integer linear algebra for exponent matrices: the determinant and
+  adjugate of a 4x4 matrix and the left kernel of a 4x3 one, both from 3x3
+  cofactors (fraction-free, so there is no pivoting nondeterminism), and a
+  right-kernel basis for singular matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import RankDeficiencyError, SingularMatrixError, ValidationError
+from .errors import RankDeficiencyError, ValidationError
 
 RationalLike = Union[int, Fraction]
+
+# the documented text form: an optional sign, digits, and an optional
+# "/digits"; Fraction itself would also take decimals and exponents
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 # ---------------------------------------------------------------------------
@@ -32,15 +36,19 @@ RationalLike = Union[int, Fraction]
 def parse_rational(value: Union[int, str]) -> Fraction:
     """Parse a rational from its JSON form: an int, or a string "p/q" or "p".
 
-    Floats are rejected on purpose -- every quantity in this package is exact.
+    Floats are rejected on purpose -- every quantity in this package is exact
+    -- and so are decimal and exponent strings such as "0.5" or "1e5".
     """
     if isinstance(value, bool):
         raise ValidationError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if not _RATIONAL_TEXT.fullmatch(text):
+            raise ValidationError(f"not a rational: {value!r}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational: {value!r}") from exc
     raise ValidationError(f"not a rational: {value!r} (floats are not accepted)")
@@ -110,10 +118,7 @@ def rational_kth_roots(c: RationalLike, k: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 def vec_gcd(v: Iterable[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def primitive_integer_vector(v: Sequence[RationalLike]) -> tuple[int, ...]:
@@ -122,194 +127,90 @@ def primitive_integer_vector(v: Sequence[RationalLike]) -> tuple[int, ...]:
     fracs = [Fraction(x) for x in v]
     if all(x == 0 for x in fracs):
         raise ValueError("zero vector has no primitive form")
-    scale = 1
-    for x in fracs:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
+    scale = lcm(*(x.denominator for x in fracs))
     ints = [int(x * scale) for x in fracs]
     g = vec_gcd(ints)
     return tuple(x // g for x in ints)
 
 
 # ---------------------------------------------------------------------------
-# Exact matrices
+# Integer exponent matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Immutable dense matrix over Q.
+Adjugate = tuple[int, tuple[tuple[int, ...], ...]]  # (det A, rows of adj A)
 
-    Rows are stored as a tuple of tuples of ``Fraction``.  All operations are
-    exact; none of them mutate.
+
+def _det3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
+    """Determinant of the 3x3 integer matrix with rows a, b, c."""
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+def adjugate(rows: Sequence[Sequence[int]]) -> Adjugate:
+    """``(det A, adj A)`` of a 4x4 integer matrix A, from its 3x3 cofactors.
+
+    ``A . adj A = adj A . A = det A * I``, so A^{-1} = adj A / det A whenever
+    det A != 0: every entry of A^{-1} is an integer over det A.
     """
+    def cofactor(i: int, j: int) -> int:
+        minor = [[x for col, x in enumerate(r) if col != j]
+                 for k, r in enumerate(rows) if k != i]
+        return (-1) ** (i + j) * _det3(*minor)
 
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[RationalLike]]) -> "ExactMatrix":
-        if not rows:
-            raise ValidationError("matrix needs at least one row")
-        width = len(rows[0])
-        if width == 0 or any(len(r) != width for r in rows):
-            raise ValidationError("matrix rows must be nonempty and equal length")
-        return ExactMatrix(tuple(tuple(Fraction(x) for x in r) for r in rows))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.rows)
-
-    # -- products ----------------------------------------------------------
-
-    def matvec(self, v: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        """Matrix times column vector."""
-        if len(v) != self.ncols:
-            raise ValidationError("dimension mismatch in matvec")
-        vf = [Fraction(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(r, vf)) for r in self.rows)
-
-    def vecmat(self, v: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        """Row vector times matrix."""
-        if len(v) != self.nrows:
-            raise ValidationError("dimension mismatch in vecmat")
-        vf = [Fraction(x) for x in v]
-        return tuple(
-            sum(vf[i] * self.rows[i][j] for i in range(self.nrows))
-            for j in range(self.ncols)
-        )
-
-    # -- determinant, inverse, kernel --------------------------------------
-
-    def det(self) -> Fraction:
-        """Exact determinant via fraction-free (Bareiss) elimination.
-
-        Rows are first scaled to integers; the accumulated scaling is divided
-        back out at the end.
-        """
-        if self.nrows != self.ncols:
-            raise ValidationError("determinant needs a square matrix")
-        n = self.nrows
-        scale = Fraction(1)
-        m: list[list[int]] = []
-        for r in self.rows:
-            d = 1
-            for x in r:
-                d = d * x.denominator // gcd(d, x.denominator)
-            scale *= d
-            m.append([int(x * d) for x in r])
-
-        sign = 1
-        prev = 1
-        for p in range(n - 1):
-            if m[p][p] == 0:
-                swap = next((i for i in range(p + 1, n) if m[i][p] != 0), None)
-                if swap is None:
-                    return Fraction(0)
-                m[p], m[swap] = m[swap], m[p]
-                sign = -sign
-            for i in range(p + 1, n):
-                for j in range(p + 1, n):
-                    m[i][j] = (m[i][j] * m[p][p] - m[i][p] * m[p][j]) // prev
-                m[i][p] = 0
-            prev = m[p][p]
-        return Fraction(sign * m[n - 1][n - 1], 1) / scale
-
-    def invert(self) -> "ExactMatrix":
-        """Exact inverse by Gauss-Jordan elimination over Q."""
-        if self.nrows != self.ncols:
-            raise ValidationError("inverse needs a square matrix")
-        n = self.nrows
-        aug = [list(self.rows[i]) + [Fraction(int(i == j)) for j in range(n)]
-               for i in range(n)]
-        for p in range(n):
-            pivot_row = next((i for i in range(p, n) if aug[i][p] != 0), None)
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular")
-            aug[p], aug[pivot_row] = aug[pivot_row], aug[p]
-            inv_pivot = 1 / aug[p][p]
-            aug[p] = [x * inv_pivot for x in aug[p]]
-            for i in range(n):
-                if i != p and aug[i][p] != 0:
-                    f = aug[i][p]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[p])]
-        return ExactMatrix.from_rows([r[n:] for r in aug])
-
-    def _rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
-        m = [list(r) for r in self.rows]
-        pivots: list[int] = []
-        rank = 0
-        for col in range(self.ncols):
-            pivot_row = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-            if pivot_row is None:
-                continue
-            m[rank], m[pivot_row] = m[pivot_row], m[rank]
-            inv = 1 / m[rank][col]
-            m[rank] = [x * inv for x in m[rank]]
-            for i in range(len(m)):
-                if i != rank and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-            pivots.append(col)
-            rank += 1
-            if rank == len(m):
-                break
-        return m, pivots
-
-    def nullspace_basis(self) -> list[tuple[Fraction, ...]]:
-        """A basis of the right kernel {v : self . v = 0}, one vector per free
-        column of the reduced echelon form (deterministic)."""
-        m, pivots = self._rref()
-        basis = []
-        for free in range(self.ncols):
-            if free in pivots:
-                continue
-            v = [Fraction(0)] * self.ncols
-            v[free] = Fraction(1)
-            for row, pc in enumerate(pivots):
-                v[pc] = -m[row][free]
-            basis.append(tuple(v))
-        return basis
+    adj = tuple(tuple(cofactor(i, j) for i in range(4)) for j in range(4))
+    det = sum(rows[0][j] * adj[j][0] for j in range(4))
+    return det, adj
 
 
-def left_kernel_normalized(m: ExactMatrix) -> tuple[int, ...]:
-    """The integer left kernel of a 4x3 rank-3 matrix, normalized.
+def nullspace_basis(rows: Sequence[Sequence[int]]) -> list[tuple[Fraction, ...]]:
+    """A basis of the right kernel {v : rows . v = 0}, one vector per free
+    column of the reduced row echelon form (deterministic)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(m[0])
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        pivots.append(col)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, pc in enumerate(pivots):
+            v[pc] = -m[row][free]
+        basis.append(tuple(v))
+    return basis
 
-    Returns the unique primitive integer vector k with ``k . m = 0``,
+
+def left_kernel_normalized(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The integer left kernel of a 4x3 rank-3 integer matrix, normalized.
+
+    Returns the unique primitive integer vector k with ``k . rows = 0``,
     gcd(k) = 1 and k[3] > 0.  Computed fraction-free: k_i is (up to sign) the
-    3x3 minor obtained by deleting row i, which is exact integer arithmetic
-    once columns are scaled integral (column scaling does not change the left
-    kernel).
+    3x3 minor obtained by deleting row i.
 
-    Raises ``RankDeficiencyError`` if rank(m) < 3, and ``ValidationError``
-    if the kernel's last coordinate vanishes (no sign normalization exists).
+    Raises ``RankDeficiencyError`` if the rank is below 3, and
+    ``ValidationError`` if the kernel's last coordinate vanishes (no sign
+    normalization exists).
     """
-    if m.nrows != 4 or m.ncols != 3:
+    if len(rows) != 4 or any(len(r) != 3 for r in rows):
         raise ValidationError("left_kernel_normalized expects a 4x3 matrix")
-
-    cols: list[list[int]] = []
-    for j in range(3):
-        c = m.col(j)
-        d = 1
-        for x in c:
-            d = d * x.denominator // gcd(d, x.denominator)
-        cols.append([int(x * d) for x in c])
-    rows = [[cols[j][i] for j in range(3)] for i in range(4)]
-
-    def minor(skip: int) -> int:
-        a, b, c = (rows[i] for i in range(4) if i != skip)
-        return (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
-        )
-
-    k = [(-1) ** i * minor(i) for i in range(4)]
+    k = [(-1) ** i * _det3(*(r for j, r in enumerate(rows) if j != i))
+         for i in range(4)]
     if all(x == 0 for x in k):
         raise RankDeficiencyError("matrix has rank < 3; left kernel is not a line")
     g = vec_gcd(k)

@@ -6,7 +6,9 @@ A surface here is cut out in P^3 by a sum of exactly four monomials
 
 all of the same total degree.  The 4x4 exponent matrix (rows = monomials,
 columns = variables) determines almost everything this package computes, so
-the matrix *is* the primary data; coefficients default to 1.
+the matrix *is* the primary data; coefficients default to 1.  Its integer
+determinant and adjugate are computed once per surface
+(``DelsarteSurface.adjugate``) and read by every later stage.
 
 The fibration studied throughout is projection away from the line
 {X2 = X3 = 0} onto the line {X0 = X1 = 0}; concretely we work in the affine
@@ -25,10 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import ValidationError
-from .exact import ExactMatrix, parse_rational, rational_to_json
+from .exact import Adjugate, parse_rational, rational_to_json
+from .exact import adjugate as integer_adjugate
 
 IntVec = tuple[int, int, int, int]
 
@@ -53,12 +57,14 @@ class DelsarteSurface:
     def degree(self) -> int:
         return sum(self.rows[0])
 
-    @property
-    def matrix(self) -> ExactMatrix:
-        return ExactMatrix.from_rows(self.rows)
+    @cached_property
+    def adjugate(self) -> Adjugate:
+        """``(det A, adj A)`` of the exponent matrix A, computed once per
+        surface: the reduction and the character lattice read A^{-1} off it."""
+        return integer_adjugate(self.rows)
 
-    def determinant(self) -> Fraction:
-        return self.matrix.det()
+    def determinant(self) -> int:
+        return self.adjugate[0]
 
     @property
     def is_degenerate(self) -> bool:
@@ -71,7 +77,11 @@ class DelsarteSurface:
         """The surface with variables relabeled by ``perm``: new variable j is
         old variable perm[j].  Used to select a different pair of coordinate
         lines as fiber/base of the fibration."""
-        if sorted(perm) != [0, 1, 2, 3]:
+        if (
+            not isinstance(perm, (list, tuple))
+            or any(not isinstance(j, int) or isinstance(j, bool) for j in perm)
+            or sorted(perm) != [0, 1, 2, 3]
+        ):
             raise ValidationError(f"not a permutation of 0..3: {perm!r}")
         rows = tuple(tuple(r[perm[j]] for j in range(4)) for r in self.rows)
         return DelsarteSurface(rows, self.coefficients)  # type: ignore[arg-type]
@@ -88,7 +98,11 @@ def validate_surface(
     fewer than four terms); a variable dividing every monomial (the surface
     would be reducible); zero coefficients.
     """
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
+    if (
+        not isinstance(rows, (list, tuple))
+        or len(rows) != 4
+        or any(not isinstance(r, (list, tuple)) or len(r) != 4 for r in rows)
+    ):
         raise ValidationError("exponent data must be a 4x4 matrix")
     clean: list[IntVec] = []
     for r in rows:

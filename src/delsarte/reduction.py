@@ -29,8 +29,8 @@ from typing import Optional
 
 from .errors import DegenerateFibrationError, ValidationError
 from .exact import (
-    ExactMatrix,
     left_kernel_normalized,
+    nullspace_basis,
     primitive_integer_vector,
 )
 from .model import (
@@ -72,10 +72,9 @@ def classify_degenerate(surface: DelsarteSurface) -> DegenerateVerdict:
     is a nonzero vector with last coordinate 0 mapped into the all-ones
     line.  Its first three coordinates are the substitution direction.
     """
-    mat = surface.matrix
     if surface.determinant() != 0:
         raise ValidationError("exponent matrix is nonsingular; nothing to classify")
-    basis = mat.nullspace_basis()
+    basis = nullspace_basis(surface.rows)
 
     # prefer a kernel vector with u[2] == u[3] (then c = 0: rational fibers);
     # the c-functional is linear, so on a kernel of dimension >= 2 it always
@@ -136,10 +135,12 @@ def reduce_to_minimal(surface: DelsarteSurface) -> MinimalFibration:
     identity record.  Otherwise the substitution is found by linear algebra:
     choosing which monomial shall carry t forces the direction
 
-        v_i = primitive(column i of A^{-1} minus its last entry, spread),
+        v_i = primitive(column i of adj A minus its last entry, spread),
 
-    and among the at most four candidates the one with the smallest |c| wins
-    (ties: smallest carrier index), which makes the result deterministic.
+    oriented so that c > 0 (column i of adj A spans the same line as column
+    i of A^{-1}), and among the at most four candidates the one with the
+    smallest |c| wins (ties: smallest carrier index), which makes the result
+    deterministic.
     """
     if surface.is_degenerate:
         raise DegenerateFibrationError(
@@ -159,11 +160,10 @@ def reduce_to_minimal(surface: DelsarteSurface) -> MinimalFibration:
         )
         return MinimalFibration(_reorder_minimal(eq, idx), record, idx)
 
-    mat = surface.matrix
-    inv = mat.invert()
+    _, adj = surface.adjugate
     best: Optional[tuple[int, int, tuple[int, ...]]] = None
     for idx in range(4):
-        w = inv.col(idx)  # solves  A w = e_idx
+        w = [row[idx] for row in adj]  # solves  A w = det(A) e_idx
         spread = [w[j] - w[3] for j in range(4)]
         v = primitive_integer_vector(spread)
         if v[2] == 0:
@@ -178,11 +178,12 @@ def reduce_to_minimal(surface: DelsarteSurface) -> MinimalFibration:
 
     c, idx, v = best
     a, b = v[0], v[1]
-    image = mat.matvec(v)  # = e * (1,1,1,1) + n * e_idx
-    others = [int(image[j]) for j in range(4) if j != idx]
+    # A v = e * (1,1,1,1) + n * e_idx
+    image = [sum(x * y for x, y in zip(row, v)) for row in surface.rows]
+    others = [image[j] for j in range(4) if j != idx]
     assert others[0] == others[1] == others[2], image
     e = others[0]
-    n = int(image[idx]) - e
+    n = image[idx] - e
     assert n != 0
 
     record = BaseChangeRecord(twist=(a, b), inner_degree=c, cleared_power=e, degree=n)
@@ -237,7 +238,7 @@ def plane_model(minimal: MinimalFibration) -> PlaneModel:
     for j in range(3):
         assert min(row[j] for row in exponents) == 0
 
-    kernel = left_kernel_normalized(ExactMatrix.from_rows(exponents))
+    kernel = left_kernel_normalized(exponents)
     assert sum(kernel) == 0
     coeffs = tuple(c for c, _ in eq.terms)
     return PlaneModel(exponents, degree, kernel, coeffs)  # type: ignore[arg-type]

@@ -9,8 +9,9 @@ fractional parts at 2; the characters escaping that condition for some t
 form the set Lambda, and #(L0 ∩ Lambda) is the Lefschetz number
 h^2 - rho of the desingularization.
 
-Everything here is exact integer arithmetic: a character is stored as
-numerators n_k over its order D, and the defining condition reads
+Everything here is exact integer arithmetic: the generators are rows of
+the integer adjugate of A over det A, a character is stored as numerators
+n_k over its order D, and the defining condition reads
 sum((t*n_k) mod D) == 2*D.
 
 For the double-cover family y^2 = x^p + t^{2ap} + s^{2ap} one slice of L0
@@ -23,7 +24,8 @@ slice has as many members outside Lambda as the first, and rho of the
 smooth model is 2 + (p - 1) times the number of excluded j-fractions of
 that slice.
 ``picard --verify`` does not rely on this: it enumerates all of L0 from
-the inverse matrix and rescans every member with the exhaustive scan.
+the adjugate of the family's exponent matrix and rescans every member with
+the exhaustive scan.
 """
 
 from __future__ import annotations
@@ -33,10 +35,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
-from .errors import ValidationError
-from .exact import ExactMatrix, RationalLike
-
-GENERATOR_TARGETS = ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1))
+from .errors import SingularMatrixError, ValidationError
+from .exact import Adjugate
 
 # Largest p accepted.  Miller-Rabin with the first twelve primes as
 # witnesses decides primality exactly below 3.18 * 10**23 (Sorenson and
@@ -101,23 +101,12 @@ class CharacterVector:
     def scaled(self, n: int) -> "CharacterVector":
         return CharacterVector(tuple(n * e for e in self.numerators), self.modulus)
 
-    def has_zero_entry(self) -> bool:
-        return 0 in self.numerators
-
     def __str__(self) -> str:
         return _readable(self.numerators, self.modulus)
 
 
 def _readable(numerators: Sequence[int], modulus: int) -> str:
     return "(" + ", ".join(str(Fraction(n, modulus)) for n in numerators) + ")"
-
-
-def character_vector(values: Sequence[RationalLike]) -> CharacterVector:
-    fractions = [Fraction(v) for v in values]
-    d = lcm(*(q.denominator for q in fractions))
-    return CharacterVector(
-        tuple(q.numerator * (d // q.denominator) for q in fractions), d
-    )
 
 
 @dataclass(frozen=True)
@@ -149,15 +138,13 @@ class FamilyParams:
         return 2 * self.a * self.p
 
     @property
-    def matrix(self) -> ExactMatrix:
+    def matrix(self) -> tuple[tuple[int, int, int, int], ...]:
         d = self.weight
-        return ExactMatrix.from_rows(
-            [
-                [0, 2, 0, d - 2],
-                [self.p, 0, 0, d - self.p],
-                [0, 0, d, 0],
-                [0, 0, 0, d],
-            ]
+        return (
+            (0, 2, 0, d - 2),
+            (self.p, 0, 0, d - self.p),
+            (0, 0, d, 0),
+            (0, 0, 0, d),
         )
 
 
@@ -167,19 +154,26 @@ class FamilyParams:
 
 
 def shioda_vectors(
-    matrix: ExactMatrix,
+    adjugate: Adjugate,
 ) -> tuple[CharacterVector, CharacterVector, CharacterVector]:
-    """The three generators u_i A^{-1} mod Z^4, u_i = e_i - e_4.
+    """The three generators u_i A^{-1} mod Z^4, u_i = e_i - e_4, from
+    ``(det A, adj A)``: numerators sign(det A) * (u_i adj A) over |det A|.
 
     The left action is the one matching the printed family generators
     (0,1/p,0,-1/p), (1/2,0,0,-1/2), (0,0,1/2ap,-1/2ap) and the left-kernel
     convention used for fibrations; it also guarantees the integer entry
     sum, since the equal row sums d give A^{-1} 1 = 1/d.
     """
-    inverse = matrix.invert()
+    det, adj = adjugate
+    if det == 0:
+        raise SingularMatrixError("matrix is singular")
+    sign = 1 if det > 0 else -1
     return tuple(
-        character_vector(inverse.vecmat(target)) for target in GENERATOR_TARGETS
-    )
+        CharacterVector(
+            tuple(sign * (x - y) for x, y in zip(adj[i], adj[3])), abs(det)
+        )
+        for i in range(3)
+    )  # type: ignore[return-value]
 
 
 def enumerate_L0(
@@ -248,9 +242,9 @@ def exhaustive_sums(v: CharacterVector) -> dict[int, int]:
     }
 
 
-def lefschetz_number(matrix: ExactMatrix) -> int:
-    """#(L0 ∩ Lambda) for the surface with the given exponent matrix."""
-    vectors = enumerate_L0(*shioda_vectors(matrix))
+def lefschetz_number(adjugate: Adjugate) -> int:
+    """#(L0 ∩ Lambda) for the exponent matrix A with ``(det A, adj A)``."""
+    vectors = enumerate_L0(*shioda_vectors(adjugate))
     return sum(1 for v in vectors if lambda_membership(v).in_lambda)
 
 

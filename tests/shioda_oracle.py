@@ -1,5 +1,6 @@
 """Reference routes for the character count, independent of the package's.
 
+``character_vector`` builds a character from ``Fraction`` entries;
 ``frac_part`` and ``fraction_exhaustive_sums`` redo the Lambda test on
 ``Fraction`` entries; ``picard_family_all_vectors`` is the family count that
 scans every member of L0 rather than one unit-orbit slice.
@@ -9,6 +10,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from delsarte.shioda import CharacterVector
+
+
+def character_vector(values) -> CharacterVector:
+    """The character with the given rational entries, over the lcm of their
+    denominators."""
+    fractions = [Fraction(v) for v in values]
+    d = lcm(*(q.denominator for q in fractions))
+    return CharacterVector(
+        tuple(q.numerator * (d // q.denominator) for q in fractions), d
+    )
 
 
 def frac_part(q) -> Fraction:

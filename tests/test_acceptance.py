@@ -270,7 +270,10 @@ def test_criterion_6_kernel_vector_invariants():
         rebuilt = surface_from_affine_triples(
             [(ex, ey, et) for _, (ex, ey, et) in minimal.equation.terms]
         )
-        w = primitive_integer_vector(rebuilt.matrix.invert().vecmat((0, 0, 1, -1)))
+        # (0, 0, 1, -1) A^{-1} = (row 3 - row 4 of adj A) / det A
+        det, adj = rebuilt.adjugate
+        u = [x - y for x, y in zip(adj[2], adj[3])]
+        w = primitive_integer_vector([det * x for x in u])
         if w[3] < 0:
             w = tuple(-x for x in w)
         assert tuple(w) == k, (surface.rows, w, k)

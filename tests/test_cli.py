@@ -119,6 +119,17 @@ def test_analyze_computes_the_locus_once(capsys, monkeypatch, surface, branch):
     assert calls == {"singular_locus": 1, "_kernel_product": 1}
 
 
+@pytest.mark.parametrize(
+    "extra", [[], ["--shioda", "--h2", "40"]], ids=["plain", "shioda"]
+)
+def test_analyze_computes_the_adjugate_once(capsys, monkeypatch, extra):
+    calls = count_calls(monkeypatch, [("exact", "adjugate")])
+    report = run_json(capsys, "analyze", CUBIC_WITH_SECTION, *extra)
+    assert report["validation"]["determinant"] == 6
+    assert ("shioda" in report) == bool(extra)
+    assert calls == {"adjugate": 1}
+
+
 def test_analyze_reads_file_stdin_and_inline_identically(capsys, tmp_path, monkeypatch):
     path = tmp_path / "surface.json"
     path.write_text(CUBIC_WITH_SECTION)
@@ -239,6 +250,21 @@ def test_malformed_json_exits_2(capsys):
     assert "cannot read input" in err
 
 
+def test_json_beyond_parser_limits_on_stdin_exits_2(capsys, monkeypatch):
+    # well-formed JSON that the parser still refuses: an integer literal past
+    # Python's 4,300-digit conversion limit, and arrays nested past the
+    # recursion limit; both are too long for argv, so they come on stdin
+    for text in (
+        '{"monomials": ' + "1" * 4301 + "}",
+        "[" * 100_000 + "]" * 100_000,
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "analyze", "-")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read input: ")
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", str(tmp_path / "nope.json"))
     assert code == 2
@@ -259,11 +285,20 @@ def test_unreadable_file_exits_2(capsys, tmp_path):
 
 
 def test_invalid_surface_exits_3(capsys):
-    bad = '{"monomials": [[0,2,0,1],[3,0,0,0],[2,0,0,1],[0,0,1,2]], "bogus": 1}'
-    code, out, err = run_cli(capsys, "analyze", bad)
-    assert code == 3
-    assert out == ""
-    assert "invalid input" in err
+    rows = "[[0,2,0,1],[3,0,0,0],[2,0,0,1],[0,0,1,2]]"
+    for bad in (
+        '{"monomials": %s, "bogus": 1}' % rows,
+        # malformed shapes: not a list of lists, not a list of four ints
+        '{"monomials": 5}',
+        '{"monomials": [1,2,3,4]}',
+        '{"monomials": %s, "permutation": 5}' % rows,
+        '{"monomials": %s, "permutation": [0,1,2,"a"]}' % rows,
+        '{"monomials": %s, "permutation": [0.0,1,2,3]}' % rows,
+    ):
+        code, out, err = run_cli(capsys, "analyze", bad)
+        assert code == 3, bad
+        assert out == ""
+        assert "invalid input" in err
 
 
 def test_genus_zero_surface_exits_3(capsys):

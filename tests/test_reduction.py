@@ -68,12 +68,16 @@ def test_classify_degenerate_split_case():
 
 def test_classify_degenerate_rational_case():
     # all four (x, y)-exponent pairs sit on the line ex + ey = 2, so every
-    # fiber is a (degenerate) conic
-    s = validate_surface([[2, 0, 0, 3], [1, 1, 1, 2], [0, 2, 2, 1], [2, 0, 3, 0]])
-    verdict = classify_degenerate(s)
-    assert verdict.kind == RATIONAL_FIBERS
-    assert verdict.direction == (1, 1, 0)
-    assert verdict.base_change_degree is None
+    # fiber is a (degenerate) conic; the second matrix has rank 2, so its
+    # witness is the combination of two kernel vectors with u[2] == u[3]
+    for rows in (
+        [[2, 0, 0, 3], [1, 1, 1, 2], [0, 2, 2, 1], [2, 0, 3, 0]],
+        [[3, 0, 0, 0], [2, 1, 0, 0], [1, 2, 0, 0], [0, 3, 0, 0]],
+    ):
+        verdict = classify_degenerate(validate_surface(rows))
+        assert verdict.kind == RATIONAL_FIBERS
+        assert verdict.direction == (1, 1, 0)
+        assert verdict.base_change_degree is None
 
 
 def test_classify_degenerate_rejects_nonsingular():
