@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
@@ -279,6 +280,10 @@ def _verify_analysis(plane, locus) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# the record's name for the L0 characters of each entry sum q = 1, 2, 3
+HODGE_LEVELS = {1: "h20", 2: "h11prim", 3: "h02"}
+
+
 def run_picard(args) -> dict:
     params = FamilyParams(args.p, args.a)
     excluded = excluded_fractions(params)
@@ -293,8 +298,7 @@ def run_picard(args) -> dict:
         "rho": rho_tilde - 1,
     }
     if args.hodge:
-        h20, h11, h02 = gs_hodge_counts(params)
-        record.update({"h20": h20, "h11prim": h11, "h02": h02})
+        record.update(zip(HODGE_LEVELS.values(), gs_hodge_counts(params)))
     if args.excluded:
         record["excluded_fractions"] = [
             rational_to_json(q) for q in sorted(excluded)
@@ -308,7 +312,9 @@ def _verify_picard(params: FamilyParams, record: dict) -> dict:
     """Recount everything from the matrix route with the exhaustive scan.
 
     This enumerates all of L0, so it checks the slice count of
-    ``picard_family`` as well as the early-exit scan on every member.
+    ``picard_family`` as well as the early-exit scan on every member, and,
+    when the record has them, the closed-form Hodge levels of
+    ``gs_hodge_counts`` against the members' entry sums.
     """
     members = enumerate_L0(*shioda_vectors(adjugate(params.matrix)))
     if len(members) != record["L0_count"]:
@@ -323,6 +329,13 @@ def _verify_picard(params: FamilyParams, record: dict) -> dict:
         lam += slow
     if lam != record["lambda"]:
         raise VerificationError(f"lambda {lam} != {record['lambda']}")
+    if "h20" in record:
+        levels = Counter(
+            HODGE_LEVELS[sum(v.numerators) // v.modulus] for v in members
+        )
+        for name in HODGE_LEVELS.values():
+            if levels[name] != record[name]:
+                raise VerificationError(f"{name} {levels[name]} != {record[name]}")
     return {"status": "match", "vectors_checked": len(members)}
 
 

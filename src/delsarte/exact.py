@@ -28,6 +28,11 @@ RationalLike = Union[int, Fraction]
 # "/digits"; Fraction itself would also take decimals and exponents
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
+# Longest numerator or denominator accepted, in digits.  The genus-one
+# report prints integers several times longer than the coefficients (the
+# discriminant and j), and str() of an int stops at 4,300 digits.
+MAX_DIGITS = 256
+
 
 # ---------------------------------------------------------------------------
 # Rational <-> JSON text
@@ -37,21 +42,29 @@ def parse_rational(value: Union[int, str]) -> Fraction:
     """Parse a rational from its JSON form: an int, or a string "p/q" or "p".
 
     Floats are rejected on purpose -- every quantity in this package is exact
-    -- and so are decimal and exponent strings such as "0.5" or "1e5".
+    -- and so are decimal and exponent strings such as "0.5" or "1e5", and
+    rationals whose numerator or denominator in lowest terms has more than
+    MAX_DIGITS digits.
     """
     if isinstance(value, bool):
         raise ValidationError(f"not a rational: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+        q = Fraction(value)
+    elif isinstance(value, str):
         text = value.strip()
         if not _RATIONAL_TEXT.fullmatch(text):
             raise ValidationError(f"not a rational: {value!r}")
         try:
-            return Fraction(text)
+            q = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational: {value!r}") from exc
-    raise ValidationError(f"not a rational: {value!r} (floats are not accepted)")
+    else:
+        raise ValidationError(f"not a rational: {value!r} (floats are not accepted)")
+    if max(abs(q.numerator), q.denominator) >= 10**MAX_DIGITS:
+        raise ValidationError(
+            f"a numerator or denominator has more than {MAX_DIGITS} digits"
+        )
+    return q
 
 
 def format_rational(q: RationalLike) -> str:

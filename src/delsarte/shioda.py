@@ -23,17 +23,26 @@ onto the slice i.  Unit scaling preserves both L0 and Lambda, so every
 slice has as many members outside Lambda as the first, and rho of the
 smooth model is 2 + (p - 1) times the number of excluded j-fractions of
 that slice.
-``picard --verify`` does not rely on this: it enumerates all of L0 from
-the adjugate of the family's exponent matrix and rescans every member with
-the exhaustive scan.
+
+The Hodge levels need no scan at all.  Write c = ap + 2ai, so ap < c < 3ap
+and the member's entry sum is c + j + k = 2ap * ceil((c + j) / 2ap).  With
+lo, r = divmod(c, 2ap) (r is never 0, since 2ai = ap would make p even),
+the j below 2ap - r sit at level q = lo + 1, j = 2ap - r gives k = 0, and
+the j above sit at level lo + 2: slice i puts 2ap - r - 1 characters at
+level lo + 1 and r - 1 at level lo + 2.
+
+``picard --verify`` relies on neither: it enumerates all of L0 from the
+adjugate of the family's exponent matrix, rescans every member with the
+exhaustive scan and recounts the Hodge levels from the members' entry sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import SingularMatrixError, ValidationError
 from .exact import Adjugate
@@ -182,18 +191,32 @@ def enumerate_L0(
     """All-nonzero members of the subgroup generated by v1, v2, v3.
 
     The sums are taken on numerators over the lcm D of the generator moduli.
+    The group is closed one generator g at a time: the cosets H + g,
+    H + 2g, ... of the group H so far are added until a multiple of g lands
+    in H, so the work is O(|L|) rather than the product of the moduli.  The
+    members are held as four columns of numerators.
     """
     d = lcm(v1.modulus, v2.modulus, v3.modulus)
-    g1, g2, g3 = (
-        tuple(n * (d // v.modulus) for n in v.numerators) for v in (v1, v2, v3)
+    columns: list[list[int]] = [[0], [0], [0], [0]]
+    for v in (v1, v2, v3):
+        g = tuple(n * (d // v.modulus) for n in v.numerators)
+        subgroup = set(zip(*columns))
+        coset = [list(column) for column in columns]
+        multiple = g
+        while multiple not in subgroup:
+            coset = [[(x + c) % d for x in column] for column, c in zip(coset, g)]
+            for column, added in zip(columns, coset):
+                column.extend(added)
+            multiple = tuple((x + c) % d for x, c in zip(multiple, g))
+    return frozenset(
+        CharacterVector(n, d) for n in zip(*columns) if 0 not in n
     )
-    members: set[tuple[int, ...]] = set()
-    for i in range(v1.modulus):
-        for k in range(v2.modulus):
-            base = [i * x + k * y for x, y in zip(g1, g2)]
-            for j in range(v3.modulus):
-                members.add(tuple((b + j * z) % d for b, z in zip(base, g3)))
-    return frozenset(CharacterVector(n, d) for n in members if 0 not in n)
+
+
+@lru_cache(maxsize=256)
+def _units(modulus: int) -> tuple[int, ...]:
+    """The t in [1, modulus] prime to ``modulus``, ascending."""
+    return tuple(t for t in range(1, modulus + 1) if gcd(t, modulus) == 1)
 
 
 def _integer_verdict(
@@ -207,9 +230,7 @@ def _integer_verdict(
     order_gcd = gcd(denominator, *numerators)
     modulus = denominator // order_gcd
     target = 2 * denominator
-    for t in range(1, modulus + 1):
-        if gcd(t, modulus) != 1:
-            continue
+    for t in _units(modulus):
         total = sum((t * n) % denominator for n in numerators)
         if total != target:
             return True, t
@@ -253,17 +274,6 @@ def lefschetz_number(adjugate: Adjugate) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _family_vectors(params: FamilyParams) -> Iterator[tuple[int, int, int, int]]:
-    """Numerators over 2ap of the L0 members (ap, 2ai, j, k), k forced."""
-    a, p, d = params.a, params.p, params.weight
-    for i in range(1, p):
-        for j in range(1, d):
-            k = -(a * p + 2 * a * i + j) % d
-            if k == 0:
-                continue
-            yield (a * p, 2 * a * i, j, k)
-
-
 def family_L0_count(params: FamilyParams) -> int:
     return (params.p - 1) * (params.weight - 2)
 
@@ -294,11 +304,12 @@ def excluded_fractions(params: FamilyParams) -> set[Fraction]:
 
 
 def gs_hodge_counts(params: FamilyParams) -> tuple[int, int, int]:
-    """(h20, h11_prim, h02): L0 characters grouped by entry sum q = 1, 2, 3."""
-    d = params.weight
+    """(h20, h11_prim, h02): L0 characters grouped by entry sum q = 1, 2, 3,
+    counted slice by slice in closed form (see the module docstring)."""
+    a, p, d = params.a, params.p, params.weight
     counts = {1: 0, 2: 0, 3: 0}
-    for numerators in _family_vectors(params):
-        total = sum(numerators)
-        assert total % d == 0
-        counts[total // d] += 1
+    for i in range(1, p):
+        lo, r = divmod(a * p + 2 * a * i, d)
+        counts[lo + 1] += d - r - 1
+        counts[lo + 2] += r - 1
     return counts[1], counts[2], counts[3]

@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,18 @@ def test_analyze_verify_reports_the_oracle_polynomial(capsys):
     assert report["verify"]["polynomial"] == "27*t**2 + 4*t"
 
 
+def test_analyze_shioda_on_a_large_lattice_is_fast(capsys):
+    # |det A| = 1008 but the generator moduli multiply to 2,985,984: the
+    # coset closure lists L in O(|L|) steps, where a loop over every
+    # combination of the generators' multiples took seconds
+    surface = '{"monomials": [[2,0,5,0],[6,0,1,0],[0,1,0,6],[1,6,0,0]]}'
+    start = time.perf_counter()
+    report = run_json(capsys, "analyze", surface, "--shioda")
+    elapsed = time.perf_counter() - start
+    assert report["shioda"] == {"lambda": 114}
+    assert elapsed < 1.0
+
+
 def test_analyze_shioda_section_with_h2(capsys):
     report = run_json(
         capsys, "analyze", CUBIC_WITH_SECTION, "--shioda", "--h2", "10"
@@ -224,6 +237,12 @@ def test_picard_verify_recounts_from_the_matrix(capsys):
     record = run_json(capsys, "picard", "--p", "3", "--a", "1", "--verify")
     assert record["verify"] == {"status": "match", "vectors_checked": 8}
     assert record["rho_tilde"] == 10
+
+
+def test_picard_verify_rechecks_the_hodge_levels(capsys):
+    record = run_json(capsys, "picard", "--p", "5", "--a", "3", "--verify", "--hodge")
+    assert record["verify"] == {"status": "match", "vectors_checked": 112}
+    assert (record["h20"], record["h11prim"], record["h02"]) == (10, 92, 10)
 
 
 def test_threads_is_a_usage_error(capsys):
@@ -301,6 +320,40 @@ def test_invalid_surface_exits_3(capsys):
         assert "invalid input" in err
 
 
+def coefficient_inputs(surface: str, value) -> list[str]:
+    """The surface with ``value`` as the coefficient of each monomial in
+    turn, the others 1."""
+    rows = json.loads(surface)["monomials"]
+    inputs = []
+    for index in range(4):
+        coefficients = [1, 1, 1, 1]
+        coefficients[index] = value
+        inputs.append(json.dumps({"monomials": rows, "coefficients": coefficients}))
+    return inputs
+
+
+def test_coefficients_at_the_digit_bound_are_analyzed(capsys):
+    # the genus-one report prints the discriminant and j, whose integers are
+    # about twelve times as long as the coefficients
+    longest = "9" * 256
+    for value in (longest, "1/" + longest, -int(longest)):
+        for source in coefficient_inputs(CUBIC_WITH_SECTION, value):
+            report = run_json(capsys, "analyze", source)
+            assert "genus_one" in report
+
+
+def test_coefficients_past_the_digit_bound_exit_3(capsys):
+    # one digit past the bound, and a 901-digit coefficient whose
+    # discriminant string would pass Python's 4,300-digit limit for str()
+    for value in ("1" + "0" * 256, "1/" + "1" * 257, -(10**256), "7" * 901):
+        for source in coefficient_inputs(CUBIC_WITH_SECTION, value):
+            code, out, err = run_cli(capsys, "analyze", source)
+            assert code == 3, (value, source)
+            assert out == ""
+            assert "more than 256 digits" in err
+            assert "Traceback" not in err
+
+
 def test_genus_zero_surface_exits_3(capsys):
     code, out, err = run_cli(capsys, "analyze", GENUS_ZERO)
     assert code == 3
@@ -347,6 +400,21 @@ def test_picard_verify_catches_a_slice_missing_a_fraction(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "verification failed: lambda 140 != 150" in err
+
+
+def test_picard_verify_catches_a_hodge_level_off_by_one(capsys, monkeypatch):
+    # the closed form moves one character from level 1 to level 2
+    real = cli.gs_hodge_counts
+
+    def off_by_one(params):
+        h20, h11, h02 = real(params)
+        return h20 - 1, h11 + 1, h02
+
+    monkeypatch.setattr(cli, "gs_hodge_counts", off_by_one)
+    code, out, err = run_cli(capsys, *PICARD_VERIFY, "--hodge")
+    assert code == 1
+    assert out == ""
+    assert "verification failed: h20 " in err
 
 
 def test_picard_verify_catches_a_flipped_early_exit_verdict(capsys, monkeypatch):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from delsarte.errors import RankDeficiencyError, ValidationError
 from delsarte.exact import (
+    MAX_DIGITS,
     adjugate,
     format_rational,
     left_kernel_normalized,
@@ -127,6 +128,25 @@ def test_parse_rational_accepts_ints_and_strings():
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(ValidationError):
         parse_rational(bad)
+
+
+def test_parse_rational_bounds_the_digits():
+    # numerator and denominator in lowest terms, as ints or as text
+    largest = 10**MAX_DIGITS - 1
+    accepted = (
+        largest, -largest, str(largest), f"-1/{largest}", f"{10 * largest}/10",
+        "0" * 300 + "1",
+    )
+    for value in accepted:
+        q = parse_rational(value)
+        assert max(abs(q.numerator), q.denominator) <= largest
+    rejected = (
+        largest + 1, -largest - 1, str(largest + 1), f"1/{largest + 1}",
+        f"{largest + 1}/{largest}",
+    )
+    for value in rejected:
+        with pytest.raises(ValidationError, match=f"more than {MAX_DIGITS} digits"):
+            parse_rational(value)
 
 
 @given(st.integers(-10**9, 10**9), st.integers(1, 10**6))

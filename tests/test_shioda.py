@@ -2,8 +2,10 @@
 
 The early-exit unit scan is validated against the exhaustive reference scan
 on whole small lattices, and both against a ``Fraction`` reference; the
-one-slice family count is validated against the count over every member of
-L0 (``shioda_oracle.py``).
+one-slice family count and the closed-form Hodge levels are validated
+against walks over every member of L0, and the coset closure of L against
+the loop over every combination of the generators' multiples
+(``shioda_oracle.py``).
 """
 
 import random
@@ -35,8 +37,10 @@ from delsarte.shioda import (
 )
 from shioda_oracle import (
     character_vector,
+    enumerate_L0_product,
     frac_part,
     fraction_exhaustive_sums,
+    hodge_counts_all_vectors,
     picard_family_all_vectors,
 )
 
@@ -128,6 +132,35 @@ def test_L0_counts():
 def test_L0_of_trivial_generators():
     zero = character_vector([0, 0, 0, 0])
     assert enumerate_L0(zero, zero, zero) == frozenset()
+
+
+def test_L0_closure_matches_the_product_loop():
+    # Seeded differential test of the coset closure against the loop over
+    # every combination of the generators' multiples: 60 random exponent
+    # matrices of degree 3-9 with |det A| >= 30 and a moduli product small
+    # enough for the loop, then family matrices.
+    rng = random.Random(9091)
+    matrices = []
+    while len(matrices) < 60:
+        degree = rng.randint(3, 9)
+        rows = []
+        for _ in range(4):
+            cuts = sorted(rng.randint(0, degree) for _ in range(3))
+            rows.append([b - a for a, b in zip([0] + cuts, cuts + [degree])])
+        adj = adjugate(rows)
+        if abs(adj[0]) < 30:
+            continue
+        moduli = [v.modulus for v in shioda_vectors(adj)]
+        if moduli[0] * moduli[1] * moduli[2] <= 200_000:
+            matrices.append(rows)
+    matrices += [FamilyParams(p, a).matrix for p, a in [(3, 1), (5, 2), (7, 3), (11, 1)]]
+    sizes = set()
+    for rows in matrices:
+        generators = shioda_vectors(adjugate(rows))
+        closure = enumerate_L0(*generators)
+        assert closure == enumerate_L0_product(*generators), rows
+        sizes.add(len(closure))
+    assert len(sizes) > 15  # the draws are not all one small lattice
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +378,30 @@ def test_hodge_counts_rational_case():
     assert gs_hodge_counts(FamilyParams(3, 1)) == (0, 8, 0)
 
 
+# the benchmark's grid (odd primes p <= 43, a <= 10), two larger primes with
+# a <= 12, and the large member of the acceptance criteria
+HODGE_GRID = (
+    [
+        (p, a)
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+        for a in range(1, 11)
+    ]
+    + [(p, a) for p in (47, 101) for a in range(1, 13)]
+    + [(101, 30)]
+)
+
+
 def test_hodge_totals_and_symmetry():
-    for p, a in [(3, 2), (5, 1), (5, 3), (7, 1), (11, 1), (13, 2)]:
+    for p, a in HODGE_GRID:
         params = FamilyParams(p, a)
         h20, h11, h02 = gs_hodge_counts(params)
-        assert h20 + h11 + h02 == family_L0_count(params)
-        assert h20 == h02
+        assert h20 + h11 + h02 == family_L0_count(params), (p, a)
+        assert h20 == h02, (p, a)
+
+
+def test_hodge_closed_form_matches_the_walk_over_L0():
+    for p, a in HODGE_GRID:
+        assert gs_hodge_counts(FamilyParams(p, a)) == hodge_counts_all_vectors(p, a), (p, a)
 
 
 # ---------------------------------------------------------------------------
