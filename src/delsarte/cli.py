@@ -157,7 +157,7 @@ def _genus_one_json(minimal, trichotomy, locus) -> Optional[dict]:
         "j": str(inv.j),
         "fibers": [
             _fiber_json("0", section.at_zero),
-            _fiber_json(str(section.orbit), section.away),
+            _fiber_json(str(section.orbit.as_expr()), section.away),
             _fiber_json("infinity", section.at_infinity),
         ],
         "verdict": _verdict_json(verdict),

@@ -3,11 +3,12 @@
 Everything is exact.  Models live over Q(t): the five coefficients are sympy
 expressions in t, the invariants are computed by the standard b/c formulas
 (with the two classical identities asserted on every call), and places of the
-base line are rational numbers, the point at infinity, or a polynomial whose
-roots form one Galois orbit.  ``weierstrass_invariants`` also keeps c4, c6
-and delta as reduced fractions of polynomials in t, and ``kodaira_type``
-reads its valuations off those, so one model's invariants are computed once
-however many places are classified.
+base line are rational numbers, the point at infinity, or a squarefree
+polynomial whose roots share one fiber type (each cofactor left by repeated
+division is prime to it; nothing is factored).  ``weierstrass_invariants``
+also keeps c4, c6 and delta as reduced fractions of polynomials in t, and
+``kodaira_type`` reads its valuations off those, so one model's invariants
+are computed once however many places are classified.
 
 The classification at a place uses the characteristic-zero correspondence
 between Kodaira symbols and the valuations (v(c4), v(c6), v(delta)) of the
@@ -15,8 +16,9 @@ minimal model there; minimality is reached by shifting with the largest
 k <= min(v4/4, v6/6, vd/12), which in residue characteristic zero is the
 whole of Tate's algorithm.
 
-``genus_one_section`` computes each genus-one quantity once; its verdict's
-gamma is ``gamma`` of the fiber table (the away orbit as k4 places) over k4.
+``genus_one_section`` computes each genus-one quantity once (psi from the
+cyclic-cover form, nu from the away fiber); its verdict's gamma is ``gamma``
+of the fiber table (the away orbit as k4 places) over k4.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .singular import (
     SingularLocus,
     Superelliptic,
     SuperellipticForm,
-    Trichotomy,
     classify_trichotomy,
     rational_to_sympy,
     singular_locus,
@@ -165,20 +166,25 @@ def kodaira_fiber(symbol: str) -> KodairaFiber:
     raise ValidationError(f"unknown Kodaira symbol {symbol!r}")
 
 
-Place = Union[Fraction, sympy.Expr]
+Place = Union[Fraction, sympy.Expr, sympy.Poly]
 
 
 def _multiplicity(p: sympy.Poly, pi: sympy.Poly) -> int:
+    """The exponent of the squarefree ``pi`` in ``p``, which every root of
+    ``pi`` must share: the cofactor is prime to ``pi`` (asserted)."""
     n = 0
     while True:
         q, r = sympy.div(p, pi)
         if not r.is_zero:
-            return n
+            break
         p, n = q, n + 1
+    assert pi.degree() == 1 or r.gcd(pi).degree() == 0, "places disagree"
+    return n
 
 
 def _valuation(fraction: TFraction, place: Place):
-    """Order of vanishing at a place of P^1; sympy.oo for the zero function."""
+    """Order of vanishing at a place of P^1 (a polynomial place is a
+    squarefree Poly in t); sympy.oo for the zero function."""
     num, den = fraction
     if num.is_zero:
         return sympy.oo
@@ -187,10 +193,8 @@ def _valuation(fraction: TFraction, place: Place):
     if isinstance(place, Fraction) and place == 0:  # monoms() run high to low
         return num.monoms()[-1][0] - den.monoms()[-1][0]
     if isinstance(place, Fraction):
-        pi = sympy.Poly(T_SYM - rational_to_sympy(place), T_SYM)
-    else:
-        pi = sympy.Poly(place, T_SYM)
-    return _multiplicity(num, pi) - _multiplicity(den, pi)
+        place = sympy.Poly(T_SYM - rational_to_sympy(place), T_SYM)
+    return _multiplicity(num, place) - _multiplicity(den, place)
 
 
 def _classify_valuations(v4, v6, vd) -> KodairaFiber:
@@ -232,26 +236,19 @@ def kodaira_type(inv: WeierstrassInvariants, place: Place) -> KodairaFiber:
     invariants are ``inv``, as in ``kodaira_type(weierstrass_invariants(model),
     Fraction(0))``.
 
-    ``place`` is a rational number, AT_INFINITY, or a polynomial in t whose
-    roots form one orbit (it is factored; the conjugate places must agree on
-    their valuation data, which is asserted).
+    ``place`` is a rational number, AT_INFINITY, or a polynomial in t (an
+    expression or a Poly), read as its squarefree part; all of its roots must
+    have the same valuation data (asserted).
     """
-    if place is AT_INFINITY or isinstance(place, Fraction):
-        factors = [place]
-    else:
-        _, parts = sympy.factor_list(sympy.sympify(place), T_SYM)
-        factors = [base for base, _ in parts if base.has(T_SYM)]
-        assert factors, "orbit place must involve t"
-    triples = {
-        (
-            _valuation(inv.c4_t, pi),
-            _valuation(inv.c6_t, pi),
-            _valuation(inv.delta_t, pi),
-        )
-        for pi in factors
-    }
-    assert len(triples) == 1, f"conjugate places disagree: {triples}"
-    return _classify_valuations(*triples.pop())
+    if not (place is AT_INFINITY or isinstance(place, Fraction)):
+        place = sympy.Poly(place, T_SYM).sqf_part()
+        if place.degree() < 1:  # raised, not asserted: division would not end
+            raise AssertionError("orbit place must involve t")
+    return _classify_valuations(
+        _valuation(inv.c4_t, place),
+        _valuation(inv.c6_t, place),
+        _valuation(inv.delta_t, place),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +346,22 @@ def _double_cover_model(psi: sympy.Expr) -> WeierstrassModel:
 def genus_one_weierstrass(
     minimal: MinimalFibration, form: Optional[SuperellipticForm] = None
 ) -> WeierstrassModel:
-    """Weierstrass model of a genus-one minimal fibration, when the equation
-    is (or straightens to) a double cover y^2 = cubic-or-quartic; raises
-    NotConvertibleError otherwise.
+    """Weierstrass model of a genus-one minimal fibration that is a double
+    cover y^2 = cubic-or-quartic; raises NotConvertibleError otherwise.
 
-    Any shape other than y^2 + (y-free terms) needs ``form``, the cyclic-cover
-    normal form of a superelliptic trichotomy.
+    ``form``, the cyclic-cover normal form of a superelliptic trichotomy,
+    gives psi.  Without it only a direct y^2 + (y-free terms) shape is read;
+    where both apply they give the same model.
     """
-    psi = _psi_direct(minimal)
-    if psi is None:
-        if form is None:
+    if form is None:
+        psi = _psi_direct(minimal)
+        if psi is None:
             raise NotConvertibleError("no y^2-in-x shape and no cyclic-cover structure")
-        if form.cover_exponent != 2:
-            raise NotConvertibleError(
-                f"cyclic cover of exponent {form.cover_exponent}, not 2"
-            )
+    elif form.cover_exponent != 2:
+        raise NotConvertibleError(
+            f"cyclic cover of exponent {form.cover_exponent}, not 2"
+        )
+    else:
         psi = form.psi_expr(X_SYM, T_SYM)
     return _double_cover_model(psi)
 
@@ -418,11 +416,11 @@ def _isotrivial_j(minimal: MinimalFibration) -> Optional[Fraction]:
 class GenusOneSection:
     """The genus-one data of one fibration, each part computed once: the
     Weierstrass model, its invariants, the fibers at 0, over the away orbit
-    ``orbit`` (t^k4 - c) and at infinity, and the verdict."""
+    ``orbit`` (t^k4 - c, a Poly in t) and at infinity, and the verdict."""
 
     model: WeierstrassModel
     invariants: WeierstrassInvariants
-    orbit: sympy.Expr
+    orbit: sympy.Poly
     at_zero: KodairaFiber
     away: KodairaFiber
     at_infinity: KodairaFiber
@@ -431,53 +429,48 @@ class GenusOneSection:
 
 def _base_change_verdict(
     inv: WeierstrassInvariants,
-    locus: SingularLocus,
+    k4: int,
+    orbit: sympy.Poly,
     at_zero: KodairaFiber,
     away: KodairaFiber,
     at_infinity: KodairaFiber,
 ) -> BaseChangeOfGammaLessOne:
     """The gamma verdict of a nonconstant-j family from its fiber table.
 
-    The away fibers must be multiplicative (asserted); the quotient by
-    t -> t^{k4} has a single away fiber I_nu, and its gamma is this table's
-    (k4 away places) over k4, 1 - (nu + n0/k4 + n_inf/k4)/6, the
-    divisibilities being consequences of j living in Q(t^{k4}) (asserted too).
+    The away fibers, over ``orbit`` = t^k4 - c, must be multiplicative, I_nu
+    (asserted); the quotient by t -> t^{k4} has a single away fiber I_nu, and
+    its gamma is this table's (k4 away places) over k4, 1 - (nu + n0/k4 +
+    n_inf/k4)/6, the divisibilities being consequences of j living in
+    Q(t^{k4}) (asserted too).
     """
-    k4 = locus.exponent
     assert _exponents_multiple_of(inv.j, k4), "j must be a function of t^k4"
+    nu = away.n
+    assert nu >= 1 and away.symbol == f"I{nu}", "away fiber of a nonconstant-j family"
 
     # delta = unit * t^m * (t^k4 - c)^nu exactly
     num, den = inv.delta_t
-    assert len(den.monoms()) == 1
-    orbit = locus.polynomial()
-    nu = _multiplicity(num, orbit)
-    assert nu >= 1, "away locus must divide the discriminant"
-    rest = sympy.div(num, orbit**nu)[0]
+    rest, remainder = sympy.div(num, orbit**nu)
+    assert len(den.monoms()) == 1 and remainder.is_zero
     assert len(rest.monoms()) == 1, "discriminant has roots outside {0, away orbit}"
 
-    assert away.symbol == f"I{nu}", "away fiber of a nonconstant-j family"
     assert at_zero.n % k4 == 0 and at_infinity.n % k4 == 0
     quotient_gamma = gamma(at_zero, at_infinity, [(away, k4)]) / k4
     return BaseChangeOfGammaLessOne(quotient_gamma, away, k4, at_zero, at_infinity)
 
 
 def genus_one_section(
-    minimal: MinimalFibration, trichotomy: Trichotomy, locus: SingularLocus
+    minimal: MinimalFibration, trichotomy: Superelliptic, locus: SingularLocus
 ) -> GenusOneSection:
     """Model, invariants, fiber table and verdict of a genus-one fibration.
 
-    ``trichotomy`` and ``locus`` are those of ``minimal`` (the locus must not
-    be degenerate; its exponent is k4).  Raises NotConvertibleError when the
-    fibration has no Weierstrass model here.
+    ``trichotomy`` is the superelliptic trichotomy of ``minimal``, whose
+    cyclic-cover form gives the model, and ``locus`` its locus (not
+    degenerate; its exponent is k4).  Raises NotConvertibleError when the
+    cover is not a double cover.
     """
-    if isinstance(trichotomy, SemistableAway):
-        # every k_i is nonzero: no cyclic-cover form, and no y^2 shape either
-        # (a monomial y^2 beside y-free ones would force its k_i to 0)
-        raise NotConvertibleError("no y^2-in-x shape and no cyclic-cover structure")
-    form = trichotomy.form if isinstance(trichotomy, Superelliptic) else None
-    model = genus_one_weierstrass(minimal, form)
+    model = genus_one_weierstrass(minimal, trichotomy.form)
     inv = weierstrass_invariants(model)
-    orbit = locus.polynomial().as_expr()
+    orbit = locus.polynomial()
     at_zero = kodaira_type(inv, Fraction(0))
     away = kodaira_type(inv, orbit)
     at_infinity = kodaira_type(inv, AT_INFINITY)
@@ -485,7 +478,9 @@ def genus_one_section(
         num, den = inv.j.as_numer_denom()
         verdict: FastenbergVerdict = ConstantJ(Fraction(int(num), int(den)))
     else:
-        verdict = _base_change_verdict(inv, locus, at_zero, away, at_infinity)
+        verdict = _base_change_verdict(
+            inv, locus.exponent, orbit, at_zero, away, at_infinity
+        )
     return GenusOneSection(model, inv, orbit, at_zero, away, at_infinity, verdict)
 
 
@@ -494,18 +489,22 @@ def fastenberg_check(minimal: MinimalFibration) -> FastenbergVerdict:
 
     Isotrivial shapes (j read off a direct y^2 model when there is one, else
     unknown) and superelliptic ones with a known constant j are answered
-    early; everything else is ``genus_one_section``'s verdict.
+    early; other superelliptic ones get ``genus_one_section``'s verdict, and
+    semistable-away ones raise NotConvertibleError.
     """
     plane = plane_model(minimal)
     locus = singular_locus(plane)
     trichotomy = classify_trichotomy(minimal, plane, locus)
     if isinstance(trichotomy, Isotrivial):
         return ConstantJ(_isotrivial_j(minimal))
-    if isinstance(trichotomy, Superelliptic):
-        if trichotomy.generic_genus != 1:
-            raise ValidationError(
-                f"genus-one pipeline on a genus-{trichotomy.generic_genus} fibration"
-            )
-        if trichotomy.constant_j is not None:
-            return ConstantJ(trichotomy.constant_j)
+    if isinstance(trichotomy, SemistableAway):
+        # every k_i is nonzero: no cyclic-cover form, and no y^2 shape either
+        # (a monomial y^2 beside y-free ones would force its k_i to 0)
+        raise NotConvertibleError("no y^2-in-x shape and no cyclic-cover structure")
+    if trichotomy.generic_genus != 1:
+        raise ValidationError(
+            f"genus-one pipeline on a genus-{trichotomy.generic_genus} fibration"
+        )
+    if trichotomy.constant_j is not None:
+        return ConstantJ(trichotomy.constant_j)
     return genus_one_section(minimal, trichotomy, locus).verdict

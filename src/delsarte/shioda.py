@@ -107,9 +107,6 @@ class CharacterVector:
         """The entries as fractions in [0, 1)."""
         return tuple(Fraction(n, self.modulus) for n in self.numerators)
 
-    def scaled(self, n: int) -> "CharacterVector":
-        return CharacterVector(tuple(n * e for e in self.numerators), self.modulus)
-
     def __str__(self) -> str:
         return _readable(self.numerators, self.modulus)
 

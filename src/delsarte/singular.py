@@ -31,8 +31,8 @@ fibrations three ways, by the shape of k:
    the single t given by the locus;
 2. some k_i = 0 (i < 4) -- the generic fiber is a cyclic cover u^a = psi(v)
    of the line, made explicit by ``superelliptic_form``;
-3. all k_i != 0 -- the away fibers are expected to be nodal; use
-   ``fiber_singularities_are_nodal`` to certify particular members.
+3. all k_i != 0 -- no cyclic-cover form exists, the away fibers are
+   expected to be nodal, and the branch carries the locus.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ if TYPE_CHECKING:
 # sympy bridge
 #
 # The closed-form locus and the trichotomy are integer arithmetic; only the
-# oracle, the nodality certificate and the expression builders below need
-# sympy, and they import it when they run.
+# oracle and the expression builders below need sympy, and they import it
+# when they run.
 # ---------------------------------------------------------------------------
 
 
@@ -130,8 +130,26 @@ class SingularLocus:
         return sympy.Poly(t**self.exponent - rational_to_sympy(self.value), t)
 
 
+# str() of an int stops at this many digits, and the locus value is printed
+_MAX_VALUE_DIGITS = 4300
+
+
 def _kernel_product(plane: PlaneModel) -> Fraction:
-    """prod k_i^{k_i} * gamma_i^{-k_i} over the nonzero kernel entries."""
+    """prod k_i^{k_i} * gamma_i^{-k_i} over the nonzero kernel entries.
+
+    Raises ValidationError, before any power is formed, when the numerator or
+    denominator of the product before cancelling could have more than
+    _MAX_VALUE_DIGITS digits; the bound adds up bit lengths.
+    """
+    bits = [0, 0]  # of the numerator and the denominator
+    for ki, coeff in zip(plane.kernel, plane.coefficients):
+        m, side = abs(ki), int(ki < 0)
+        bits[side] += m * (m.bit_length() + coeff.denominator.bit_length())
+        bits[1 - side] += m * abs(coeff.numerator).bit_length()
+    if max(bits) * 30103 > _MAX_VALUE_DIGITS * 100000:  # log10(2) < 0.30103
+        raise ValidationError(
+            f"the singular-locus value could have more than {_MAX_VALUE_DIGITS} digits"
+        )
     value = Fraction(1)
     for ki, coeff in zip(plane.kernel, plane.coefficients):
         if ki != 0:
@@ -555,33 +573,3 @@ def constant_j_value(form: SuperellipticForm) -> Fraction:
         raise ValidationError("constant j only applies to genus-one covers, a >= 3")
     assert a in (3, 4, 6)
     return Fraction(1728) if a == 4 else Fraction(0)
-
-
-# ---------------------------------------------------------------------------
-# Nodality certification (branch 3, individual fibers)
-# ---------------------------------------------------------------------------
-
-
-def fiber_singularities_are_nodal(plane: PlaneModel, t0: Fraction) -> bool:
-    """True when every singular point of the fiber over t0 is an ordinary
-    node (nondegenerate Hessian).
-
-    Checked exactly: in each of the three affine charts of the plane, the
-    system {g = 0, grad g = 0, det Hess g = 0} must be infeasible over the
-    complex numbers, which the Groebner basis decides.
-    """
-    import sympy
-
-    t, _, x, y, z = _symbols()
-    F = plane_curve_expr(plane).subs(t, rational_to_sympy(t0))
-    for g, (v1, v2) in (
-        (F.subs(z, 1), (x, y)),
-        (F.subs(y, 1), (x, z)),
-        (F.subs(x, 1), (y, z)),
-    ):
-        g1, g2 = g.diff(v1), g.diff(v2)
-        hess = g1.diff(v1) * g2.diff(v2) - g1.diff(v2) ** 2
-        basis = sympy.groebner([g, g1, g2, hess], v1, v2, order="grevlex")
-        if list(basis.exprs) != [sympy.Integer(1)]:
-            return False
-    return True

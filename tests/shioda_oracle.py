@@ -1,13 +1,14 @@
 """Reference routes for the character count, independent of the package's.
 
-``character_vector`` builds a character from ``Fraction`` entries;
-``frac_part`` and ``fraction_exhaustive_sums`` redo the Lambda test on
-``Fraction`` entries; ``picard_family_all_vectors`` is the family count that
-scans every member of L0 rather than one unit-orbit slice, and
-``hodge_counts_all_vectors`` the Hodge-level count that walks every member
-rather than using the closed form per slice; ``enumerate_L0_product`` lists
-the generated group by looping over every combination of the generators'
-multiples rather than closing it coset by coset.
+``character_vector`` builds a character from ``Fraction`` entries, and
+``scaled`` multiplies one by an integer; ``frac_part`` and
+``fraction_exhaustive_sums`` redo the Lambda test on ``Fraction`` entries;
+``picard_family_all_vectors`` is the family count that scans every member of
+L0 rather than one unit-orbit slice, and ``hodge_counts_all_vectors`` the
+Hodge-level count that walks every member rather than using the closed form
+per slice; ``enumerate_L0_product`` lists the generated group by looping over
+every combination of the generators' multiples rather than closing it coset
+by coset.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ def character_vector(values) -> CharacterVector:
     return CharacterVector(
         tuple(q.numerator * (d // q.denominator) for q in fractions), d
     )
+
+
+def scaled(vector: CharacterVector, n: int) -> CharacterVector:
+    """``n`` times the character ``vector``."""
+    return CharacterVector(tuple(n * e for e in vector.numerators), vector.modulus)
 
 
 def frac_part(q) -> Fraction:

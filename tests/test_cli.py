@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,23 +84,32 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
         [
             ("reduction", "plane_model"),
             ("singular", "classify_trichotomy"),
+            ("singular", "SingularLocus.polynomial"),
             ("elliptic", "genus_one_weierstrass"),
+            ("elliptic", "_psi_direct"),
             ("elliptic", "weierstrass_invariants"),
             ("elliptic", "kodaira_type"),
+            ("elliptic", "sympy.factor_list"),
         ],
     )
-    once = {
-        "plane_model": 1,
-        "classify_trichotomy": 1,
-        "genus_one_weierstrass": 1,
-        "weierstrass_invariants": 1,
-        "kodaira_type": 3,  # at 0, over the away orbit, at infinity
-    }
+    # psi comes from the trichotomy's cyclic-cover form alone, and the away
+    # orbit is one polynomial, divided into the invariants, never factored
+    once = Counter(
+        {
+            "plane_model": 1,
+            "classify_trichotomy": 1,
+            "SingularLocus.polynomial": 1,
+            "genus_one_weierstrass": 1,
+            "_psi_direct": 0,
+            "weierstrass_invariants": 1,
+            "kodaira_type": 3,  # at 0, over the away orbit, at infinity
+            "sympy.factor_list": 0,
+        }
+    )
     report = run_json(capsys, "analyze", CUBIC_WITH_SECTION)
     assert report["genus_one"]["gamma"] == "2/3"
     assert calls == once
 
-    # the Weierstrass step reuses the trichotomy's cyclic-cover form
     calls.clear()
     report = run_json(capsys, "analyze", ODD_ORDER_QUARTIC)
     assert report["genus_one"]["gamma"] == "5/6"
@@ -352,6 +362,17 @@ def test_coefficients_past_the_digit_bound_exit_3(capsys):
             assert out == ""
             assert "more than 256 digits" in err
             assert "Traceback" not in err
+
+
+def test_locus_value_past_the_str_limit_exits_3(capsys):
+    # unit coefficients at degree 60: the kernel (-1197, -1383, 1909, 671)
+    # makes prod k_i^{k_i} about 8,000 digits long, past Python's 4,300-digit
+    # limit for str(); the bound is read before the value is formed
+    surface = '{"monomials": [[50,0,5,5],[0,41,6,13],[1,2,40,17],[31,29,0,0]]}'
+    code, out, err = run_cli(capsys, "analyze", surface)
+    assert code == 3
+    assert out == ""
+    assert "singular-locus value could have more than 4300 digits" in err
 
 
 def test_genus_zero_surface_exits_3(capsys):

@@ -6,6 +6,7 @@ checks (total = 12 on a rational elliptic surface) guard against symbol-table
 typos.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,9 @@ from delsarte.elliptic import (
     weierstrass_invariants,
 )
 from delsarte.errors import NotConvertibleError, ValidationError
-from delsarte.reduction import reduce_to_minimal
+from delsarte.model import validate_surface
+from delsarte.reduction import plane_model, reduce_to_minimal
+from delsarte.singular import Superelliptic, classify_trichotomy, singular_locus
 
 
 def fibration(triples):
@@ -185,6 +188,14 @@ def test_orbit_place():
     with pytest.raises(AssertionError):
         kodaira_type(inv, sympy.Integer(3))  # no t in the place
 
+    # y^2 = x^3 - 3x + t: t^2 - 4 splits over Q, and both factors carry I1;
+    # t - 1 carries I0, so a place with roots 2, -2 and 1 has no one type
+    model = WeierstrassModel.short(a4=-3, a6=t)
+    inv = weierstrass_invariants(model)
+    assert kodaira_type(inv, t**2 - 4).symbol == "I1"
+    with pytest.raises(AssertionError):
+        kodaira_type(inv, (t**2 - 4) * (t - 1))
+
 
 # ---------------------------------------------------------------------------
 # gamma
@@ -247,6 +258,42 @@ def test_odd_order_quartic_route():
     assert verdict.away_fiber.symbol == "I1"
     assert verdict.at_infinity.symbol == "IV*"
     assert verdict.gamma == Fraction(5, 6)
+
+
+def test_direct_and_cyclic_cover_routes_agree():
+    # on y^2 plus three y-free monomials, psi read off the equation and psi
+    # from the trichotomy's cyclic-cover form give the same model, or the
+    # same refusal
+    def outcome(minimal, form=None):
+        try:
+            return genus_one_weierstrass(minimal, form)
+        except NotConvertibleError as exc:
+            return str(exc)
+
+    rng = random.Random(20121)
+    models = 0
+    for _ in range(150):
+        exponents = rng.sample(range(5), 3)
+        triples = [(0, 2, 0)] + [(e, 0, rng.randrange(4)) for e in exponents]
+        coefficients = [
+            Fraction(rng.choice([-7, -3, -2, -1, 1, 2, 5, 9]), rng.randrange(1, 8))
+            for _ in range(4)
+        ]
+        try:
+            rows = surface_from_affine_triples(triples).rows
+            surface = validate_surface(rows, coefficients)
+            if surface.is_degenerate:
+                continue
+            minimal = reduce_to_minimal(surface)
+            plane = plane_model(minimal)
+            trichotomy = classify_trichotomy(minimal, plane, singular_locus(plane))
+        except ValidationError:
+            continue
+        assert isinstance(trichotomy, Superelliptic)
+        direct = outcome(minimal)
+        assert direct == outcome(minimal, trichotomy.form)
+        models += isinstance(direct, WeierstrassModel)
+    assert models >= 100
 
 
 def test_not_convertible_shapes():
