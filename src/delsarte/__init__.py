@@ -13,7 +13,8 @@ __version__ = "0.1.0"
 
 # public name -> submodule that defines it
 _EXPORTS = {
-    "fastenberg_check": "elliptic",
+    "Report": "analysis",
+    "analyze": "analysis",
     "gamma": "elliptic",
     "genus_one_weierstrass": "elliptic",
     "kodaira_type": "elliptic",

@@ -1,0 +1,110 @@
+"""One call from a surface to everything ``delsarte analyze`` reports.
+
+``analyze`` runs the stages in order: the degeneracy check, the reduction
+to minimal form, the plane model, the singular locus, the trichotomy, the
+genus-one section, the Lefschetz number and the elimination oracle.  It
+computes each quantity once and returns them together as a ``Report``; a
+degenerate surface stops after its degeneracy verdict.  Only the genus-one
+section and ``verify`` load sympy.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
+
+from .errors import NotConvertibleError, VerificationError
+from .model import DelsarteSurface
+from .reduction import (
+    DegenerateVerdict,
+    MinimalFibration,
+    PlaneModel,
+    classify_degenerate,
+    plane_model,
+    reduce_to_minimal,
+)
+from .shioda import lefschetz_number
+from .singular import (
+    SingularLocus,
+    Superelliptic,
+    Trichotomy,
+    classify_trichotomy,
+    discriminant_oracle,
+    oracle_matches_locus,
+    singular_locus,
+)
+
+if TYPE_CHECKING:
+    import sympy
+
+    from .elliptic import GenusOneSection
+
+
+@dataclass(frozen=True)
+class Report:
+    """The analysis of one surface.
+
+    A degenerate surface has its ``degeneracy`` verdict and nothing else; a
+    nondegenerate one has ``degeneracy`` None and every stage from
+    ``minimal`` to ``trichotomy``.  ``genus_one`` is set for a genus-one
+    double cover, ``lefschetz`` when ``shioda`` asked for it, and ``oracle``
+    when ``verify`` asked for it and the locus is not degenerate (the closed
+    form it checks does not apply there).
+    """
+
+    surface: DelsarteSurface
+    degeneracy: Optional[DegenerateVerdict] = None
+    minimal: Optional[MinimalFibration] = None
+    plane: Optional[PlaneModel] = None
+    locus: Optional[SingularLocus] = None
+    trichotomy: Optional[Trichotomy] = None
+    genus_one: Optional[GenusOneSection] = None
+    lefschetz: Optional[int] = None
+    oracle: Optional[sympy.Poly] = None
+
+
+def analyze(
+    surface: DelsarteSurface, *, verify: bool = False, shioda: bool = False
+) -> Report:
+    """The ``Report`` of ``surface``.  ``shioda`` adds the Lefschetz number;
+    ``verify`` rechecks the closed-form locus against the elimination oracle
+    and raises VerificationError when they disagree."""
+    if surface.is_degenerate:
+        return Report(surface, degeneracy=classify_degenerate(surface))
+    minimal = reduce_to_minimal(surface)
+    plane = plane_model(minimal)
+    locus = singular_locus(plane)
+    trichotomy = classify_trichotomy(minimal, plane, locus)
+    genus_one = None
+    if isinstance(trichotomy, Superelliptic) and trichotomy.generic_genus == 1:
+        # the one stage of a plain analyze that needs sympy, so imported here
+        from .elliptic import genus_one_section
+
+        try:
+            genus_one = genus_one_section(trichotomy, locus)
+        except NotConvertibleError:  # not a double cover
+            pass
+    return Report(
+        surface,
+        minimal=minimal,
+        plane=plane,
+        locus=locus,
+        trichotomy=trichotomy,
+        genus_one=genus_one,
+        lefschetz=lefschetz_number(surface.adjugate) if shioda else None,
+        oracle=_verify_analysis(plane, locus) if verify else None,
+    )
+
+
+def _verify_analysis(plane: PlaneModel, locus: SingularLocus):
+    """The oracle polynomial, checked against the closed-form locus; None
+    for a degenerate locus, where the closed form does not apply."""
+    if locus.degenerate:
+        return None
+    oracle = discriminant_oracle(plane)
+    if not oracle_matches_locus(oracle, locus):
+        raise VerificationError(
+            f"discriminant oracle {oracle.as_expr()} does not match "
+            f"t^{locus.exponent} = {locus.value}"
+        )
+    return oracle

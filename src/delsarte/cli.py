@@ -1,19 +1,20 @@
 """Command-line front end: surface analysis and family Picard counts.
 
 Two commands.  ``analyze`` takes a surface description (a JSON file path,
-an inline JSON object, or ``-`` for standard input) and runs the full
-pipeline: validation, degeneracy check, reduction to minimal form, plane
-model, singular locus (with its away orbit), trichotomy, and — for
-genus-one fibrations with a Weierstrass reduction — discriminant, j, fiber
-table and the gamma verdict.  ``picard`` enumerates the character lattice
-of the double-cover family for given (p, a).
+an inline JSON object, or ``-`` for standard input), runs
+``delsarte.analyze`` on it and serializes the ``Report``: validation,
+degeneracy check, minimal form, plane model, singular locus (with its away
+orbit), trichotomy, and -- for genus-one fibrations with a Weierstrass
+reduction -- discriminant, j, fiber table and the gamma verdict.
+``picard`` enumerates the character lattice of the double-cover family for
+given (p, a).
 
 Output is a single JSON document on stdout with sorted keys; all numbers
 are integers or exact "p/q" strings, so identical invocations are
-byte-identical.  Exit codes: 2 for unreadable input or a command-line usage
-error, 3 for invalid input, 4 for valid surfaces outside the supported
-analysis shapes, 1 for a --verify mismatch (the oracle disagreeing with the
-closed form).
+byte-identical.  Exit codes: 2 for unreadable input, a closed stdout or a
+command-line usage error, 3 for invalid input, 4 for valid surfaces outside
+the supported analysis shapes, 1 for a --verify mismatch (the oracle
+disagreeing with the closed form).
 
 Only the genus-one section and --verify load sympy; ``picard`` and the
 integer stages of ``analyze`` run on the standard library alone.
@@ -22,41 +23,25 @@ integer stages of ``analyze`` run on the standard library alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
-from collections import Counter
 from pathlib import Path
-from typing import Optional
 
-from .errors import NotConvertibleError, UnsupportedShapeError, ValidationError
-from .exact import adjugate, rational_to_json
+from .analysis import analyze
+from .errors import UnsupportedShapeError, ValidationError, VerificationError
+from .exact import rational_to_json
 from .model import surface_from_json, surface_to_json
-from .reduction import classify_degenerate, plane_model, reduce_to_minimal
 from .shioda import (
+    HODGE_LEVELS,
     FamilyParams,
-    enumerate_L0,
     excluded_fractions,
-    exhaustive_sums,
     family_L0_count,
     gs_hodge_counts,
-    lambda_membership,
-    lefschetz_number,
     picard_family,
-    shioda_vectors,
+    verify_family,
 )
-from .singular import (
-    Isotrivial,
-    SemistableAway,
-    Superelliptic,
-    classify_trichotomy,
-    discriminant_oracle,
-    oracle_matches_locus,
-    singular_locus,
-)
-
-
-class VerificationError(Exception):
-    """A --verify oracle disagreed with the formula it was checking."""
 
 
 class UnreadableInputError(Exception):
@@ -81,13 +66,13 @@ def _locus_json(locus) -> dict:
 
 
 def _trichotomy_json(trichotomy) -> dict:
-    if isinstance(trichotomy, Isotrivial):
+    if trichotomy.branch == "isotrivial":
         return {
             "branch": trichotomy.branch,
             "duplicate_index": trichotomy.duplicate_index,
             "degeneration_value": rational_to_json(trichotomy.degeneration_value),
         }
-    if isinstance(trichotomy, Superelliptic):
+    if trichotomy.branch == "superelliptic":
         form = trichotomy.form
         return {
             "branch": trichotomy.branch,
@@ -107,7 +92,6 @@ def _trichotomy_json(trichotomy) -> dict:
                 else rational_to_json(trichotomy.constant_j)
             ),
         }
-    assert isinstance(trichotomy, SemistableAway)
     return {"branch": trichotomy.branch, "locus": _locus_json(trichotomy.locus)}
 
 
@@ -122,14 +106,8 @@ def _fiber_json(place: str, fiber) -> dict:
 
 
 def _verdict_json(verdict) -> dict:
-    from .elliptic import BaseChangeOfGammaLessOne, ConstantJ
-
-    if isinstance(verdict, ConstantJ):
-        return {
-            "kind": verdict.kind,
-            "j": None if verdict.j_value is None else rational_to_json(verdict.j_value),
-        }
-    assert isinstance(verdict, BaseChangeOfGammaLessOne)
+    if verdict.kind == "constant_j":
+        return {"kind": verdict.kind, "j": rational_to_json(verdict.j_value)}
     return {
         "kind": verdict.kind,
         "gamma": rational_to_json(verdict.gamma),
@@ -140,14 +118,7 @@ def _verdict_json(verdict) -> dict:
     }
 
 
-def _genus_one_json(minimal, trichotomy, locus) -> Optional[dict]:
-    # the one stage of a plain analyze that needs sympy, so imported here
-    from .elliptic import BaseChangeOfGammaLessOne, genus_one_section
-
-    try:
-        section = genus_one_section(minimal, trichotomy, locus)
-    except NotConvertibleError:
-        return None
+def _genus_one_json(section) -> dict:
     model, inv, verdict = section.model, section.invariants, section.verdict
     report = {
         "weierstrass": {
@@ -162,9 +133,18 @@ def _genus_one_json(minimal, trichotomy, locus) -> Optional[dict]:
         ],
         "verdict": _verdict_json(verdict),
     }
-    if isinstance(verdict, BaseChangeOfGammaLessOne):
+    if verdict.kind == "base_change_gamma_lt_one":
         report["gamma"] = rational_to_json(verdict.gamma)
     return report
+
+
+def _verify_json(oracle) -> dict:
+    if oracle is None:
+        return {
+            "oracle": "skipped",
+            "reason": "duplicate moving monomial: closed form does not apply",
+        }
+    return {"oracle": "match", "polynomial": str(oracle.as_expr())}
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +170,7 @@ def _load_surface_source(source: str) -> dict:
 
 def run_analyze(args) -> dict:
     surface = surface_from_json(_load_surface_source(args.surface))
+    result = analyze(surface, verify=args.verify, shioda=args.shioda)
     report: dict = {
         "input": surface_to_json(surface),
         "validation": {
@@ -197,8 +178,8 @@ def run_analyze(args) -> dict:
             "determinant": rational_to_json(surface.determinant()),
         },
     }
-    if surface.is_degenerate:
-        verdict = classify_degenerate(surface)
+    if result.degeneracy is not None:
+        verdict = result.degeneracy
         report["degeneracy"] = {
             "kind": verdict.kind,
             "direction": list(verdict.direction),
@@ -207,7 +188,7 @@ def run_analyze(args) -> dict:
         return report
     report["degeneracy"] = {"kind": "nondegenerate"}
 
-    minimal = reduce_to_minimal(surface)
+    minimal, plane, locus = result.minimal, result.plane, result.locus
     change = minimal.base_change
     report["minimal_form"] = {
         "equation": str(minimal.equation),
@@ -223,65 +204,34 @@ def run_analyze(args) -> dict:
             "degree": change.degree,
         },
     }
-
-    plane = plane_model(minimal)
     report["plane_model"] = {
         "exponents": [list(row) for row in plane.exponents],
         "degree": plane.degree,
     }
     report["kernel"] = list(plane.kernel)
-
-    locus = singular_locus(plane)
     report["singular_locus"] = _locus_json(locus)
     report["structure"] = {
         "exponent": locus.exponent,
         "value": rational_to_json(locus.value),
         "negation_invariant": locus.negation_invariant,
     }
-
-    trichotomy = classify_trichotomy(minimal, plane, locus)
-    report["trichotomy"] = _trichotomy_json(trichotomy)
-
-    if isinstance(trichotomy, Superelliptic) and trichotomy.generic_genus == 1:
-        section = _genus_one_json(minimal, trichotomy, locus)
-        if section is not None:
-            report["genus_one"] = section
-
+    report["trichotomy"] = _trichotomy_json(result.trichotomy)
+    if result.genus_one is not None:
+        report["genus_one"] = _genus_one_json(result.genus_one)
     if args.shioda:
-        lam = lefschetz_number(surface.adjugate)
-        shioda_section: dict = {"lambda": lam}
+        shioda_section: dict = {"lambda": result.lefschetz}
         if args.h2 is not None:
             shioda_section["h2"] = args.h2
-            shioda_section["rho"] = args.h2 - lam
+            shioda_section["rho"] = args.h2 - result.lefschetz
         report["shioda"] = shioda_section
-
     if args.verify:
-        report["verify"] = _verify_analysis(plane, locus)
+        report["verify"] = _verify_json(result.oracle)
     return report
-
-
-def _verify_analysis(plane, locus) -> dict:
-    if locus.degenerate:
-        return {
-            "oracle": "skipped",
-            "reason": "duplicate moving monomial: closed form does not apply",
-        }
-    oracle = discriminant_oracle(plane)
-    if not oracle_matches_locus(oracle, locus):
-        raise VerificationError(
-            f"discriminant oracle {oracle.as_expr()} does not match "
-            f"t^{locus.exponent} = {locus.value}"
-        )
-    return {"oracle": "match", "polynomial": str(oracle.as_expr())}
 
 
 # ---------------------------------------------------------------------------
 # picard
 # ---------------------------------------------------------------------------
-
-
-# the record's name for the L0 characters of each entry sum q = 1, 2, 3
-HODGE_LEVELS = {1: "h20", 2: "h11prim", 3: "h02"}
 
 
 def run_picard(args) -> dict:
@@ -297,46 +247,17 @@ def run_picard(args) -> dict:
         "rho_tilde": rho_tilde,
         "rho": rho_tilde - 1,
     }
-    if args.hodge:
-        record.update(zip(HODGE_LEVELS.values(), gs_hodge_counts(params)))
+    hodge = gs_hodge_counts(params) if args.hodge else None
+    if hodge is not None:
+        record.update(zip(HODGE_LEVELS.values(), hodge))
     if args.excluded:
         record["excluded_fractions"] = [
             rational_to_json(q) for q in sorted(excluded)
         ]
     if args.verify:
-        record["verify"] = _verify_picard(params, record)
+        checked = verify_family(params, count, record["lambda"], hodge)
+        record["verify"] = {"status": "match", "vectors_checked": checked}
     return record
-
-
-def _verify_picard(params: FamilyParams, record: dict) -> dict:
-    """Recount everything from the matrix route with the exhaustive scan.
-
-    This enumerates all of L0, so it checks the slice count of
-    ``picard_family`` as well as the early-exit scan on every member, and,
-    when the record has them, the closed-form Hodge levels of
-    ``gs_hodge_counts`` against the members' entry sums.
-    """
-    members = enumerate_L0(*shioda_vectors(adjugate(params.matrix)))
-    if len(members) != record["L0_count"]:
-        raise VerificationError(
-            f"L0 size {len(members)} != direct count {record['L0_count']}"
-        )
-    lam = 0
-    for vector in members:
-        slow = any(s != 2 for s in exhaustive_sums(vector).values())
-        if slow != lambda_membership(vector).in_lambda:
-            raise VerificationError(f"scan disagreement at {vector}")
-        lam += slow
-    if lam != record["lambda"]:
-        raise VerificationError(f"lambda {lam} != {record['lambda']}")
-    if "h20" in record:
-        levels = Counter(
-            HODGE_LEVELS[sum(v.numerators) // v.modulus] for v in members
-        )
-        for name in HODGE_LEVELS.values():
-            if levels[name] != record[name]:
-                raise VerificationError(f"{name} {levels[name]} != {record[name]}")
-    return {"status": "match", "vectors_checked": len(members)}
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +265,7 @@ def _verify_picard(params: FamilyParams, record: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parse_args returns a fresh Namespace, so one parser serves
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delsarte",
@@ -407,6 +329,14 @@ def main(argv=None) -> int:
             payload = run_analyze(args)
         else:
             payload = run_picard(args)
+        print(json.dumps(payload, sort_keys=True, indent=args.json_indent))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the flush at
+        # interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write output: stdout is closed", file=sys.stderr)
+        return 2
     except (UnreadableInputError, UnicodeDecodeError, OSError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
@@ -419,9 +349,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(payload, sort_keys=True, indent=args.json_indent))
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -25,24 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import sympy
 from sympy.abc import t as T_SYM
 from sympy.abc import x as X_SYM
 
 from .errors import NotConvertibleError, ValidationError
-from .reduction import MinimalFibration, plane_model
-from .singular import (
-    Isotrivial,
-    SemistableAway,
-    SingularLocus,
-    Superelliptic,
-    SuperellipticForm,
-    classify_trichotomy,
-    rational_to_sympy,
-    singular_locus,
-)
+from .singular import SingularLocus, Superelliptic, SuperellipticForm, rational_to_sympy
 
 AT_INFINITY = sympy.oo
 
@@ -278,30 +268,6 @@ def gamma(
 # ---------------------------------------------------------------------------
 
 
-def _psi_direct(minimal: MinimalFibration) -> Optional[sympy.Expr]:
-    """When one monomial is y^2 and the rest are y-free, the fibration reads
-    y^2 = psi(x, t) directly; returns psi or None."""
-    eq = minimal.equation
-    pairs = [(ex, ey) for _, (ex, ey, _) in eq.terms]
-    coeffs = [c for c, _ in eq.terms]
-    for i, pair in enumerate(pairs):
-        if pair != (0, 2):
-            continue
-        if any(ey != 0 for j, (_, ey) in enumerate(pairs) if j != i):
-            continue
-        lead = rational_to_sympy(coeffs[i]) * (T_SYM if i == 3 else 1)
-        psi = sympy.Integer(0)
-        for j, (ex, _) in enumerate(pairs):
-            if j == i:
-                continue
-            term = rational_to_sympy(coeffs[j]) * X_SYM**ex
-            if j == 3:
-                term *= T_SYM
-            psi += term
-        return sympy.cancel(-psi / lead)
-    return None
-
-
 def _double_cover_model(psi: sympy.Expr) -> WeierstrassModel:
     """Weierstrass model of u^2 = psi(v), psi in Q(t)[v] of genus one.
 
@@ -343,27 +309,16 @@ def _double_cover_model(psi: sympy.Expr) -> WeierstrassModel:
     )
 
 
-def genus_one_weierstrass(
-    minimal: MinimalFibration, form: Optional[SuperellipticForm] = None
-) -> WeierstrassModel:
-    """Weierstrass model of a genus-one minimal fibration that is a double
-    cover y^2 = cubic-or-quartic; raises NotConvertibleError otherwise.
-
-    ``form``, the cyclic-cover normal form of a superelliptic trichotomy,
-    gives psi.  Without it only a direct y^2 + (y-free terms) shape is read;
-    where both apply they give the same model.
-    """
-    if form is None:
-        psi = _psi_direct(minimal)
-        if psi is None:
-            raise NotConvertibleError("no y^2-in-x shape and no cyclic-cover structure")
-    elif form.cover_exponent != 2:
+def genus_one_weierstrass(form: SuperellipticForm) -> WeierstrassModel:
+    """Weierstrass model of a genus-one fibration from ``form``, the
+    cyclic-cover normal form u^a = psi(v) of its superelliptic trichotomy
+    (``classify_trichotomy(...).form``); raises NotConvertibleError unless
+    it is a double cover u^2 = cubic-or-quartic."""
+    if form.cover_exponent != 2:
         raise NotConvertibleError(
             f"cyclic cover of exponent {form.cover_exponent}, not 2"
         )
-    else:
-        psi = form.psi_expr(X_SYM, T_SYM)
-    return _double_cover_model(psi)
+    return _double_cover_model(form.psi_expr(X_SYM, T_SYM))
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +328,10 @@ def genus_one_weierstrass(
 
 @dataclass(frozen=True)
 class ConstantJ:
-    """All smooth fibers share one modulus; j may be unknown (None) for
-    isotrivial shapes with no recognized model."""
+    """All smooth fibers share one modulus, ``j_value``."""
 
     kind = "constant_j"
-    j_value: Optional[Fraction]
+    j_value: Fraction
 
 
 @dataclass(frozen=True)
@@ -398,18 +352,6 @@ FastenbergVerdict = Union[ConstantJ, BaseChangeOfGammaLessOne]
 
 def _exponents_multiple_of(expr: sympy.Expr, k: int) -> bool:
     return all(m[0] % k == 0 for part in _t_fraction(expr) for m in part.monoms())
-
-
-def _isotrivial_j(minimal: MinimalFibration) -> Optional[Fraction]:
-    """The constant j of an isotrivial fibration, or None when it has no
-    direct y^2 model to read j from."""
-    try:
-        inv = weierstrass_invariants(genus_one_weierstrass(minimal))
-    except (NotConvertibleError, ValidationError):
-        return None
-    if inv.j.has(T_SYM):  # moving coefficient absorbed: cannot happen
-        raise AssertionError("isotrivial family with nonconstant j")
-    return Fraction(int(inv.j.as_numer_denom()[0]), int(inv.j.as_numer_denom()[1]))
 
 
 @dataclass(frozen=True)
@@ -459,16 +401,15 @@ def _base_change_verdict(
 
 
 def genus_one_section(
-    minimal: MinimalFibration, trichotomy: Superelliptic, locus: SingularLocus
+    trichotomy: Superelliptic, locus: SingularLocus
 ) -> GenusOneSection:
     """Model, invariants, fiber table and verdict of a genus-one fibration.
 
-    ``trichotomy`` is the superelliptic trichotomy of ``minimal``, whose
-    cyclic-cover form gives the model, and ``locus`` its locus (not
-    degenerate; its exponent is k4).  Raises NotConvertibleError when the
-    cover is not a double cover.
+    ``trichotomy`` is a superelliptic trichotomy, whose cyclic-cover form
+    gives the model, and ``locus`` its locus (not degenerate; its exponent
+    is k4).  Raises NotConvertibleError when the cover is not a double cover.
     """
-    model = genus_one_weierstrass(minimal, trichotomy.form)
+    model = genus_one_weierstrass(trichotomy.form)
     inv = weierstrass_invariants(model)
     orbit = locus.polynomial()
     at_zero = kodaira_type(inv, Fraction(0))
@@ -482,29 +423,3 @@ def genus_one_section(
             inv, locus.exponent, orbit, at_zero, away, at_infinity
         )
     return GenusOneSection(model, inv, orbit, at_zero, away, at_infinity, verdict)
-
-
-def fastenberg_check(minimal: MinimalFibration) -> FastenbergVerdict:
-    """Constant j, or the gamma < 1 base-change verdict of the quotient.
-
-    Isotrivial shapes (j read off a direct y^2 model when there is one, else
-    unknown) and superelliptic ones with a known constant j are answered
-    early; other superelliptic ones get ``genus_one_section``'s verdict, and
-    semistable-away ones raise NotConvertibleError.
-    """
-    plane = plane_model(minimal)
-    locus = singular_locus(plane)
-    trichotomy = classify_trichotomy(minimal, plane, locus)
-    if isinstance(trichotomy, Isotrivial):
-        return ConstantJ(_isotrivial_j(minimal))
-    if isinstance(trichotomy, SemistableAway):
-        # every k_i is nonzero: no cyclic-cover form, and no y^2 shape either
-        # (a monomial y^2 beside y-free ones would force its k_i to 0)
-        raise NotConvertibleError("no y^2-in-x shape and no cyclic-cover structure")
-    if trichotomy.generic_genus != 1:
-        raise ValidationError(
-            f"genus-one pipeline on a genus-{trichotomy.generic_genus} fibration"
-        )
-    if trichotomy.constant_j is not None:
-        return ConstantJ(trichotomy.constant_j)
-    return genus_one_section(minimal, trichotomy, locus).verdict

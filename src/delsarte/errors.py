@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package.
 
-Two broad families matter to callers (and to the CLI exit-code mapping):
+Three families matter to callers (and to the CLI exit-code mapping):
 
 * ``ValidationError`` -- the input data itself is malformed or violates a
   documented precondition (wrong shape, inconsistent degrees, degenerate
@@ -9,6 +9,8 @@ Two broad families matter to callers (and to the CLI exit-code mapping):
   is outside the shape a particular routine handles (e.g. a fibration that
   still needs normalization, or a genus-1 family with no usable plane cubic
   or quartic model).
+* ``VerificationError`` -- a ``verify`` recount disagreed with the closed
+  form it checks.
 """
 
 
@@ -38,3 +40,7 @@ class DegenerateFibrationError(ValidationError):
 
 class NotConvertibleError(UnsupportedShapeError):
     """No Weierstrass model can be extracted from this equation shape."""
+
+
+class VerificationError(DelsarteError):
+    """A verify oracle disagreed with the formula it was checking."""

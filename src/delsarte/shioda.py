@@ -31,21 +31,24 @@ the j below 2ap - r sit at level q = lo + 1, j = 2ap - r gives k = 0, and
 the j above sit at level lo + 2: slice i puts 2ap - r - 1 characters at
 level lo + 1 and r - 1 at level lo + 2.
 
-``picard --verify`` relies on neither: it enumerates all of L0 from the
-adjugate of the family's exponent matrix, rescans every member with the
-exhaustive scan and recounts the Hodge levels from the members' entry sums.
+``verify_family`` (``picard --verify``) relies on neither: it enumerates
+all of L0 from the adjugate of the family's exponent matrix, rescans every
+member with the exhaustive scan and recounts the Hodge levels from the
+members' entry sums.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import SingularMatrixError, ValidationError, VerificationError
 from .exact import Adjugate
+from .exact import adjugate as integer_adjugate
 
 # Largest p accepted.  Miller-Rabin with the first twelve primes as
 # witnesses decides primality exactly below 3.18 * 10**23 (Sorenson and
@@ -310,3 +313,38 @@ def gs_hodge_counts(params: FamilyParams) -> tuple[int, int, int]:
         counts[lo + 1] += d - r - 1
         counts[lo + 2] += r - 1
     return counts[1], counts[2], counts[3]
+
+
+# the name of the L0 characters of each entry sum q = 1, 2, 3
+HODGE_LEVELS = {1: "h20", 2: "h11prim", 3: "h02"}
+
+
+def verify_family(
+    params: FamilyParams, L0_count: int, lam: int, hodge: Optional[tuple] = None
+) -> int:
+    """Recount a family member from the matrix route with the exhaustive
+    scan; returns the number of characters checked, and raises
+    VerificationError on the first disagreement.
+
+    This enumerates all of L0, so it checks ``L0_count``, the Lefschetz
+    number ``lam`` that the slice count of ``picard_family`` gives, and the
+    early-exit scan on every member; with ``hodge``, the levels of
+    ``gs_hodge_counts``, it checks those against the members' entry sums.
+    """
+    members = enumerate_L0(*shioda_vectors(integer_adjugate(params.matrix)))
+    if len(members) != L0_count:
+        raise VerificationError(f"L0 size {len(members)} != direct count {L0_count}")
+    slow_lam = 0
+    for vector in members:
+        slow = any(s != 2 for s in exhaustive_sums(vector).values())
+        if slow != lambda_membership(vector).in_lambda:
+            raise VerificationError(f"scan disagreement at {vector}")
+        slow_lam += slow
+    if slow_lam != lam:
+        raise VerificationError(f"lambda {slow_lam} != {lam}")
+    if hodge is not None:
+        levels = Counter(sum(v.numerators) // v.modulus for v in members)
+        for (q, name), count in zip(HODGE_LEVELS.items(), hodge):
+            if levels[q] != count:
+                raise VerificationError(f"{name} {levels[q]} != {count}")
+    return len(members)

@@ -5,7 +5,7 @@ subprocess tests check the ``python -m`` entry point for real and the pinned
 stdout of ``analyze`` under ``python -O``. The contract
 under test: a single sorted-key JSON document on stdout, byte-identical
 across runs, and the exit-code mapping (0 ok, 1 verify mismatch, 2 unreadable
-input or usage error, 3 invalid input, 4 unsupported shape).
+input, closed output or usage error, 3 invalid input, 4 unsupported shape).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import pytest
 
 from calls import count_calls
 from corpus import deterministic_corpus
-from delsarte import cli
+from delsarte import analysis, cli, shioda
 from digest import run_quietly
 from delsarte.errors import UnsupportedShapeError
 
@@ -83,10 +83,12 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
         monkeypatch,
         [
             ("reduction", "plane_model"),
+            ("singular", "singular_locus"),
             ("singular", "classify_trichotomy"),
             ("singular", "SingularLocus.polynomial"),
+            ("singular", "discriminant_oracle"),
+            ("exact", "adjugate"),
             ("elliptic", "genus_one_weierstrass"),
-            ("elliptic", "_psi_direct"),
             ("elliptic", "weierstrass_invariants"),
             ("elliptic", "kodaira_type"),
             ("elliptic", "sympy.factor_list"),
@@ -97,10 +99,12 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
     once = Counter(
         {
             "plane_model": 1,
+            "singular_locus": 1,
             "classify_trichotomy": 1,
             "SingularLocus.polynomial": 1,
+            "discriminant_oracle": 0,
+            "adjugate": 1,
             "genus_one_weierstrass": 1,
-            "_psi_direct": 0,
             "weierstrass_invariants": 1,
             "kodaira_type": 3,  # at 0, over the away orbit, at infinity
             "sympy.factor_list": 0,
@@ -114,6 +118,20 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
     report = run_json(capsys, "analyze", ODD_ORDER_QUARTIC)
     assert report["genus_one"]["gamma"] == "5/6"
     assert calls == once
+
+    # the Lefschetz number reuses the surface's adjugate, and the oracle the
+    # plane model and locus of the same analysis; the check that compares
+    # them builds the orbit polynomial and factors the oracle on its own
+    calls.clear()
+    report = run_json(capsys, "analyze", CUBIC_WITH_SECTION, "--shioda", "--verify")
+    assert report["verify"]["oracle"] == "match"
+    assert calls == once + Counter(
+        {
+            "discriminant_oracle": 1,
+            "SingularLocus.polynomial": 1,
+            "sympy.factor_list": 1,
+        }
+    )
 
 
 @pytest.mark.parametrize(
@@ -401,7 +419,7 @@ def test_unsupported_shape_maps_to_exit_4(capsys, monkeypatch):
 
 
 def test_verify_mismatch_exits_1_with_no_partial_json(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "oracle_matches_locus", lambda oracle, locus: False)
+    monkeypatch.setattr(analysis, "oracle_matches_locus", lambda oracle, locus: False)
     code, out, err = run_cli(capsys, "analyze", CUBIC_WITH_SECTION, "--verify")
     assert code == 1
     assert out == ""
@@ -439,7 +457,7 @@ def test_picard_verify_catches_a_hodge_level_off_by_one(capsys, monkeypatch):
 
 
 def test_picard_verify_catches_a_flipped_early_exit_verdict(capsys, monkeypatch):
-    real = cli.lambda_membership
+    real = shioda.lambda_membership
     flipped = []
 
     def flip_first(vector):
@@ -449,7 +467,7 @@ def test_picard_verify_catches_a_flipped_early_exit_verdict(capsys, monkeypatch)
         flipped.append(vector)
         return dataclasses.replace(verdict, in_lambda=not verdict.in_lambda)
 
-    monkeypatch.setattr(cli, "lambda_membership", flip_first)
+    monkeypatch.setattr(shioda, "lambda_membership", flip_first)
     code, out, err = run_cli(capsys, *PICARD_VERIFY)
     assert code == 1
     assert out == ""
@@ -462,6 +480,16 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main([])
     assert info.value.code == 2
+
+
+def test_two_main_calls_build_one_parser(capsys):
+    # each call still gets its own options: --hodge does not carry over
+    cli.build_parser.cache_clear()
+    first = run_json(capsys, "picard", "--p", "3", "--a", "2", "--hodge")
+    second = run_json(capsys, "picard", "--p", "3", "--a", "2")
+    assert "h20" in first and "h20" not in second
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +551,7 @@ def test_analyze_stdout_is_pinned():
 
 def test_analyze_stdout_is_pinned_under_optimize():
     # assert statements are stripped under -O; the bytes must not move
-    tests = str(Path(__file__).resolve().parent)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, tests, env.get("PYTHONPATH")) if p
-    )
+    env = entry_point_env(str(Path(__file__).resolve().parent))
     script = (
         "import json, sys\n"
         "from digest import stdout_digest\n"
@@ -551,11 +574,19 @@ def test_analyze_stdout_is_pinned_under_optimize():
 # ---------------------------------------------------------------------------
 
 
-def test_module_entry_point_round_trips():
-    # the child imports the package from where this process found it
+def entry_point_env(*extra: str) -> dict:
+    """The environment of a child that imports the package from where this
+    process found it, and ``extra`` directories besides."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, *extra, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def test_module_entry_point_round_trips():
+    env = entry_point_env()
     proc = subprocess.run(
         [sys.executable, "-m", "delsarte.cli", "picard", "--p", "5", "--a", "1"],
         capture_output=True,
@@ -566,3 +597,24 @@ def test_module_entry_point_round_trips():
     record = json.loads(proc.stdout)
     assert record["rho_tilde"] == 26
     assert proc.stdout.endswith("\n")
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # the reader of the pipe is gone before the child writes a byte
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "delsarte.cli", "analyze", CUBIC_WITH_SECTION,
+                "--json-indent", "2",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=entry_point_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write output: stdout is closed\n"

@@ -16,13 +16,13 @@ from sympy.abc import t, x
 
 from calls import count_calls
 from corpus import deterministic_corpus, surface_from_affine_triples
+from delsarte.analysis import analyze
 from delsarte.elliptic import (
     AT_INFINITY,
     BaseChangeOfGammaLessOne,
-    ConstantJ,
     KodairaFiber,
     WeierstrassModel,
-    fastenberg_check,
+    _double_cover_model,
     gamma,
     genus_one_weierstrass,
     kodaira_fiber,
@@ -31,12 +31,46 @@ from delsarte.elliptic import (
 )
 from delsarte.errors import NotConvertibleError, ValidationError
 from delsarte.model import validate_surface
-from delsarte.reduction import plane_model, reduce_to_minimal
-from delsarte.singular import Superelliptic, classify_trichotomy, singular_locus
+from delsarte.reduction import MinimalFibration, plane_model, reduce_to_minimal
+from delsarte.singular import (
+    SemistableAway,
+    Superelliptic,
+    classify_trichotomy,
+    rational_to_sympy,
+    singular_locus,
+)
 
 
-def fibration(triples):
-    return reduce_to_minimal(surface_from_affine_triples(triples))
+def trichotomy_of(minimal: MinimalFibration):
+    plane = plane_model(minimal)
+    return classify_trichotomy(minimal, plane, singular_locus(plane))
+
+
+def model_of(triples) -> WeierstrassModel:
+    """The Weierstrass model from the cyclic-cover form of the trichotomy."""
+    minimal = reduce_to_minimal(surface_from_affine_triples(triples))
+    return genus_one_weierstrass(trichotomy_of(minimal).form)
+
+
+def report_of(triples):
+    return analyze(surface_from_affine_triples(triples))
+
+
+def psi_direct(minimal: MinimalFibration) -> sympy.Expr:
+    """psi of a fibration whose equation is y^2 plus y-free monomials, read
+    off as y^2 = psi(x, t): the reference the cyclic-cover form is checked
+    against."""
+    eq = minimal.equation
+    pairs = [(ex, ey) for _, (ex, ey, _) in eq.terms]
+    coeffs = [c for c, _ in eq.terms]
+    i = pairs.index((0, 2))
+    assert all(ey == 0 for j, (_, ey) in enumerate(pairs) if j != i)
+    lead = rational_to_sympy(coeffs[i]) * (t if i == 3 else 1)
+    psi = sympy.Integer(0)
+    for j, (ex, _) in enumerate(pairs):
+        if j != i:
+            psi += rational_to_sympy(coeffs[j]) * x**ex * (t if j == 3 else 1)
+    return sympy.cancel(-psi / lead)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +150,7 @@ def test_fiber_table_rejects_garbage():
 
 
 def test_types_y2_x3_x2_t():
-    model = genus_one_weierstrass(fibration([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]))
+    model = model_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
     inv = weierstrass_invariants(model)
     assert kodaira_type(inv, Fraction(0)).symbol == "I1"
     assert kodaira_type(inv, Fraction(-4, 27)).symbol == "I1"
@@ -126,7 +160,7 @@ def test_types_y2_x3_x2_t():
 
 
 def test_types_y2_x3_x2_tx():
-    model = genus_one_weierstrass(fibration([(0, 2, 0), (3, 0, 0), (2, 0, 0), (1, 0, 1)]))
+    model = model_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (1, 0, 1)])
     inv = weierstrass_invariants(model)
     assert sympy.expand(inv.delta - 16 * t**2 * (1 - 4 * t)) == 0
     expected_j = 256 * (3 * t - 1) ** 3 / (4 * t**3 - t**2)
@@ -174,13 +208,13 @@ def test_euler_totals_of_first_two_families():
         ([(0, 2, 0), (3, 0, 0), (2, 0, 0), (1, 0, 1)],
          [Fraction(0), Fraction(1, 4), AT_INFINITY]),
     ]:
-        inv = weierstrass_invariants(genus_one_weierstrass(fibration(triples)))
+        inv = weierstrass_invariants(model_of(triples))
         assert sum(kodaira_type(inv, p).euler for p in parts) == 12
 
 
 def test_orbit_place():
     # y^2 = x^3 + x + t has its away fiber over the two roots of t^2 + 4/27
-    model = genus_one_weierstrass(fibration([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)]))
+    model = model_of([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)])
     inv = weierstrass_invariants(model)
     fiber = kodaira_type(inv, t**2 + sympy.Rational(4, 27))
     assert fiber.symbol == "I1"
@@ -223,7 +257,7 @@ def test_gamma_counts_orbit_size():
 
 
 def test_direct_conversion_cubic():
-    model = genus_one_weierstrass(fibration([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]))
+    model = model_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
     inv = weierstrass_invariants(model)
     assert inv.c4 == 16
     assert sympy.expand(inv.delta + 64 * t + 432 * t**2) == 0
@@ -231,11 +265,11 @@ def test_direct_conversion_cubic():
 
 def test_quartic_conversion():
     # y^2 + x^4 + x + t: quartic right side, handled through I and J
-    model = genus_one_weierstrass(fibration([(0, 2, 0), (4, 0, 0), (1, 0, 0), (0, 0, 1)]))
+    model = model_of([(0, 2, 0), (4, 0, 0), (1, 0, 0), (0, 0, 1)])
     inv = weierstrass_invariants(model)
     factored = sympy.factor(inv.delta)
     assert sympy.expand(factored / 8503056 - (256 * t**3 - 27)) == 0
-    verdict = fastenberg_check(fibration([(0, 2, 0), (4, 0, 0), (1, 0, 0), (0, 0, 1)]))
+    verdict = report_of([(0, 2, 0), (4, 0, 0), (1, 0, 0), (0, 0, 1)]).genus_one.verdict
     assert verdict.gamma == Fraction(5, 6)
     assert verdict.base_change_exponent == 3
     assert verdict.at_infinity.symbol == "III*"
@@ -243,7 +277,7 @@ def test_quartic_conversion():
 
 def test_square_factor_is_absorbed():
     # y^2 = -x^3(x^2 + x + t): x^2 moves into y^2, leaving a cubic
-    model = genus_one_weierstrass(fibration([(0, 2, 0), (5, 0, 0), (4, 0, 0), (3, 0, 1)]))
+    model = model_of([(0, 2, 0), (5, 0, 0), (4, 0, 0), (3, 0, 1)])
     inv = weierstrass_invariants(model)
     assert sympy.expand(inv.delta - 16 * t**2 * (1 - 4 * t)) == 0
 
@@ -252,7 +286,7 @@ def test_odd_order_quartic_route():
     # x y^2 + x^3 + x^2 + t straightens to (xy)^2 = quartic with a simple
     # root at x = 0; this realizes the (III, I1, IV*) configuration on an
     # honest 4-monomial surface
-    verdict = fastenberg_check(fibration([(1, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]))
+    verdict = report_of([(1, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]).genus_one.verdict
     assert isinstance(verdict, BaseChangeOfGammaLessOne)
     assert verdict.at_zero.symbol == "III"
     assert verdict.away_fiber.symbol == "I1"
@@ -264,9 +298,9 @@ def test_direct_and_cyclic_cover_routes_agree():
     # on y^2 plus three y-free monomials, psi read off the equation and psi
     # from the trichotomy's cyclic-cover form give the same model, or the
     # same refusal
-    def outcome(minimal, form=None):
+    def outcome(model):
         try:
-            return genus_one_weierstrass(minimal, form)
+            return model()
         except NotConvertibleError as exc:
             return str(exc)
 
@@ -285,41 +319,46 @@ def test_direct_and_cyclic_cover_routes_agree():
             if surface.is_degenerate:
                 continue
             minimal = reduce_to_minimal(surface)
-            plane = plane_model(minimal)
-            trichotomy = classify_trichotomy(minimal, plane, singular_locus(plane))
+            trichotomy = trichotomy_of(minimal)
         except ValidationError:
             continue
         assert isinstance(trichotomy, Superelliptic)
-        direct = outcome(minimal)
-        assert direct == outcome(minimal, trichotomy.form)
+        direct = outcome(lambda: _double_cover_model(psi_direct(minimal)))
+        assert direct == outcome(lambda: genus_one_weierstrass(trichotomy.form))
         models += isinstance(direct, WeierstrassModel)
     assert models >= 100
 
 
 def test_not_convertible_shapes():
+    # a cube cover has a form but no double cover; the semistable branch has
+    # no cyclic-cover form at all
+    cube_cover = [(0, 3, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)]
     with pytest.raises(NotConvertibleError):
-        genus_one_weierstrass(fibration([(0, 3, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)]))
-    with pytest.raises(NotConvertibleError):
-        genus_one_weierstrass(fibration([(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)]))
+        model_of(cube_cover)
+    assert report_of(cube_cover).genus_one is None
+    report = report_of([(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)])
+    assert isinstance(report.trichotomy, SemistableAway)
+    assert report.genus_one is None
 
 
 def test_semistable_check_builds_the_plane_once(monkeypatch):
     # x y^2 + x^3 y + y + x t: no cyclic cover, so no Weierstrass model
-    minimal = fibration([(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)])
+    surface = surface_from_affine_triples([(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)])
     calls = count_calls(
         monkeypatch, [("reduction", "plane_model"), ("singular", "singular_locus")]
     )
-    with pytest.raises(NotConvertibleError):
-        fastenberg_check(minimal)
+    assert analyze(surface).genus_one is None
     assert calls == {"plane_model": 1, "singular_locus": 1}
 
 
 def test_isotrivial_check_builds_the_plane_once(monkeypatch):
-    # x^5 + y^5 + y^4 + y^4 t: no direct y^2 shape, so the model attempt
-    # needs the plane model that fastenberg_check already holds
-    minimal = fibration([(5, 0, 0), (0, 5, 0), (0, 4, 0), (0, 4, 1)])
+    # x^5 + y^5 + y^4 + y^4 t: a duplicate monomial, so the isotrivial branch
+    # is read off the locus, and no genus-one model is attempted
+    surface = surface_from_affine_triples([(5, 0, 0), (0, 5, 0), (0, 4, 0), (0, 4, 1)])
     calls = count_calls(monkeypatch, [("reduction", "plane_model")])
-    assert fastenberg_check(minimal) == ConstantJ(None)
+    report = analyze(surface)
+    assert report.trichotomy.branch == "isotrivial"
+    assert report.genus_one is None
     assert calls == {"plane_model": 1}
 
 
@@ -335,7 +374,7 @@ def test_verdict_base_change_families():
         ([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)], Fraction(5, 6), 2, "II*"),
     ]
     for triples, expected_gamma, k4, inf_symbol in cases:
-        verdict = fastenberg_check(fibration(triples))
+        verdict = report_of(triples).genus_one.verdict
         assert isinstance(verdict, BaseChangeOfGammaLessOne)
         assert verdict.gamma == expected_gamma
         assert verdict.base_change_exponent == k4
@@ -344,50 +383,40 @@ def test_verdict_base_change_families():
 
 
 def test_verdict_constant_j_families():
-    assert fastenberg_check(
-        fibration([(0, 2, 0), (3, 0, 0), (0, 0, 0), (0, 0, 1)])
-    ) == ConstantJ(Fraction(0))
-    assert fastenberg_check(
-        fibration([(0, 4, 0), (2, 0, 0), (1, 0, 0), (0, 0, 1)])
-    ) == ConstantJ(Fraction(1728))
-    # duplicate-monomial family whose modulus no implemented model computes
-    assert fastenberg_check(
-        fibration([(5, 0, 0), (0, 5, 0), (0, 4, 0), (0, 4, 1)])
-    ) == ConstantJ(None)
-    # cube covers u^3 + v^3 + v^2 + t^n of a nodal-cubic shape, in both
-    # variable orders and with n = 2 reduced away: constant j = 0
-    for triples in (
-        [(0, 3, 0), (3, 0, 0), (2, 0, 0), (0, 0, 2)],
-        [(3, 0, 0), (0, 3, 0), (0, 2, 0), (0, 0, 1)],
+    # cyclic covers of exponent 4 and 3 carry their constant j in the
+    # trichotomy: the quartic cover v^4 + u^2 + u + t, and cube covers
+    # u^3 + v^3 + v^2 + t^n of a nodal-cubic shape, in both variable orders
+    # and with n = 2 reduced away
+    for triples, j in (
+        ([(0, 4, 0), (2, 0, 0), (1, 0, 0), (0, 0, 1)], 1728),
+        ([(0, 3, 0), (3, 0, 0), (2, 0, 0), (0, 0, 2)], 0),
+        ([(3, 0, 0), (0, 3, 0), (0, 2, 0), (0, 0, 1)], 0),
     ):
-        assert fastenberg_check(fibration(triples)) == ConstantJ(Fraction(0))
+        report = report_of(triples)
+        assert report.trichotomy.constant_j == Fraction(j)
+        assert report.genus_one is None  # no double cover to model
 
 
-def test_verdict_rejects_wrong_genus():
-    with pytest.raises(ValidationError):
-        fastenberg_check(fibration([(0, 2, 0), (5, 0, 0), (1, 0, 0), (0, 0, 1)]))
-    # the conic cover u^5 + v^2 + v + t^3 has genus two
-    with pytest.raises(ValidationError, match="genus-2"):
-        fastenberg_check(fibration([(0, 5, 0), (2, 0, 0), (1, 0, 0), (0, 0, 3)]))
+def genus_one_double_cover(surface) -> bool:
+    try:
+        trichotomy = trichotomy_of(reduce_to_minimal(surface))
+    except ValidationError:
+        return False
+    return (
+        isinstance(trichotomy, Superelliptic)
+        and trichotomy.generic_genus == 1
+        and trichotomy.form.cover_exponent == 2
+    )
 
 
 def test_verdict_gamma_below_one_on_corpus():
-    checked = 0
-    for surface in deterministic_corpus(min_count=120, max_total=6):
-        minimal = reduce_to_minimal(surface)
-        try:
-            verdict = fastenberg_check(minimal)
-        except (NotConvertibleError, ValidationError):
-            continue
-        if isinstance(verdict, BaseChangeOfGammaLessOne):
-            assert verdict.gamma < 1
-            assert verdict.away_fiber.conductor == 1  # multiplicative
-            if verdict.base_change_exponent == 1:
-                # no quotient: the verdict must agree with the raw formula
-                assert verdict.gamma == gamma(
-                    verdict.at_zero, verdict.at_infinity, [(verdict.away_fiber, 1)]
-                )
-        checked += 1
-        if checked >= 15:
-            break
-    assert checked >= 10
+    for surface in deterministic_corpus(min_count=10, keep=genus_one_double_cover):
+        verdict = analyze(surface).genus_one.verdict
+        assert isinstance(verdict, BaseChangeOfGammaLessOne)
+        assert verdict.gamma < 1
+        assert verdict.away_fiber.conductor == 1  # multiplicative
+        if verdict.base_change_exponent == 1:
+            # no quotient: the verdict must agree with the raw formula
+            assert verdict.gamma == gamma(
+                verdict.at_zero, verdict.at_infinity, [(verdict.away_fiber, 1)]
+            )

@@ -1,4 +1,4 @@
-"""Which stages load sympy.
+"""Which stages load sympy, and what the command line may import.
 
 sympy is a lazy dependency: only the genus-one section, the --verify oracle
 and the symbolic helpers of ``singular`` import it.  Each test here runs a
@@ -10,6 +10,7 @@ pin the bytes they printed before sympy became lazy.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import delsarte
+from delsarte import cli
 
 SRC = Path(delsarte.__file__).resolve().parents[1]
 
@@ -95,9 +97,41 @@ def test_symbolic_stages_load_sympy_and_keep_their_bytes(argv, sha256):
 def test_every_public_name_resolves():
     for name in delsarte.__all__:
         assert getattr(delsarte, name) is not None, name
-    assert "fastenberg_check" in dir(delsarte)
+    assert delsarte.analyze is sys.modules["delsarte.analysis"].analyze
+    assert delsarte.Report is sys.modules["delsarte.analysis"].Report
     with pytest.raises(AttributeError):
         delsarte.no_such_name
+    # one pipeline: the genus-one verdict is read off analyze's Report
+    assert "fastenberg_check" not in dir(delsarte)
+    assert not hasattr(sys.modules["delsarte.elliptic"], "fastenberg_check")
+
+
+# the stage modules, and the record types of theirs that cli may serialize
+STAGE_MODULES = {"reduction", "singular", "elliptic"}
+RECORD_TYPES = {
+    "Isotrivial", "Superelliptic", "SemistableAway", "ConstantJ",
+    "BaseChangeOfGammaLessOne",
+}
+
+
+def test_cli_imports_no_stage_function():
+    # cli.py serializes what analyze returns; it runs no stage itself
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name.removeprefix("delsarte."), set())
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("delsarte")
+            names = {alias.name for alias in node.names}
+            if module in ("", "."):  # from . import singular
+                for name in names:
+                    imported.setdefault(name, set())
+            else:
+                imported.setdefault(module.lstrip("."), set()).update(names)
+    assert "analyze" in imported["analysis"]
+    for module in STAGE_MODULES & set(imported):
+        assert imported[module] and imported[module] <= RECORD_TYPES, module
 
 
 def test_star_import_binds_every_public_name():
