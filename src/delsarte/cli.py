@@ -122,10 +122,11 @@ def _genus_one_json(section) -> dict:
     model, inv, verdict = section.model, section.invariants, section.verdict
     report = {
         "weierstrass": {
-            name: str(getattr(model, name)) for name in ("a1", "a2", "a3", "a4", "a6")
+            name: str(getattr(model, name).as_expr())
+            for name in ("a1", "a2", "a3", "a4", "a6")
         },
-        "discriminant": str(inv.delta),
-        "j": str(inv.j),
+        "discriminant": str(inv.delta.as_expr()),
+        "j": str(inv.j.as_expr()),
         "fibers": [
             _fiber_json("0", section.at_zero),
             _fiber_json(str(section.orbit.as_expr()), section.away),

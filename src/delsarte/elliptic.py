@@ -1,14 +1,16 @@
 """Genus-one pipeline: Weierstrass models, Kodaira fiber types, gamma.
 
-Everything is exact.  Models live over Q(t): the five coefficients are sympy
-expressions in t, the invariants are computed by the standard b/c formulas
-(with the two classical identities asserted on every call), and places of the
-base line are rational numbers, the point at infinity, or a squarefree
-polynomial whose roots share one fiber type (each cofactor left by repeated
-division is prime to it; nothing is factored).  ``weierstrass_invariants``
-also keeps c4, c6 and delta as reduced fractions of polynomials in t, and
-``kodaira_type`` reads its valuations off those, so one model's invariants
-are computed once however many places are classified.
+Everything is exact and lives in one type: elements of the rational
+function field Q(t) (``QT``, sympy's ``field("t", QQ)``), which keeps each
+element in lowest terms with its numerator and denominator in Q[t]
+(``QT_RING``).  The five model coefficients and the invariants are such
+elements; the invariants come from the standard b/c formulas, with the two
+classical identities checked on every call.  Places of the base line are
+rational numbers, the point at infinity, or a squarefree element of Q[t]
+whose roots share one fiber type (each cofactor left by repeated division is
+prime to it; nothing is factored); ``kodaira_type`` reads its valuations off
+the numerators and denominators, so one model's invariants are computed once
+however many places are classified.  Printing goes through ``.as_expr()``.
 
 The classification at a place uses the characteristic-zero correspondence
 between Kodaira symbols and the valuations (v(c4), v(c6), v(delta)) of the
@@ -28,13 +30,18 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 import sympy
-from sympy.abc import t as T_SYM
-from sympy.abc import x as X_SYM
+from sympy import QQ
+from sympy.polys.fields import FracElement, field
+from sympy.polys.rings import PolyElement
 
 from .errors import NotConvertibleError, ValidationError
-from .singular import SingularLocus, Superelliptic, SuperellipticForm, rational_to_sympy
+from .singular import SingularLocus, Superelliptic, SuperellipticForm
 
 AT_INFINITY = sympy.oo
+
+# Q(t), its generator t, and Q[t], the ring of numerators and denominators
+QT, T = field("t", QQ)
+QT_RING = QT.ring
 
 
 # ---------------------------------------------------------------------------
@@ -46,77 +53,56 @@ AT_INFINITY = sympy.oo
 class WeierstrassModel:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(t)."""
 
-    a1: sympy.Expr
-    a2: sympy.Expr
-    a3: sympy.Expr
-    a4: sympy.Expr
-    a6: sympy.Expr
+    a1: FracElement
+    a2: FracElement
+    a3: FracElement
+    a4: FracElement
+    a6: FracElement
 
     @classmethod
     def short(cls, a2=0, a4=0, a6=0) -> "WeierstrassModel":
-        """y^2 = x^3 + a2 x^2 + a4 x + a6."""
-        return cls(
-            sympy.Integer(0),
-            sympy.sympify(a2),
-            sympy.Integer(0),
-            sympy.sympify(a4),
-            sympy.sympify(a6),
-        )
-
-
-# A function of t as (numerator, denominator), cancelled, both Polys in t.
-TFraction = tuple[sympy.Poly, sympy.Poly]
-
-
-def _t_fraction(expr: sympy.Expr) -> TFraction:
-    num, den = expr.as_numer_denom()
-    return sympy.Poly(num, T_SYM).cancel(sympy.Poly(den, T_SYM), include=True)
+        """y^2 = x^3 + a2 x^2 + a4 x + a6; the coefficients may be numbers,
+        expressions in t or elements of QT."""
+        return cls(QT.zero, QT(a2), QT.zero, QT(a4), QT(a6))
 
 
 @dataclass(frozen=True)
 class WeierstrassInvariants:
-    """The invariants as expressions, plus c4, c6 and delta as cancelled
-    fractions (``c4_t``, ``c6_t``, ``delta_t``) for the valuations."""
+    """The b- and c-invariants, the discriminant and j, as elements of QT."""
 
-    b2: sympy.Expr
-    b4: sympy.Expr
-    b6: sympy.Expr
-    b8: sympy.Expr
-    c4: sympy.Expr
-    c6: sympy.Expr
-    delta: sympy.Expr
-    j: sympy.Expr
-    c4_t: TFraction
-    c6_t: TFraction
-    delta_t: TFraction
+    b2: FracElement
+    b4: FracElement
+    b6: FracElement
+    b8: FracElement
+    c4: FracElement
+    c6: FracElement
+    delta: FracElement
+    j: FracElement
 
 
 def weierstrass_invariants(model: WeierstrassModel) -> WeierstrassInvariants:
-    """The b-, c-invariants, discriminant and j, with both classical
-    identities (4 b8 = b2 b6 - b4^2 and c4^3 - c6^2 = 1728 delta) asserted,
-    and c4, c6, delta as cancelled fractions in t."""
+    """The b-, c-invariants, discriminant and j of ``model``, checking both
+    classical identities, 4 b8 = b2 b6 - b4^2 and c4^3 - c6^2 = 1728 delta."""
     a1, a2, a3, a4, a6 = (
-        sympy.expand(sympy.sympify(a))
-        for a in (model.a1, model.a2, model.a3, model.a4, model.a6)
+        QT(a) for a in (model.a1, model.a2, model.a3, model.a4, model.a6)
     )
-    b2 = sympy.expand(a1**2 + 4 * a2)
-    b4 = sympy.expand(2 * a4 + a1 * a3)
-    b6 = sympy.expand(a3**2 + 4 * a6)
-    b8 = sympy.expand(a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2)
-    c4 = sympy.expand(b2**2 - 24 * b4)
-    c6 = sympy.expand(-(b2**3) + 36 * b2 * b4 - 216 * b6)
-    delta = sympy.expand(-(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6)
+    b2 = a1**2 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3**2 + 4 * a6
+    b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
+    c4 = b2**2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    delta = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
     if delta == 0:
         raise ValidationError(
             "discriminant vanishes identically: not an elliptic fibration"
         )
-    assert sympy.expand(4 * b8 - (b2 * b6 - b4**2)) == 0
-    assert sympy.expand(c4**3 - c6**2 - 1728 * delta) == 0
-    j = sympy.cancel(c4**3 / delta)
-    return WeierstrassInvariants(
-        b2, b4, b6, b8, c4, c6, delta, j,
-        _t_fraction(c4), _t_fraction(c6), _t_fraction(delta),
-    )
+    # raised, not asserted: both identities must hold under -O too
+    if 4 * b8 != b2 * b6 - b4**2:
+        raise AssertionError("4 b8 != b2 b6 - b4^2")
+    if c4**3 - c6**2 != 1728 * delta:
+        raise AssertionError("c4^3 - c6^2 != 1728 delta")
+    return WeierstrassInvariants(b2, b4, b6, b8, c4, c6, delta, c4**3 / delta)
 
 
 # ---------------------------------------------------------------------------
@@ -156,34 +142,34 @@ def kodaira_fiber(symbol: str) -> KodairaFiber:
     raise ValidationError(f"unknown Kodaira symbol {symbol!r}")
 
 
-Place = Union[Fraction, sympy.Expr, sympy.Poly]
+Place = Union[Fraction, sympy.Expr, sympy.Poly, PolyElement]
 
 
-def _multiplicity(p: sympy.Poly, pi: sympy.Poly) -> int:
+def _multiplicity(p: PolyElement, pi: PolyElement) -> int:
     """The exponent of the squarefree ``pi`` in ``p``, which every root of
     ``pi`` must share: the cofactor is prime to ``pi`` (asserted)."""
     n = 0
     while True:
-        q, r = sympy.div(p, pi)
-        if not r.is_zero:
+        q, r = p.div(pi)
+        if r:
             break
         p, n = q, n + 1
     assert pi.degree() == 1 or r.gcd(pi).degree() == 0, "places disagree"
     return n
 
 
-def _valuation(fraction: TFraction, place: Place):
-    """Order of vanishing at a place of P^1 (a polynomial place is a
-    squarefree Poly in t); sympy.oo for the zero function."""
-    num, den = fraction
-    if num.is_zero:
+def _valuation(f: FracElement, place: Place):
+    """Order of vanishing of ``f`` at a place of P^1 (a polynomial place is
+    a squarefree element of QT_RING); sympy.oo for the zero function."""
+    num, den = f.numer, f.denom
+    if not num:
         return sympy.oo
     if place is AT_INFINITY:
         return den.degree() - num.degree()
     if isinstance(place, Fraction) and place == 0:  # monoms() run high to low
         return num.monoms()[-1][0] - den.monoms()[-1][0]
     if isinstance(place, Fraction):
-        place = sympy.Poly(T_SYM - rational_to_sympy(place), T_SYM)
+        place = QT_RING.gens[0] - QT_RING(place)
     return _multiplicity(num, place) - _multiplicity(den, place)
 
 
@@ -227,17 +213,19 @@ def kodaira_type(inv: WeierstrassInvariants, place: Place) -> KodairaFiber:
     Fraction(0))``.
 
     ``place`` is a rational number, AT_INFINITY, or a polynomial in t (an
-    expression or a Poly), read as its squarefree part; all of its roots must
-    have the same valuation data (asserted).
+    expression, a Poly or an element of QT_RING), read as its squarefree
+    part; all of its roots must have the same valuation data (asserted).
     """
     if not (place is AT_INFINITY or isinstance(place, Fraction)):
-        place = sympy.Poly(place, T_SYM).sqf_part()
+        if isinstance(place, sympy.Poly):
+            place = place.as_expr()
+        place = QT_RING(place).sqf_part()
         if place.degree() < 1:  # raised, not asserted: division would not end
             raise AssertionError("orbit place must involve t")
     return _classify_valuations(
-        _valuation(inv.c4_t, place),
-        _valuation(inv.c6_t, place),
-        _valuation(inv.delta_t, place),
+        _valuation(inv.c4, place),
+        _valuation(inv.c6, place),
+        _valuation(inv.delta, place),
     )
 
 
@@ -268,31 +256,23 @@ def gamma(
 # ---------------------------------------------------------------------------
 
 
-def _double_cover_model(psi: sympy.Expr) -> WeierstrassModel:
-    """Weierstrass model of u^2 = psi(v), psi in Q(t)[v] of genus one.
+def _double_cover_model(psi: dict[int, FracElement]) -> WeierstrassModel:
+    """Weierstrass model of u^2 = psi(v), psi in Q(t)[v] of genus one, given
+    as {exponent of v: nonzero coefficient in QT}.
 
     Square factors of v are absorbed into u first; the reduced right side
     must be a cubic (straightened by X = a v, Y = a u) or a quartic (replaced
     by its Jacobian via the classical binary-quartic invariants I and J —
     same j, same fiber types).
     """
-    p = sympy.Poly(sympy.expand(psi), X_SYM)
-    if p.is_zero:
-        raise NotConvertibleError("zero right-hand side")
-    mu = min(m[0] for m in p.monoms())
-    shift = {m[0] - 2 * (mu // 2): c for m, c in zip(p.monoms(), p.coeffs())}
+    mu = min(psi)
+    shift = {e - 2 * (mu // 2): c for e, c in psi.items()}
     degree = max(shift)
     if degree == 3:
-        a, b, c, d = (shift.get(i, sympy.Integer(0)) for i in (3, 2, 1, 0))
-        return WeierstrassModel(
-            sympy.Integer(0),
-            sympy.expand(b),
-            sympy.Integer(0),
-            sympy.expand(a * c),
-            sympy.expand(a**2 * d),
-        )
+        a, b, c, d = (shift.get(i, QT.zero) for i in (3, 2, 1, 0))
+        return WeierstrassModel(QT.zero, b, QT.zero, a * c, a**2 * d)
     if degree == 4:
-        a, b, c, d, e = (shift.get(i, sympy.Integer(0)) for i in (4, 3, 2, 1, 0))
+        a, b, c, d, e = (shift.get(i, QT.zero) for i in (4, 3, 2, 1, 0))
         inv_i = 12 * a * e - 3 * b * d + c**2
         inv_j = (
             72 * a * c * e
@@ -301,9 +281,7 @@ def _double_cover_model(psi: sympy.Expr) -> WeierstrassModel:
             + 9 * b * c * d
             - 2 * c**3
         )
-        return WeierstrassModel.short(
-            a4=sympy.expand(-27 * inv_i), a6=sympy.expand(-27 * inv_j)
-        )
+        return WeierstrassModel.short(a4=-27 * inv_i, a6=-27 * inv_j)
     raise NotConvertibleError(
         f"double cover has degree {degree} after clearing squares; need 3 or 4"
     )
@@ -318,7 +296,9 @@ def genus_one_weierstrass(form: SuperellipticForm) -> WeierstrassModel:
         raise NotConvertibleError(
             f"cyclic cover of exponent {form.cover_exponent}, not 2"
         )
-    return _double_cover_model(form.psi_expr(X_SYM, T_SYM))
+    return _double_cover_model(
+        {e: QT(coeff) * (T if carries_t else 1) for coeff, e, carries_t in form.terms}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +330,16 @@ class BaseChangeOfGammaLessOne:
 FastenbergVerdict = Union[ConstantJ, BaseChangeOfGammaLessOne]
 
 
-def _exponents_multiple_of(expr: sympy.Expr, k: int) -> bool:
-    return all(m[0] % k == 0 for part in _t_fraction(expr) for m in part.monoms())
-
-
 @dataclass(frozen=True)
 class GenusOneSection:
     """The genus-one data of one fibration, each part computed once: the
     Weierstrass model, its invariants, the fibers at 0, over the away orbit
-    ``orbit`` (t^k4 - c, a Poly in t) and at infinity, and the verdict."""
+    ``orbit`` (t^k4 - c, an element of QT_RING) and at infinity, and the
+    verdict."""
 
     model: WeierstrassModel
     invariants: WeierstrassInvariants
-    orbit: sympy.Poly
+    orbit: PolyElement
     at_zero: KodairaFiber
     away: KodairaFiber
     at_infinity: KodairaFiber
@@ -372,7 +349,7 @@ class GenusOneSection:
 def _base_change_verdict(
     inv: WeierstrassInvariants,
     k4: int,
-    orbit: sympy.Poly,
+    orbit: PolyElement,
     at_zero: KodairaFiber,
     away: KodairaFiber,
     at_infinity: KodairaFiber,
@@ -385,14 +362,16 @@ def _base_change_verdict(
     n_inf/k4)/6, the divisibilities being consequences of j living in
     Q(t^{k4}) (asserted too).
     """
-    assert _exponents_multiple_of(inv.j, k4), "j must be a function of t^k4"
+    assert all(
+        m[0] % k4 == 0 for part in (inv.j.numer, inv.j.denom) for m in part.monoms()
+    ), "j must be a function of t^k4"
     nu = away.n
     assert nu >= 1 and away.symbol == f"I{nu}", "away fiber of a nonconstant-j family"
 
     # delta = unit * t^m * (t^k4 - c)^nu exactly
-    num, den = inv.delta_t
-    rest, remainder = sympy.div(num, orbit**nu)
-    assert len(den.monoms()) == 1 and remainder.is_zero
+    num, den = inv.delta.numer, inv.delta.denom
+    rest, remainder = num.div(orbit**nu)
+    assert len(den.monoms()) == 1 and not remainder
     assert len(rest.monoms()) == 1, "discriminant has roots outside {0, away orbit}"
 
     assert at_zero.n % k4 == 0 and at_infinity.n % k4 == 0
@@ -411,13 +390,16 @@ def genus_one_section(
     """
     model = genus_one_weierstrass(trichotomy.form)
     inv = weierstrass_invariants(model)
-    orbit = locus.polynomial()
+    orbit = QT_RING.gens[0] ** locus.exponent - QT_RING(locus.value)
     at_zero = kodaira_type(inv, Fraction(0))
     away = kodaira_type(inv, orbit)
     at_infinity = kodaira_type(inv, AT_INFINITY)
-    if not inv.j.has(T_SYM):
-        num, den = inv.j.as_numer_denom()
-        verdict: FastenbergVerdict = ConstantJ(Fraction(int(num), int(den)))
+    j = inv.j
+    if j.numer.is_ground and j.denom.is_ground:
+        value = j.numer.LC / j.denom.LC
+        verdict: FastenbergVerdict = ConstantJ(
+            Fraction(int(value.numerator), int(value.denominator))
+        )
     else:
         verdict = _base_change_verdict(
             inv, locus.exponent, orbit, at_zero, away, at_infinity

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import RankDeficiencyError, ValidationError
 
@@ -67,18 +67,10 @@ def parse_rational(value: Union[int, str]) -> Fraction:
     return q
 
 
-def format_rational(q: RationalLike) -> str:
-    """Render a rational as "p" or "p/q" (lowest terms, q > 0)."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def rational_to_json(q: RationalLike) -> Union[int, str]:
     """JSON form: a plain int when integral, else the string "p/q"."""
     q = Fraction(q)
-    return q.numerator if q.denominator == 1 else format_rational(q)
+    return q.numerator if q.denominator == 1 else str(q)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +122,6 @@ def rational_kth_roots(c: RationalLike, k: int) -> list[Fraction]:
 # Integer vector utilities
 # ---------------------------------------------------------------------------
 
-def vec_gcd(v: Iterable[int]) -> int:
-    return gcd(*v)
-
-
 def primitive_integer_vector(v: Sequence[RationalLike]) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive rational so the result is
     integral with gcd 1.  The direction (sign) is preserved."""
@@ -142,7 +130,7 @@ def primitive_integer_vector(v: Sequence[RationalLike]) -> tuple[int, ...]:
         raise ValueError("zero vector has no primitive form")
     scale = lcm(*(x.denominator for x in fracs))
     ints = [int(x * scale) for x in fracs]
-    g = vec_gcd(ints)
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -226,7 +214,7 @@ def left_kernel_normalized(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
          for i in range(4)]
     if all(x == 0 for x in k):
         raise RankDeficiencyError("matrix has rank < 3; left kernel is not a line")
-    g = vec_gcd(k)
+    g = gcd(*k)
     k = [x // g for x in k]
     if k[3] == 0:
         raise ValidationError(

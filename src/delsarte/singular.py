@@ -106,7 +106,7 @@ class SingularLocus:
     When the moving monomial duplicates monomial ``duplicate_index`` the
     locus is ``degenerate``: the fibration is m1 + m2 + (gamma_i + gamma_4 t)
     m_i, the kernel is e_4 - e_i, and t^1 = -gamma_i/gamma_4 is its single
-    degenerate fiber, with no closed form (``polynomial`` refuses).
+    degenerate fiber, with no closed form (``oracle_matches_locus`` refuses).
     """
 
     exponent: int
@@ -119,15 +119,6 @@ class SingularLocus:
     def negation_invariant(self) -> bool:
         """Is the away locus stable under t -> -t?"""
         return self.exponent % 2 == 0
-
-    def polynomial(self):
-        """t^exponent - value, as a sympy Poly in t."""
-        import sympy
-
-        if self.degenerate:  # raised, not asserted: must hold under -O too
-            raise AssertionError("degenerate locus has no closed form")
-        t = _symbols()[0]
-        return sympy.Poly(t**self.exponent - rational_to_sympy(self.value), t)
 
 
 # str() of an int stops at this many digits, and the locus value is printed
@@ -338,26 +329,20 @@ def discriminant_oracle(plane: PlaneModel) -> sympy.Poly:
 def oracle_matches_locus(oracle: sympy.Poly, locus: SingularLocus) -> bool:
     """Do the nonzero roots of the oracle agree exactly with the away orbit?
 
-    Compares the squarefree part of the oracle, with all powers of t divided
-    out, against t^{k4} - c up to a constant.
+    Compares the squarefree part of the oracle, with t divided out, against
+    t^{k4} - c up to a constant.  A degenerate locus has no closed form to
+    compare with, and is refused.
     """
     import sympy
 
+    if locus.degenerate:  # raised, not asserted: must hold under -O too
+        raise AssertionError("degenerate locus has no closed form")
+    if oracle.is_zero:
+        return False
     t = _symbols()[0]
-    expr = oracle.as_expr()
-    if expr.is_zero:
-        return False
-    _, factors = sympy.factor_list(expr, t)
-    reduced = sympy.Integer(1)
-    for base, _mult in factors:
-        if base == t:
-            continue
-        reduced *= base
-    lhs = sympy.Poly(reduced, t)
-    rhs = locus.polynomial()
-    if lhs.degree() != rhs.degree():
-        return False
-    return lhs.monic() == rhs.monic()
+    _, reduced = oracle.sqf_part().terms_gcd()
+    orbit = sympy.Poly(t**locus.exponent - rational_to_sympy(locus.value), t)
+    return reduced.monic() == orbit.monic()
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +371,6 @@ class SuperellipticForm:
 
     cover_exponent: int
     terms: tuple[tuple[Fraction, int, bool], ...]
-
-    def psi_expr(self, v, t):
-        import sympy
-
-        total = sympy.Integer(0)
-        for coeff, e, has_t in self.terms:
-            term = rational_to_sympy(coeff) * v**e
-            if has_t:
-                term *= t
-            total += term
-        return total
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,13 @@ from delsarte.errors import ValidationError
 from delsarte.model import DelsarteSurface, validate_surface
 
 
+def y_squared_triples(rng) -> list[tuple[int, int, int]]:
+    """Affine triples of y^2 plus three monomials x^e t^f, drawn from ``rng``
+    (a ``random.Random``): e distinct in 0..4, f in 0..3."""
+    exponents = rng.sample(range(5), 3)
+    return [(0, 2, 0)] + [(e, 0, rng.randrange(4)) for e in exponents]
+
+
 def surface_from_affine_triples(triples) -> DelsarteSurface:
     """Homogenize four affine exponent triples into a surface (may raise)."""
     d = max(sum(tr) for tr in triples)

@@ -16,19 +16,22 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from calls import count_calls
-from corpus import deterministic_corpus
+from corpus import deterministic_corpus, surface_from_affine_triples, y_squared_triples
 from delsarte import analysis, cli, shioda
 from digest import run_quietly
 from delsarte.errors import UnsupportedShapeError
+from delsarte.exact import rational_to_json
 
 CUBIC_WITH_SECTION = '{"monomials": [[0,2,0,1],[3,0,0,0],[2,0,0,1],[0,0,1,2]]}'
 # x y^2 + x^3 + x^2 + t: no direct y^2 shape, a double cover after straightening
@@ -85,9 +88,10 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
             ("reduction", "plane_model"),
             ("singular", "singular_locus"),
             ("singular", "classify_trichotomy"),
-            ("singular", "SingularLocus.polynomial"),
             ("singular", "discriminant_oracle"),
+            ("singular", "oracle_matches_locus"),
             ("exact", "adjugate"),
+            ("elliptic", "genus_one_section"),
             ("elliptic", "genus_one_weierstrass"),
             ("elliptic", "weierstrass_invariants"),
             ("elliptic", "kodaira_type"),
@@ -95,15 +99,17 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
         ],
     )
     # psi comes from the trichotomy's cyclic-cover form alone, and the away
-    # orbit is one polynomial, divided into the invariants, never factored
+    # orbit is one polynomial, built once by the section, divided into the
+    # invariants and never factored
     once = Counter(
         {
             "plane_model": 1,
             "singular_locus": 1,
             "classify_trichotomy": 1,
-            "SingularLocus.polynomial": 1,
             "discriminant_oracle": 0,
+            "oracle_matches_locus": 0,
             "adjugate": 1,
+            "genus_one_section": 1,
             "genus_one_weierstrass": 1,
             "weierstrass_invariants": 1,
             "kodaira_type": 3,  # at 0, over the away orbit, at infinity
@@ -121,16 +127,12 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
 
     # the Lefschetz number reuses the surface's adjugate, and the oracle the
     # plane model and locus of the same analysis; the check that compares
-    # them builds the orbit polynomial and factors the oracle on its own
+    # them builds its own orbit polynomial and factors nothing
     calls.clear()
     report = run_json(capsys, "analyze", CUBIC_WITH_SECTION, "--shioda", "--verify")
     assert report["verify"]["oracle"] == "match"
     assert calls == once + Counter(
-        {
-            "discriminant_oracle": 1,
-            "SingularLocus.polynomial": 1,
-            "sympy.factor_list": 1,
-        }
+        {"discriminant_oracle": 1, "oracle_matches_locus": 1}
     )
 
 
@@ -567,6 +569,50 @@ def test_analyze_stdout_is_pinned_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == PINNED_ANALYZE_SHA256
+
+
+# sha256 over the exit code and stdout of every command in
+# genus_one_commands(); pinned like PINNED_ANALYZE_SHA256
+PINNED_GENUS_ONE_SHA256 = (
+    "f8e266cf16951bf431e092f99f575dfe1c8fd1a97461aace2c9ef4cab8806e9a"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def genus_one_commands() -> tuple[tuple[str, ...], ...]:
+    """analyze on 400 seeded surfaces y^2 plus three x^e t^f monomials, every
+    other one with four non-unit rational coefficients of up to 12 digits on
+    each side of the bar."""
+    rng = random.Random(12)
+    commands = []
+    for i in range(400):
+        surface = surface_from_affine_triples(y_squared_triples(rng))
+        source: dict = {"monomials": [list(row) for row in surface.rows]}
+        if i % 2:
+            source["coefficients"] = [
+                rational_to_json(
+                    Fraction(
+                        rng.choice((-1, 1)) * rng.randrange(1, 10**12),
+                        rng.randrange(1, 10**12),
+                    )
+                )
+                for _ in range(4)
+            ]
+        commands.append(("analyze", json.dumps(source)))
+    return tuple(commands)
+
+
+def test_genus_one_stdout_is_pinned():
+    digest = hashlib.sha256()
+    sections = Counter()
+    for argv in genus_one_commands():
+        code, out = run_quietly(argv)
+        digest.update(f"{code}\n{out}".encode())
+        if code == 0 and "genus_one" in json.loads(out):
+            sections["coefficients" in argv[1]] += 1
+    # most draws reach the genus-one section, with and without coefficients
+    assert min(sections[False], sections[True]) >= 100
+    assert digest.hexdigest() == PINNED_GENUS_ONE_SHA256
 
 
 # ---------------------------------------------------------------------------

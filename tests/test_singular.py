@@ -121,7 +121,7 @@ def test_locus_degenerate_duplicate_monomial():
     assert loc.duplicate_index == 2
     assert (loc.exponent, loc.value) == (1, Fraction(-1))
     with pytest.raises(AssertionError):
-        loc.polynomial()
+        oracle_matches_locus(discriminant_oracle(p), loc)
 
 
 # ---------------------------------------------------------------------------
