@@ -1,16 +1,16 @@
 """Genus-one pipeline: Weierstrass models, Kodaira fiber types, gamma.
 
-Everything is exact and lives in one type: elements of the rational
-function field Q(t) (``QT``, sympy's ``field("t", QQ)``), which keeps each
-element in lowest terms with its numerator and denominator in Q[t]
-(``QT_RING``).  The five model coefficients and the invariants are such
-elements; the invariants come from the standard b/c formulas, with the two
-classical identities checked on every call.  Places of the base line are
-rational numbers, the point at infinity, or a squarefree element of Q[t]
-whose roots share one fiber type (each cofactor left by repeated division is
-prime to it; nothing is factored); ``kodaira_type`` reads its valuations off
-the numerators and denominators, so one model's invariants are computed once
-however many places are classified.  Printing goes through ``.as_expr()``.
+Everything is exact and lives in one type: polynomials in Q[t] (``QT_RING``).
+The five model coefficients and the invariants b2..c6 and delta are such
+elements, from the standard b/c formulas with the two classical identities
+checked on every call; the one quotient, j = c4^3/delta, is an element of
+Q(t) (``QT``, sympy's ``field("t", QQ)``) in lowest terms.  Places of the
+base line are rational numbers, the point at infinity, or a squarefree
+element of Q[t] whose roots share one fiber type (each cofactor left by
+repeated division is prime to it; nothing is factored); ``kodaira_type``
+reads its valuations off c4, c6 and delta, so one model's invariants are
+computed once however many places are classified.  Printing goes through
+``.as_expr()``.
 
 The classification at a place uses the characteristic-zero correspondence
 between Kodaira symbols and the valuations (v(c4), v(c6), v(delta)) of the
@@ -39,9 +39,9 @@ from .singular import SingularLocus, Superelliptic, SuperellipticForm
 
 AT_INFINITY = sympy.oo
 
-# Q(t), its generator t, and Q[t], the ring of numerators and denominators
-QT, T = field("t", QQ)
-QT_RING = QT.ring
+# Q(t), where only j lives, and Q[t] with its generator t
+QT = field("t", QQ)[0]
+QT_RING, T = QT.ring, QT.ring.gens[0]
 
 
 # ---------------------------------------------------------------------------
@@ -51,32 +51,34 @@ QT_RING = QT.ring
 
 @dataclass(frozen=True)
 class WeierstrassModel:
-    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(t)."""
+    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q[t]."""
 
-    a1: FracElement
-    a2: FracElement
-    a3: FracElement
-    a4: FracElement
-    a6: FracElement
+    a1: PolyElement
+    a2: PolyElement
+    a3: PolyElement
+    a4: PolyElement
+    a6: PolyElement
 
     @classmethod
     def short(cls, a2=0, a4=0, a6=0) -> "WeierstrassModel":
         """y^2 = x^3 + a2 x^2 + a4 x + a6; the coefficients may be numbers,
-        expressions in t or elements of QT."""
-        return cls(QT.zero, QT(a2), QT.zero, QT(a4), QT(a6))
+        polynomial expressions in t or elements of QT_RING (anything else,
+        such as 1/t, is the ring's ValueError)."""
+        return cls(QT_RING.zero, QT_RING(a2), QT_RING.zero, QT_RING(a4), QT_RING(a6))
 
 
 @dataclass(frozen=True)
 class WeierstrassInvariants:
-    """The b- and c-invariants, the discriminant and j, as elements of QT."""
+    """The b- and c-invariants and the discriminant, as elements of QT_RING,
+    and j = c4^3/delta, as an element of QT."""
 
-    b2: FracElement
-    b4: FracElement
-    b6: FracElement
-    b8: FracElement
-    c4: FracElement
-    c6: FracElement
-    delta: FracElement
+    b2: PolyElement
+    b4: PolyElement
+    b6: PolyElement
+    b8: PolyElement
+    c4: PolyElement
+    c6: PolyElement
+    delta: PolyElement
     j: FracElement
 
 
@@ -84,7 +86,7 @@ def weierstrass_invariants(model: WeierstrassModel) -> WeierstrassInvariants:
     """The b-, c-invariants, discriminant and j of ``model``, checking both
     classical identities, 4 b8 = b2 b6 - b4^2 and c4^3 - c6^2 = 1728 delta."""
     a1, a2, a3, a4, a6 = (
-        QT(a) for a in (model.a1, model.a2, model.a3, model.a4, model.a6)
+        QT_RING(a) for a in (model.a1, model.a2, model.a3, model.a4, model.a6)
     )
     b2 = a1**2 + 4 * a2
     b4 = 2 * a4 + a1 * a3
@@ -102,7 +104,7 @@ def weierstrass_invariants(model: WeierstrassModel) -> WeierstrassInvariants:
         raise AssertionError("4 b8 != b2 b6 - b4^2")
     if c4**3 - c6**2 != 1728 * delta:
         raise AssertionError("c4^3 - c6^2 != 1728 delta")
-    return WeierstrassInvariants(b2, b4, b6, b8, c4, c6, delta, c4**3 / delta)
+    return WeierstrassInvariants(b2, b4, b6, b8, c4, c6, delta, QT.new(c4**3, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +144,7 @@ def kodaira_fiber(symbol: str) -> KodairaFiber:
     raise ValidationError(f"unknown Kodaira symbol {symbol!r}")
 
 
-Place = Union[Fraction, sympy.Expr, sympy.Poly, PolyElement]
+Place = Union[Fraction, sympy.Expr, PolyElement]
 
 
 def _multiplicity(p: PolyElement, pi: PolyElement) -> int:
@@ -158,19 +160,18 @@ def _multiplicity(p: PolyElement, pi: PolyElement) -> int:
     return n
 
 
-def _valuation(f: FracElement, place: Place):
-    """Order of vanishing of ``f`` at a place of P^1 (a polynomial place is
-    a squarefree element of QT_RING); sympy.oo for the zero function."""
-    num, den = f.numer, f.denom
-    if not num:
+def _valuation(f: PolyElement, place: Place):
+    """Order of vanishing of ``f`` in Q[t] at a place of P^1 (a polynomial
+    place is a squarefree element of QT_RING); sympy.oo for f = 0."""
+    if not f:
         return sympy.oo
     if place is AT_INFINITY:
-        return den.degree() - num.degree()
+        return -f.degree()
     if isinstance(place, Fraction) and place == 0:  # monoms() run high to low
-        return num.monoms()[-1][0] - den.monoms()[-1][0]
+        return f.monoms()[-1][0]
     if isinstance(place, Fraction):
-        place = QT_RING.gens[0] - QT_RING(place)
-    return _multiplicity(num, place) - _multiplicity(den, place)
+        place = T - QT_RING(place)
+    return _multiplicity(f, place)
 
 
 def _classify_valuations(v4, v6, vd) -> KodairaFiber:
@@ -213,12 +214,10 @@ def kodaira_type(inv: WeierstrassInvariants, place: Place) -> KodairaFiber:
     Fraction(0))``.
 
     ``place`` is a rational number, AT_INFINITY, or a polynomial in t (an
-    expression, a Poly or an element of QT_RING), read as its squarefree
-    part; all of its roots must have the same valuation data (asserted).
+    expression or an element of QT_RING), read as its squarefree part; all
+    of its roots must have the same valuation data (asserted).
     """
     if not (place is AT_INFINITY or isinstance(place, Fraction)):
-        if isinstance(place, sympy.Poly):
-            place = place.as_expr()
         place = QT_RING(place).sqf_part()
         if place.degree() < 1:  # raised, not asserted: division would not end
             raise AssertionError("orbit place must involve t")
@@ -256,9 +255,9 @@ def gamma(
 # ---------------------------------------------------------------------------
 
 
-def _double_cover_model(psi: dict[int, FracElement]) -> WeierstrassModel:
-    """Weierstrass model of u^2 = psi(v), psi in Q(t)[v] of genus one, given
-    as {exponent of v: nonzero coefficient in QT}.
+def _double_cover_model(psi: dict[int, PolyElement]) -> WeierstrassModel:
+    """Weierstrass model of u^2 = psi(v), psi in Q[t][v] of genus one, given
+    as {exponent of v: nonzero coefficient in QT_RING}.
 
     Square factors of v are absorbed into u first; the reduced right side
     must be a cubic (straightened by X = a v, Y = a u) or a quartic (replaced
@@ -269,10 +268,10 @@ def _double_cover_model(psi: dict[int, FracElement]) -> WeierstrassModel:
     shift = {e - 2 * (mu // 2): c for e, c in psi.items()}
     degree = max(shift)
     if degree == 3:
-        a, b, c, d = (shift.get(i, QT.zero) for i in (3, 2, 1, 0))
-        return WeierstrassModel(QT.zero, b, QT.zero, a * c, a**2 * d)
+        a, b, c, d = (shift.get(i, QT_RING.zero) for i in (3, 2, 1, 0))
+        return WeierstrassModel(QT_RING.zero, b, QT_RING.zero, a * c, a**2 * d)
     if degree == 4:
-        a, b, c, d, e = (shift.get(i, QT.zero) for i in (4, 3, 2, 1, 0))
+        a, b, c, d, e = (shift.get(i, QT_RING.zero) for i in (4, 3, 2, 1, 0))
         inv_i = 12 * a * e - 3 * b * d + c**2
         inv_j = (
             72 * a * c * e
@@ -297,7 +296,7 @@ def genus_one_weierstrass(form: SuperellipticForm) -> WeierstrassModel:
             f"cyclic cover of exponent {form.cover_exponent}, not 2"
         )
     return _double_cover_model(
-        {e: QT(coeff) * (T if carries_t else 1) for coeff, e, carries_t in form.terms}
+        {e: QT_RING(c) * (T if carries_t else 1) for c, e, carries_t in form.terms}
     )
 
 
@@ -368,11 +367,10 @@ def _base_change_verdict(
     nu = away.n
     assert nu >= 1 and away.symbol == f"I{nu}", "away fiber of a nonconstant-j family"
 
-    # delta = unit * t^m * (t^k4 - c)^nu exactly
-    num, den = inv.delta.numer, inv.delta.denom
-    rest, remainder = num.div(orbit**nu)
-    assert len(den.monoms()) == 1 and not remainder
-    assert len(rest.monoms()) == 1, "discriminant has roots outside {0, away orbit}"
+    # delta = unit * t^m * (t^k4 - c)^nu exactly; raised, not asserted
+    rest, remainder = inv.delta.div(orbit**nu)
+    if remainder or len(rest.monoms()) != 1:
+        raise AssertionError("discriminant has roots outside {0, away orbit}")
 
     assert at_zero.n % k4 == 0 and at_infinity.n % k4 == 0
     quotient_gamma = gamma(at_zero, at_infinity, [(away, k4)]) / k4
@@ -390,7 +388,7 @@ def genus_one_section(
     """
     model = genus_one_weierstrass(trichotomy.form)
     inv = weierstrass_invariants(model)
-    orbit = QT_RING.gens[0] ** locus.exponent - QT_RING(locus.value)
+    orbit = T**locus.exponent - QT_RING(locus.value)
     at_zero = kodaira_type(inv, Fraction(0))
     away = kodaira_type(inv, orbit)
     at_infinity = kodaira_type(inv, AT_INFINITY)

@@ -412,7 +412,7 @@ def classify_trichotomy(
             )
         jval = None
         if genus == 1 and form.cover_exponent >= 3:
-            jval = constant_j_value(form)
+            jval = constant_j_value(form.cover_exponent)
         return Superelliptic(form, genus, jval)
     return SemistableAway(locus)
 
@@ -536,14 +536,12 @@ def generic_fiber_genus(form: SuperellipticForm) -> int:
     return superelliptic_genus(form.cover_exponent, generic_profile(form))
 
 
-def constant_j_value(form: SuperellipticForm) -> Fraction:
-    """j-invariant of a genus-one cover with cover exponent >= 3.
+def constant_j_value(a: int) -> Fraction:
+    """j-invariant of a genus-one cyclic cover of exponent a in {3, 4, 6}.
 
     Such a curve has an automorphism of order a >= 3 fixing the base map, so
     j is 0 or 1728 independently of t: 1728 exactly for a = 4.
     """
-    a = form.cover_exponent
-    if generic_fiber_genus(form) != 1 or a < 3:
-        raise ValidationError("constant j only applies to genus-one covers, a >= 3")
-    assert a in (3, 4, 6)
+    if a not in (3, 4, 6):
+        raise ValidationError(f"constant j needs cover exponent 3, 4 or 6, not {a}")
     return Fraction(1728) if a == 4 else Fraction(0)

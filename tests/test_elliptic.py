@@ -6,8 +6,13 @@ checks (total = 12 on a rational elliptic surface) guard against symbol-table
 typos.
 """
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -60,14 +65,15 @@ def report_of(triples):
 
 def psi_direct(minimal: MinimalFibration) -> dict:
     """psi of a fibration whose equation is y^2 plus y-free monomials, read
-    off as y^2 = psi(x, t), as {exponent of x: coefficient in Q(t)}: the
+    off as y^2 = psi(x, t), as {exponent of x: coefficient in Q[t]}: the
     reference the cyclic-cover form is checked against."""
     eq = minimal.equation
     pairs = [(ex, ey) for _, (ex, ey, _) in eq.terms]
-    coeffs = [QT(c) * (T if j == 3 else 1) for j, (c, _) in enumerate(eq.terms)]
+    coeffs = [QT_RING(c) * (T if j == 3 else 1) for j, (c, _) in enumerate(eq.terms)]
     i = pairs.index((0, 2))
-    assert all(ey == 0 for j, (_, ey) in enumerate(pairs) if j != i)
-    return {ex: -coeffs[j] / coeffs[i] for j, (ex, _) in enumerate(pairs) if j != i}
+    assert i != 3 and all(ey == 0 for j, (_, ey) in enumerate(pairs) if j != i)
+    y2 = eq.terms[i][0]  # the constant coefficient of y^2
+    return {ex: -coeffs[j] / y2 for j, (ex, _) in enumerate(pairs) if j != i}
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +124,18 @@ def test_invariants_identity_on_random_models(p0, p1, q0, q1, r0, r1):
     # the 1728-identity is checked inside; recheck from the dataclass fields
     assert inv.c4**3 - inv.c6**2 - 1728 * inv.delta == 0
     assert 4 * inv.b8 - inv.b2 * inv.b6 + inv.b4**2 == 0
+
+
+def test_section_is_polynomial_but_for_j():
+    # the model and every invariant lie in Q[t]; j = c4^3/delta is the one
+    # element of Q(t), and a coefficient outside Q[t] is refused
+    section = report_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]).genus_one
+    for part in (section.model, section.invariants):
+        for name in (f.name for f in dataclasses.fields(part)):
+            assert name == "j" or getattr(part, name).ring is QT_RING
+    assert section.invariants.j.field is QT
+    with pytest.raises(ValueError):
+        WeierstrassModel.short(a6=1 / t)
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +206,6 @@ def test_types_y2_x3_tx2_t4():
     assert gamma(at_zero, at_inf, [(away, 1)]) == Fraction(2, 3)
 
 
-def test_types_with_laurent_coefficients():
-    # y^2 = x^3 + 1/t: delta = -432/t^2 has a pole at 0, so the valuations
-    # there come from the denominator
-    inv = weierstrass_invariants(WeierstrassModel.short(a6=1 / t))
-    assert sympy.expand(inv.delta.as_expr() + 432 / t**2) == 0
-    assert kodaira_type(inv, Fraction(0)).symbol == "II*"
-    assert kodaira_type(inv, AT_INFINITY).symbol == "II"
-    assert kodaira_type(inv, Fraction(1)).symbol == "I0"
-
-
 def test_euler_totals_of_first_two_families():
     for triples, parts in [
         ([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)],
@@ -211,9 +219,9 @@ def test_euler_totals_of_first_two_families():
 
 def test_orbit_place():
     # y^2 = x^3 + x + t has its away fiber over the two roots of t^2 + 4/27
-    # a place may be an expression, a Poly or an element of QT_RING
+    # a place may be an expression or an element of QT_RING
     def forms(place):
-        return (place, sympy.Poly(place, t), QT_RING(place))
+        return (place, QT_RING(place))
 
     model = model_of([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)])
     inv = weierstrass_invariants(model)
@@ -232,6 +240,42 @@ def test_orbit_place():
     for place in forms((t**2 - 4) * (t - 1)):
         with pytest.raises(AssertionError):
             kodaira_type(inv, place)
+
+
+def test_discriminant_shape_is_checked_under_optimize():
+    # assert statements are stripped under -O; the verdict's check that
+    # delta is a monomial times (t^k4 - c)^nu must still raise, on a delta
+    # left with a remainder and on one with a root at t = 1
+    tests = Path(__file__).resolve().parent
+    src = Path(sys.modules["delsarte.elliptic"].__file__).resolve().parents[1]
+    script = (
+        "import dataclasses\n"
+        "from corpus import surface_from_affine_triples\n"
+        "from delsarte.analysis import analyze\n"
+        "from delsarte.elliptic import T, _base_change_verdict\n"
+        "triples = [(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]\n"
+        "s = analyze(surface_from_affine_triples(triples)).genus_one\n"
+        "for delta in (T**2, s.invariants.delta * (T - 1)):\n"
+        "    inv = dataclasses.replace(s.invariants, delta=delta)\n"
+        "    try:\n"
+        "        _base_change_verdict(\n"
+        "            inv, 1, s.orbit, s.at_zero, s.away, s.at_infinity\n"
+        "        )\n"
+        "    except AssertionError as exc:\n"
+        "        print(__debug__, exc)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), str(tests), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False discriminant has roots outside {0, away orbit}"
+    ] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ import sympy
 from hypothesis import assume, given, settings
 from sympy.abc import t, x, y, z
 
+from calls import count_calls
 from corpus import (
     deterministic_corpus,
     nondegenerate_surfaces,
     surface_from_affine_triples,
 )
+from delsarte.analysis import analyze
 from delsarte.errors import ValidationError
 from delsarte.model import validate_surface
 from delsarte.reduction import plane_model, reduce_to_minimal
@@ -402,12 +404,18 @@ def test_generic_profile_with_repeated_origin_root():
 
 
 def test_constant_j_rejects_wrong_genus():
-    form = SuperellipticForm(
-        5,
-        ((Fraction(-1), 2, False), (Fraction(-1), 1, False), (Fraction(-1), 0, True)),
-    )
+    # no genus-one cyclic cover has exponent 5
     with pytest.raises(ValidationError):
-        constant_j_value(form)
+        constant_j_value(5)
+
+
+def test_analyze_computes_the_generic_genus_once(monkeypatch):
+    # the quartic cover v^4 + u^2 + u + t has genus one and constant j; its
+    # j is read off the cover exponent, not off a second genus count
+    surface = surface_from_affine_triples([(0, 4, 0), (2, 0, 0), (1, 0, 0), (0, 0, 1)])
+    calls = count_calls(monkeypatch, [("singular", "generic_fiber_genus")])
+    assert analyze(surface).trichotomy.constant_j == Fraction(1728)
+    assert calls == {"generic_fiber_genus": 1}
 
 
 # ---------------------------------------------------------------------------
