@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import NotConvertibleError, VerificationError
+from .exact import format_polynomial
 from .model import DelsarteSurface
 from .reduction import (
     DegenerateVerdict,
@@ -104,7 +105,7 @@ def _verify_analysis(plane: PlaneModel, locus: SingularLocus):
     oracle = discriminant_oracle(plane)
     if not oracle_matches_locus(oracle, locus):
         raise VerificationError(
-            f"discriminant oracle {oracle.as_expr()} does not match "
+            f"discriminant oracle {format_polynomial(oracle.terms())} does not match "
             f"t^{locus.exponent} = {locus.value}"
         )
     return oracle

@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .analysis import analyze
 from .errors import UnsupportedShapeError, ValidationError, VerificationError
-from .exact import rational_to_json
+from .exact import format_polynomial, format_quotient, rational_to_json
 from .model import surface_from_json, surface_to_json
 from .shioda import (
     HODGE_LEVELS,
@@ -122,14 +122,14 @@ def _genus_one_json(section) -> dict:
     model, inv, verdict = section.model, section.invariants, section.verdict
     report = {
         "weierstrass": {
-            name: str(getattr(model, name).as_expr())
+            name: format_polynomial(getattr(model, name).terms())
             for name in ("a1", "a2", "a3", "a4", "a6")
         },
-        "discriminant": str(inv.delta.as_expr()),
-        "j": str(inv.j.as_expr()),
+        "discriminant": format_polynomial(inv.delta.terms()),
+        "j": format_quotient(inv.j.numer.terms(), inv.j.denom.terms()),
         "fibers": [
             _fiber_json("0", section.at_zero),
-            _fiber_json(str(section.orbit.as_expr()), section.away),
+            _fiber_json(format_polynomial(section.orbit.terms()), section.away),
             _fiber_json("infinity", section.at_infinity),
         ],
         "verdict": _verdict_json(verdict),
@@ -145,7 +145,7 @@ def _verify_json(oracle) -> dict:
             "oracle": "skipped",
             "reason": "duplicate moving monomial: closed form does not apply",
         }
-    return {"oracle": "match", "polynomial": str(oracle.as_expr())}
+    return {"oracle": "match", "polynomial": format_polynomial(oracle.terms())}
 
 
 # ---------------------------------------------------------------------------

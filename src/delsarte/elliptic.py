@@ -9,8 +9,9 @@ base line are rational numbers, the point at infinity, or a squarefree
 element of Q[t] whose roots share one fiber type (each cofactor left by
 repeated division is prime to it; nothing is factored); ``kodaira_type``
 reads its valuations off c4, c6 and delta, so one model's invariants are
-computed once however many places are classified.  Printing goes through
-``.as_expr()``.
+computed once however many places are classified.  The report prints these
+elements from their ``.terms()`` with ``exact.format_polynomial`` and
+``exact.format_quotient``, which write what sympy's ``str`` would.
 
 The classification at a place uses the characteristic-zero correspondence
 between Kodaira symbols and the valuations (v(c4), v(c6), v(delta)) of the
@@ -149,14 +150,16 @@ Place = Union[Fraction, sympy.Expr, PolyElement]
 
 def _multiplicity(p: PolyElement, pi: PolyElement) -> int:
     """The exponent of the squarefree ``pi`` in ``p``, which every root of
-    ``pi`` must share: the cofactor is prime to ``pi`` (asserted)."""
+    ``pi`` must share: the cofactor is prime to ``pi`` (an AssertionError
+    otherwise)."""
     n = 0
     while True:
         q, r = p.div(pi)
         if r:
             break
         p, n = q, n + 1
-    assert pi.degree() == 1 or r.gcd(pi).degree() == 0, "places disagree"
+    if pi.degree() > 1 and r.gcd(pi).degree() > 0:
+        raise AssertionError("places disagree")
     return n
 
 
@@ -176,7 +179,7 @@ def _valuation(f: PolyElement, place: Place):
 
 def _classify_valuations(v4, v6, vd) -> KodairaFiber:
     # pass to the minimal model: u-substitutions shift by multiples of
-    # (4, 6, 12), and vd is always finite
+    # (4, 6, 12), and vd is always finite; k <= vd // 12, so d >= 0
     k = vd // 12
     if v4 is not sympy.oo:
         k = min(k, v4 // 4)
@@ -185,7 +188,6 @@ def _classify_valuations(v4, v6, vd) -> KodairaFiber:
     a = v4 - 4 * k if v4 is not sympy.oo else sympy.oo
     b = v6 - 6 * k if v6 is not sympy.oo else sympy.oo
     d = vd - 12 * k
-    assert d >= 0
     if d == 0:
         return kodaira_fiber("I0")
     if a == 0:
@@ -215,7 +217,8 @@ def kodaira_type(inv: WeierstrassInvariants, place: Place) -> KodairaFiber:
 
     ``place`` is a rational number, AT_INFINITY, or a polynomial in t (an
     expression or an element of QT_RING), read as its squarefree part; all
-    of its roots must have the same valuation data (asserted).
+    of its roots must have the same valuation data (an AssertionError
+    otherwise).
     """
     if not (place is AT_INFINITY or isinstance(place, Fraction)):
         place = QT_RING(place).sqf_part()
@@ -355,24 +358,28 @@ def _base_change_verdict(
 ) -> BaseChangeOfGammaLessOne:
     """The gamma verdict of a nonconstant-j family from its fiber table.
 
-    The away fibers, over ``orbit`` = t^k4 - c, must be multiplicative, I_nu
-    (asserted); the quotient by t -> t^{k4} has a single away fiber I_nu, and
-    its gamma is this table's (k4 away places) over k4, 1 - (nu + n0/k4 +
-    n_inf/k4)/6, the divisibilities being consequences of j living in
-    Q(t^{k4}) (asserted too).
+    The away fibers, over ``orbit`` = t^k4 - c, must be multiplicative, I_nu;
+    the quotient by t -> t^{k4} has a single away fiber I_nu, and its gamma
+    is this table's (k4 away places) over k4, 1 - (nu + n0/k4 + n_inf/k4)/6,
+    the divisibilities being consequences of j living in Q(t^{k4}).  Each of
+    these claims raises AssertionError when it fails.
     """
-    assert all(
-        m[0] % k4 == 0 for part in (inv.j.numer, inv.j.denom) for m in part.monoms()
-    ), "j must be a function of t^k4"
+    # raised, not asserted: every check here must hold under -O too
+    if any(
+        m[0] % k4 for part in (inv.j.numer, inv.j.denom) for m in part.monoms()
+    ):
+        raise AssertionError("j must be a function of t^k4")
     nu = away.n
-    assert nu >= 1 and away.symbol == f"I{nu}", "away fiber of a nonconstant-j family"
+    if nu < 1 or away.symbol != f"I{nu}":
+        raise AssertionError("away fiber of a nonconstant-j family must be I_nu")
 
-    # delta = unit * t^m * (t^k4 - c)^nu exactly; raised, not asserted
+    # delta = unit * t^m * (t^k4 - c)^nu exactly
     rest, remainder = inv.delta.div(orbit**nu)
     if remainder or len(rest.monoms()) != 1:
         raise AssertionError("discriminant has roots outside {0, away orbit}")
 
-    assert at_zero.n % k4 == 0 and at_infinity.n % k4 == 0
+    if at_zero.n % k4 or at_infinity.n % k4:
+        raise AssertionError("k4 must divide n0 and n_inf")
     quotient_gamma = gamma(at_zero, at_infinity, [(away, k4)]) / k4
     return BaseChangeOfGammaLessOne(quotient_gamma, away, k4, at_zero, at_infinity)
 

@@ -10,7 +10,9 @@ exact machinery the rest of the code leans on:
 * integer linear algebra for exponent matrices: the determinant and
   adjugate of a 4x4 matrix and the left kernel of a 4x3 one, both from 3x3
   cofactors (fraction-free, so there is no pivoting nondeterminism), and a
-  right-kernel basis for singular matrices.
+  right-kernel basis for singular matrices;
+* the text of a polynomial in t, and of a quotient of two, as sympy's
+  ``str`` writes the expression (``format_polynomial``, ``format_quotient``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Any, Iterable, Sequence, Union
 
 from .errors import RankDeficiencyError, ValidationError
 
@@ -223,3 +225,102 @@ def left_kernel_normalized(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     if k[3] < 0:
         k = [-x for x in k]
     return tuple(k)
+
+
+# ---------------------------------------------------------------------------
+# Polynomials in t as text
+# ---------------------------------------------------------------------------
+#
+# The printers take ``.terms()`` of a polynomial in t -- ((e,), c) pairs, c
+# anything with an integer ``numerator`` and ``denominator`` -- and write what
+# sympy's ``str`` writes for the expression: terms by descending degree, a
+# term as ``t``, ``-t``, ``5*t**3``, ``3*t/4`` or ``-t**2/2``, a constant as
+# ``p`` or ``p/q``.
+
+Terms = Iterable[tuple[tuple[int], Any]]
+
+
+def _monomials(terms: Terms) -> list[tuple[int, int, int]]:
+    """(e, p, q) for each nonzero term p/q t^e, by descending e."""
+    return sorted(
+        ((e, int(c.numerator), int(c.denominator)) for (e,), c in terms if c),
+        reverse=True,
+    )
+
+
+def _power(e: int) -> str:
+    return "t" if e == 1 else f"t**{e}"
+
+
+def _product(p: int, q: int, numer: list[str], denom: list[str]) -> str:
+    """p/q times the factors ``numer`` over the factors ``denom``: numbers
+    first, a lone denominator bare and several in parentheses."""
+    top = ([str(abs(p))] if abs(p) != 1 else []) + numer
+    bottom = ([str(q)] if q != 1 else []) + denom
+    text = "-" if p < 0 else ""
+    text += "*".join(top) or "1"
+    if len(bottom) == 1:
+        return f"{text}/{bottom[0]}"
+    if bottom:
+        return f"{text}/({'*'.join(bottom)})"
+    return text
+
+
+def _format_sum(monomials: list[tuple[int, int, int]]) -> str:
+    if not monomials:
+        return "0"
+    # sympy's one exception to descending degree: a positive constant
+    # plus one term with a negative coefficient, as in 5 - t
+    if len(monomials) == 2 and monomials[1][0] == 0:
+        if monomials[1][1] > 0 > monomials[0][1]:
+            monomials = monomials[::-1]
+    parts = []
+    for e, p, q in monomials:
+        term = _product(p, q, [_power(e)] if e else [], [])
+        if parts:
+            parts.append(" - " + term[1:] if p < 0 else " + " + term)
+        else:
+            parts.append(term)
+    return "".join(parts)
+
+
+def format_polynomial(terms: Terms) -> str:
+    """sympy's ``str`` of a polynomial in t, from its ``.terms()``."""
+    return _format_sum(_monomials(terms))
+
+
+def format_quotient(numer: Terms, denom: Terms) -> str:
+    """sympy's ``str`` of numer/denom, polynomials in t given by their
+    ``.terms()``, as the expression ``numer.as_expr()/denom.as_expr()``.
+
+    Over a constant the quotient is a polynomial again, a monomial over a
+    monomial is one monomial (of negative degree, perhaps), and otherwise
+    each polynomial of several terms is parenthesized: ``(-t - 1)/(t - 2)``,
+    ``1/(27*t**2)``, ``t**(-2)``, ``6912/(27*t + 4)``.
+    """
+    top, bottom = _monomials(numer), _monomials(denom)
+    if not top:
+        return "0"
+    if len(bottom) > 1:  # 1/denom stays a power of its sum
+        if len(top) == 1:
+            e, p, q = top[0]
+            numer_factors = [_power(e)] if e else []
+            return _product(p, q, numer_factors, [f"({_format_sum(bottom)})"])
+        return f"({_format_sum(top)})/({_format_sum(bottom)})"
+    [(k, dp, dq)] = bottom
+    scale = Fraction(dq, dp)
+    if len(top) > 1 and k:  # a sum over a monomial
+        return _product(
+            scale.numerator, scale.denominator, [f"({_format_sum(top)})"], [_power(k)]
+        )
+    # a constant divides each term, and a monomial over a monomial is one
+    shifted = []
+    for e, p, q in top:
+        c = Fraction(p, q) * scale
+        shifted.append((e - k, c.numerator, c.denominator))
+    e, p, q = shifted[0]
+    if e >= 0:
+        return _format_sum(shifted)
+    if p == q == 1 and e < -1:
+        return f"t**({e})"
+    return _product(p, q, [], [_power(-e)])

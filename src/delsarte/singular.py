@@ -181,7 +181,7 @@ def _eliminant(system, eliminate, keep) -> Optional[sympy.Expr]:
         return None
     g = sympy.Integer(0)
     for p in only_keep:
-        g = sympy.gcd(g, p)
+        g = sympy.gcd(g, p, keep)
     return sympy.expand(g)
 
 
@@ -309,13 +309,15 @@ def discriminant_oracle(plane: PlaneModel) -> sympy.Poly:
         ((y, z), F.subs(x, 1)),       # vertex (1 : 0 : 0)
     ):
         v1, v2 = chart_vars
-        p = sympy.Poly(expr, v1, v2)
+        # t named here and in each gcd: sympy sorts unnamed generators by
+        # their printed names
+        p = sympy.Poly(expr, v1, v2, domain=sympy.QQ[t])
         coeff_at = dict(zip(p.monoms(), p.coeffs()))
         conditions = [c for mono, c in coeff_at.items() if mono[0] + mono[1] <= 1]
         if conditions:
             g = sympy.Integer(0)
             for cond in conditions:
-                g = sympy.gcd(g, cond)
+                g = sympy.gcd(g, cond, t)
             add(sympy.expand(g))
             continue
         add(_persistent_vertex_eliminant(coeff_at, v1, v2))

@@ -30,7 +30,7 @@ from calls import count_calls
 from corpus import deterministic_corpus, surface_from_affine_triples, y_squared_triples
 from delsarte import analysis, cli, shioda
 from digest import run_quietly
-from delsarte.errors import UnsupportedShapeError
+from delsarte.errors import UnsupportedShapeError, ValidationError
 from delsarte.exact import rational_to_json
 
 CUBIC_WITH_SECTION = '{"monomials": [[0,2,0,1],[3,0,0,0],[2,0,0,1],[0,0,1,2]]}'
@@ -613,6 +613,67 @@ def test_genus_one_stdout_is_pinned():
     # most draws reach the genus-one section, with and without coefficients
     assert min(sections[False], sections[True]) >= 100
     assert digest.hexdigest() == PINNED_GENUS_ONE_SHA256
+
+
+# sha256 over the exit code and stdout of every command in verify_commands();
+# pinned like PINNED_ANALYZE_SHA256, it holds the oracle polynomials' bytes
+PINNED_VERIFY_SHA256 = (
+    "505e74dc1473bc847dc5c6c2f608438477d56c182e9467f58db74d2aae474521"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def verify_commands() -> tuple[tuple[str, ...], ...]:
+    """analyze --verify on 60 seeded nondegenerate surfaces of degree 3 to 6,
+    every other one with four rational coefficients."""
+    rng = random.Random(14)
+    commands = []
+    while len(commands) < 60:
+        triples = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(4)]
+        if len(set(triples)) < 4 or not 3 <= max(map(sum, triples)) <= 6:
+            continue
+        try:
+            surface = surface_from_affine_triples(triples)
+        except ValidationError:
+            continue
+        if surface.is_degenerate:
+            continue
+        source: dict = {"monomials": [list(row) for row in surface.rows]}
+        if len(commands) % 2:
+            source["coefficients"] = [
+                rational_to_json(
+                    Fraction(
+                        rng.choice((-1, 1)) * rng.randrange(1, 100),
+                        rng.randrange(1, 100),
+                    )
+                )
+                for _ in range(4)
+            ]
+        commands.append(("analyze", json.dumps(source), "--verify"))
+    return tuple(commands)
+
+
+def test_verify_stdout_is_pinned():
+    digest = hashlib.sha256()
+    polynomials = 0
+    for argv in verify_commands():
+        code, out = run_quietly(argv)
+        digest.update(f"{code}\n{out}".encode())
+        if code == 0:
+            polynomials += "polynomial" in json.loads(out)["verify"]
+    assert polynomials >= 30  # most draws print an oracle polynomial
+    assert digest.hexdigest() == PINNED_VERIFY_SHA256
+
+
+@pytest.mark.parametrize("surface", [CUBIC_WITH_SECTION, ODD_ORDER_QUARTIC])
+def test_analyze_prints_without_sympy_printer(capsys, monkeypatch, surface):
+    # every printed polynomial and j go through the exact printers
+    calls = count_calls(
+        monkeypatch, [("elliptic", "sympy.printing.str.StrPrinter.doprint")]
+    )
+    report = run_json(capsys, "analyze", surface, "--verify")
+    assert "genus_one" in report and "polynomial" in report["verify"]
+    assert calls["sympy.printing.str.StrPrinter.doprint"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -242,12 +242,27 @@ def test_orbit_place():
             kodaira_type(inv, place)
 
 
+def run_optimized(script: str) -> list[str]:
+    """The stdout lines of ``script`` run by a ``python -O`` child that
+    imports the package and the test helpers from where this process does."""
+    tests = Path(__file__).resolve().parent
+    src = Path(sys.modules["delsarte.elliptic"].__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), str(tests), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_discriminant_shape_is_checked_under_optimize():
     # assert statements are stripped under -O; the verdict's check that
     # delta is a monomial times (t^k4 - c)^nu must still raise, on a delta
     # left with a remainder and on one with a root at t = 1
-    tests = Path(__file__).resolve().parent
-    src = Path(sys.modules["delsarte.elliptic"].__file__).resolve().parents[1]
     script = (
         "import dataclasses\n"
         "from corpus import surface_from_affine_triples\n"
@@ -264,18 +279,51 @@ def test_discriminant_shape_is_checked_under_optimize():
         "    except AssertionError as exc:\n"
         "        print(__debug__, exc)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), str(tests), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    assert run_optimized(script) == [
         "False discriminant has roots outside {0, away orbit}"
     ] * 2
+
+
+def test_verdict_and_place_claims_are_checked_under_optimize():
+    # y^2 + x^3 + x + t has k4 = 2; a forged j = t, a forged additive away
+    # fiber and a forged I1 at zero each break one claim of the verdict, a
+    # place with roots of two fiber types breaks _multiplicity's
+    script = (
+        "import dataclasses\n"
+        "from corpus import surface_from_affine_triples\n"
+        "from delsarte.analysis import analyze\n"
+        "from delsarte.elliptic import (\n"
+        "    QT, T, WeierstrassModel, _base_change_verdict,\n"
+        "    kodaira_fiber, kodaira_type, weierstrass_invariants,\n"
+        ")\n"
+        "triples = [(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)]\n"
+        "s = analyze(surface_from_affine_triples(triples)).genus_one\n"
+        "table = dict(at_zero=s.at_zero, away=s.away, at_infinity=s.at_infinity)\n"
+        "inv_i = weierstrass_invariants(WeierstrassModel.short(a4=-3, a6=T))\n"
+        "calls = [\n"
+        "    lambda: _base_change_verdict(\n"
+        "        dataclasses.replace(s.invariants, j=QT(T)), 2, s.orbit, **table\n"
+        "    ),\n"
+        "    lambda: _base_change_verdict(\n"
+        "        s.invariants, 2, s.orbit, **dict(table, away=kodaira_fiber('II'))\n"
+        "    ),\n"
+        "    lambda: _base_change_verdict(\n"
+        "        s.invariants, 2, s.orbit, **dict(table, at_zero=kodaira_fiber('I1'))\n"
+        "    ),\n"
+        "    lambda: kodaira_type(inv_i, (T**2 - 4) * (T - 1)),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        print(__debug__, call())\n"
+        "    except AssertionError as exc:\n"
+        "        print(__debug__, exc)\n"
+    )
+    assert run_optimized(script) == [
+        "False j must be a function of t^k4",
+        "False away fiber of a nonconstant-j family must be I_nu",
+        "False k4 must divide n0 and n_inf",
+        "False places disagree",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 The left-kernel routine is cofactor based, so the oracle here is a completely
 independent fraction-based Gaussian elimination nullspace.  Determinants and
 ranks are cross-checked against sympy, adjugates against a plain integer
-matrix product.
+matrix product, and the polynomial and quotient printers against sympy's
+``str`` of the same expression.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -15,11 +17,16 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.abc import t
 
+from delsarte.elliptic import QT, QT_RING, T
 from delsarte.errors import RankDeficiencyError, ValidationError
 from delsarte.exact import (
     MAX_DIGITS,
     adjugate,
+    format_polynomial,
+    format_quotient,
     left_kernel_normalized,
     nullspace_basis,
     parse_rational,
@@ -322,3 +329,96 @@ def test_left_kernel_random_against_oracle(rows):
 def test_left_kernel_shape_check():
     with pytest.raises(ValidationError):
         left_kernel_normalized([[1, 2], [3, 4]])
+
+
+# ---------------------------------------------------------------------------
+# Printing polynomials and quotients in t (sympy's str is the oracle)
+# ---------------------------------------------------------------------------
+
+
+def printed_quotient(numer, denom) -> str:
+    return format_quotient(numer.terms(), denom.terms())
+
+
+def sympy_quotient(numer, denom) -> str:
+    return str(numer.as_expr() / denom.as_expr())
+
+
+def random_coefficient(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return QQ(rng.choice((-1, 1)))
+    if kind == 1:
+        return QQ(rng.randint(-99, 99))
+    if kind == 2:
+        return QQ(rng.randint(-99, 99), rng.randint(1, 60))
+    return QQ(rng.randint(-10**30, 10**30), rng.randint(1, 10**12))
+
+
+def random_polynomial(rng, max_terms=4, max_degree=8):
+    return QT_RING.from_dict(
+        {
+            (rng.randint(0, max_degree),): random_coefficient(rng)
+            for _ in range(rng.randint(0, max_terms))
+        }
+    )
+
+
+# the shapes the printers must get right, each as (numerator, denominator)
+QUOTIENT_SHAPES = [
+    (0, 1), (0, T), (7, 1), (-7, 3), (1, T), (-1, T), (1, T**2), (-1, T**3),
+    (5, T**2), (1, 27 * T**2), (5, 27 * T**2), (T + 1, 2), (5 - T, 1),
+    (T + 1, 3 * T**2), (T + 1, T), (-T - 1, T**4), (T**2, T**5),
+    (6912, 27 * T + 4), (442368 * T**3, 256 * T**3 - 27),
+    (-442368, 27 * T**4 - 256), (-T - 1, T - 2), (-3 * T**2, T + 1),
+    (QQ(3, 4) * T, T**2 + 1), (QQ(1, 2) - 3 * T**4, 1),
+    (2176782336 - 229582512 * T**4, 1), (T, -T - 1), (T + 1, QQ(-2, 3) * T**2),
+]
+
+
+@pytest.mark.parametrize("numer, denom", QUOTIENT_SHAPES)
+def test_quotient_shapes_print_as_sympy(numer, denom):
+    numer, denom = QT_RING(numer), QT_RING(denom)
+    assert printed_quotient(numer, denom) == sympy_quotient(numer, denom)
+    j = QT.new(numer, denom)  # lowest terms, as j is kept
+    assert printed_quotient(j.numer, j.denom) == str(j.as_expr())
+
+
+def test_printed_shapes_read_as_sympy_documents_them():
+    def show(numer, denom=1):
+        return printed_quotient(QT_RING(numer), QT_RING(denom))
+
+    assert show(1, 27 * T**2) == "1/(27*t**2)"
+    assert show(1, T**2) == "t**(-2)"
+    assert show(T + 1, 2) == "t/2 + 1/2"
+    assert show(-T - 1, T - 2) == "(-t - 1)/(t - 2)"
+    assert show(5 - T) == "5 - t"
+    assert show(QQ(1, 2) - 3 * T**4) == "1/2 - 3*t**4"
+    assert show(-T**2 / 2 - T + 5) == "-t**2/2 - t + 5"
+    assert show(0) == "0"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_printers_match_sympy_on_random_elements(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        numer, denom = random_polynomial(rng), random_polynomial(rng)
+        assert format_polynomial(numer.terms()) == str(numer.as_expr())
+        oracle = sympy.Poly(numer.as_expr(), t)  # ZZ or QQ, sympy numbers
+        assert format_polynomial(oracle.terms()) == str(oracle.as_expr())
+        if not denom:
+            continue
+        assert printed_quotient(numer, denom) == sympy_quotient(numer, denom)
+        j = QT.new(numer, denom)
+        assert printed_quotient(j.numer, j.denom) == str(j.as_expr())
+
+
+def test_binomials_with_a_positive_constant_print_as_sympy():
+    # the one place sympy leaves descending degree: c - a t^e with c > 0
+    for c in (1, 5, QQ(1, 2)):
+        for a in (-1, 1, 3, QQ(-3, 4)):
+            for e in (1, 2, 4):
+                p = QT_RING(c) + QT_RING(a) * T**e
+                assert format_polynomial(p.terms()) == str(p.as_expr())
+                q = -p
+                assert format_polynomial(q.terms()) == str(q.as_expr())

@@ -5,7 +5,8 @@ and the symbolic helpers of ``singular`` import it.  Each test here runs a
 fresh ``python -X importtime -m delsarte.cli`` process and reads the modules
 it imported from the import-time report on stderr, so the entry point is
 exercised exactly as a user runs it.  The stdout hashes of the sympy paths
-pin the bytes they printed before sympy became lazy.
+pin the bytes they printed before sympy became lazy.  Printing needs no
+sympy at all: ``exact``'s printers write every polynomial and j.
 """
 
 from __future__ import annotations
@@ -139,3 +140,19 @@ def test_star_import_binds_every_public_name():
     exec("from delsarte import *", namespace)
     assert set(delsarte.__all__) <= set(namespace)
     assert namespace["plane_model"] is sys.modules["delsarte.reduction"].plane_model
+
+
+def test_no_module_prints_through_sympy_expressions():
+    # the report prints from .terms() with exact.format_polynomial and
+    # exact.format_quotient; sympy's str of .as_expr() is left to the tests
+    # as the printers' oracle, and the --verify oracle is built from
+    # expressions directly
+    for path in sorted((SRC / "delsarte").glob("*.py")):
+        calls = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "as_expr"
+        ]
+        assert not calls, f"{path.name} calls .as_expr( on lines {calls}"
