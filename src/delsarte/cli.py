@@ -122,8 +122,12 @@ def _genus_one_json(section) -> dict:
     model, inv, verdict = section.model, section.invariants, section.verdict
     report = {
         "weierstrass": {
-            name: format_polynomial(getattr(model, name).terms())
-            for name in ("a1", "a2", "a3", "a4", "a6")
+            "a1": "0",  # the model is short: y^2 = x^3 + a2 x^2 + a4 x + a6
+            "a3": "0",
+            **{
+                name: format_polynomial(getattr(model, name).terms())
+                for name in ("a2", "a4", "a6")
+            },
         },
         "discriminant": format_polynomial(inv.delta.terms()),
         "j": format_quotient(inv.j.numer.terms(), inv.j.denom.terms()),
@@ -222,8 +226,14 @@ def run_analyze(args) -> dict:
     if args.shioda:
         shioda_section: dict = {"lambda": result.lefschetz}
         if args.h2 is not None:
+            rho = args.h2 - result.lefschetz
+            if rho < 1:  # a projective surface carries an ample class
+                raise ValidationError(
+                    f"--h2 {args.h2} gives rho = {rho}; every projective "
+                    "surface has rho >= 1"
+                )
             shioda_section["h2"] = args.h2
-            shioda_section["rho"] = args.h2 - result.lefschetz
+            shioda_section["rho"] = rho
         report["shioda"] = shioda_section
     if args.verify:
         report["verify"] = _verify_json(result.oracle)
@@ -291,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--h2",
         type=int,
         default=None,
-        help="second Betti-type input; with --shioda also reports rho = h2 - lambda",
+        help="second Betti number; needs --shioda, and reports rho = h2 - lambda",
     )
 
     picard = sub.add_parser(
@@ -324,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "analyze" and args.h2 is not None and not args.shioda:
+        parser.error("--h2 needs --shioda")  # exits 2
     try:
         if args.command == "analyze":
             payload = run_analyze(args)

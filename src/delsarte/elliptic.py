@@ -1,16 +1,19 @@
 """Genus-one pipeline: Weierstrass models, Kodaira fiber types, gamma.
 
 Everything is exact and lives in one type: polynomials in Q[t] (``QT_RING``).
-The five model coefficients and the invariants b2..c6 and delta are such
-elements, from the standard b/c formulas with the two classical identities
-checked on every call; the one quotient, j = c4^3/delta, is an element of
-Q(t) (``QT``, sympy's ``field("t", QQ)``) in lowest terms.  Places of the
-base line are rational numbers, the point at infinity, or a squarefree
-element of Q[t] whose roots share one fiber type (each cofactor left by
-repeated division is prime to it; nothing is factored); ``kodaira_type``
-reads its valuations off c4, c6 and delta, so one model's invariants are
-computed once however many places are classified.  The report prints these
-elements from their ``.terms()`` with ``exact.format_polynomial`` and
+The models are short, y^2 = x^3 + a2 x^2 + a4 x + a6; their three
+coefficients and the invariants b2..c6 and delta are such elements, from the
+standard b/c formulas with the two classical identities checked on every
+call; the one quotient, j = c4^3/delta, is an element of Q(t) (``QT``,
+sympy's ``field("t", QQ)``) in lowest terms.  By the main theorem every
+singular fiber lies over t = 0, t = infinity or the away orbit t^k4 = c, so
+a place of the base line is a rational number, the point at infinity, or a
+binomial a t^k - c of Q[t] with a, c != 0.  Such a binomial is squarefree,
+and its roots must share one fiber type (each cofactor left by repeated
+division is prime to it; nothing is factored).  ``kodaira_type`` reads the
+valuations off c4, c6 and delta, so one model's invariants are computed once
+however many places are classified.  The report prints these elements from
+their ``.terms()`` with ``exact.format_polynomial`` and
 ``exact.format_quotient``, which write what sympy's ``str`` would.
 
 The classification at a place uses the characteristic-zero correspondence
@@ -52,20 +55,11 @@ QT_RING, T = QT.ring, QT.ring.gens[0]
 
 @dataclass(frozen=True)
 class WeierstrassModel:
-    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q[t]."""
+    """y^2 = x^3 + a2 x^2 + a4 x + a6, the coefficients in QT_RING."""
 
-    a1: PolyElement
-    a2: PolyElement
-    a3: PolyElement
-    a4: PolyElement
-    a6: PolyElement
-
-    @classmethod
-    def short(cls, a2=0, a4=0, a6=0) -> "WeierstrassModel":
-        """y^2 = x^3 + a2 x^2 + a4 x + a6; the coefficients may be numbers,
-        polynomial expressions in t or elements of QT_RING (anything else,
-        such as 1/t, is the ring's ValueError)."""
-        return cls(QT_RING.zero, QT_RING(a2), QT_RING.zero, QT_RING(a4), QT_RING(a6))
+    a2: PolyElement = QT_RING.zero
+    a4: PolyElement = QT_RING.zero
+    a6: PolyElement = QT_RING.zero
 
 
 @dataclass(frozen=True)
@@ -86,13 +80,11 @@ class WeierstrassInvariants:
 def weierstrass_invariants(model: WeierstrassModel) -> WeierstrassInvariants:
     """The b-, c-invariants, discriminant and j of ``model``, checking both
     classical identities, 4 b8 = b2 b6 - b4^2 and c4^3 - c6^2 = 1728 delta."""
-    a1, a2, a3, a4, a6 = (
-        QT_RING(a) for a in (model.a1, model.a2, model.a3, model.a4, model.a6)
-    )
-    b2 = a1**2 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3**2 + 4 * a6
-    b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
+    a2, a4, a6 = model.a2, model.a4, model.a6
+    b2 = 4 * a2
+    b4 = 2 * a4
+    b6 = 4 * a6
+    b8 = 4 * a2 * a6 - a4**2
     c4 = b2**2 - 24 * b4
     c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
     delta = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
@@ -145,13 +137,13 @@ def kodaira_fiber(symbol: str) -> KodairaFiber:
     raise ValidationError(f"unknown Kodaira symbol {symbol!r}")
 
 
-Place = Union[Fraction, sympy.Expr, PolyElement]
+Place = Union[Fraction, PolyElement]  # or AT_INFINITY
 
 
 def _multiplicity(p: PolyElement, pi: PolyElement) -> int:
-    """The exponent of the squarefree ``pi`` in ``p``, which every root of
-    ``pi`` must share: the cofactor is prime to ``pi`` (an AssertionError
-    otherwise)."""
+    """The exponent of the squarefree, nonconstant ``pi`` in ``p``, which
+    every root of ``pi`` must share: the cofactor is prime to ``pi`` (an
+    AssertionError otherwise)."""
     n = 0
     while True:
         q, r = p.div(pi)
@@ -165,7 +157,7 @@ def _multiplicity(p: PolyElement, pi: PolyElement) -> int:
 
 def _valuation(f: PolyElement, place: Place):
     """Order of vanishing of ``f`` in Q[t] at a place of P^1 (a polynomial
-    place is a squarefree element of QT_RING); sympy.oo for f = 0."""
+    place is a binomial of QT_RING); sympy.oo for f = 0."""
     if not f:
         return sympy.oo
     if place is AT_INFINITY:
@@ -215,15 +207,21 @@ def kodaira_type(inv: WeierstrassInvariants, place: Place) -> KodairaFiber:
     invariants are ``inv``, as in ``kodaira_type(weierstrass_invariants(model),
     Fraction(0))``.
 
-    ``place`` is a rational number, AT_INFINITY, or a polynomial in t (an
-    expression or an element of QT_RING), read as its squarefree part; all
-    of its roots must have the same valuation data (an AssertionError
-    otherwise).
+    ``place`` is a rational number, AT_INFINITY, or a binomial a t^k - c of
+    QT_RING with a, c != 0, such as the away orbit t^k4 - c or t - c; it
+    shares no root with its derivative, so it is squarefree.  All of its
+    roots must have the same valuation data (an AssertionError otherwise).
     """
     if not (place is AT_INFINITY or isinstance(place, Fraction)):
-        place = QT_RING(place).sqf_part()
-        if place.degree() < 1:  # raised, not asserted: division would not end
-            raise AssertionError("orbit place must involve t")
+        # raised, not asserted: a constant place would divide forever and a
+        # repeated root would halve the valuations, also under -O
+        if not (
+            isinstance(place, PolyElement)
+            and place.ring is QT_RING
+            and len(place) == 2
+            and (0,) in place
+        ):
+            raise AssertionError("a polynomial place must be a binomial a t^k - c")
     return _classify_valuations(
         _valuation(inv.c4, place),
         _valuation(inv.c6, place),
@@ -272,7 +270,7 @@ def _double_cover_model(psi: dict[int, PolyElement]) -> WeierstrassModel:
     degree = max(shift)
     if degree == 3:
         a, b, c, d = (shift.get(i, QT_RING.zero) for i in (3, 2, 1, 0))
-        return WeierstrassModel(QT_RING.zero, b, QT_RING.zero, a * c, a**2 * d)
+        return WeierstrassModel(b, a * c, a**2 * d)
     if degree == 4:
         a, b, c, d, e = (shift.get(i, QT_RING.zero) for i in (4, 3, 2, 1, 0))
         inv_i = 12 * a * e - 3 * b * d + c**2
@@ -283,7 +281,7 @@ def _double_cover_model(psi: dict[int, PolyElement]) -> WeierstrassModel:
             + 9 * b * c * d
             - 2 * c**3
         )
-        return WeierstrassModel.short(a4=-27 * inv_i, a6=-27 * inv_j)
+        return WeierstrassModel(a4=-27 * inv_i, a6=-27 * inv_j)
     raise NotConvertibleError(
         f"double cover has degree {degree} after clearing squares; need 3 or 4"
     )
@@ -298,9 +296,11 @@ def genus_one_weierstrass(form: SuperellipticForm) -> WeierstrassModel:
         raise NotConvertibleError(
             f"cyclic cover of exponent {form.cover_exponent}, not 2"
         )
-    return _double_cover_model(
-        {e: QT_RING(c) * (T if carries_t else 1) for c, e, carries_t in form.terms}
-    )
+    psi = {}
+    for c, e, carries_t in form.terms:
+        coefficient = QT_RING(c)
+        psi[e] = coefficient * T if carries_t else coefficient
+    return _double_cover_model(psi)
 
 
 # ---------------------------------------------------------------------------

@@ -244,10 +244,9 @@ def surface_from_json(obj: Mapping) -> DelsarteSurface:
         coeffs = [parse_rational(v) for v in raw]
     surface = validate_surface(obj["monomials"], coeffs)
     if "permutation" in obj and obj["permutation"] is not None:
+        # every check of validate_surface is invariant under permuting the
+        # columns, so the permuted surface is valid as it stands
         surface = surface.permuted(obj["permutation"])
-        # the permuted exponents must still define a valid surface; rerun the
-        # checks that depend on column structure
-        surface = validate_surface(surface.rows, surface.coefficients)
     return surface
 
 

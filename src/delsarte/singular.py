@@ -71,15 +71,12 @@ def rational_to_sympy(q: Fraction) -> sympy.Rational:
     return sympy.Rational(q.numerator, q.denominator)
 
 
-def plane_curve_expr(plane: PlaneModel, x=None, y=None, z=None, t=None):
-    """The plane projective family: sum of coeff * t^{[i = 4]} * x^a y^b z^c;
-    the variables default to the symbols x, y, z and t."""
+def plane_curve_expr(plane: PlaneModel, t=None):
+    """The plane projective family: sum of coeff * t^{[i = 4]} * x^a y^b z^c
+    in the symbols x, y, z; ``t`` defaults to the symbol t."""
     import sympy
 
-    t0, _, x0, y0, z0 = _symbols()
-    x = x0 if x is None else x
-    y = y0 if y is None else y
-    z = z0 if z is None else z
+    t0, _, x, y, z = _symbols()
     t = t0 if t is None else t
     total = sympy.Integer(0)
     for i, ((a, b, c), coeff) in enumerate(zip(plane.exponents, plane.coefficients)):
@@ -271,41 +268,27 @@ def discriminant_oracle(plane: PlaneModel) -> sympy.Poly:
         if not p.is_zero and p.degree() > 0:
             contributions.append(p)
 
-    # torus (chart z = 1, x y != 0)
-    f = F.subs(z, 1)
-    add(_eliminant([f, f.diff(x), f.diff(y), u * x * y - 1], (u, x, y), t))
-
-    # punctured line x = 0 (chart z = 1, y != 0)
-    add(
-        _eliminant(
-            [f.subs(x, 0), f.diff(x).subs(x, 0), f.diff(y).subs(x, 0), u * y - 1],
-            (u, y),
-            t,
-        )
-    )
-    # punctured line y = 0 (chart z = 1, x != 0)
-    add(
-        _eliminant(
-            [f.subs(y, 0), f.diff(x).subs(y, 0), f.diff(y).subs(y, 0), u * x - 1],
-            (u, x),
-            t,
-        )
-    )
-    # punctured line z = 0 (chart y = 1, x != 0)
-    h = F.subs(y, 1)
-    add(
-        _eliminant(
-            [h.subs(z, 0), h.diff(x).subs(z, 0), h.diff(z).subs(z, 0), u * x - 1],
-            (u, x),
-            t,
-        )
-    )
+    # the torus and the three punctured lines, each as its chart, the chart
+    # variables and the one set to 0 (None on the torus); every other chart
+    # variable is nonzero
+    f, h = F.subs(z, 1), F.subs(y, 1)
+    for chart, chart_vars, zero in (
+        (f, (x, y), None),  # torus (chart z = 1, x y != 0)
+        (f, (x, y), x),  # punctured line x = 0 (chart z = 1, y != 0)
+        (f, (x, y), y),  # punctured line y = 0 (chart z = 1, x != 0)
+        (h, (x, z), z),  # punctured line z = 0 (chart y = 1, x != 0)
+    ):
+        system = [chart] + [chart.diff(v) for v in chart_vars]
+        if zero is not None:
+            system = [g.subs(zero, 0) for g in system]
+        nonzero = tuple(v for v in chart_vars if v is not zero)
+        add(_eliminant(system + [sympy.Mul(u, *nonzero) - 1], (u, *nonzero), t))
 
     # the three vertices: multiplicity >= 2 there means every monomial of
     # local degree <= 1 has vanishing t-coefficient
     for chart_vars, expr in (
         ((x, y), f),                  # vertex (0 : 0 : 1)
-        ((x, z), F.subs(y, 1)),       # vertex (0 : 1 : 0)
+        ((x, z), h),                  # vertex (0 : 1 : 0)
         ((y, z), F.subs(x, 1)),       # vertex (1 : 0 : 0)
     ):
         v1, v2 = chart_vars

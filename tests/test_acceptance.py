@@ -25,6 +25,8 @@ from corpus import deterministic_corpus, surface_from_affine_triples
 from delsarte import cli
 from delsarte.elliptic import (
     AT_INFINITY,
+    QT_RING,
+    T,
     WeierstrassModel,
     gamma,
     kodaira_fiber,
@@ -193,7 +195,7 @@ def test_criterion_5_elliptic_worked_examples():
     (y^2 = x^3 + tx^2 + t^4 has the same fibers with 0 and infinity
     swapped, see test_elliptic.py::test_types_y2_x3_tx2_t4.)
     """
-    tx_model = WeierstrassModel.short(a2=sympy.Integer(1), a4=t)
+    tx_model = WeierstrassModel(a2=QT_RING.one, a4=T)
     inv = weierstrass_invariants(tx_model)
     expected_j = 256 * (3 * t - 1) ** 3 / (4 * t**3 - t**2)
     assert sympy.cancel(inv.j.as_expr() - expected_j) == 0
@@ -208,17 +210,17 @@ def test_criterion_5_elliptic_worked_examples():
     assert gamma(kodaira_fiber("IV"), kodaira_fiber("I1*"), [(I1, 1)]) == Fraction(2, 3)
 
     # (I1; I1; II*) for y^2 = x^3 + x^2 + t reproduces exactly
-    cubic = WeierstrassModel.short(a2=sympy.Integer(1), a6=t)
+    cubic = WeierstrassModel(a2=QT_RING.one, a6=T)
     assert fiber_symbols(cubic, Fraction(0), Fraction(-4, 27), AT_INFINITY) == (
         "I1", "I1", "II*"
     )
 
-    t2_model = WeierstrassModel.short(a4=t, a6=t**2)
+    t2_model = WeierstrassModel(a4=T, a6=T**2)
     assert fiber_symbols(t2_model, Fraction(0), Fraction(-4, 27), AT_INFINITY) == (
         "III", "I1", "IV*"
     )
 
-    iv_model = WeierstrassModel.short(a2=t, a6=t**2)
+    iv_model = WeierstrassModel(a2=T, a6=T**2)
     assert fiber_symbols(iv_model, Fraction(0), Fraction(-27, 4), AT_INFINITY) == (
         "IV", "I1", "I1*"
     )

@@ -96,11 +96,12 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
             ("elliptic", "weierstrass_invariants"),
             ("elliptic", "kodaira_type"),
             ("elliptic", "sympy.factor_list"),
+            ("elliptic", "PolyElement.sqf_part"),
         ],
     )
     # psi comes from the trichotomy's cyclic-cover form alone, and the away
     # orbit is one polynomial, built once by the section, divided into the
-    # invariants and never factored
+    # invariants and never factored or reduced to its squarefree part
     once = Counter(
         {
             "plane_model": 1,
@@ -114,6 +115,7 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
             "weierstrass_invariants": 1,
             "kodaira_type": 3,  # at 0, over the away orbit, at infinity
             "sympy.factor_list": 0,
+            "PolyElement.sqf_part": 0,  # the orbit t^k4 - c is squarefree
         }
     )
     report = run_json(capsys, "analyze", CUBIC_WITH_SECTION)
@@ -226,6 +228,25 @@ def test_analyze_shioda_section_with_h2(capsys):
 
     without_h2 = run_json(capsys, "analyze", CUBIC_WITH_SECTION, "--shioda")
     assert without_h2["shioda"] == {"lambda": 0}
+
+
+@pytest.mark.parametrize("h2", ["0", "-5"])
+def test_h2_below_lambda_plus_one_exits_3(capsys, h2):
+    # rho = h2 - lambda, and every projective surface has rho >= 1
+    code, out, err = run_cli(
+        capsys, "analyze", CUBIC_WITH_SECTION, "--shioda", "--h2", h2
+    )
+    assert (code, out) == (3, "")
+    assert f"--h2 {h2} gives rho = {h2}" in err
+
+
+def test_h2_without_shioda_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["analyze", CUBIC_WITH_SECTION, "--h2", "10"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--h2 needs --shioda" in captured.err
 
 
 # ---------------------------------------------------------------------------

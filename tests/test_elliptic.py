@@ -82,30 +82,21 @@ def psi_direct(minimal: MinimalFibration) -> dict:
 
 
 def test_invariants_of_constant_curves():
-    inv = weierstrass_invariants(WeierstrassModel.short(a6=1))
+    inv = weierstrass_invariants(WeierstrassModel(a6=QT_RING.one))
     assert inv.c4 == 0
     assert inv.c6 == -864
     assert inv.delta == -432
     assert inv.j == 0
 
-    inv = weierstrass_invariants(WeierstrassModel.short(a4=1))
+    inv = weierstrass_invariants(WeierstrassModel(a4=QT_RING.one))
     assert inv.j == 1728
 
 
 def test_invariants_identically_degenerate():
     with pytest.raises(ValidationError):
-        weierstrass_invariants(WeierstrassModel.short())  # y^2 = x^3
+        weierstrass_invariants(WeierstrassModel())  # y^2 = x^3
     with pytest.raises(ValidationError):
-        weierstrass_invariants(WeierstrassModel.short(a2=1))  # nodal
-
-
-def test_invariants_long_model():
-    # y^2 + xy = x^3 - x^2 (another degenerate one, caught by delta)
-    with pytest.raises(ValidationError):
-        weierstrass_invariants(
-            WeierstrassModel(sympy.Integer(1), sympy.Integer(-1),
-                             sympy.Integer(0), sympy.Integer(0), sympy.Integer(0))
-        )
+        weierstrass_invariants(WeierstrassModel(a2=QT_RING.one))  # nodal
 
 
 @given(
@@ -114,8 +105,8 @@ def test_invariants_long_model():
 )
 @settings(max_examples=40, deadline=None)
 def test_invariants_identity_on_random_models(p0, p1, q0, q1, r0, r1):
-    model = WeierstrassModel.short(
-        a2=p0 + p1 * t, a4=q0 + q1 * t, a6=r0 + r1 * t
+    model = WeierstrassModel(
+        a2=p0 + p1 * T, a4=q0 + q1 * T, a6=r0 + r1 * T
     )
     try:
         inv = weierstrass_invariants(model)
@@ -128,14 +119,13 @@ def test_invariants_identity_on_random_models(p0, p1, q0, q1, r0, r1):
 
 def test_section_is_polynomial_but_for_j():
     # the model and every invariant lie in Q[t]; j = c4^3/delta is the one
-    # element of Q(t), and a coefficient outside Q[t] is refused
+    # element of Q(t)
     section = report_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]).genus_one
     for part in (section.model, section.invariants):
         for name in (f.name for f in dataclasses.fields(part)):
             assert name == "j" or getattr(part, name).ring is QT_RING
     assert section.invariants.j.field is QT
-    with pytest.raises(ValueError):
-        WeierstrassModel.short(a6=1 / t)
+    assert section.orbit.ring is QT_RING
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +176,7 @@ def test_types_y2_x3_x2_tx():
 
 
 def test_types_y2_x3_tx_t2():
-    model = WeierstrassModel.short(a4=t, a6=t**2)
+    model = WeierstrassModel(a4=T, a6=T**2)
     inv = weierstrass_invariants(model)
     at_zero = kodaira_type(inv, Fraction(0))
     away = kodaira_type(inv, Fraction(-4, 27))
@@ -196,7 +186,7 @@ def test_types_y2_x3_tx_t2():
 
 
 def test_types_y2_x3_tx2_t4():
-    model = WeierstrassModel.short(a2=t, a6=t**4)
+    model = WeierstrassModel(a2=T, a6=T**4)
     inv = weierstrass_invariants(model)
     at_zero = kodaira_type(inv, Fraction(0))
     away = kodaira_type(inv, Fraction(-4, 27))
@@ -219,27 +209,44 @@ def test_euler_totals_of_first_two_families():
 
 def test_orbit_place():
     # y^2 = x^3 + x + t has its away fiber over the two roots of t^2 + 4/27
-    # a place may be an expression or an element of QT_RING
-    def forms(place):
-        return (place, QT_RING(place))
-
     model = model_of([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)])
     inv = weierstrass_invariants(model)
-    fibers = {kodaira_type(inv, p) for p in forms(t**2 + sympy.Rational(4, 27))}
-    assert fibers == {kodaira_fiber("I1")}
+    assert kodaira_type(inv, T**2 + Fraction(4, 27)).symbol == "I1"
+    assert kodaira_type(inv, 27 * T**2 + 4).symbol == "I1"
     assert kodaira_type(inv, AT_INFINITY).symbol == "II*"
-    for place in forms(sympy.Integer(3)):  # no t in the place
-        with pytest.raises(AssertionError):
-            kodaira_type(inv, place)
 
-    # y^2 = x^3 - 3x + t: t^2 - 4 splits over Q, and both factors carry I1;
-    # t - 1 carries I0, so a place with roots 2, -2 and 1 has no one type
-    model = WeierstrassModel.short(a4=-3, a6=t)
+    # y^2 = x^3 - 3x + t: t^2 - 4 splits over Q, and both factors carry I1,
+    # as does the rational place t - 2 on its own
+    model = WeierstrassModel(a4=QT_RING(-3), a6=T)
     inv = weierstrass_invariants(model)
-    assert kodaira_type(inv, t**2 - 4).symbol == "I1"
-    for place in forms((t**2 - 4) * (t - 1)):
-        with pytest.raises(AssertionError):
-            kodaira_type(inv, place)
+    assert kodaira_type(inv, T**2 - 4).symbol == "I1"
+    assert kodaira_type(inv, T - 2) == kodaira_type(inv, Fraction(2)) == (
+        kodaira_fiber("I1")
+    )
+
+    # y^2 = x^3 - 3x + t - 4: of the roots of t^2 - 4, 2 carries I1 and -2
+    # carries I0, so the place has no one type
+    inv = weierstrass_invariants(dataclasses.replace(model, a6=T - 4))
+    with pytest.raises(AssertionError, match="places disagree"):
+        kodaira_type(inv, T**2 - 4)
+
+
+@pytest.mark.parametrize(
+    "place",
+    [
+        QT_RING(3),  # no t: division would never end
+        T**2,  # one term
+        T**3 - T**2,  # no constant term: a double root at t = 0
+        (T**2 - 4) * (T - 1),  # three terms
+        (T - 2) ** 2,  # a double root would halve the valuations
+        t**2 - 4,  # an expression, not an element of QT_RING
+    ],
+    ids=["constant", "monomial", "no_constant", "trinomial", "square", "expression"],
+)
+def test_place_must_be_a_binomial(place):
+    inv = weierstrass_invariants(WeierstrassModel(a4=QT_RING(-3), a6=T))
+    with pytest.raises(AssertionError, match="must be a binomial"):
+        kodaira_type(inv, place)
 
 
 def run_optimized(script: str) -> list[str]:
@@ -286,20 +293,23 @@ def test_discriminant_shape_is_checked_under_optimize():
 
 def test_verdict_and_place_claims_are_checked_under_optimize():
     # y^2 + x^3 + x + t has k4 = 2; a forged j = t, a forged additive away
-    # fiber and a forged I1 at zero each break one claim of the verdict, a
-    # place with roots of two fiber types breaks _multiplicity's
+    # fiber and a forged I1 at zero each break one claim of the verdict; on
+    # y^2 = x^3 - 3x + t - 4, t^2 - 4 has roots of two fiber types, which
+    # breaks _multiplicity's claim, and a place of three terms is refused
     script = (
         "import dataclasses\n"
         "from corpus import surface_from_affine_triples\n"
         "from delsarte.analysis import analyze\n"
         "from delsarte.elliptic import (\n"
-        "    QT, T, WeierstrassModel, _base_change_verdict,\n"
+        "    QT, QT_RING, T, WeierstrassModel, _base_change_verdict,\n"
         "    kodaira_fiber, kodaira_type, weierstrass_invariants,\n"
         ")\n"
         "triples = [(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)]\n"
         "s = analyze(surface_from_affine_triples(triples)).genus_one\n"
         "table = dict(at_zero=s.at_zero, away=s.away, at_infinity=s.at_infinity)\n"
-        "inv_i = weierstrass_invariants(WeierstrassModel.short(a4=-3, a6=T))\n"
+        "inv_i = weierstrass_invariants(\n"
+        "    WeierstrassModel(a4=QT_RING(-3), a6=T - 4)\n"
+        ")\n"
         "calls = [\n"
         "    lambda: _base_change_verdict(\n"
         "        dataclasses.replace(s.invariants, j=QT(T)), 2, s.orbit, **table\n"
@@ -310,6 +320,7 @@ def test_verdict_and_place_claims_are_checked_under_optimize():
         "    lambda: _base_change_verdict(\n"
         "        s.invariants, 2, s.orbit, **dict(table, at_zero=kodaira_fiber('I1'))\n"
         "    ),\n"
+        "    lambda: kodaira_type(inv_i, T**2 - 4),\n"
         "    lambda: kodaira_type(inv_i, (T**2 - 4) * (T - 1)),\n"
         "]\n"
         "for call in calls:\n"
@@ -323,6 +334,7 @@ def test_verdict_and_place_claims_are_checked_under_optimize():
         "False away fiber of a nonconstant-j family must be I_nu",
         "False k4 must divide n0 and n_inf",
         "False places disagree",
+        "False a polynomial place must be a binomial a t^k - c",
     ]
 
 

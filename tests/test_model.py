@@ -5,12 +5,14 @@ on."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from base_change import apply_base_change, term_set
+from corpus import deterministic_corpus
 from delsarte.errors import ValidationError
 from delsarte.model import (
     AffineEquation,
@@ -186,11 +188,26 @@ def test_surface_json_rejects(obj):
 
 
 def test_permuted_is_validated():
-    # valid as given, but permuting can't break validity (row sums, columns
-    # are permuted together); this documents that the recheck still runs
+    # valid as given, and permuting can't break validity (row sums, columns
+    # are permuted together), so the permuted surface is not rechecked
     obj = {
         "monomials": [[0, 2, 0, 1], [3, 0, 0, 0], [2, 0, 0, 1], [0, 0, 1, 2]],
         "permutation": [3, 2, 1, 0],
     }
     s = surface_from_json(obj)
     assert s.degree == 3
+
+
+def test_every_permutation_of_the_corpus_validates():
+    # every check of validate_surface is invariant under permuting the
+    # columns, which is why surface_from_json does not rerun it
+    for surface in deterministic_corpus():
+        obj = {
+            "monomials": [list(row) for row in surface.rows],
+            "coefficients": [2, "3/5", -7, "4/3"],
+        }
+        for perm in permutations(range(4)):
+            permuted = surface_from_json(dict(obj, permutation=list(perm)))
+            rows = [list(row) for row in permuted.rows]
+            assert validate_surface(rows, permuted.coefficients) == permuted
+
