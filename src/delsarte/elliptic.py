@@ -29,6 +29,7 @@ of the fiber table (the away orbit as k4 places) over k4.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -57,9 +58,10 @@ QT_RING, T = QT.ring, QT.ring.gens[0]
 class WeierstrassModel:
     """y^2 = x^3 + a2 x^2 + a4 x + a6, the coefficients in QT_RING."""
 
-    a2: PolyElement = QT_RING.zero
-    a4: PolyElement = QT_RING.zero
-    a6: PolyElement = QT_RING.zero
+    # a PolyElement is a dict, so a zero default needs a factory
+    a2: PolyElement = dataclasses.field(default_factory=lambda: QT_RING.zero)
+    a4: PolyElement = dataclasses.field(default_factory=lambda: QT_RING.zero)
+    a6: PolyElement = dataclasses.field(default_factory=lambda: QT_RING.zero)
 
 
 @dataclass(frozen=True)
@@ -296,11 +298,12 @@ def genus_one_weierstrass(form: SuperellipticForm) -> WeierstrassModel:
         raise NotConvertibleError(
             f"cyclic cover of exponent {form.cover_exponent}, not 2"
         )
-    psi = {}
-    for c, e, carries_t in form.terms:
-        coefficient = QT_RING(c)
-        psi[e] = coefficient * T if carries_t else coefficient
-    return _double_cover_model(psi)
+    return _double_cover_model(
+        {
+            e: QT_RING(c) * T if carries_t else QT_RING(c)
+            for c, e, carries_t in form.terms
+        }
+    )
 
 
 # ---------------------------------------------------------------------------

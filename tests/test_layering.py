@@ -156,3 +156,21 @@ def test_no_module_prints_through_sympy_expressions():
             and node.func.attr == "as_expr"
         ]
         assert not calls, f"{path.name} calls .as_expr( on lines {calls}"
+
+
+def test_no_dataclass_default_is_a_container():
+    # Python 3.10's dataclasses refuses a list, dict or set default when the
+    # class is made, and a Q[t] element is a dict: a zero coefficient must
+    # come from a default_factory, or importing the module fails there
+    import dataclasses
+    import importlib
+
+    for path in sorted((SRC / "delsarte").glob("*.py")):
+        module = importlib.import_module(f"delsarte.{path.stem}")
+        for name, value in vars(module).items():
+            if not (isinstance(value, type) and dataclasses.is_dataclass(value)):
+                continue
+            for f in dataclasses.fields(value):
+                assert not isinstance(f.default, (list, dict, set)), (
+                    f"{path.name}: {name}.{f.name}"
+                )
