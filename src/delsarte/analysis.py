@@ -4,8 +4,8 @@
 to minimal form, the plane model, the singular locus, the trichotomy, the
 genus-one section, the Lefschetz number and the elimination oracle.  It
 computes each quantity once and returns them together as a ``Report``; a
-degenerate surface stops after its degeneracy verdict.  Only the genus-one
-section and ``verify`` load sympy.
+degenerate surface stops after its degeneracy verdict.  Only ``verify``
+loads sympy.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from .elliptic import GenusOneSection, genus_one_section
 from .errors import NotConvertibleError, VerificationError
 from .exact import format_polynomial
 from .model import DelsarteSurface
@@ -37,8 +38,6 @@ from .singular import (
 
 if TYPE_CHECKING:
     import sympy
-
-    from .elliptic import GenusOneSection
 
 
 @dataclass(frozen=True)
@@ -78,9 +77,6 @@ def analyze(
     trichotomy = classify_trichotomy(minimal, plane, locus)
     genus_one = None
     if isinstance(trichotomy, Superelliptic) and trichotomy.generic_genus == 1:
-        # the one stage of a plain analyze that needs sympy, so imported here
-        from .elliptic import genus_one_section
-
         try:
             genus_one = genus_one_section(trichotomy, locus)
         except NotConvertibleError:  # not a double cover

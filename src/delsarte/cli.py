@@ -16,8 +16,9 @@ command-line usage error, 3 for invalid input, 4 for valid surfaces outside
 the supported analysis shapes, 1 for a --verify mismatch (the oracle
 disagreeing with the closed form).
 
-Only the genus-one section and --verify load sympy; ``picard`` and the
-integer stages of ``analyze`` run on the standard library alone.
+Only --verify loads sympy; ``picard`` and every stage of a plain
+``analyze``, the genus-one section included, run on the standard library
+alone.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ def _verdict_json(verdict) -> dict:
 
 
 def _genus_one_json(section) -> dict:
-    model, inv, verdict = section.model, section.invariants, section.verdict
+    model, verdict = section.model, section.verdict
+    j_numer, j_denom = section.j
     report = {
         "weierstrass": {
             "a1": "0",  # the model is short: y^2 = x^3 + a2 x^2 + a4 x + a6
@@ -129,8 +131,8 @@ def _genus_one_json(section) -> dict:
                 for name in ("a2", "a4", "a6")
             },
         },
-        "discriminant": format_polynomial(inv.delta.terms()),
-        "j": format_quotient(inv.j.numer.terms(), inv.j.denom.terms()),
+        "discriminant": format_polynomial(section.invariants.delta.terms()),
+        "j": format_quotient(j_numer.terms(), j_denom.terms()),
         "fibers": [
             _fiber_json("0", section.at_zero),
             _fiber_json(format_polynomial(section.orbit.terms()), section.away),

@@ -1,19 +1,26 @@
 """Genus-one pipeline: Weierstrass models, Kodaira fiber types, gamma.
 
-Everything is exact and lives in one type: polynomials in Q[t] (``QT_RING``).
-The models are short, y^2 = x^3 + a2 x^2 + a4 x + a6; their three
-coefficients and the invariants b2..c6 and delta are such elements, from the
-standard b/c formulas with the two classical identities checked on every
-call; the one quotient, j = c4^3/delta, is an element of Q(t) (``QT``,
-sympy's ``field("t", QQ)``) in lowest terms.  By the main theorem every
-singular fiber lies over t = 0, t = infinity or the away orbit t^k4 = c, so
-a place of the base line is a rational number, the point at infinity, or a
-binomial a t^k - c of Q[t] with a, c != 0.  Such a binomial is squarefree,
-and its roots must share one fiber type (each cofactor left by repeated
-division is prime to it; nothing is factored).  ``kodaira_type`` reads the
-valuations off c4, c6 and delta, so one model's invariants are computed once
-however many places are classified.  The report prints these elements from
-their ``.terms()`` with ``exact.format_polynomial`` and
+Everything is exact and lives in one type: polynomials in t over Q
+(``exact.QPoly``, whose coefficients are ints when integral).  The models
+are short, y^2 = x^3 + a2 x^2 + a4 x + a6; their three coefficients and the
+invariants b2..c6 and delta are such polynomials, from the standard b/c
+formulas with the two classical identities checked on every call.  By the
+main theorem every singular fiber lies over t = 0, t = infinity or the away
+orbit t^k4 = c, so a place of the base line is a rational number, the point
+at infinity, or a binomial a t^k - c with a, c != 0.  Such a binomial is
+squarefree, and its roots must share one fiber type (each cofactor left by
+repeated division is prime to it; nothing is factored).  ``kodaira_type``
+reads the valuations off c4, c6 and delta, and the invariants keep what it
+divided out at each binomial place, so one model's invariants are computed
+once and divided once however many places are classified.
+
+The one quotient, j = c4^3/delta, is formed once, with the verdict, and
+without a gcd: the verdict first checks that delta = unit * t^m *
+(t^k4 - c)^nu with multiplicative away fibers, so c4 is prime to the orbit
+and the common factor of c4^3 and delta is the power of t read off the
+valuations at 0.  j is kept as a (numerator, denominator) pair in sympy's
+``cancel`` form (``exact.primitive_quotient``).  The report prints these
+polynomials from their ``.terms()`` with ``exact.format_polynomial`` and
 ``exact.format_quotient``, which write what sympy's ``str`` would.
 
 The classification at a place uses the characteristic-zero correspondence
@@ -34,19 +41,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-import sympy
-from sympy import QQ
-from sympy.polys.fields import FracElement, field
-from sympy.polys.rings import PolyElement
-
 from .errors import NotConvertibleError, ValidationError
+from .exact import QPoly, T, primitive_quotient
 from .singular import SingularLocus, Superelliptic, SuperellipticForm
 
-AT_INFINITY = sympy.oo
 
-# Q(t), where only j lives, and Q[t] with its generator t
-QT = field("t", QQ)[0]
-QT_RING, T = QT.ring, QT.ring.gens[0]
+class _Infinity:
+    """The one infinity here: the point at infinity of the base line, and
+    the valuation of the zero polynomial, which the Kodaira table compares
+    as at least any integer (``v >= 2``, and so ``2 <= v``)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "AT_INFINITY"
+
+    def __ge__(self, other) -> bool:
+        return True
+
+
+AT_INFINITY = INFINITY = _Infinity()
+
+Valuation = Union[int, _Infinity]
+
+# j as (numerator, denominator): integer coefficients, lowest terms
+Quotient = tuple[QPoly, QPoly]
 
 
 # ---------------------------------------------------------------------------
@@ -56,31 +75,36 @@ QT_RING, T = QT.ring, QT.ring.gens[0]
 
 @dataclass(frozen=True)
 class WeierstrassModel:
-    """y^2 = x^3 + a2 x^2 + a4 x + a6, the coefficients in QT_RING."""
+    """y^2 = x^3 + a2 x^2 + a4 x + a6, the coefficients polynomials in t."""
 
-    # a PolyElement is a dict, so a zero default needs a factory
-    a2: PolyElement = dataclasses.field(default_factory=lambda: QT_RING.zero)
-    a4: PolyElement = dataclasses.field(default_factory=lambda: QT_RING.zero)
-    a6: PolyElement = dataclasses.field(default_factory=lambda: QT_RING.zero)
+    a2: QPoly = QPoly()
+    a4: QPoly = QPoly()
+    a6: QPoly = QPoly()
 
 
 @dataclass(frozen=True)
 class WeierstrassInvariants:
-    """The b- and c-invariants and the discriminant, as elements of QT_RING,
-    and j = c4^3/delta, as an element of QT."""
+    """The b- and c-invariants and the discriminant, polynomials in t.
 
-    b2: PolyElement
-    b4: PolyElement
-    b6: PolyElement
-    b8: PolyElement
-    c4: PolyElement
-    c6: PolyElement
-    delta: PolyElement
-    j: FracElement
+    ``splits`` holds, for each binomial place classified so far, the
+    valuation and the cofactor of c4, c6 and delta there (``_splits``), so
+    that the verdict reads the shape of delta without dividing again.
+    """
+
+    b2: QPoly
+    b4: QPoly
+    b6: QPoly
+    b8: QPoly
+    c4: QPoly
+    c6: QPoly
+    delta: QPoly
+    splits: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def weierstrass_invariants(model: WeierstrassModel) -> WeierstrassInvariants:
-    """The b-, c-invariants, discriminant and j of ``model``, checking both
+    """The b-, c-invariants and discriminant of ``model``, checking both
     classical identities, 4 b8 = b2 b6 - b4^2 and c4^3 - c6^2 = 1728 delta."""
     a2, a4, a6 = model.a2, model.a4, model.a6
     b2 = 4 * a2
@@ -90,7 +114,7 @@ def weierstrass_invariants(model: WeierstrassModel) -> WeierstrassInvariants:
     c4 = b2**2 - 24 * b4
     c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
     delta = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
-    if delta == 0:
+    if not delta:
         raise ValidationError(
             "discriminant vanishes identically: not an elliptic fibration"
         )
@@ -99,7 +123,7 @@ def weierstrass_invariants(model: WeierstrassModel) -> WeierstrassInvariants:
         raise AssertionError("4 b8 != b2 b6 - b4^2")
     if c4**3 - c6**2 != 1728 * delta:
         raise AssertionError("c4^3 - c6^2 != 1728 delta")
-    return WeierstrassInvariants(b2, b4, b6, b8, c4, c6, delta, QT.new(c4**3, delta))
+    return WeierstrassInvariants(b2, b4, b6, b8, c4, c6, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -139,48 +163,62 @@ def kodaira_fiber(symbol: str) -> KodairaFiber:
     raise ValidationError(f"unknown Kodaira symbol {symbol!r}")
 
 
-Place = Union[Fraction, PolyElement]  # or AT_INFINITY
+Place = Union[Fraction, QPoly, _Infinity]
+
+# (valuation, cofactor) of a polynomial at a binomial place
+Split = tuple[Valuation, QPoly]
 
 
-def _multiplicity(p: PolyElement, pi: PolyElement) -> int:
-    """The exponent of the squarefree, nonconstant ``pi`` in ``p``, which
-    every root of ``pi`` must share: the cofactor is prime to ``pi`` (an
-    AssertionError otherwise)."""
+def _split(p: QPoly, pi: QPoly) -> Split:
+    """(n, p / pi^n) for the exponent n of the squarefree, nonconstant
+    ``pi`` in ``p``, which every root of ``pi`` must share: the cofactor is
+    prime to ``pi`` (an AssertionError otherwise).  (INFINITY, 0) for p = 0."""
+    if not p:
+        return INFINITY, p
     n = 0
     while True:
-        q, r = p.div(pi)
+        q, r = divmod(p, pi)
         if r:
             break
         p, n = q, n + 1
-    if pi.degree() > 1 and r.gcd(pi).degree() > 0:
+    if pi.degree > 1 and not r.is_coprime(pi):
         raise AssertionError("places disagree")
-    return n
+    return n, p
 
 
-def _valuation(f: PolyElement, place: Place):
-    """Order of vanishing of ``f`` in Q[t] at a place of P^1 (a polynomial
-    place is a binomial of QT_RING); sympy.oo for f = 0."""
-    if not f:
-        return sympy.oo
+def _splits(inv: WeierstrassInvariants, place: QPoly) -> tuple[Split, Split, Split]:
+    """c4, c6 and delta split at the binomial ``place``, each divided once
+    per set of invariants."""
+    found = inv.splits.get(place)
+    if found is None:
+        found = tuple(_split(f, place) for f in (inv.c4, inv.c6, inv.delta))
+        inv.splits[place] = found
+    return found
+
+
+def _valuations(inv: WeierstrassInvariants, place: Place) -> list[Valuation]:
+    """The orders of vanishing of c4, c6 and delta at a place of P^1 (a
+    polynomial place is a binomial); INFINITY for a zero polynomial."""
+    parts = (inv.c4, inv.c6, inv.delta)
     if place is AT_INFINITY:
-        return -f.degree()
-    if isinstance(place, Fraction) and place == 0:  # monoms() run high to low
-        return f.monoms()[-1][0]
+        return [-f.degree if f else INFINITY for f in parts]
+    if place == 0:
+        return [f.low if f else INFINITY for f in parts]
     if isinstance(place, Fraction):
-        place = T - QT_RING(place)
-    return _multiplicity(f, place)
+        place = T - place
+    return [v for v, _ in _splits(inv, place)]
 
 
 def _classify_valuations(v4, v6, vd) -> KodairaFiber:
     # pass to the minimal model: u-substitutions shift by multiples of
     # (4, 6, 12), and vd is always finite; k <= vd // 12, so d >= 0
     k = vd // 12
-    if v4 is not sympy.oo:
+    if v4 is not INFINITY:
         k = min(k, v4 // 4)
-    if v6 is not sympy.oo:
+    if v6 is not INFINITY:
         k = min(k, v6 // 6)
-    a = v4 - 4 * k if v4 is not sympy.oo else sympy.oo
-    b = v6 - 6 * k if v6 is not sympy.oo else sympy.oo
+    a = v4 - 4 * k if v4 is not INFINITY else INFINITY
+    b = v6 - 6 * k if v6 is not INFINITY else INFINITY
     d = vd - 12 * k
     if d == 0:
         return kodaira_fiber("I0")
@@ -209,26 +247,21 @@ def kodaira_type(inv: WeierstrassInvariants, place: Place) -> KodairaFiber:
     invariants are ``inv``, as in ``kodaira_type(weierstrass_invariants(model),
     Fraction(0))``.
 
-    ``place`` is a rational number, AT_INFINITY, or a binomial a t^k - c of
-    QT_RING with a, c != 0, such as the away orbit t^k4 - c or t - c; it
-    shares no root with its derivative, so it is squarefree.  All of its
+    ``place`` is a rational number, AT_INFINITY, or a binomial a t^k - c
+    (a ``QPoly``) with a, c != 0, such as the away orbit t^k4 - c or t - c;
+    it shares no root with its derivative, so it is squarefree.  All of its
     roots must have the same valuation data (an AssertionError otherwise).
     """
     if not (place is AT_INFINITY or isinstance(place, Fraction)):
         # raised, not asserted: a constant place would divide forever and a
         # repeated root would halve the valuations, also under -O
         if not (
-            isinstance(place, PolyElement)
-            and place.ring is QT_RING
-            and len(place) == 2
-            and (0,) in place
+            isinstance(place, QPoly)
+            and len(place.terms()) == 2
+            and place.coeffs[0]
         ):
             raise AssertionError("a polynomial place must be a binomial a t^k - c")
-    return _classify_valuations(
-        _valuation(inv.c4, place),
-        _valuation(inv.c6, place),
-        _valuation(inv.delta, place),
-    )
+    return _classify_valuations(*_valuations(inv, place))
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +291,9 @@ def gamma(
 # ---------------------------------------------------------------------------
 
 
-def _double_cover_model(psi: dict[int, PolyElement]) -> WeierstrassModel:
+def _double_cover_model(psi: dict[int, QPoly]) -> WeierstrassModel:
     """Weierstrass model of u^2 = psi(v), psi in Q[t][v] of genus one, given
-    as {exponent of v: nonzero coefficient in QT_RING}.
+    as {exponent of v: nonzero coefficient, a polynomial in t}.
 
     Square factors of v are absorbed into u first; the reduced right side
     must be a cubic (straightened by X = a v, Y = a u) or a quartic (replaced
@@ -271,10 +304,10 @@ def _double_cover_model(psi: dict[int, PolyElement]) -> WeierstrassModel:
     shift = {e - 2 * (mu // 2): c for e, c in psi.items()}
     degree = max(shift)
     if degree == 3:
-        a, b, c, d = (shift.get(i, QT_RING.zero) for i in (3, 2, 1, 0))
+        a, b, c, d = (shift.get(i, QPoly()) for i in (3, 2, 1, 0))
         return WeierstrassModel(b, a * c, a**2 * d)
     if degree == 4:
-        a, b, c, d, e = (shift.get(i, QT_RING.zero) for i in (4, 3, 2, 1, 0))
+        a, b, c, d, e = (shift.get(i, QPoly()) for i in (4, 3, 2, 1, 0))
         inv_i = 12 * a * e - 3 * b * d + c**2
         inv_j = (
             72 * a * c * e
@@ -299,10 +332,7 @@ def genus_one_weierstrass(form: SuperellipticForm) -> WeierstrassModel:
             f"cyclic cover of exponent {form.cover_exponent}, not 2"
         )
     return _double_cover_model(
-        {
-            e: QT_RING(c) * T if carries_t else QT_RING(c)
-            for c, e, carries_t in form.terms
-        }
+        {e: c * T if carries_t else QPoly([c]) for c, e, carries_t in form.terms}
     )
 
 
@@ -338,59 +368,71 @@ FastenbergVerdict = Union[ConstantJ, BaseChangeOfGammaLessOne]
 @dataclass(frozen=True)
 class GenusOneSection:
     """The genus-one data of one fibration, each part computed once: the
-    Weierstrass model, its invariants, the fibers at 0, over the away orbit
-    ``orbit`` (t^k4 - c, an element of QT_RING) and at infinity, and the
-    verdict."""
+    Weierstrass model, its invariants, j = c4^3/delta in lowest terms, the
+    fibers at 0, over the away orbit ``orbit`` (t^k4 - c) and at infinity,
+    and the verdict."""
 
     model: WeierstrassModel
     invariants: WeierstrassInvariants
-    orbit: PolyElement
+    j: Quotient
+    orbit: QPoly
     at_zero: KodairaFiber
     away: KodairaFiber
     at_infinity: KodairaFiber
     verdict: FastenbergVerdict
 
 
-def _base_change_verdict(
+def _j_and_verdict(
     inv: WeierstrassInvariants,
     k4: int,
-    orbit: PolyElement,
+    orbit: QPoly,
     at_zero: KodairaFiber,
     away: KodairaFiber,
     at_infinity: KodairaFiber,
-) -> BaseChangeOfGammaLessOne:
-    """The gamma verdict of a nonconstant-j family from its fiber table.
+) -> tuple[Quotient, FastenbergVerdict]:
+    """j = c4^3/delta in lowest terms and the verdict, from the invariants
+    and the fiber table.
 
-    The away fibers, over ``orbit`` = t^k4 - c, must be multiplicative, I_nu;
-    the quotient by t -> t^{k4} has a single away fiber I_nu, and its gamma
-    is this table's (k4 away places) over k4, 1 - (nu + n0/k4 + n_inf/k4)/6,
-    the divisibilities being consequences of j living in Q(t^{k4}).  Each of
+    j is constant exactly when c4^3 lc(delta) = lc(c4^3) delta.  Otherwise
+    the away fibers, over ``orbit`` = t^k4 - c, must be multiplicative,
+    I_nu, and delta = unit * t^m * orbit^nu.  Then v(c4) = 0 on the orbit
+    (a multiplicative fiber of a model minimal there), so c4^3 and delta
+    share only t^min(3 v0(c4), m), and j needs no gcd.  The quotient by
+    t -> t^{k4} has a single away fiber I_nu, and its gamma is this table's
+    (k4 away places) over k4, 1 - (nu + n0/k4 + n_inf/k4)/6, the
+    divisibilities being consequences of j living in Q(t^{k4}).  Each of
     these claims raises AssertionError when it fails.
     """
+    cube, delta = inv.c4**3, inv.delta
+    if cube * delta.lc == delta * cube.lc:
+        value = Fraction(cube.lc, delta.lc)
+        return (QPoly([value.numerator]), QPoly([value.denominator])), ConstantJ(value)
+
     # raised, not asserted: every check here must hold under -O too
-    if any(
-        m[0] % k4 for part in (inv.j.numer, inv.j.denom) for m in part.monoms()
-    ):
-        raise AssertionError("j must be a function of t^k4")
     nu = away.n
     if nu < 1 or away.symbol != f"I{nu}":
         raise AssertionError("away fiber of a nonconstant-j family must be I_nu")
-
-    # delta = unit * t^m * (t^k4 - c)^nu exactly
-    rest, remainder = inv.delta.div(orbit**nu)
-    if remainder or len(rest.monoms()) != 1:
+    # delta = unit * t^m * orbit^nu exactly, before j is read off it
+    _, _, (vd, delta_rest) = _splits(inv, orbit)
+    if vd != nu or len(delta_rest.terms()) != 1:
         raise AssertionError("discriminant has roots outside {0, away orbit}")
+    low = min(cube.low, delta_rest.low)
+    j = primitive_quotient(cube.shift(-low), delta.shift(-low))
 
+    if any(e % k4 for part in j for (e,), _ in part.terms()):
+        raise AssertionError("j must be a function of t^k4")
     if at_zero.n % k4 or at_infinity.n % k4:
         raise AssertionError("k4 must divide n0 and n_inf")
     quotient_gamma = gamma(at_zero, at_infinity, [(away, k4)]) / k4
-    return BaseChangeOfGammaLessOne(quotient_gamma, away, k4, at_zero, at_infinity)
+    verdict = BaseChangeOfGammaLessOne(quotient_gamma, away, k4, at_zero, at_infinity)
+    return j, verdict
 
 
 def genus_one_section(
     trichotomy: Superelliptic, locus: SingularLocus
 ) -> GenusOneSection:
-    """Model, invariants, fiber table and verdict of a genus-one fibration.
+    """Model, invariants, fiber table, j and verdict of a genus-one
+    fibration.
 
     ``trichotomy`` is a superelliptic trichotomy, whose cyclic-cover form
     gives the model, and ``locus`` its locus (not degenerate; its exponent
@@ -398,18 +440,9 @@ def genus_one_section(
     """
     model = genus_one_weierstrass(trichotomy.form)
     inv = weierstrass_invariants(model)
-    orbit = T**locus.exponent - QT_RING(locus.value)
+    orbit = T**locus.exponent - locus.value
     at_zero = kodaira_type(inv, Fraction(0))
     away = kodaira_type(inv, orbit)
     at_infinity = kodaira_type(inv, AT_INFINITY)
-    j = inv.j
-    if j.numer.is_ground and j.denom.is_ground:
-        value = j.numer.LC / j.denom.LC
-        verdict: FastenbergVerdict = ConstantJ(
-            Fraction(int(value.numerator), int(value.denominator))
-        )
-    else:
-        verdict = _base_change_verdict(
-            inv, locus.exponent, orbit, at_zero, away, at_infinity
-        )
-    return GenusOneSection(model, inv, orbit, at_zero, away, at_infinity, verdict)
+    j, verdict = _j_and_verdict(inv, locus.exponent, orbit, at_zero, away, at_infinity)
+    return GenusOneSection(model, inv, j, orbit, at_zero, away, at_infinity, verdict)

@@ -11,6 +11,9 @@ exact machinery the rest of the code leans on:
   adjugate of a 4x4 matrix and the left kernel of a 4x3 one, both from 3x3
   cofactors (fraction-free, so there is no pivoting nondeterminism), and a
   right-kernel basis for singular matrices;
+* ``QPoly``, a polynomial in t over Q with the few operations the genus-one
+  section needs, and ``primitive_quotient``, which scales a quotient already
+  in lowest terms to integer coefficients as sympy's ``cancel`` leaves it;
 * the text of a polynomial in t, and of a quotient of two, as sympy's
   ``str`` writes the expression (``format_polynomial``, ``format_quotient``).
 """
@@ -127,12 +130,15 @@ def rational_kth_roots(c: RationalLike, k: int) -> list[Fraction]:
 def primitive_integer_vector(v: Sequence[RationalLike]) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive rational so the result is
     integral with gcd 1.  The direction (sign) is preserved."""
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
-        raise ValueError("zero vector has no primitive form")
-    scale = lcm(*(x.denominator for x in fracs))
-    ints = [int(x * scale) for x in fracs]
+    if all(type(x) is int for x in v):
+        ints = v
+    else:
+        fracs = [Fraction(x) for x in v]
+        scale = lcm(*(x.denominator for x in fracs))
+        ints = [x.numerator * (scale // x.denominator) for x in fracs]
     g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)
 
 
@@ -225,6 +231,220 @@ def left_kernel_normalized(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     if k[3] < 0:
         k = [-x for x in k]
     return tuple(k)
+
+
+# ---------------------------------------------------------------------------
+# Polynomials in t over Q
+# ---------------------------------------------------------------------------
+
+
+def _make(coeffs: list, integral: bool) -> QPoly:
+    """The QPoly with these coefficients, low degree first.  ``integral``
+    promises that every one is an int; otherwise the integral Fractions are
+    turned into ints here."""
+    if not integral:
+        coeffs = [
+            c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for c in coeffs
+        ]
+        integral = all(type(c) is int for c in coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    p = object.__new__(QPoly)
+    p.coeffs, p.integral = tuple(coeffs), integral
+    return p
+
+
+def _lift(x) -> QPoly:
+    if isinstance(x, QPoly):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _make([x], type(x) is int)
+    return NotImplemented
+
+
+class QPoly:
+    """A polynomial in t over Q.
+
+    ``coeffs`` holds the coefficients, low degree first, without trailing
+    zeros (the zero polynomial has none); each is an ``int`` when integral
+    and a ``Fraction`` otherwise, so integer polynomials cost integer
+    arithmetic only.  ``integral`` says that every coefficient is an int.
+    The value is immutable and hashable.  Besides ``+``, ``-``, ``*`` and
+    ``**`` by a natural number, it has division with remainder
+    (``divmod``), the degree, the lowest exponent, the leading coefficient,
+    a shift by a power of t, a coprimality test, and ``.terms()`` in the
+    ``((e,), c)`` shape that ``format_polynomial`` reads.
+    """
+
+    __slots__ = ("coeffs", "integral")
+
+    def __init__(self, coeffs: Iterable[RationalLike] = ()):
+        coeffs = list(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+            raise TypeError(f"not rational coefficients: {coeffs!r}")
+        p = _make(coeffs, False)
+        self.coeffs, self.integral = p.coeffs, p.integral
+
+    # -- reading ---------------------------------------------------------
+
+    @property
+    def degree(self) -> int:
+        """The degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    @property
+    def low(self) -> int:
+        """The lowest exponent with a nonzero coefficient: the order of
+        vanishing at t = 0.  The zero polynomial has none (ValueError)."""
+        for e, c in enumerate(self.coeffs):
+            if c:
+                return e
+        raise ValueError("the zero polynomial has no lowest term")
+
+    @property
+    def lc(self) -> RationalLike:
+        """The leading coefficient; 0 for the zero polynomial."""
+        return self.coeffs[-1] if self.coeffs else 0
+
+    def terms(self) -> list[tuple[tuple[int], RationalLike]]:
+        """The nonzero terms as ((e,), c) pairs, by descending e."""
+        coeffs = self.coeffs
+        return [((e,), coeffs[e]) for e in range(len(coeffs) - 1, -1, -1) if coeffs[e]]
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        other = _lift(other)
+        if other is NotImplemented:
+            return other
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"QPoly({format_polynomial(self.terms())!r})"
+
+    # -- ring operations -------------------------------------------------
+
+    def __add__(self, other) -> QPoly:
+        other = _lift(other)
+        if other is NotImplemented:
+            return other
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        coeffs = list(a)
+        for i, c in enumerate(b):
+            coeffs[i] += c
+        return _make(coeffs, self.integral and other.integral)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> QPoly:
+        return _make([-c for c in self.coeffs], self.integral)
+
+    def __sub__(self, other) -> QPoly:
+        other = _lift(other)
+        if other is NotImplemented:
+            return other
+        return self + -other
+
+    def __rsub__(self, other) -> QPoly:
+        other = _lift(other)
+        if other is NotImplemented:
+            return other
+        return other + -self
+
+    def __mul__(self, other) -> QPoly:
+        if isinstance(other, (int, Fraction)):
+            integral = self.integral and type(other) is int
+            return _make([c * other for c in self.coeffs], integral)
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not (a and b):
+            return _make([], True)
+        coeffs = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    coeffs[j] += x * y
+        return _make(coeffs, self.integral and other.integral)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> QPoly:
+        if n < 0:
+            raise ValueError("a polynomial has no negative powers")
+        result, base = None, self
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return _make([1], True) if result is None else result
+
+    def __divmod__(self, other: QPoly) -> tuple[QPoly, QPoly]:
+        """(q, r) with self = q * other + r and deg r < deg other.  Each
+        quotient coefficient touches only the nonzero terms of ``other``, so
+        dividing by a binomial costs one step per coefficient."""
+        divisor = other.coeffs
+        if not divisor:
+            raise ZeroDivisionError("polynomial division by zero")
+        n, lead = len(divisor) - 1, divisor[-1]
+        rest = [(e, c) for e, c in enumerate(divisor[:-1]) if c]
+        remainder = list(self.coeffs)
+        quotient = [0] * max(len(remainder) - n, 0)
+        for i in range(len(quotient) - 1, -1, -1):
+            c = remainder[i + n]
+            if not c:
+                continue
+            if lead != 1:
+                if type(c) is int and type(lead) is int and c % lead == 0:
+                    c //= lead
+                else:
+                    c = Fraction(c) / lead
+            quotient[i] = c
+            for e, d in rest:
+                remainder[i + e] -= c * d
+        del remainder[n:]
+        integral = self.integral and other.integral and lead in (1, -1)
+        return _make(quotient, integral), _make(remainder, integral)
+
+    def shift(self, n: int) -> QPoly:
+        """self * t^n; a negative n must be at most the lowest exponent."""
+        if n >= 0:
+            return _make([0] * n + list(self.coeffs), self.integral)
+        if self and self.low < -n:
+            raise ValueError(f"t^{-n} does not divide {self!r}")
+        return _make(list(self.coeffs[-n:]), self.integral)
+
+    def is_coprime(self, other: QPoly) -> bool:
+        """Whether self and other have no common root, by Euclid's
+        algorithm."""
+        a, b = self, other
+        while b:
+            a, b = b, divmod(a, b)[1]
+        return a.degree == 0
+
+
+T = QPoly([0, 1])
+
+
+def primitive_quotient(numer: QPoly, denom: QPoly) -> tuple[QPoly, QPoly]:
+    """numer/denom, a quotient already in lowest terms, scaled to integer
+    coefficients with no common content and a positive leading coefficient
+    in the denominator: the form sympy's ``cancel`` leaves, so that the
+    printers write j as sympy's ``str`` would."""
+    v = primitive_integer_vector(numer.coeffs + denom.coeffs)
+    if denom.lc < 0:
+        v = tuple(-x for x in v)
+    k = len(numer.coeffs)
+    return _make(list(v[:k]), True), _make(list(v[k:]), True)
 
 
 # ---------------------------------------------------------------------------

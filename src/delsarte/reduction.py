@@ -93,7 +93,8 @@ def classify_degenerate(surface: DelsarteSurface) -> DegenerateVerdict:
         return DegenerateVerdict(RATIONAL_FIBERS, v, None)
 
     v = _shifted_direction(basis[0])
-    assert v[2] != 0
+    if v[2] == 0:  # raised, not asserted: the checks here hold under -O too
+        raise AssertionError("a splitting direction must move t")
     return DegenerateVerdict(SPLITS_AFTER_BASE_CHANGE, v, abs(v[2]))
 
 
@@ -181,10 +182,12 @@ def reduce_to_minimal(surface: DelsarteSurface) -> MinimalFibration:
     # A v = e * (1,1,1,1) + n * e_idx
     image = [sum(x * y for x, y in zip(row, v)) for row in surface.rows]
     others = [image[j] for j in range(4) if j != idx]
-    assert others[0] == others[1] == others[2], image
+    if not others[0] == others[1] == others[2]:
+        raise AssertionError(f"A v is not e (1,1,1,1) + n e_idx: {image}")
     e = others[0]
     n = image[idx] - e
-    assert n != 0
+    if n == 0:
+        raise AssertionError("the substitution must move the carrier monomial")
 
     record = BaseChangeRecord(twist=(a, b), inner_degree=c, cleared_power=e, degree=n)
     return MinimalFibration(_reorder_minimal(eq, idx), record, idx)
@@ -236,9 +239,11 @@ def plane_model(minimal: MinimalFibration) -> PlaneModel:
     # no variable may divide all four monomials; guaranteed upstream, but the
     # kernel computation below silently relies on it, so check loudly
     for j in range(3):
-        assert min(row[j] for row in exponents) == 0
+        if min(row[j] for row in exponents) != 0:
+            raise AssertionError(f"variable {j} divides every monomial")
 
     kernel = left_kernel_normalized(exponents)
-    assert sum(kernel) == 0
+    if sum(kernel) != 0:
+        raise AssertionError(f"kernel {kernel} of a plane model must sum to 0")
     coeffs = tuple(c for c, _ in eq.terms)
     return PlaneModel(exponents, degree, kernel, coeffs)  # type: ignore[arg-type]

@@ -446,13 +446,15 @@ def superelliptic_form(
     (a1, b1), (a2, b2) = pairs[line[0]], pairs[line[1]]
     da, db = a2 - a1, b2 - b1
     g = gcd(da, db)
-    assert g != 0, "collinear monomials must be distinct"
+    if g == 0:  # raised, not asserted: the checks here hold under -O too
+        raise AssertionError("collinear monomials must be distinct")
     da, db = da // g, db // g
     if da < 0 or (da == 0 and db < 0):
         da, db = -da, -db
     # all three line points must actually be collinear along (da, db)
     (a3, b3) = pairs[line[2]]
-    assert (a3 - a1) * db == (b3 - b1) * da, "kernel zero without collinearity"
+    if (a3 - a1) * db != (b3 - b1) * da:
+        raise AssertionError("kernel zero without collinearity")
 
     # unimodular M with (da, db) . M = (0, 1): columns (-db, da) and a Bezout
     # pair; new exponents of (p, q) are (p, q) . M
@@ -463,16 +465,19 @@ def superelliptic_form(
 
     new_pairs = [transform(*pq) for pq in pairs]
     levels = {new_pairs[j][0] for j in line}
-    assert len(levels) == 1, "line monomials must share a u-level"
+    if len(levels) != 1:
+        raise AssertionError("line monomials must share a u-level")
     level = levels.pop()
     off_level, off_v = new_pairs[off]
     a = abs(off_level - level)
-    assert a >= 1, "off-line monomial cannot share the line's u-level"
+    if a < 1:
+        raise AssertionError("off-line monomial cannot share the line's u-level")
 
     raw = [new_pairs[j][1] - off_v for j in line]
     shift = max(0, ceil(-min(raw) / a)) * a
     exponents = [r + shift for r in raw]
-    assert len(set(exponents)) == 3
+    if len(set(exponents)) != 3:
+        raise AssertionError(f"cover exponents {exponents} must be distinct")
     terms = tuple(
         (-coeffs[j] / coeffs[off], e, j == 3) for j, e in zip(line, exponents)
     )
@@ -513,7 +518,8 @@ def superelliptic_genus(cover_exponent: int, multiplicities: Sequence[int]) -> i
     total = -2 * a + (a - gcd(a, degree))
     for m in multiplicities:
         total += a - gcd(a, m)
-    assert total % 2 == 0
+    if total % 2:
+        raise AssertionError("Riemann-Hurwitz gives an odd 2g - 2")
     return total // 2 + 1
 
 

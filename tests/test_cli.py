@@ -95,13 +95,14 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
             ("elliptic", "genus_one_weierstrass"),
             ("elliptic", "weierstrass_invariants"),
             ("elliptic", "kodaira_type"),
-            ("elliptic", "sympy.factor_list"),
-            ("elliptic", "PolyElement.sqf_part"),
+            ("sympy", "factor_list"),
+            ("sympy.polys.rings", "PolyElement.sqf_part"),
         ],
     )
     # psi comes from the trichotomy's cyclic-cover form alone, and the away
     # orbit is one polynomial, built once by the section, divided into the
-    # invariants and never factored or reduced to its squarefree part
+    # invariants and never factored or reduced to its squarefree part (the
+    # section uses no sympy, so a call to either would come from elsewhere)
     once = Counter(
         {
             "plane_model": 1,
@@ -114,7 +115,7 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
             "genus_one_weierstrass": 1,
             "weierstrass_invariants": 1,
             "kodaira_type": 3,  # at 0, over the away orbit, at infinity
-            "sympy.factor_list": 0,
+            "factor_list": 0,
             "PolyElement.sqf_part": 0,  # the orbit t^k4 - c is squarefree
         }
     )
@@ -690,11 +691,11 @@ def test_verify_stdout_is_pinned():
 def test_analyze_prints_without_sympy_printer(capsys, monkeypatch, surface):
     # every printed polynomial and j go through the exact printers
     calls = count_calls(
-        monkeypatch, [("elliptic", "sympy.printing.str.StrPrinter.doprint")]
+        monkeypatch, [("sympy.printing.str", "StrPrinter.doprint")]
     )
     report = run_json(capsys, "analyze", surface, "--verify")
     assert "genus_one" in report and "polynomial" in report["verify"]
-    assert calls["sympy.printing.str.StrPrinter.doprint"] == 0
+    assert calls["StrPrinter.doprint"] == 0
 
 
 # ---------------------------------------------------------------------------

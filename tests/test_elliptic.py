@@ -13,6 +13,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -21,28 +22,30 @@ from sympy.abc import t
 
 from calls import count_calls
 from corpus import deterministic_corpus, surface_from_affine_triples, y_squared_triples
+from qt_oracle import QT, to_expr, to_ring
 from delsarte.analysis import analyze
 from delsarte.elliptic import (
     AT_INFINITY,
-    QT,
-    QT_RING,
-    T,
     BaseChangeOfGammaLessOne,
+    ConstantJ,
     KodairaFiber,
     WeierstrassModel,
     _double_cover_model,
     gamma,
+    genus_one_section,
     genus_one_weierstrass,
     kodaira_fiber,
     kodaira_type,
     weierstrass_invariants,
 )
 from delsarte.errors import NotConvertibleError, ValidationError
+from delsarte.exact import QPoly, T
 from delsarte.model import validate_surface
 from delsarte.reduction import MinimalFibration, plane_model, reduce_to_minimal
 from delsarte.singular import (
     SemistableAway,
     Superelliptic,
+    SuperellipticForm,
     classify_trichotomy,
     singular_locus,
 )
@@ -69,11 +72,12 @@ def psi_direct(minimal: MinimalFibration) -> dict:
     reference the cyclic-cover form is checked against."""
     eq = minimal.equation
     pairs = [(ex, ey) for _, (ex, ey, _) in eq.terms]
-    coeffs = [QT_RING(c) * (T if j == 3 else 1) for j, (c, _) in enumerate(eq.terms)]
+    coeffs = [c * (T if j == 3 else 1) for j, (c, _) in enumerate(eq.terms)]
     i = pairs.index((0, 2))
     assert i != 3 and all(ey == 0 for j, (_, ey) in enumerate(pairs) if j != i)
     y2 = eq.terms[i][0]  # the constant coefficient of y^2
-    return {ex: -coeffs[j] / y2 for j, (ex, _) in enumerate(pairs) if j != i}
+    scale = -1 / Fraction(y2)
+    return {ex: coeffs[j] * scale for j, (ex, _) in enumerate(pairs) if j != i}
 
 
 # ---------------------------------------------------------------------------
@@ -82,21 +86,20 @@ def psi_direct(minimal: MinimalFibration) -> dict:
 
 
 def test_invariants_of_constant_curves():
-    inv = weierstrass_invariants(WeierstrassModel(a6=QT_RING.one))
-    assert inv.c4 == 0
+    inv = weierstrass_invariants(WeierstrassModel(a6=QPoly([1])))
+    assert inv.c4 == 0  # so j = 0
     assert inv.c6 == -864
     assert inv.delta == -432
-    assert inv.j == 0
 
-    inv = weierstrass_invariants(WeierstrassModel(a4=QT_RING.one))
-    assert inv.j == 1728
+    inv = weierstrass_invariants(WeierstrassModel(a4=QPoly([1])))
+    assert inv.c4**3 == 1728 * inv.delta  # j = 1728
 
 
 def test_invariants_identically_degenerate():
     with pytest.raises(ValidationError):
         weierstrass_invariants(WeierstrassModel())  # y^2 = x^3
     with pytest.raises(ValidationError):
-        weierstrass_invariants(WeierstrassModel(a2=QT_RING.one))  # nodal
+        weierstrass_invariants(WeierstrassModel(a2=QPoly([1])))  # nodal
 
 
 @given(
@@ -119,13 +122,77 @@ def test_invariants_identity_on_random_models(p0, p1, q0, q1, r0, r1):
 
 def test_section_is_polynomial_but_for_j():
     # the model and every invariant lie in Q[t]; j = c4^3/delta is the one
-    # element of Q(t)
+    # quotient, kept as two integer polynomials
     section = report_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]).genus_one
     for part in (section.model, section.invariants):
-        for name in (f.name for f in dataclasses.fields(part)):
-            assert name == "j" or getattr(part, name).ring is QT_RING
-    assert section.invariants.j.field is QT
-    assert section.orbit.ring is QT_RING
+        for field in dataclasses.fields(part):
+            if field.init:  # not the invariants' record of their splits
+                assert isinstance(getattr(part, field.name), QPoly), field.name
+    numer, denom = section.j
+    assert numer.integral and denom.integral
+    inv = section.invariants
+    assert inv.c4**3 * denom == numer * inv.delta
+    assert isinstance(section.orbit, QPoly)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_j_matches_sympy_cancel(seed):
+    # j is formed from the valuations at 0 and on the orbit, without a gcd;
+    # sympy's field, whose QT.new(c4^3, delta) reduces by a gcd, is the
+    # oracle for the lowest-terms pair, and constant j agrees with the verdict
+    rng = random.Random(seed)
+    sections = 0
+    while sections < 60:
+        triples = y_squared_triples(rng)
+        coefficients = [
+            Fraction(rng.choice([-7, -3, -2, -1, 1, 2, 5, 9]), rng.randrange(1, 8))
+            for _ in range(4)
+        ]
+        try:
+            rows = surface_from_affine_triples(triples).rows
+            section = analyze(validate_surface(rows, coefficients)).genus_one
+        except ValidationError:
+            continue
+        if section is None:
+            continue
+        sections += 1
+        inv = section.invariants
+        j = QT.new(to_ring(inv.c4**3), to_ring(inv.delta))
+        assert tuple(map(to_ring, section.j)) == (j.numer, j.denom)
+
+
+@pytest.mark.parametrize(
+    "terms, value, fibers",
+    [
+        # c4 = 0, so v(c4) is infinite everywhere
+        (
+            ((Fraction(1), 3, False), (Fraction(-2), 0, True)),
+            0,
+            ("II", "I0", "II*"),
+        ),
+        # c6 = 0
+        (
+            ((Fraction(1), 3, False), (Fraction(3), 1, True)),
+            1728,
+            ("III", "I0", "III*"),
+        ),
+    ],
+    ids=["j0", "j1728"],
+)
+def test_constant_j_section(terms, value, fibers):
+    # analyze sends constant-j families to the isotrivial branch, so the
+    # section's constant-j route is driven here from a cyclic-cover form
+    # (u^2 = v^3 - 2t, u^2 = v^3 + 3tv) and an orbit t - 1
+    trichotomy = SimpleNamespace(form=SuperellipticForm(2, terms))
+    locus = SimpleNamespace(exponent=1, value=Fraction(1))
+    section = genus_one_section(trichotomy, locus)
+    assert section.verdict == ConstantJ(Fraction(value))
+    table = (section.at_zero, section.away, section.at_infinity)
+    assert tuple(fiber.symbol for fiber in table) == fibers
+    inv = section.invariants
+    j = QT.new(to_ring(inv.c4**3), to_ring(inv.delta))
+    assert tuple(map(to_ring, section.j)) == (j.numer, j.denom)
+    assert section.j == (QPoly([value]), QPoly([1]))
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +232,12 @@ def test_types_y2_x3_x2_t():
 
 
 def test_types_y2_x3_x2_tx():
-    model = model_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (1, 0, 1)])
-    inv = weierstrass_invariants(model)
-    assert sympy.expand(inv.delta.as_expr() - 16 * t**2 * (1 - 4 * t)) == 0
+    triples = [(0, 2, 0), (3, 0, 0), (2, 0, 0), (1, 0, 1)]
+    inv = weierstrass_invariants(model_of(triples))
+    assert inv.delta == 16 * T**2 * (1 - 4 * T)
     expected_j = 256 * (3 * t - 1) ** 3 / (4 * t**3 - t**2)
-    assert sympy.cancel(inv.j.as_expr() - expected_j) == 0
+    numer, denom = report_of(triples).genus_one.j
+    assert sympy.cancel(to_expr(numer) / to_expr(denom) - expected_j) == 0
     assert kodaira_type(inv, Fraction(0)).symbol == "I2"
     assert kodaira_type(inv, Fraction(1, 4)).symbol == "I1"
     assert kodaira_type(inv, AT_INFINITY).symbol == "III*"
@@ -196,6 +264,20 @@ def test_types_y2_x3_tx2_t4():
     assert gamma(at_zero, at_inf, [(away, 1)]) == Fraction(2, 3)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [WeierstrassModel(a6=T**3), WeierstrassModel(a4=T**2)],
+    ids=["c4_0", "c6_0"],
+)
+def test_i0_star_with_a_vanishing_invariant(model):
+    # v(c4) or v(c6) is infinite when c4 or c6 is 0; the table still reads
+    # I0* from (oo, 3, 6) and (2, oo, 6), at 0 and, by symmetry, at infinity
+    inv = weierstrass_invariants(model)
+    assert kodaira_type(inv, Fraction(0)).symbol == "I0*"
+    assert kodaira_type(inv, AT_INFINITY).symbol == "I0*"
+    assert kodaira_type(inv, Fraction(1)).symbol == "I0"
+
+
 def test_euler_totals_of_first_two_families():
     for triples, parts in [
         ([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)],
@@ -217,7 +299,7 @@ def test_orbit_place():
 
     # y^2 = x^3 - 3x + t: t^2 - 4 splits over Q, and both factors carry I1,
     # as does the rational place t - 2 on its own
-    model = WeierstrassModel(a4=QT_RING(-3), a6=T)
+    model = WeierstrassModel(a4=QPoly([-3]), a6=T)
     inv = weierstrass_invariants(model)
     assert kodaira_type(inv, T**2 - 4).symbol == "I1"
     assert kodaira_type(inv, T - 2) == kodaira_type(inv, Fraction(2)) == (
@@ -234,17 +316,17 @@ def test_orbit_place():
 @pytest.mark.parametrize(
     "place",
     [
-        QT_RING(3),  # no t: division would never end
+        QPoly([3]),  # no t: division would never end
         T**2,  # one term
         T**3 - T**2,  # no constant term: a double root at t = 0
         (T**2 - 4) * (T - 1),  # three terms
         (T - 2) ** 2,  # a double root would halve the valuations
-        t**2 - 4,  # an expression, not an element of QT_RING
+        t**2 - 4,  # a sympy expression, not a QPoly
     ],
     ids=["constant", "monomial", "no_constant", "trinomial", "square", "expression"],
 )
 def test_place_must_be_a_binomial(place):
-    inv = weierstrass_invariants(WeierstrassModel(a4=QT_RING(-3), a6=T))
+    inv = weierstrass_invariants(WeierstrassModel(a4=QPoly([-3]), a6=T))
     with pytest.raises(AssertionError, match="must be a binomial"):
         kodaira_type(inv, place)
 
@@ -274,13 +356,14 @@ def test_discriminant_shape_is_checked_under_optimize():
         "import dataclasses\n"
         "from corpus import surface_from_affine_triples\n"
         "from delsarte.analysis import analyze\n"
-        "from delsarte.elliptic import T, _base_change_verdict\n"
+        "from delsarte.elliptic import _j_and_verdict\n"
+        "from delsarte.exact import T\n"
         "triples = [(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]\n"
         "s = analyze(surface_from_affine_triples(triples)).genus_one\n"
         "for delta in (T**2, s.invariants.delta * (T - 1)):\n"
         "    inv = dataclasses.replace(s.invariants, delta=delta)\n"
         "    try:\n"
-        "        _base_change_verdict(\n"
+        "        _j_and_verdict(\n"
         "            inv, 1, s.orbit, s.at_zero, s.away, s.at_infinity\n"
         "        )\n"
         "    except AssertionError as exc:\n"
@@ -292,8 +375,9 @@ def test_discriminant_shape_is_checked_under_optimize():
 
 
 def test_verdict_and_place_claims_are_checked_under_optimize():
-    # y^2 + x^3 + x + t has k4 = 2; a forged j = t, a forged additive away
-    # fiber and a forged I1 at zero each break one claim of the verdict; on
+    # y^2 + x^3 + x + t has k4 = 2; a forged c4 = t (so that j = t^3/delta),
+    # a forged additive away fiber and a forged I1 at zero each break one
+    # claim of the verdict; on
     # y^2 = x^3 - 3x + t - 4, t^2 - 4 has roots of two fiber types, which
     # breaks _multiplicity's claim, and a place of three terms is refused
     script = (
@@ -301,23 +385,24 @@ def test_verdict_and_place_claims_are_checked_under_optimize():
         "from corpus import surface_from_affine_triples\n"
         "from delsarte.analysis import analyze\n"
         "from delsarte.elliptic import (\n"
-        "    QT, QT_RING, T, WeierstrassModel, _base_change_verdict,\n"
+        "    WeierstrassModel, _j_and_verdict,\n"
         "    kodaira_fiber, kodaira_type, weierstrass_invariants,\n"
         ")\n"
+        "from delsarte.exact import QPoly, T\n"
         "triples = [(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)]\n"
         "s = analyze(surface_from_affine_triples(triples)).genus_one\n"
         "table = dict(at_zero=s.at_zero, away=s.away, at_infinity=s.at_infinity)\n"
         "inv_i = weierstrass_invariants(\n"
-        "    WeierstrassModel(a4=QT_RING(-3), a6=T - 4)\n"
+        "    WeierstrassModel(a4=QPoly([-3]), a6=T - 4)\n"
         ")\n"
         "calls = [\n"
-        "    lambda: _base_change_verdict(\n"
-        "        dataclasses.replace(s.invariants, j=QT(T)), 2, s.orbit, **table\n"
+        "    lambda: _j_and_verdict(\n"
+        "        dataclasses.replace(s.invariants, c4=T), 2, s.orbit, **table\n"
         "    ),\n"
-        "    lambda: _base_change_verdict(\n"
+        "    lambda: _j_and_verdict(\n"
         "        s.invariants, 2, s.orbit, **dict(table, away=kodaira_fiber('II'))\n"
         "    ),\n"
-        "    lambda: _base_change_verdict(\n"
+        "    lambda: _j_and_verdict(\n"
         "        s.invariants, 2, s.orbit, **dict(table, at_zero=kodaira_fiber('I1'))\n"
         "    ),\n"
         "    lambda: kodaira_type(inv_i, T**2 - 4),\n"
@@ -367,15 +452,14 @@ def test_direct_conversion_cubic():
     model = model_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
     inv = weierstrass_invariants(model)
     assert inv.c4 == 16
-    assert sympy.expand(inv.delta.as_expr() + 64 * t + 432 * t**2) == 0
+    assert inv.delta == -64 * T - 432 * T**2
 
 
 def test_quartic_conversion():
     # y^2 + x^4 + x + t: quartic right side, handled through I and J
     model = model_of([(0, 2, 0), (4, 0, 0), (1, 0, 0), (0, 0, 1)])
     inv = weierstrass_invariants(model)
-    factored = sympy.factor(inv.delta.as_expr())
-    assert sympy.expand(factored / 8503056 - (256 * t**3 - 27)) == 0
+    assert inv.delta == 8503056 * (256 * T**3 - 27)
     verdict = report_of([(0, 2, 0), (4, 0, 0), (1, 0, 0), (0, 0, 1)]).genus_one.verdict
     assert verdict.gamma == Fraction(5, 6)
     assert verdict.base_change_exponent == 3
@@ -386,7 +470,7 @@ def test_square_factor_is_absorbed():
     # y^2 = -x^3(x^2 + x + t): x^2 moves into y^2, leaving a cubic
     model = model_of([(0, 2, 0), (5, 0, 0), (4, 0, 0), (3, 0, 1)])
     inv = weierstrass_invariants(model)
-    assert sympy.expand(inv.delta.as_expr() - 16 * t**2 * (1 - 4 * t)) == 0
+    assert inv.delta == 16 * T**2 * (1 - 4 * T)
 
 
 def test_odd_order_quartic_route():

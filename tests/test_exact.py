@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.abc import t
 
-from delsarte.elliptic import QT, QT_RING, T
 from delsarte.errors import RankDeficiencyError, ValidationError
 from delsarte.exact import (
     MAX_DIGITS,
+    QPoly,
+    T,
     adjugate,
     format_polynomial,
     format_quotient,
@@ -31,9 +32,11 @@ from delsarte.exact import (
     nullspace_basis,
     parse_rational,
     primitive_integer_vector,
+    primitive_quotient,
     rational_kth_roots,
     rational_to_json,
 )
+from qt_oracle import QT, QT_RING, from_ring, to_expr, to_ring
 from shioda_oracle import frac_part
 
 # ---------------------------------------------------------------------------
@@ -212,6 +215,18 @@ def test_primitive_integer_vector_properties(v):
     assert (p[i] > 0) == (v[i] > 0)
 
 
+@given(st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=6))
+def test_primitive_integer_vector_integer_path(v):
+    # all-int input skips the Fraction path and gives the same vector
+    fracs = [Fraction(x) for x in v]
+    if not any(v):
+        for w in (v, fracs):
+            with pytest.raises(ValueError):
+                primitive_integer_vector(w)
+        return
+    assert primitive_integer_vector(v) == primitive_integer_vector(fracs)
+
+
 # ---------------------------------------------------------------------------
 # Matrices: determinant / adjugate / right kernel
 # ---------------------------------------------------------------------------
@@ -332,6 +347,119 @@ def test_left_kernel_shape_check():
 
 
 # ---------------------------------------------------------------------------
+# QPoly, with sympy's Q[t] and Q(t) as the oracle
+# ---------------------------------------------------------------------------
+
+
+def random_coefficient(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((-1, 1))
+    if kind == 1:
+        return rng.randint(-99, 99)
+    if kind == 2:
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 60))
+    return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**12))
+
+
+def random_polynomial(rng, max_terms=4, max_degree=8) -> QPoly:
+    coeffs = [0] * (max_degree + 1)
+    for _ in range(rng.randint(0, max_terms)):
+        coeffs[rng.randint(0, max_degree)] = random_coefficient(rng)
+    return QPoly(coeffs)
+
+
+def random_binomial(rng) -> QPoly:
+    """a t^k - c with a, c != 0, the shape of a place."""
+    a, c = (random_coefficient(rng) or 1 for _ in range(2))
+    return a * T ** rng.randint(1, 4) - c
+
+
+def is_canonical(p: QPoly) -> bool:
+    """ints exactly where integral, and no trailing zero"""
+    return (
+        all(type(c) is int or c.denominator != 1 for c in p.coeffs)
+        and p.integral == all(type(c) is int for c in p.coeffs)
+        and (not p.coeffs or p.coeffs[-1] != 0)
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qpoly_ring_operations_match_sympy(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        p, q = random_polynomial(rng), random_polynomial(rng)
+        c, n = random_coefficient(rng), rng.randint(0, 4)
+        P, Q = to_ring(p), to_ring(q)
+        cases = [
+            (p + q, P + Q), (p - q, P - Q), (-p, -P), (p * q, P * Q),
+            (p ** (n + 1), P ** (n + 1)), (p**0, QT_RING.one),
+            (c * p, QQ(c.numerator, c.denominator) * P),
+            (p + c, P + QQ(c.numerator, c.denominator)), (c - p, c - P),
+            (p.shift(n), P * QT_RING.gens[0] ** n),
+        ]
+        for mine, oracle in cases:
+            assert to_ring(mine) == oracle
+            assert is_canonical(mine)
+        assert from_ring(P) == p and hash(from_ring(P)) == hash(p)
+        assert (p * T**n).shift(-n) == p
+        if p:
+            assert p.degree == P.degree() and p.lc == P.LC
+            assert p.low == min(e for (e,), _ in P.terms())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qpoly_division_matches_sympy(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        p, q, b = random_polynomial(rng), random_polynomial(rng), random_binomial(rng)
+        for divisor in (b, q) if q else (b,):
+            quotient, remainder = divmod(p, divisor)
+            oracle = to_ring(p).div(to_ring(divisor))
+            assert (to_ring(quotient), to_ring(remainder)) == oracle
+            assert is_canonical(quotient) and is_canonical(remainder)
+            # exact division leaves the dividend's cofactor
+            assert divmod(p * divisor, divisor) == (p, QPoly())
+            if p:
+                gcd_degree = to_ring(p).gcd(to_ring(divisor)).degree()
+                assert p.is_coprime(divisor) == (gcd_degree == 0)
+    with pytest.raises(ZeroDivisionError):
+        divmod(T, QPoly())
+
+
+def test_qpoly_keeps_integral_coefficients_as_ints():
+    p = QPoly([Fraction(4, 2), Fraction(1, 3), 0, Fraction(0)])
+    assert p.coeffs == (2, Fraction(1, 3)) and type(p.coeffs[0]) is int
+    assert not p.integral and (p * 3).integral and (p * 3).coeffs == (6, 1)
+    assert divmod(2 * T**2 - 8, 2 * T - 4) == (T + 2, QPoly())
+    assert QPoly() == 0 and QPoly([5]) == 5 and T != 1 and T.degree == 1
+    with pytest.raises(TypeError):
+        QPoly([0.5])
+    with pytest.raises(ValueError):
+        QPoly().low
+    with pytest.raises(ValueError):
+        T.shift(-2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_primitive_quotient_is_the_cancel_form(seed):
+    # sympy's cancel leaves j in lowest terms with integer coefficients, no
+    # common content and a positive leading denominator coefficient; any
+    # rescaling of those two polynomials must come back to it
+    rng = random.Random(seed)
+    for _ in range(150):
+        numer, denom = random_polynomial(rng), random_polynomial(rng)
+        if not denom:
+            continue
+        j = QT.new(to_ring(numer), to_ring(denom))
+        lowest = from_ring(j.numer), from_ring(j.denom)
+        r = random_coefficient(rng) or -1
+        scaled = primitive_quotient(lowest[0] * r, lowest[1] * r)
+        assert scaled == lowest
+        assert all(p.integral for p in scaled)
+
+
+# ---------------------------------------------------------------------------
 # Printing polynomials and quotients in t (sympy's str is the oracle)
 # ---------------------------------------------------------------------------
 
@@ -341,27 +469,15 @@ def printed_quotient(numer, denom) -> str:
 
 
 def sympy_quotient(numer, denom) -> str:
-    return str(numer.as_expr() / denom.as_expr())
+    return str(to_expr(numer) / to_expr(denom))
 
 
-def random_coefficient(rng):
-    kind = rng.randrange(4)
-    if kind == 0:
-        return QQ(rng.choice((-1, 1)))
-    if kind == 1:
-        return QQ(rng.randint(-99, 99))
-    if kind == 2:
-        return QQ(rng.randint(-99, 99), rng.randint(1, 60))
-    return QQ(rng.randint(-10**30, 10**30), rng.randint(1, 10**12))
-
-
-def random_polynomial(rng, max_terms=4, max_degree=8):
-    return QT_RING.from_dict(
-        {
-            (rng.randint(0, max_degree),): random_coefficient(rng)
-            for _ in range(rng.randint(0, max_terms))
-        }
-    )
+def printed_j(numer, denom) -> str:
+    """j = numer/denom in lowest terms, as sympy's field keeps it, printed
+    from QPoly's terms."""
+    j = QT.new(to_ring(numer), to_ring(denom))
+    assert printed_quotient(from_ring(j.numer), from_ring(j.denom)) == str(j.as_expr())
+    return str(j.as_expr())
 
 
 # the shapes the printers must get right, each as (numerator, denominator)
@@ -371,30 +487,30 @@ QUOTIENT_SHAPES = [
     (T + 1, 3 * T**2), (T + 1, T), (-T - 1, T**4), (T**2, T**5),
     (6912, 27 * T + 4), (442368 * T**3, 256 * T**3 - 27),
     (-442368, 27 * T**4 - 256), (-T - 1, T - 2), (-3 * T**2, T + 1),
-    (QQ(3, 4) * T, T**2 + 1), (QQ(1, 2) - 3 * T**4, 1),
-    (2176782336 - 229582512 * T**4, 1), (T, -T - 1), (T + 1, QQ(-2, 3) * T**2),
+    (Fraction(3, 4) * T, T**2 + 1), (Fraction(1, 2) - 3 * T**4, 1),
+    (2176782336 - 229582512 * T**4, 1), (T, -T - 1),
+    (T + 1, Fraction(-2, 3) * T**2),
 ]
 
 
 @pytest.mark.parametrize("numer, denom", QUOTIENT_SHAPES)
 def test_quotient_shapes_print_as_sympy(numer, denom):
-    numer, denom = QT_RING(numer), QT_RING(denom)
+    numer, denom = numer + QPoly(), denom + QPoly()
     assert printed_quotient(numer, denom) == sympy_quotient(numer, denom)
-    j = QT.new(numer, denom)  # lowest terms, as j is kept
-    assert printed_quotient(j.numer, j.denom) == str(j.as_expr())
+    printed_j(numer, denom)
 
 
 def test_printed_shapes_read_as_sympy_documents_them():
     def show(numer, denom=1):
-        return printed_quotient(QT_RING(numer), QT_RING(denom))
+        return printed_quotient(numer + QPoly(), denom + QPoly())
 
     assert show(1, 27 * T**2) == "1/(27*t**2)"
     assert show(1, T**2) == "t**(-2)"
     assert show(T + 1, 2) == "t/2 + 1/2"
     assert show(-T - 1, T - 2) == "(-t - 1)/(t - 2)"
     assert show(5 - T) == "5 - t"
-    assert show(QQ(1, 2) - 3 * T**4) == "1/2 - 3*t**4"
-    assert show(-T**2 / 2 - T + 5) == "-t**2/2 - t + 5"
+    assert show(Fraction(1, 2) - 3 * T**4) == "1/2 - 3*t**4"
+    assert show(Fraction(-1, 2) * T**2 - T + 5) == "-t**2/2 - t + 5"
     assert show(0) == "0"
 
 
@@ -403,22 +519,21 @@ def test_printers_match_sympy_on_random_elements(seed):
     rng = random.Random(seed)
     for _ in range(150):
         numer, denom = random_polynomial(rng), random_polynomial(rng)
-        assert format_polynomial(numer.terms()) == str(numer.as_expr())
-        oracle = sympy.Poly(numer.as_expr(), t)  # ZZ or QQ, sympy numbers
+        assert format_polynomial(numer.terms()) == str(to_expr(numer))
+        oracle = sympy.Poly(to_expr(numer), t)  # ZZ or QQ, sympy numbers
         assert format_polynomial(oracle.terms()) == str(oracle.as_expr())
         if not denom:
             continue
         assert printed_quotient(numer, denom) == sympy_quotient(numer, denom)
-        j = QT.new(numer, denom)
-        assert printed_quotient(j.numer, j.denom) == str(j.as_expr())
+        printed_j(numer, denom)
 
 
 def test_binomials_with_a_positive_constant_print_as_sympy():
     # the one place sympy leaves descending degree: c - a t^e with c > 0
-    for c in (1, 5, QQ(1, 2)):
-        for a in (-1, 1, 3, QQ(-3, 4)):
+    for c in (1, 5, Fraction(1, 2)):
+        for a in (-1, 1, 3, Fraction(-3, 4)):
             for e in (1, 2, 4):
-                p = QT_RING(c) + QT_RING(a) * T**e
-                assert format_polynomial(p.terms()) == str(p.as_expr())
+                p = c + a * T**e
+                assert format_polynomial(p.terms()) == str(to_expr(p))
                 q = -p
-                assert format_polynomial(q.terms()) == str(q.as_expr())
+                assert format_polynomial(q.terms()) == str(to_expr(q))
