@@ -1,48 +1,55 @@
 """Exact-arithmetic analysis of four-monomial projective surfaces and the
 elliptic or superelliptic fibrations they carry.
 
-Importing the package loads no sympy: every stage of a plain ``analyze``
-and of ``picard`` runs on the standard library.  Only the ``--verify``
-elimination oracle of ``singular`` imports sympy, when it is called.
+The public names below are resolved on first access (PEP 562): importing
+the package loads none of its stage modules, and each name loads only the
+module that defines it.  No stage loads sympy: every stage of a plain
+``analyze`` and of ``picard`` runs on the standard library, and only the
+``--verify`` elimination oracle of ``singular`` imports sympy, when it is
+called.
 """
 
-from .analysis import Report, analyze
-from .elliptic import gamma, genus_one_weierstrass, kodaira_type, weierstrass_invariants
-from .errors import (
-    DelsarteError,
-    NotConvertibleError,
-    UnsupportedShapeError,
-    ValidationError,
-)
-from .model import surface_from_json, surface_to_json, validate_surface
-from .reduction import classify_degenerate, plane_model, reduce_to_minimal
-from .shioda import FamilyParams, lefschetz_number, picard_family
-from .singular import classify_trichotomy, discriminant_oracle, singular_locus
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DelsarteError",
-    "FamilyParams",
-    "NotConvertibleError",
-    "Report",
-    "UnsupportedShapeError",
-    "ValidationError",
-    "analyze",
-    "classify_degenerate",
-    "classify_trichotomy",
-    "discriminant_oracle",
-    "gamma",
-    "genus_one_weierstrass",
-    "kodaira_type",
-    "lefschetz_number",
-    "picard_family",
-    "plane_model",
-    "reduce_to_minimal",
-    "singular_locus",
-    "surface_from_json",
-    "surface_to_json",
-    "validate_surface",
-    "weierstrass_invariants",
-    "__version__",
-]
+# public name -> submodule that defines it, in the order of __all__
+_EXPORTS = {
+    "DelsarteError": "errors",
+    "FamilyParams": "shioda",
+    "NotConvertibleError": "errors",
+    "Report": "analysis",
+    "UnsupportedShapeError": "errors",
+    "ValidationError": "errors",
+    "analyze": "analysis",
+    "classify_degenerate": "reduction",
+    "classify_trichotomy": "singular",
+    "discriminant_oracle": "singular",
+    "gamma": "elliptic",
+    "genus_one_weierstrass": "elliptic",
+    "kodaira_type": "elliptic",
+    "lefschetz_number": "shioda",
+    "picard_family": "shioda",
+    "plane_model": "reduction",
+    "reduce_to_minimal": "reduction",
+    "singular_locus": "singular",
+    "surface_from_json": "model",
+    "surface_to_json": "model",
+    "validate_surface": "model",
+    "weierstrass_invariants": "elliptic",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

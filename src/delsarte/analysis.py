@@ -4,8 +4,10 @@
 to minimal form, the plane model, the singular locus, the trichotomy, the
 genus-one section, the Lefschetz number and the elimination oracle.  It
 computes each quantity once and returns them together as a ``Report``; a
-degenerate surface stops after its degeneracy verdict.  Only ``verify``
-loads sympy.
+degenerate surface stops after its degeneracy verdict.  The integer stages
+of ``reduction`` and ``singular`` are imported with this module; ``elliptic``
+is imported only when a genus-one section runs, and ``shioda`` only under
+``shioda=True``.  Only ``verify`` loads sympy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .elliptic import GenusOneSection, genus_one_section
 from .errors import NotConvertibleError, VerificationError
 from .exact import format_polynomial
 from .model import DelsarteSurface
@@ -25,7 +26,6 @@ from .reduction import (
     plane_model,
     reduce_to_minimal,
 )
-from .shioda import lefschetz_number
 from .singular import (
     SingularLocus,
     Superelliptic,
@@ -38,6 +38,8 @@ from .singular import (
 
 if TYPE_CHECKING:
     import sympy
+
+    from .elliptic import GenusOneSection
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,18 @@ def analyze(
     plane = plane_model(minimal)
     locus = singular_locus(plane)
     trichotomy = classify_trichotomy(minimal, plane, locus)
-    genus_one = None
+    genus_one = lefschetz = None
     if isinstance(trichotomy, Superelliptic) and trichotomy.generic_genus == 1:
+        from .elliptic import genus_one_section
+
         try:
             genus_one = genus_one_section(trichotomy, locus)
         except NotConvertibleError:  # not a double cover
             pass
+    if shioda:
+        from .shioda import lefschetz_number
+
+        lefschetz = lefschetz_number(surface.adjugate)
     return Report(
         surface,
         minimal=minimal,
@@ -88,7 +96,7 @@ def analyze(
         locus=locus,
         trichotomy=trichotomy,
         genus_one=genus_one,
-        lefschetz=lefschetz_number(surface.adjugate) if shioda else None,
+        lefschetz=lefschetz,
         oracle=_verify_analysis(plane, locus) if verify else None,
     )
 

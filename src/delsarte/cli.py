@@ -16,9 +16,14 @@ command-line usage error, 3 for invalid input, 4 for valid surfaces outside
 the supported analysis shapes, 1 for a --verify mismatch (the oracle
 disagreeing with the closed form).
 
-Only --verify loads sympy; ``picard`` and every stage of a plain
-``analyze``, the genus-one section included, run on the standard library
-alone.
+The module imports only the standard library and ``errors``: each command
+imports the stage modules it runs when it is dispatched, so that a fresh
+process compiles no module its command does not need.  ``analyze`` loads
+``analysis`` (with ``model``, ``reduction`` and ``singular``), ``elliptic``
+only for a genus-one section and ``shioda`` only under --shioda; ``picard``
+loads ``shioda``.  Only --verify loads sympy; ``picard`` and every stage of
+a plain ``analyze``, the genus-one section included, run on the standard
+library alone.
 """
 
 from __future__ import annotations
@@ -30,19 +35,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import analyze
 from .errors import UnsupportedShapeError, ValidationError, VerificationError
-from .exact import format_polynomial, format_quotient, rational_to_json
-from .model import surface_from_json, surface_to_json
-from .shioda import (
-    HODGE_LEVELS,
-    FamilyParams,
-    excluded_fractions,
-    family_L0_count,
-    gs_hodge_counts,
-    picard_family,
-    verify_family,
-)
 
 
 class UnreadableInputError(Exception):
@@ -61,8 +54,8 @@ def _locus_json(locus) -> dict:
     return {
         "degenerate": False,
         "exponent": locus.exponent,
-        "value": rational_to_json(locus.value),
-        "rational_points": [rational_to_json(r) for r in locus.rational_points],
+        "value": exact.rational_to_json(locus.value),
+        "rational_points": [exact.rational_to_json(r) for r in locus.rational_points],
     }
 
 
@@ -71,7 +64,7 @@ def _trichotomy_json(trichotomy) -> dict:
         return {
             "branch": trichotomy.branch,
             "duplicate_index": trichotomy.duplicate_index,
-            "degeneration_value": rational_to_json(trichotomy.degeneration_value),
+            "degeneration_value": exact.rational_to_json(trichotomy.degeneration_value),
         }
     if trichotomy.branch == "superelliptic":
         form = trichotomy.form
@@ -80,7 +73,7 @@ def _trichotomy_json(trichotomy) -> dict:
             "cover_exponent": form.cover_exponent,
             "normal_form": [
                 {
-                    "coefficient": rational_to_json(coeff),
+                    "coefficient": exact.rational_to_json(coeff),
                     "exponent": exponent,
                     "carries_t": carries,
                 }
@@ -90,7 +83,7 @@ def _trichotomy_json(trichotomy) -> dict:
             "constant_j": (
                 None
                 if trichotomy.constant_j is None
-                else rational_to_json(trichotomy.constant_j)
+                else exact.rational_to_json(trichotomy.constant_j)
             ),
         }
     return {"branch": trichotomy.branch, "locus": _locus_json(trichotomy.locus)}
@@ -108,10 +101,10 @@ def _fiber_json(place: str, fiber) -> dict:
 
 def _verdict_json(verdict) -> dict:
     if verdict.kind == "constant_j":
-        return {"kind": verdict.kind, "j": rational_to_json(verdict.j_value)}
+        return {"kind": verdict.kind, "j": exact.rational_to_json(verdict.j_value)}
     return {
         "kind": verdict.kind,
-        "gamma": rational_to_json(verdict.gamma),
+        "gamma": exact.rational_to_json(verdict.gamma),
         "base_change_exponent": verdict.base_change_exponent,
         "away_type": verdict.away_fiber.symbol,
         "at_zero": verdict.at_zero.symbol,
@@ -127,21 +120,21 @@ def _genus_one_json(section) -> dict:
             "a1": "0",  # the model is short: y^2 = x^3 + a2 x^2 + a4 x + a6
             "a3": "0",
             **{
-                name: format_polynomial(getattr(model, name).terms())
+                name: exact.format_polynomial(getattr(model, name).terms())
                 for name in ("a2", "a4", "a6")
             },
         },
-        "discriminant": format_polynomial(section.invariants.delta.terms()),
-        "j": format_quotient(j_numer.terms(), j_denom.terms()),
+        "discriminant": exact.format_polynomial(section.invariants.delta.terms()),
+        "j": exact.format_quotient(j_numer.terms(), j_denom.terms()),
         "fibers": [
             _fiber_json("0", section.at_zero),
-            _fiber_json(format_polynomial(section.orbit.terms()), section.away),
+            _fiber_json(exact.format_polynomial(section.orbit.terms()), section.away),
             _fiber_json("infinity", section.at_infinity),
         ],
         "verdict": _verdict_json(verdict),
     }
     if verdict.kind == "base_change_gamma_lt_one":
-        report["gamma"] = rational_to_json(verdict.gamma)
+        report["gamma"] = exact.rational_to_json(verdict.gamma)
     return report
 
 
@@ -151,7 +144,7 @@ def _verify_json(oracle) -> dict:
             "oracle": "skipped",
             "reason": "duplicate moving monomial: closed form does not apply",
         }
-    return {"oracle": "match", "polynomial": format_polynomial(oracle.terms())}
+    return {"oracle": "match", "polynomial": exact.format_polynomial(oracle.terms())}
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +169,18 @@ def _load_surface_source(source: str) -> dict:
 
 
 def run_analyze(args) -> dict:
+    global exact  # the serializers above print through exact
+    from . import exact
+    from .analysis import analyze
+    from .model import surface_from_json, surface_to_json
+
     surface = surface_from_json(_load_surface_source(args.surface))
     result = analyze(surface, verify=args.verify, shioda=args.shioda)
     report: dict = {
         "input": surface_to_json(surface),
         "validation": {
             "degree": surface.degree,
-            "determinant": rational_to_json(surface.determinant()),
+            "determinant": exact.rational_to_json(surface.determinant()),
         },
     }
     if result.degeneracy is not None:
@@ -200,7 +198,7 @@ def run_analyze(args) -> dict:
     report["minimal_form"] = {
         "equation": str(minimal.equation),
         "terms": [
-            {"coefficient": rational_to_json(c), "exponents": list(exps)}
+            {"coefficient": exact.rational_to_json(c), "exponents": list(exps)}
             for c, exps in minimal.equation.terms
         ],
         "carrier_index": minimal.carrier_index,
@@ -219,7 +217,7 @@ def run_analyze(args) -> dict:
     report["singular_locus"] = _locus_json(locus)
     report["structure"] = {
         "exponent": locus.exponent,
-        "value": rational_to_json(locus.value),
+        "value": exact.rational_to_json(locus.value),
         "negation_invariant": locus.negation_invariant,
     }
     report["trichotomy"] = _trichotomy_json(result.trichotomy)
@@ -248,6 +246,17 @@ def run_analyze(args) -> dict:
 
 
 def run_picard(args) -> dict:
+    from .exact import rational_to_json
+    from .shioda import (
+        HODGE_LEVELS,
+        FamilyParams,
+        excluded_fractions,
+        family_L0_count,
+        gs_hodge_counts,
+        picard_family,
+        verify_family,
+    )
+
     params = FamilyParams(args.p, args.a)
     excluded = excluded_fractions(params)
     rho_tilde = picard_family(params, excluded)

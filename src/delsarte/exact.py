@@ -149,12 +149,18 @@ def primitive_integer_vector(v: Sequence[RationalLike]) -> tuple[int, ...]:
 Adjugate = tuple[int, tuple[tuple[int, ...], ...]]  # (det A, rows of adj A)
 
 
-def _det3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
-    """Determinant of the 3x3 integer matrix with rows a, b, c."""
+# the indices 0..3 but one, in order: _OMIT[i] leaves out i
+_OMIT = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def _det3(a: Sequence[int], b: Sequence[int], c: Sequence[int],
+          p: int = 0, q: int = 1, r: int = 2) -> int:
+    """Determinant of the 3x3 integer matrix with rows a, b, c restricted to
+    the columns p, q, r."""
     return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
+        a[p] * (b[q] * c[r] - b[r] * c[q])
+        - a[q] * (b[p] * c[r] - b[r] * c[p])
+        + a[r] * (b[p] * c[q] - b[q] * c[p])
     )
 
 
@@ -164,14 +170,14 @@ def adjugate(rows: Sequence[Sequence[int]]) -> Adjugate:
     ``A . adj A = adj A . A = det A * I``, so A^{-1} = adj A / det A whenever
     det A != 0: every entry of A^{-1} is an integer over det A.
     """
-    def cofactor(i: int, j: int) -> int:
-        minor = [[x for col, x in enumerate(r) if col != j]
-                 for k, r in enumerate(rows) if k != i]
-        return (-1) ** (i + j) * _det3(*minor)
-
-    adj = tuple(tuple(cofactor(i, j) for i in range(4)) for j in range(4))
+    adj = [[0] * 4 for _ in range(4)]
+    for i, (k, m, n) in enumerate(_OMIT):
+        a, b, c = rows[k], rows[m], rows[n]
+        for j, cols in enumerate(_OMIT):
+            minor = _det3(a, b, c, *cols)  # of A without row i and column j
+            adj[j][i] = -minor if (i + j) % 2 else minor
     det = sum(rows[0][j] * adj[j][0] for j in range(4))
-    return det, adj
+    return det, tuple(map(tuple, adj))
 
 
 def nullspace_basis(rows: Sequence[Sequence[int]]) -> list[tuple[Fraction, ...]]:

@@ -138,12 +138,16 @@ def _kernel_product(plane: PlaneModel) -> Fraction:
         raise ValidationError(
             f"the singular-locus value could have more than {_MAX_VALUE_DIGITS} digits"
         )
-    value = Fraction(1)
+    # k^k c^-k = (k d / n)^k for c = n/d, read as (n / (k d))^|k| when k < 0
+    numer = denom = 1
     for ki, coeff in zip(plane.kernel, plane.coefficients):
-        if ki != 0:
-            value *= Fraction(ki) ** ki
-        value *= coeff ** (-ki)
-    return value
+        m = abs(ki)
+        outer, inner = (ki * coeff.denominator) ** m, coeff.numerator**m
+        if ki > 0:
+            numer, denom = numer * outer, denom * inner
+        else:
+            numer, denom = numer * inner, denom * outer
+    return Fraction(numer, denom)
 
 
 def singular_locus(plane: PlaneModel) -> SingularLocus:

@@ -455,9 +455,9 @@ PICARD_VERIFY = ("picard", "--p", "11", "--a", "1", "--verify")
 
 def test_picard_verify_catches_a_slice_missing_a_fraction(capsys, monkeypatch):
     # the slice scan loses one excluded j, so rho_tilde and lambda are off
-    real = cli.excluded_fractions
+    real = shioda.excluded_fractions
     monkeypatch.setattr(
-        cli, "excluded_fractions", lambda params: set(sorted(real(params))[1:])
+        shioda, "excluded_fractions", lambda params: set(sorted(real(params))[1:])
     )
     code, out, err = run_cli(capsys, *PICARD_VERIFY)
     assert code == 1
@@ -467,13 +467,13 @@ def test_picard_verify_catches_a_slice_missing_a_fraction(capsys, monkeypatch):
 
 def test_picard_verify_catches_a_hodge_level_off_by_one(capsys, monkeypatch):
     # the closed form moves one character from level 1 to level 2
-    real = cli.gs_hodge_counts
+    real = shioda.gs_hodge_counts
 
     def off_by_one(params):
         h20, h11, h02 = real(params)
         return h20 - 1, h11 + 1, h02
 
-    monkeypatch.setattr(cli, "gs_hodge_counts", off_by_one)
+    monkeypatch.setattr(shioda, "gs_hodge_counts", off_by_one)
     code, out, err = run_cli(capsys, *PICARD_VERIFY, "--hodge")
     assert code == 1
     assert out == ""

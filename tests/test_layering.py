@@ -3,12 +3,15 @@
 sympy is a lazy dependency: only the --verify oracle and the symbolic
 helpers of ``singular`` import it, when they are called.  Every stage of a
 plain ``analyze``, the genus-one section included, runs on ``exact.QPoly``
-and the standard library.  The process tests here run a fresh
-``python -X importtime -m delsarte.cli`` and read the modules it imported
-from the import-time report on stderr, so the entry point is exercised
-exactly as a user runs it.  The pinned stdout hashes are the bytes these
-commands printed when the genus-one section still ran on sympy.  Printing
-needs no sympy at all: ``exact``'s printers write every polynomial and j.
+and the standard library.  The stage modules are lazy too: the package and
+``cli.py`` import none of them up front, and each command loads only the
+ones it runs.  The process tests here run a fresh
+``python -X importtime -m delsarte.cli`` (or ``-c "import delsarte.cli"``)
+and read the modules it imported from the import-time report on stderr, so
+the entry point is exercised exactly as a user runs it.  The pinned stdout
+hashes are the bytes these commands printed when the genus-one section
+still ran on sympy.  Printing needs no sympy at all: ``exact``'s printers
+write every polynomial and j.
 """
 
 from __future__ import annotations
@@ -34,14 +37,15 @@ ISOTRIVIAL = '{"monomials": [[5,0,0,0],[0,5,0,0],[0,4,0,1],[0,4,1,0]]}'
 GENUS_TWO = '{"monomials": [[0,2,0,3],[5,0,0,0],[1,0,0,4],[0,0,1,4]]}'
 
 
-def run_entry_point(*argv: str) -> tuple[int, str, set[str]]:
-    """(exit code, stdout, names of the modules imported) of one process."""
+def run_python(*args: str) -> tuple[int, str, set[str]]:
+    """(exit code, stdout, names of the modules imported) of one
+    ``python -X importtime`` process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "delsarte.cli", *argv],
+        [sys.executable, "-X", "importtime", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -52,6 +56,11 @@ def run_entry_point(*argv: str) -> tuple[int, str, set[str]]:
         if line.startswith("import time:")
     }
     return proc.returncode, proc.stdout, imported
+
+
+def run_entry_point(*argv: str) -> tuple[int, str, set[str]]:
+    """``run_python`` of the command line ``delsarte *argv``."""
+    return run_python("-m", "delsarte.cli", *argv)
 
 
 @pytest.mark.parametrize(
@@ -71,12 +80,98 @@ def run_entry_point(*argv: str) -> tuple[int, str, set[str]]:
 def test_integer_stages_run_without_sympy(argv, sha256):
     code, out, imported = run_entry_point(*argv)
     assert code == 0, out
-    assert "delsarte.singular" in imported  # the report was read
+    # the report was read: each command loads the stage module that ends it
+    route = "delsarte.shioda" if argv[0] == "picard" else "delsarte.singular"
+    assert route in imported
     assert "sympy" not in imported
     # the one genus-one surface here keeps the bytes it printed on sympy
     assert ("genus_one" in json.loads(out)) == (sha256 is not None)
     if sha256 is not None:
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# the modules a command may import lazily, one per stage of the pipeline
+STAGES = ("analysis", "model", "reduction", "singular", "elliptic", "shioda")
+
+
+def package(*names: str) -> set[str]:
+    return {f"delsarte.{name}" for name in names}
+
+
+@pytest.mark.parametrize(
+    "args, loads, skips",
+    [
+        (("-c", "import delsarte.cli"), set(), package(*STAGES) | {"dataclasses"}),
+        (
+            ("-m", "delsarte.cli", "picard", "--p", "7", "--a", "2"),
+            package("shioda"),
+            package("analysis", "model", "reduction", "singular", "elliptic"),
+        ),
+        (
+            ("-m", "delsarte.cli", "analyze", HESSE_PENCIL),
+            package("analysis", "model", "reduction", "singular"),
+            package("elliptic", "shioda"),
+        ),
+        (
+            ("-m", "delsarte.cli", "analyze", WORKED_CUBIC),
+            package("analysis", "elliptic"),
+            package("shioda"),
+        ),
+        (
+            ("-m", "delsarte.cli", "analyze", HESSE_PENCIL, "--shioda"),
+            package("analysis", "shioda"),
+            package("elliptic"),
+        ),
+    ],
+    ids=["import_cli", "picard", "analyze", "analyze_genus_one", "analyze_shioda"],
+)
+def test_each_entry_loads_only_the_modules_it_runs(args, loads, skips):
+    # with PYTHONDONTWRITEBYTECODE=1 a fresh process compiles every module
+    # it imports, so a module a command does not run costs it start-up time
+    code, out, imported = run_python(*args)
+    assert code == 0, out
+    assert loads <= imported
+    assert not skips & imported, sorted(skips & imported)
+
+
+def test_the_package_lists_its_names_before_loading_them():
+    code, out, imported = run_python("-c", "import delsarte; print(*dir(delsarte))")
+    assert code == 0, out
+    assert set(delsarte.__all__) <= set(out.split())
+    assert not package(*STAGES) & imported
+
+
+def module_level_imports(path: Path) -> set[str]:
+    """The package modules ``path`` imports outside its functions and
+    classes (``from . import x`` names x)."""
+    found = set()
+    stack = list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found |= {
+                alias.name.removeprefix("delsarte.")
+                for alias in node.names
+                if alias.name.startswith("delsarte.")
+            }
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "delsarte":
+                continue
+            module = module.removeprefix("delsarte").lstrip(".")
+            found |= {module} if module else {a.name for a in node.names}
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+def test_entry_modules_import_no_stage_at_module_level(name):
+    # the package and the command line load a stage module only when a
+    # name or a command needs it; errors is all they import up front
+    assert module_level_imports(SRC / "delsarte" / name) <= {"errors"}
 
 
 @pytest.mark.parametrize(
