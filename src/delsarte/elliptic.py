@@ -10,9 +10,10 @@ orbit t^k4 = c, so a place of the base line is a rational number, the point
 at infinity, or a binomial a t^k - c with a, c != 0.  Such a binomial is
 squarefree, and its roots must share one fiber type (each cofactor left by
 repeated division is prime to it; nothing is factored).  ``kodaira_type``
-reads the valuations off c4, c6 and delta, and the invariants keep what it
-divided out at each binomial place, so one model's invariants are computed
-once and divided once however many places are classified.
+reads the valuations off c4, c6 and delta.  ``genus_one_section`` splits
+c4, c6 and delta at the away orbit once, classifies the away fiber from
+those valuations and hands delta's cofactor to the verdict, so one model's
+invariants are computed once and divided by the orbit once.
 
 The one quotient, j = c4^3/delta, is formed once, with the verdict, and
 without a gcd: the verdict first checks that delta = unit * t^m *
@@ -36,7 +37,6 @@ of the fiber table (the away orbit as k4 places) over k4.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -84,12 +84,7 @@ class WeierstrassModel:
 
 @dataclass(frozen=True)
 class WeierstrassInvariants:
-    """The b- and c-invariants and the discriminant, polynomials in t.
-
-    ``splits`` holds, for each binomial place classified so far, the
-    valuation and the cofactor of c4, c6 and delta there (``_splits``), so
-    that the verdict reads the shape of delta without dividing again.
-    """
+    """The b- and c-invariants and the discriminant, polynomials in t."""
 
     b2: QPoly
     b4: QPoly
@@ -98,9 +93,6 @@ class WeierstrassInvariants:
     c4: QPoly
     c6: QPoly
     delta: QPoly
-    splits: dict = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
 
 def weierstrass_invariants(model: WeierstrassModel) -> WeierstrassInvariants:
@@ -186,16 +178,6 @@ def _split(p: QPoly, pi: QPoly) -> Split:
     return n, p
 
 
-def _splits(inv: WeierstrassInvariants, place: QPoly) -> tuple[Split, Split, Split]:
-    """c4, c6 and delta split at the binomial ``place``, each divided once
-    per set of invariants."""
-    found = inv.splits.get(place)
-    if found is None:
-        found = tuple(_split(f, place) for f in (inv.c4, inv.c6, inv.delta))
-        inv.splits[place] = found
-    return found
-
-
 def _valuations(inv: WeierstrassInvariants, place: Place) -> list[Valuation]:
     """The orders of vanishing of c4, c6 and delta at a place of P^1 (a
     polynomial place is a binomial); INFINITY for a zero polynomial."""
@@ -206,7 +188,7 @@ def _valuations(inv: WeierstrassInvariants, place: Place) -> list[Valuation]:
         return [f.low if f else INFINITY for f in parts]
     if isinstance(place, Fraction):
         place = T - place
-    return [v for v, _ in _splits(inv, place)]
+    return [_split(f, place)[0] for f in parts]
 
 
 def _classify_valuations(v4, v6, vd) -> KodairaFiber:
@@ -385,7 +367,7 @@ class GenusOneSection:
 def _j_and_verdict(
     inv: WeierstrassInvariants,
     k4: int,
-    orbit: QPoly,
+    delta_split: Split,
     at_zero: KodairaFiber,
     away: KodairaFiber,
     at_infinity: KodairaFiber,
@@ -394,9 +376,10 @@ def _j_and_verdict(
     and the fiber table.
 
     j is constant exactly when c4^3 lc(delta) = lc(c4^3) delta.  Otherwise
-    the away fibers, over ``orbit`` = t^k4 - c, must be multiplicative,
-    I_nu, and delta = unit * t^m * orbit^nu.  Then v(c4) = 0 on the orbit
-    (a multiplicative fiber of a model minimal there), so c4^3 and delta
+    the away fibers, over the orbit t^k4 - c, must be multiplicative, I_nu,
+    and delta = unit * t^m * orbit^nu; ``delta_split`` is delta's valuation
+    and cofactor at the orbit.  Then v(c4) = 0 on the orbit (a
+    multiplicative fiber of a model minimal there), so c4^3 and delta
     share only t^min(3 v0(c4), m), and j needs no gcd.  The quotient by
     t -> t^{k4} has a single away fiber I_nu, and its gamma is this table's
     (k4 away places) over k4, 1 - (nu + n0/k4 + n_inf/k4)/6, the
@@ -413,7 +396,7 @@ def _j_and_verdict(
     if nu < 1 or away.symbol != f"I{nu}":
         raise AssertionError("away fiber of a nonconstant-j family must be I_nu")
     # delta = unit * t^m * orbit^nu exactly, before j is read off it
-    _, _, (vd, delta_rest) = _splits(inv, orbit)
+    vd, delta_rest = delta_split
     if vd != nu or len(delta_rest.terms()) != 1:
         raise AssertionError("discriminant has roots outside {0, away orbit}")
     low = min(cube.low, delta_rest.low)
@@ -442,7 +425,12 @@ def genus_one_section(
     inv = weierstrass_invariants(model)
     orbit = T**locus.exponent - locus.value
     at_zero = kodaira_type(inv, Fraction(0))
-    away = kodaira_type(inv, orbit)
+    # c4, c6 and delta divided by the orbit once: the away fiber and the
+    # verdict's shape of delta both come from these splits
+    splits = [_split(f, orbit) for f in (inv.c4, inv.c6, inv.delta)]
+    away = _classify_valuations(*(v for v, _ in splits))
     at_infinity = kodaira_type(inv, AT_INFINITY)
-    j, verdict = _j_and_verdict(inv, locus.exponent, orbit, at_zero, away, at_infinity)
+    j, verdict = _j_and_verdict(
+        inv, locus.exponent, splits[2], at_zero, away, at_infinity
+    )
     return GenusOneSection(model, inv, j, orbit, at_zero, away, at_infinity, verdict)

@@ -10,9 +10,11 @@ form the set Lambda, and #(L0 ∩ Lambda) is the Lefschetz number
 h^2 - rho of the desingularization.
 
 Everything here is exact integer arithmetic: the generators are rows of
-the integer adjugate of A over det A, a character is stored as numerators
-n_k over its order D, and the defining condition reads
-sum((t*n_k) mod D) == 2*D.
+the integer adjugate of A over det A, and a character is a 4-tuple of
+numerators n_k in [0, D) over a denominator D that the caller holds:
+``shioda_vectors`` returns D, the lcm of the generators' orders, with the
+generators, and every member of L is a tuple over that D.  The defining
+condition of Lambda reads sum((t*n_k) mod D) == 2*D.
 
 For the double-cover family y^2 = x^p + t^{2ap} + s^{2ap} one slice of L0
 suffices.  Its members are (ap, 2ai, j, k)/2ap with 1 <= i < p and k
@@ -35,12 +37,15 @@ level lo + 1 and r - 1 at level lo + 2.
 all of L0 from the adjugate of the family's exponent matrix, rescans every
 member with the exhaustive scan and recounts the Hodge levels from the
 members' entry sums.
+
+Input sizes are bounded: a family member needs 2ap <= MAX_WEIGHT, and the
+closure of L stops with ValidationError before it would hold more than
+MAX_L members.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -50,11 +55,22 @@ from .errors import SingularMatrixError, ValidationError, VerificationError
 from .exact import Adjugate
 from .exact import adjugate as integer_adjugate
 
-# Largest p accepted.  Miller-Rabin with the first twelve primes as
-# witnesses decides primality exactly below 3.18 * 10**23 (Sorenson and
-# Webster, Math. Comp. 86, 2017), which covers every n < MAX_P.
+# ``is_prime`` accepts n < MAX_P.  Miller-Rabin with the first twelve primes
+# as witnesses decides primality exactly below 3.18 * 10**23 (Sorenson and
+# Webster, Math. Comp. 86, 2017), which covers every such n.
 MAX_P = 2**64
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Largest weight 2ap of a family member.  The slice scan costs O(2ap) unit
+# scans: a cold ``picard`` takes about 0.14 s at 2ap = 9,998, and would
+# take 2.8 s at 2ap = 200,006.
+MAX_WEIGHT = 10**4
+
+# Largest |L| that ``enumerate_L0`` closes: the Fermat surface of degree
+# 100 has |L| = 10**6, that of degree 160 has 4,096,000.
+MAX_L = 10**6
+
+Numerators = tuple[int, int, int, int]
 
 
 def is_prime(n: int) -> bool:
@@ -82,64 +98,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CharacterVector:
-    """An element of (Q/Z)^4 with integer entry sum: numerators in
-    [0, modulus) over ``modulus``, the lcm of the entry orders."""
-
-    numerators: tuple[int, int, int, int]
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if len(self.numerators) != 4:
-            raise ValidationError("character vectors have four entries")
-        d = self.modulus
-        if d < 1:
-            raise ValidationError(f"modulus {d} is not positive")
-        reduced = tuple(n % d for n in self.numerators)
-        if sum(reduced) % d:
-            raise ValidationError(
-                f"entry sum of {_readable(reduced, d)} is not an integer"
-            )
-        g = gcd(d, *reduced)
-        object.__setattr__(self, "numerators", tuple(n // g for n in reduced))
-        object.__setattr__(self, "modulus", d // g)
-
-    @property
-    def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """The entries as fractions in [0, 1)."""
-        return tuple(Fraction(n, self.modulus) for n in self.numerators)
-
-    def __str__(self) -> str:
-        return _readable(self.numerators, self.modulus)
+def _readable(numerators: Sequence[int], d: int) -> str:
+    return "(" + ", ".join(str(Fraction(n, d)) for n in numerators) + ")"
 
 
-def _readable(numerators: Sequence[int], modulus: int) -> str:
-    return "(" + ", ".join(str(Fraction(n, modulus)) for n in numerators) + ")"
-
-
-@dataclass(frozen=True)
-class LambdaVerdict:
-    vector: CharacterVector
-    in_lambda: bool
-    witness: Optional[int]
-    modulus: int
-
-
-@dataclass(frozen=True)
 class FamilyParams:
-    """The double-cover family y^2 = x^p + t^{2ap} + s^{2ap}."""
+    """The double-cover family y^2 = x^p + t^{2ap} + s^{2ap}: p an odd
+    prime, a positive, and 2ap at most MAX_WEIGHT."""
 
-    p: int
-    a: int
+    __slots__ = ("p", "a")
 
-    def __post_init__(self) -> None:
-        if self.p >= MAX_P:
-            raise ValidationError(f"p = {self.p} must be below 2**64")
-        if not (is_prime(self.p) and self.p % 2 == 1):
-            raise ValidationError(f"p = {self.p} must be an odd prime")
-        if self.a < 1:
-            raise ValidationError(f"a = {self.a} must be positive")
+    def __init__(self, p: int, a: int) -> None:
+        if a < 1:
+            raise ValidationError(f"a = {a} must be positive")
+        # the one range check; it also keeps p below MAX_P for is_prime
+        if 2 * a * p > MAX_WEIGHT:
+            raise ValidationError(f"2ap = {2 * a * p} must be at most {MAX_WEIGHT}")
+        if not (p % 2 == 1 and is_prime(p)):
+            raise ValidationError(f"p = {p} must be an odd prime")
+        self.p = p
+        self.a = a
+
+    def __repr__(self) -> str:
+        return f"FamilyParams(p={self.p}, a={self.a})"
 
     @property
     def weight(self) -> int:
@@ -162,11 +143,10 @@ class FamilyParams:
 # ---------------------------------------------------------------------------
 
 
-def shioda_vectors(
-    adjugate: Adjugate,
-) -> tuple[CharacterVector, CharacterVector, CharacterVector]:
-    """The three generators u_i A^{-1} mod Z^4, u_i = e_i - e_4, from
-    ``(det A, adj A)``: numerators sign(det A) * (u_i adj A) over |det A|.
+def shioda_vectors(adjugate: Adjugate) -> tuple[int, tuple[Numerators, ...]]:
+    """``(D, (g1, g2, g3))``: the generators u_i A^{-1} mod Z^4,
+    u_i = e_i - e_4, as numerators in [0, D) over D, the lcm of their
+    orders, from ``(det A, adj A)``.
 
     The left action is the one matching the printed family generators
     (0,1/p,0,-1/p), (1/2,0,0,-1/2), (0,0,1/2ap,-1/2ap) and the left-kernel
@@ -176,41 +156,41 @@ def shioda_vectors(
     det, adj = adjugate
     if det == 0:
         raise SingularMatrixError("matrix is singular")
-    sign = 1 if det > 0 else -1
-    return tuple(
-        CharacterVector(
-            tuple(sign * (x - y) for x, y in zip(adj[i], adj[3])), abs(det)
-        )
-        for i in range(3)
-    )  # type: ignore[return-value]
+    sign, m = (1, det) if det > 0 else (-1, -det)
+    rows = [tuple(sign * (x - y) % m for x, y in zip(adj[i], adj[3])) for i in range(3)]
+    for row in rows:
+        # raised, not asserted: the claim must hold under -O too
+        if sum(row) % m:
+            raise AssertionError(f"entry sum of {_readable(row, m)} is not an integer")
+    d = lcm(*(m // gcd(m, *row) for row in rows))
+    return d, tuple(tuple(n // (m // d) for n in row) for row in rows)
 
 
-def enumerate_L0(
-    v1: CharacterVector, v2: CharacterVector, v3: CharacterVector
-) -> frozenset[CharacterVector]:
-    """All-nonzero members of the subgroup generated by v1, v2, v3.
+def enumerate_L0(d: int, generators: Sequence[Numerators]) -> frozenset[Numerators]:
+    """All-nonzero members of the subgroup generated by ``generators``, as
+    numerators over ``d``.
 
-    The sums are taken on numerators over the lcm D of the generator moduli.
     The group is closed one generator g at a time: the cosets H + g,
     H + 2g, ... of the group H so far are added until a multiple of g lands
-    in H, so the work is O(|L|) rather than the product of the moduli.  The
-    members are held as four columns of numerators.
+    in H, so the work is O(|L|) rather than the product of the orders.  The
+    members are held as four columns of numerators.  Raises
+    ValidationError before the next coset would take |L| past MAX_L.
     """
-    d = lcm(v1.modulus, v2.modulus, v3.modulus)
     columns: list[list[int]] = [[0], [0], [0], [0]]
-    for v in (v1, v2, v3):
-        g = tuple(n * (d // v.modulus) for n in v.numerators)
+    for g in generators:
         subgroup = set(zip(*columns))
         coset = [list(column) for column in columns]
         multiple = g
         while multiple not in subgroup:
             coset = [[(x + c) % d for x in column] for column, c in zip(coset, g)]
+            if len(columns[0]) + len(coset[0]) > MAX_L:
+                raise ValidationError(
+                    f"the character group has more than {MAX_L} members"
+                )
             for column, added in zip(columns, coset):
                 column.extend(added)
             multiple = tuple((x + c) % d for x, c in zip(multiple, g))
-    return frozenset(
-        CharacterVector(n, d) for n in zip(*columns) if 0 not in n
-    )
+    return frozenset(n for n in zip(*columns) if 0 not in n)
 
 
 @lru_cache(maxsize=256)
@@ -219,54 +199,45 @@ def _units(modulus: int) -> tuple[int, ...]:
     return tuple(t for t in range(1, modulus + 1) if gcd(t, modulus) == 1)
 
 
-def _integer_verdict(
-    numerators: Sequence[int], denominator: int
-) -> tuple[bool, Optional[int]]:
-    """Early-exit unit scan: is some fractional-part sum different from 2?
+def lambda_membership(numerators: Numerators, d: int) -> Optional[int]:
+    """The least unit t modulo the character's order whose scaling of
+    ``numerators``/``d`` has fractional parts not summing to 2, or None when
+    the character lies outside Lambda.
 
-    Scans t ascending, so the witness is the least one; tests compare this
-    against the exhaustive scan.
+    Unit t is exactly the order-preserving scaling.  Intended for
+    characters without zero entries (members of L0); tests compare this
+    early-exit scan against ``exhaustive_sums``.
     """
-    order_gcd = gcd(denominator, *numerators)
-    modulus = denominator // order_gcd
-    target = 2 * denominator
-    for t in _units(modulus):
-        total = sum((t * n) % denominator for n in numerators)
-        if total != target:
-            return True, t
-    return False, None
+    n1, n2, n3, n4 = numerators
+    target = 2 * d
+    for t in _units(d // gcd(d, n1, n2, n3, n4)):
+        if (t * n1) % d + (t * n2) % d + (t * n3) % d + (t * n4) % d != target:
+            return t
+    return None
 
 
-def lambda_membership(v: CharacterVector) -> LambdaVerdict:
-    """Whether some unit multiple of v has fractional parts not summing to 2.
-
-    The scan runs over t in (Z/N)^*, N = lcm of the entry orders; unit t is
-    exactly the order-preserving scaling.  Intended for vectors without zero
-    entries (members of L0).
-    """
-    in_lambda, witness = _integer_verdict(v.numerators, v.modulus)
-    return LambdaVerdict(v, in_lambda, witness, v.modulus)
-
-
-def exhaustive_sums(v: CharacterVector) -> dict[int, int]:
+def exhaustive_sums(numerators: Numerators, d: int) -> dict[int, int]:
     """All unit scalings with their fractional-part sums (no early exit).
 
     The unoptimized form of the Lambda test, kept as the reference the
-    early-exit scan is validated against.  Each sum is an integer because
-    the entry sum is.
+    early-exit scan is validated against.  It works over the character's
+    order N itself, numerators reduced to N.  Each sum is an integer
+    because the entry sum is.
     """
-    d = v.modulus
+    g = gcd(d, *numerators)
+    order = d // g
+    reduced = [n // g for n in numerators]
     return {
-        t: sum((t * n) % d for n in v.numerators) // d
-        for t in range(1, d + 1)
-        if gcd(t, d) == 1
+        t: sum((t * n) % order for n in reduced) // order
+        for t in range(1, order + 1)
+        if gcd(t, order) == 1
     }
 
 
 def lefschetz_number(adjugate: Adjugate) -> int:
     """#(L0 ∩ Lambda) for the exponent matrix A with ``(det A, adj A)``."""
-    vectors = enumerate_L0(*shioda_vectors(adjugate))
-    return sum(1 for v in vectors if lambda_membership(v).in_lambda)
+    d, generators = shioda_vectors(adjugate)
+    return sum(lambda_membership(n, d) is not None for n in enumerate_L0(d, generators))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +269,7 @@ def excluded_fractions(params: FamilyParams) -> set[Fraction]:
         k = -(a * p + 2 * a + j) % d
         if k == 0:
             continue
-        if not _integer_verdict((a * p, 2 * a, j, k), d)[0]:
+        if lambda_membership((a * p, 2 * a, j, k), d) is None:
             out.add(Fraction(j, d))
     return out
 
@@ -331,19 +302,20 @@ def verify_family(
     early-exit scan on every member; with ``hodge``, the levels of
     ``gs_hodge_counts``, it checks those against the members' entry sums.
     """
-    members = enumerate_L0(*shioda_vectors(integer_adjugate(params.matrix)))
+    d, generators = shioda_vectors(integer_adjugate(params.matrix))
+    members = enumerate_L0(d, generators)
     if len(members) != L0_count:
         raise VerificationError(f"L0 size {len(members)} != direct count {L0_count}")
     slow_lam = 0
-    for vector in members:
-        slow = any(s != 2 for s in exhaustive_sums(vector).values())
-        if slow != lambda_membership(vector).in_lambda:
-            raise VerificationError(f"scan disagreement at {vector}")
+    for n in members:
+        slow = any(s != 2 for s in exhaustive_sums(n, d).values())
+        if slow != (lambda_membership(n, d) is not None):
+            raise VerificationError(f"scan disagreement at {_readable(n, d)}")
         slow_lam += slow
     if slow_lam != lam:
         raise VerificationError(f"lambda {slow_lam} != {lam}")
     if hodge is not None:
-        levels = Counter(sum(v.numerators) // v.modulus for v in members)
+        levels = Counter(sum(n) // d for n in members)
         for (q, name), count in zip(HODGE_LEVELS.items(), hodge):
             if levels[q] != count:
                 raise VerificationError(f"{name} {levels[q]} != {count}")

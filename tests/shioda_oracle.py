@@ -1,14 +1,15 @@
 """Reference routes for the character count, independent of the package's.
 
-``character_vector`` builds a character from ``Fraction`` entries, and
-``scaled`` multiplies one by an integer; ``frac_part`` and
+``character`` turns ``Fraction`` entries into numerators over one
+denominator, and ``entries`` turns them back; ``frac_part`` and
 ``fraction_exhaustive_sums`` redo the Lambda test on ``Fraction`` entries;
 ``picard_family_all_vectors`` is the family count that scans every member of
 L0 rather than one unit-orbit slice, and ``hodge_counts_all_vectors`` the
 Hodge-level count that walks every member rather than using the closed form
 per slice; ``enumerate_L0_product`` lists the generated group by looping over
 every combination of the generators' multiples rather than closing it coset
-by coset.
+by coset, and ``lefschetz_by_fractions`` counts L0 ∩ Lambda on that list with
+a ``Fraction`` scan.
 """
 
 from __future__ import annotations
@@ -16,22 +17,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from delsarte.shioda import CharacterVector
 
-
-def character_vector(values) -> CharacterVector:
-    """The character with the given rational entries, over the lcm of their
-    denominators."""
+def character(values) -> tuple[tuple[int, ...], int]:
+    """``(numerators, d)``: the given rational entries as numerators in
+    [0, d) over d, the lcm of their denominators."""
     fractions = [Fraction(v) for v in values]
     d = lcm(*(q.denominator for q in fractions))
-    return CharacterVector(
-        tuple(q.numerator * (d // q.denominator) for q in fractions), d
-    )
+    return tuple(q.numerator * (d // q.denominator) % d for q in fractions), d
 
 
-def scaled(vector: CharacterVector, n: int) -> CharacterVector:
-    """``n`` times the character ``vector``."""
-    return CharacterVector(tuple(n * e for e in vector.numerators), vector.modulus)
+def entries(numerators, d: int) -> tuple[Fraction, ...]:
+    """The character ``numerators``/``d`` as fractions in [0, 1)."""
+    return tuple(Fraction(n % d, d) for n in numerators)
 
 
 def frac_part(q) -> Fraction:
@@ -93,20 +90,35 @@ def hodge_counts_all_vectors(p: int, a: int) -> tuple[int, int, int]:
     return counts[1], counts[2], counts[3]
 
 
-def enumerate_L0_product(
-    v1: CharacterVector, v2: CharacterVector, v3: CharacterVector
-) -> frozenset[CharacterVector]:
-    """All-nonzero members of the group generated by v1, v2, v3, from every
-    combination i v1 + k v2 + j v3 with i, k, j below the generators'
-    moduli."""
-    d = lcm(v1.modulus, v2.modulus, v3.modulus)
-    g1, g2, g3 = (
-        tuple(n * (d // v.modulus) for n in v.numerators) for v in (v1, v2, v3)
-    )
+def order(numerators, d: int) -> int:
+    """The order of the character ``numerators``/``d`` in (Q/Z)^4."""
+    return d // gcd(d, *numerators)
+
+
+def enumerate_L0_product(d: int, generators) -> frozenset[tuple[int, ...]]:
+    """All-nonzero members, as numerators over ``d``, of the group generated
+    by g1, g2, g3, from every combination i g1 + k g2 + j g3 with i, k, j
+    below the generators' orders."""
+    g1, g2, g3 = generators
     members: set[tuple[int, ...]] = set()
-    for i in range(v1.modulus):
-        for k in range(v2.modulus):
+    for i in range(order(g1, d)):
+        for k in range(order(g2, d)):
             base = [i * x + k * y for x, y in zip(g1, g2)]
-            for j in range(v3.modulus):
+            for j in range(order(g3, d)):
                 members.add(tuple((b + j * z) % d for b, z in zip(base, g3)))
-    return frozenset(CharacterVector(n, d) for n in members if 0 not in n)
+    return frozenset(n for n in members if 0 not in n)
+
+
+def lefschetz_by_fractions(d: int, generators) -> int:
+    """#(L0 ∩ Lambda) from the product loop's members and an early-exit
+    scan on ``Fraction`` entries."""
+    count = 0
+    for numerators in enumerate_L0_product(d, generators):
+        fractions = entries(numerators, d)
+        n = order(numerators, d)
+        count += any(
+            sum((frac_part(t * e) for e in fractions), Fraction(0)) != 2
+            for t in range(1, n + 1)
+            if gcd(t, n) == 1
+        )
+    return count

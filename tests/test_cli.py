@@ -10,7 +10,6 @@ input, closed output or usage error, 3 invalid input, 4 unsupported shape).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import io
@@ -95,14 +94,16 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
             ("elliptic", "genus_one_weierstrass"),
             ("elliptic", "weierstrass_invariants"),
             ("elliptic", "kodaira_type"),
+            ("elliptic", "_split"),
             ("sympy", "factor_list"),
             ("sympy.polys.rings", "PolyElement.sqf_part"),
         ],
     )
     # psi comes from the trichotomy's cyclic-cover form alone, and the away
-    # orbit is one polynomial, built once by the section, divided into the
-    # invariants and never factored or reduced to its squarefree part (the
-    # section uses no sympy, so a call to either would come from elsewhere)
+    # orbit is one polynomial, built once by the section, divided into c4, c6
+    # and delta once each and never factored or reduced to its squarefree
+    # part (the section uses no sympy, so a call to either would come from
+    # elsewhere)
     once = Counter(
         {
             "plane_model": 1,
@@ -114,7 +115,8 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
             "genus_one_section": 1,
             "genus_one_weierstrass": 1,
             "weierstrass_invariants": 1,
-            "kodaira_type": 3,  # at 0, over the away orbit, at infinity
+            "kodaira_type": 2,  # at 0 and at infinity
+            "_split": 3,  # c4, c6 and delta, each divided by the orbit once
             "factor_list": 0,
             "PolyElement.sqf_part": 0,  # the orbit t^k4 - c is squarefree
         }
@@ -295,6 +297,33 @@ def test_picard_verify_rechecks_the_hodge_levels(capsys):
     record = run_json(capsys, "picard", "--p", "5", "--a", "3", "--verify", "--hodge")
     assert record["verify"] == {"status": "match", "vectors_checked": 112}
     assert (record["h20"], record["h11prim"], record["h02"]) == (10, 92, 10)
+
+
+def test_picard_past_the_weight_bound_exits_3_at_once(capsys):
+    # 2ap is bounded by 10**4: unbounded, p = 100003 took 2.8 s and
+    # p = 1000003 took 31 s; the largest member the tests run is (101, 30)
+    for p, a in (("1000003", "1"), ("5003", "1"), ("101", "50")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "picard", "--p", p, "--a", a)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (3, "")
+        assert "must be at most 10000" in err
+        assert elapsed < 2.0
+    assert run_json(capsys, "picard", "--p", "4999", "--a", "1")["p"] == 4999
+
+
+def test_analyze_shioda_past_the_character_bound_exits_3_at_once(capsys):
+    # the Fermat surface of degree 160 has |L| = 160**3 = 4,096,000, past the
+    # bound of 10**6 members; unbounded, it ran for more than 40 s
+    surface = json.dumps(
+        {"monomials": [[160 if i == j else 0 for j in range(4)] for i in range(4)]}
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", surface, "--shioda")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert "more than 1000000 members" in err
+    assert elapsed < 2.0
 
 
 def test_threads_is_a_usage_error(capsys):
@@ -481,21 +510,28 @@ def test_picard_verify_catches_a_hodge_level_off_by_one(capsys, monkeypatch):
 
 
 def test_picard_verify_catches_a_flipped_early_exit_verdict(capsys, monkeypatch):
-    real = shioda.lambda_membership
+    # the recount's early-exit scan flips its first verdict; the slice scan
+    # that runs before it keeps the true ones
+    real_scan, real_verify = shioda.lambda_membership, shioda.verify_family
     flipped = []
 
-    def flip_first(vector):
-        verdict = real(vector)
+    def flip_first(numerators, d):
+        witness = real_scan(numerators, d)
         if flipped:
-            return verdict
-        flipped.append(vector)
-        return dataclasses.replace(verdict, in_lambda=not verdict.in_lambda)
+            return witness
+        flipped.append((numerators, d))
+        return 1 if witness is None else None
 
-    monkeypatch.setattr(shioda, "lambda_membership", flip_first)
+    def verify_with_a_flip(*args):
+        monkeypatch.setattr(shioda, "lambda_membership", flip_first)
+        return real_verify(*args)
+
+    monkeypatch.setattr(shioda, "verify_family", verify_with_a_flip)
     code, out, err = run_cli(capsys, *PICARD_VERIFY)
     assert code == 1
     assert out == ""
-    entries = ", ".join(str(e) for e in flipped[0].entries)
+    numerators, d = flipped[0]
+    entries = ", ".join(str(Fraction(n, d)) for n in numerators)
     assert f"verification failed: scan disagreement at ({entries})" in err
     assert "scan disagreement at (1/2, " in err  # every family member has x-entry 1/2
 

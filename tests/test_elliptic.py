@@ -126,8 +126,7 @@ def test_section_is_polynomial_but_for_j():
     section = report_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]).genus_one
     for part in (section.model, section.invariants):
         for field in dataclasses.fields(part):
-            if field.init:  # not the invariants' record of their splits
-                assert isinstance(getattr(part, field.name), QPoly), field.name
+            assert isinstance(getattr(part, field.name), QPoly), field.name
     numer, denom = section.j
     assert numer.integral and denom.integral
     inv = section.invariants
@@ -356,7 +355,7 @@ def test_discriminant_shape_is_checked_under_optimize():
         "import dataclasses\n"
         "from corpus import surface_from_affine_triples\n"
         "from delsarte.analysis import analyze\n"
-        "from delsarte.elliptic import _j_and_verdict\n"
+        "from delsarte.elliptic import _j_and_verdict, _split\n"
         "from delsarte.exact import T\n"
         "triples = [(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]\n"
         "s = analyze(surface_from_affine_triples(triples)).genus_one\n"
@@ -364,7 +363,7 @@ def test_discriminant_shape_is_checked_under_optimize():
         "    inv = dataclasses.replace(s.invariants, delta=delta)\n"
         "    try:\n"
         "        _j_and_verdict(\n"
-        "            inv, 1, s.orbit, s.at_zero, s.away, s.at_infinity\n"
+        "            inv, 1, _split(delta, s.orbit), s.at_zero, s.away, s.at_infinity\n"
         "        )\n"
         "    except AssertionError as exc:\n"
         "        print(__debug__, exc)\n"
@@ -385,25 +384,26 @@ def test_verdict_and_place_claims_are_checked_under_optimize():
         "from corpus import surface_from_affine_triples\n"
         "from delsarte.analysis import analyze\n"
         "from delsarte.elliptic import (\n"
-        "    WeierstrassModel, _j_and_verdict,\n"
+        "    WeierstrassModel, _j_and_verdict, _split,\n"
         "    kodaira_fiber, kodaira_type, weierstrass_invariants,\n"
         ")\n"
         "from delsarte.exact import QPoly, T\n"
         "triples = [(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)]\n"
         "s = analyze(surface_from_affine_triples(triples)).genus_one\n"
         "table = dict(at_zero=s.at_zero, away=s.away, at_infinity=s.at_infinity)\n"
+        "split = _split(s.invariants.delta, s.orbit)\n"
         "inv_i = weierstrass_invariants(\n"
         "    WeierstrassModel(a4=QPoly([-3]), a6=T - 4)\n"
         ")\n"
         "calls = [\n"
         "    lambda: _j_and_verdict(\n"
-        "        dataclasses.replace(s.invariants, c4=T), 2, s.orbit, **table\n"
+        "        dataclasses.replace(s.invariants, c4=T), 2, split, **table\n"
         "    ),\n"
         "    lambda: _j_and_verdict(\n"
-        "        s.invariants, 2, s.orbit, **dict(table, away=kodaira_fiber('II'))\n"
+        "        s.invariants, 2, split, **dict(table, away=kodaira_fiber('II'))\n"
         "    ),\n"
         "    lambda: _j_and_verdict(\n"
-        "        s.invariants, 2, s.orbit, **dict(table, at_zero=kodaira_fiber('I1'))\n"
+        "        s.invariants, 2, split, **dict(table, at_zero=kodaira_fiber('I1'))\n"
         "    ),\n"
         "    lambda: kodaira_type(inv_i, T**2 - 4),\n"
         "    lambda: kodaira_type(inv_i, (T**2 - 4) * (T - 1)),\n"

@@ -105,7 +105,8 @@ def package(*names: str) -> set[str]:
         (
             ("-m", "delsarte.cli", "picard", "--p", "7", "--a", "2"),
             package("shioda"),
-            package("analysis", "model", "reduction", "singular", "elliptic"),
+            package("analysis", "model", "reduction", "singular", "elliptic")
+            | {"dataclasses"},
         ),
         (
             ("-m", "delsarte.cli", "analyze", HESSE_PENCIL),
@@ -260,8 +261,8 @@ def test_no_module_prints_through_sympy_expressions():
 
 def test_no_dataclass_default_is_a_container():
     # Python 3.10's dataclasses refuses a list, dict or set default when the
-    # class is made, or importing the module fails there: a mutable default,
-    # such as the invariants' record of their splits, needs a default_factory
+    # class is made, or importing the module fails there: a mutable default
+    # needs a default_factory
     import dataclasses
     import importlib
 

@@ -5,7 +5,8 @@ on whole small lattices, and both against a ``Fraction`` reference; the
 one-slice family count and the closed-form Hodge levels are validated
 against walks over every member of L0, and the coset closure of L against
 the loop over every combination of the generators' multiples
-(``shioda_oracle.py``).
+(``shioda_oracle.py``).  A character is a tuple of integer numerators over
+a denominator d, as the package holds it.
 """
 
 import random
@@ -18,11 +19,11 @@ import sympy
 from hypothesis import given, settings
 
 from corpus import nondegenerate_surfaces
+from delsarte import shioda
 from delsarte.errors import SingularMatrixError, ValidationError
 from delsarte.exact import adjugate
 from delsarte.shioda import (
     MAX_P,
-    CharacterVector,
     FamilyParams,
     enumerate_L0,
     excluded_fractions,
@@ -36,23 +37,30 @@ from delsarte.shioda import (
     shioda_vectors,
 )
 from shioda_oracle import (
-    character_vector,
+    character,
+    entries,
     enumerate_L0_product,
     frac_part,
     fraction_exhaustive_sums,
     hodge_counts_all_vectors,
+    lefschetz_by_fractions,
+    order,
     picard_family_all_vectors,
-    scaled,
 )
 
 
-def family_slice_vector(p: int, a: int, j: int, i: int = 1) -> CharacterVector:
+def family_slice_vector(p: int, a: int, j: int, i: int = 1):
+    """``(numerators, d)`` of the member (1/2, i/p, j/2ap, k/2ap) of L0."""
     d = 2 * a * p
     k = -(a * p + 2 * a * i + j) % d
     assert k != 0
-    return character_vector(
-        [Fraction(1, 2), Fraction(i, p), Fraction(j, d), Fraction(k, d)]
-    )
+    return (a * p, 2 * a * i, j, k), d
+
+
+def scaled(vector, t: int):
+    """``t`` times the character ``vector`` = (numerators, d)."""
+    numerators, d = vector
+    return tuple(t * n % d for n in numerators), d
 
 
 def lemexcl_set(p: int) -> set:
@@ -68,38 +76,45 @@ def lemexcl_set(p: int) -> set:
 # ---------------------------------------------------------------------------
 
 
-def test_character_vector_normalization():
-    v = character_vector([Fraction(-1, 3), Fraction(4, 3), 0, 1])
-    assert v.entries == (Fraction(2, 3), Fraction(1, 3), Fraction(0), Fraction(0))
-    assert v.modulus == 3
-    assert v.numerators == (2, 1, 0, 0)
-    assert scaled(v, 2).entries == (Fraction(1, 3), Fraction(2, 3), Fraction(0), Fraction(0))
-    assert 0 in v.numerators
+def test_a_character_over_a_multiple_of_its_denominator():
+    # k n / k d is the character n / d: the scans work over its order, so
+    # they give the same witness and the same sums
+    for j in (3, 11):  # in Lambda with witness 1, and outside Lambda
+        numerators, d = family_slice_vector(11, 1, j)
+        witness = lambda_membership(numerators, d)
+        sums = exhaustive_sums(numerators, d)
+        for k in (2, 3, 7):
+            scaled_up = tuple(k * n for n in numerators)
+            assert lambda_membership(scaled_up, k * d) == witness, (j, k)
+            assert exhaustive_sums(scaled_up, k * d) == sums, (j, k)
+    assert character([Fraction(-1, 3), Fraction(4, 3), 0, 1]) == ((2, 1, 0, 0), 3)
 
 
-def test_character_vector_rejects_non_integer_sum():
-    with pytest.raises(ValidationError):
-        character_vector([Fraction(1, 2), 0, 0, 0])
-    with pytest.raises(ValidationError):
-        CharacterVector((1, 0, 0), 3)
+def test_generators_need_an_integer_entry_sum():
+    # a forged (det, adj) whose first generator is (1/3, 0, 0, 0)
+    det = 3
+    adj = ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+    with pytest.raises(AssertionError, match=r"entry sum of \(1/3, 0, 0, 0\)"):
+        shioda_vectors((det, adj))
 
 
 def test_family_generators():
     p, a = 3, 2
-    v1, v2, v3 = shioda_vectors(adjugate(FamilyParams(p, a).matrix))
-    d = 2 * a * p
-    assert v1.entries == (0, Fraction(1, p), 0, Fraction(p - 1, p))
-    assert v2.entries == (Fraction(1, 2), 0, 0, Fraction(1, 2))
-    assert v3.entries == (0, 0, Fraction(1, d), Fraction(d - 1, d))
+    d, (g1, g2, g3) = shioda_vectors(adjugate(FamilyParams(p, a).matrix))
+    assert d == 2 * a * p
+    assert entries(g1, d) == (0, Fraction(1, p), 0, Fraction(p - 1, p))
+    assert entries(g2, d) == (Fraction(1, 2), 0, 0, Fraction(1, 2))
+    assert entries(g3, d) == (0, 0, Fraction(1, d), Fraction(d - 1, d))
 
 
 def test_diagonal_generators():
-    d = 5
-    fermat = [[d, 0, 0, 0], [0, d, 0, 0], [0, 0, d, 0], [0, 0, 0, d]]
-    v1, v2, v3 = shioda_vectors(adjugate(fermat))
-    assert v1.entries == (Fraction(1, d), 0, 0, Fraction(d - 1, d))
-    assert v2.entries == (0, Fraction(1, d), 0, Fraction(d - 1, d))
-    assert v3.entries == (0, 0, Fraction(1, d), Fraction(d - 1, d))
+    n = 5
+    fermat = [[n, 0, 0, 0], [0, n, 0, 0], [0, 0, n, 0], [0, 0, 0, n]]
+    d, (g1, g2, g3) = shioda_vectors(adjugate(fermat))
+    assert d == n
+    assert entries(g1, d) == (Fraction(1, n), 0, 0, Fraction(n - 1, n))
+    assert entries(g2, d) == (0, Fraction(1, n), 0, Fraction(n - 1, n))
+    assert entries(g3, d) == (0, 0, Fraction(1, n), Fraction(n - 1, n))
 
 
 @given(nondegenerate_surfaces())
@@ -108,9 +123,10 @@ def test_generators_invert_the_matrix(surface):
     if surface.determinant() == 0:
         return
     targets = ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1))
-    for v, target in zip(shioda_vectors(surface.adjugate), targets):
+    d, generators = shioda_vectors(surface.adjugate)
+    for g, target in zip(generators, targets):
         product = [
-            sum(e * row[j] for e, row in zip(v.entries, surface.rows))
+            sum(e * row[j] for e, row in zip(entries(g, d), surface.rows))
             for j in range(4)
         ]
         for got, want in zip(product, target):
@@ -131,15 +147,25 @@ def test_L0_counts():
 
 
 def test_L0_of_trivial_generators():
-    zero = character_vector([0, 0, 0, 0])
-    assert enumerate_L0(zero, zero, zero) == frozenset()
+    zero = (0, 0, 0, 0)
+    assert enumerate_L0(1, (zero, zero, zero)) == frozenset()
 
 
-def test_L0_closure_matches_the_product_loop():
-    # Seeded differential test of the coset closure against the loop over
-    # every combination of the generators' multiples: 60 random exponent
-    # matrices of degree 3-9 with |det A| >= 30 and a moduli product small
-    # enough for the loop, then family matrices.
+def test_L0_closure_stops_past_its_bound(monkeypatch):
+    # |L| = 7^3 for the Fermat septic: refused under a bound of 300, and
+    # closed in full under a bound of exactly 7^3
+    monkeypatch.setattr(shioda, "MAX_L", 300)
+    fermat = [[7 if i == j else 0 for j in range(4)] for i in range(4)]
+    with pytest.raises(ValidationError, match="more than 300 members"):
+        enumerate_L0(*shioda_vectors(adjugate(fermat)))
+    monkeypatch.setattr(shioda, "MAX_L", 7**3)
+    d, generators = shioda_vectors(adjugate(fermat))
+    assert enumerate_L0(d, generators) == enumerate_L0_product(d, generators)
+
+
+def random_matrices() -> list:
+    """60 seeded random exponent matrices of degree 3-9 with |det A| >= 30
+    and an order product small enough for the product loop."""
     rng = random.Random(9091)
     matrices = []
     while len(matrices) < 60:
@@ -151,17 +177,34 @@ def test_L0_closure_matches_the_product_loop():
         adj = adjugate(rows)
         if abs(adj[0]) < 30:
             continue
-        moduli = [v.modulus for v in shioda_vectors(adj)]
-        if moduli[0] * moduli[1] * moduli[2] <= 200_000:
+        d, generators = shioda_vectors(adj)
+        orders = [order(g, d) for g in generators]
+        if orders[0] * orders[1] * orders[2] <= 200_000:
             matrices.append(rows)
-    matrices += [FamilyParams(p, a).matrix for p, a in [(3, 1), (5, 2), (7, 3), (11, 1)]]
+    return matrices
+
+
+def test_L0_closure_matches_the_product_loop():
+    # Seeded differential test of the coset closure against the loop over
+    # every combination of the generators' multiples, on the random matrices
+    # and then family matrices.
+    families = [FamilyParams(p, a).matrix for p, a in [(3, 1), (5, 2), (7, 3), (11, 1)]]
     sizes = set()
-    for rows in matrices:
-        generators = shioda_vectors(adjugate(rows))
-        closure = enumerate_L0(*generators)
-        assert closure == enumerate_L0_product(*generators), rows
+    for rows in random_matrices() + families:
+        d, generators = shioda_vectors(adjugate(rows))
+        closure = enumerate_L0(d, generators)
+        assert closure == enumerate_L0_product(d, generators), rows
         sizes.add(len(closure))
     assert len(sizes) > 15  # the draws are not all one small lattice
+
+
+def test_lefschetz_number_matches_the_fraction_count():
+    # Seeded differential test of the whole matrix route, closure and
+    # integer early-exit scan, against the product loop and a Fraction scan,
+    # on the random matrices of the closure test.
+    for rows in random_matrices():
+        adj = adjugate(rows)
+        assert lefschetz_number(adj) == lefschetz_by_fractions(*shioda_vectors(adj)), rows
 
 
 # ---------------------------------------------------------------------------
@@ -170,40 +213,39 @@ def test_L0_closure_matches_the_product_loop():
 
 
 def test_membership_witness_example():
-    verdict = lambda_membership(family_slice_vector(11, 1, 3))
-    assert verdict.in_lambda
-    assert verdict.witness == 1
-    assert verdict.modulus == 22
-    sums = exhaustive_sums(verdict.vector)
-    assert sums[1] == 1
+    v = family_slice_vector(11, 1, 3)
+    assert v[1] == order(*v) == 22
+    assert lambda_membership(*v) == 1
+    assert exhaustive_sums(*v)[1] == 1
 
 
 def test_membership_half_pair_excluded():
     # j/2ap = 1/2 puts two entries at 1/2; every odd t then forces sum 2
-    verdict = lambda_membership(family_slice_vector(11, 1, 11))
-    assert not verdict.in_lambda
-    assert verdict.witness is None
-    assert all(s == 2 for s in exhaustive_sums(verdict.vector).values())
+    v = family_slice_vector(11, 1, 11)
+    assert lambda_membership(*v) is None
+    assert all(s == 2 for s in exhaustive_sums(*v).values())
 
 
 def test_membership_invariant_under_unit_scaling():
     v = family_slice_vector(11, 1, 3)
     for t in (3, 5, 21):
-        assert gcd(t, v.modulus) == 1
-        assert lambda_membership(scaled(v, t)).in_lambda == lambda_membership(v).in_lambda
+        assert gcd(t, order(*v)) == 1
+        assert (lambda_membership(*scaled(v, t)) is None) == (
+            lambda_membership(*v) is None
+        )
     w = family_slice_vector(11, 1, 11)
-    assert not lambda_membership(scaled(w, 7)).in_lambda
+    assert lambda_membership(*scaled(w, 7)) is None
 
 
 def test_early_exit_agrees_with_exhaustive_scan():
     for p, a in [(3, 1), (3, 2), (5, 1)]:
-        generators = shioda_vectors(adjugate(FamilyParams(p, a).matrix))
-        for v in enumerate_L0(*generators):
-            verdict = lambda_membership(v)
-            sums = exhaustive_sums(v)
-            assert verdict.in_lambda == any(s != 2 for s in sums.values())
-            if verdict.in_lambda:
-                assert verdict.witness == min(t for t, s in sums.items() if s != 2)
+        d, generators = shioda_vectors(adjugate(FamilyParams(p, a).matrix))
+        for n in enumerate_L0(d, generators):
+            witness = lambda_membership(n, d)
+            sums = exhaustive_sums(n, d)
+            assert (witness is not None) == any(s != 2 for s in sums.values())
+            if witness is not None:
+                assert witness == min(t for t, s in sums.items() if s != 2)
             # entry sums always land in {1, 2, 3} on L0
             assert set(sums.values()) <= {1, 2, 3}
 
@@ -227,15 +269,16 @@ def test_dual_routes_agree_on_seeded_draws():
         if checked >= 3 and time.perf_counter() > deadline:
             break
         count = family_L0_count(params)
-        members = enumerate_L0(*shioda_vectors(adjugate(params.matrix)))
+        d, generators = shioda_vectors(adjugate(params.matrix))
+        members = enumerate_L0(d, generators)
         assert len(members) == count
         lam = lam_fraction = 0
-        for v in members:
-            sums = exhaustive_sums(v)
-            reference = fraction_exhaustive_sums(v.entries)
-            assert sums == reference, (params, v)
+        for n in members:
+            sums = exhaustive_sums(n, d)
+            reference = fraction_exhaustive_sums(entries(n, d))
+            assert sums == reference, (params, n)
             slow = any(s != 2 for s in sums.values())
-            assert lambda_membership(v).in_lambda == slow, (params, v)
+            assert (lambda_membership(n, d) is not None) == slow, (params, n)
             lam += slow
             lam_fraction += any(s != 2 for s in reference.values())
         assert lam == lam_fraction == count - (picard_family(params) - 2), params
@@ -359,8 +402,7 @@ def test_out_of_lambda_spread_evenly_over_slices():
             k = -(a * p + 2 * a * i + j) % d
             if k == 0:
                 continue
-            vec = family_slice_vector(p, a, j, i)
-            if not lambda_membership(vec).in_lambda:
+            if lambda_membership(*family_slice_vector(p, a, j, i)) is None:
                 count += 1
         per_slice.append(count)
     assert per_slice == [6] * (p - 1)
@@ -424,7 +466,7 @@ WITNESS_ROWS = [
 @pytest.mark.parametrize("p,a,j,t", WITNESS_ROWS)
 def test_published_witnesses(p, a, j, t):
     vec = family_slice_vector(p, a, j)
-    assert gcd(t, vec.modulus) == 1
-    total = sum((frac_part(t * e) for e in vec.entries), Fraction(0))
+    assert gcd(t, order(*vec)) == 1
+    total = sum((frac_part(t * e) for e in entries(*vec)), Fraction(0))
     assert total == 1
-    assert lambda_membership(vec).in_lambda
+    assert lambda_membership(*vec) is not None
