@@ -37,7 +37,7 @@ from .singular import (
 )
 
 if TYPE_CHECKING:
-    import sympy
+    from sympy.polys.rings import PolyElement
 
     from .elliptic import GenusOneSection
 
@@ -62,7 +62,7 @@ class Report:
     trichotomy: Optional[Trichotomy] = None
     genus_one: Optional[GenusOneSection] = None
     lefschetz: Optional[int] = None
-    oracle: Optional[sympy.Poly] = None
+    oracle: Optional[PolyElement] = None
 
 
 def analyze(

@@ -38,9 +38,10 @@ all of L0 from the adjugate of the family's exponent matrix, rescans every
 member with the exhaustive scan and recounts the Hodge levels from the
 members' entry sums.
 
-Input sizes are bounded: a family member needs 2ap <= MAX_WEIGHT, and the
-closure of L stops with ValidationError before it would hold more than
-MAX_L members.
+Input sizes are bounded: a family member needs 2ap <= MAX_WEIGHT, and
+``enumerate_L0`` counts |L| from the generators and refuses with
+ValidationError, before the closure starts, a group of more than MAX_L
+members.
 """
 
 from __future__ import annotations
@@ -166,16 +167,42 @@ def shioda_vectors(adjugate: Adjugate) -> tuple[int, tuple[Numerators, ...]]:
     return d, tuple(tuple(n // (m // d) for n in row) for row in rows)
 
 
+def group_order(d: int, generators: Sequence[Numerators]) -> int:
+    """|L| for the subgroup L of (Z/d)^4 generated by ``generators``.
+
+    L is the lattice the generators span together with d Z^4, taken modulo
+    d Z^4, so |L| = d^4 / [Z^4 : lattice].  The index is the product of the
+    pivots of an echelon form: column by column, Euclid's algorithm folds
+    every row into one pivot row that starts as d e_col, which the lattice
+    holds, and the other rows, now 0 in that column, are reduced mod d.
+    """
+    rows = [list(g) for g in generators]
+    index = 1
+    for col in range(4):
+        pivot = [d * (j == col) for j in range(4)]
+        rest = []
+        for row in rows:
+            while row[col]:
+                q = pivot[col] // row[col]
+                pivot, row = row, [p - q * r for p, r in zip(pivot, row)]
+            rest.append([x % d for x in row])
+        index *= abs(pivot[col])
+        rows = rest
+    return d**4 // index
+
+
 def enumerate_L0(d: int, generators: Sequence[Numerators]) -> frozenset[Numerators]:
     """All-nonzero members of the subgroup generated by ``generators``, as
     numerators over ``d``.
 
-    The group is closed one generator g at a time: the cosets H + g,
-    H + 2g, ... of the group H so far are added until a multiple of g lands
-    in H, so the work is O(|L|) rather than the product of the orders.  The
-    members are held as four columns of numerators.  Raises
-    ValidationError before the next coset would take |L| past MAX_L.
+    Raises ValidationError when ``group_order`` counts more than MAX_L
+    members, before any is built.  The group is closed one generator g at a
+    time: the cosets H + g, H + 2g, ... of the group H so far are added until
+    a multiple of g lands in H, so the work is O(|L|) rather than the product
+    of the orders.  The members are held as four columns of numerators.
     """
+    if group_order(d, generators) > MAX_L:
+        raise ValidationError(f"the character group has more than {MAX_L} members")
     columns: list[list[int]] = [[0], [0], [0], [0]]
     for g in generators:
         subgroup = set(zip(*columns))
@@ -183,10 +210,6 @@ def enumerate_L0(d: int, generators: Sequence[Numerators]) -> frozenset[Numerato
         multiple = g
         while multiple not in subgroup:
             coset = [[(x + c) % d for x in column] for column, c in zip(coset, g)]
-            if len(columns[0]) + len(coset[0]) > MAX_L:
-                raise ValidationError(
-                    f"the character group has more than {MAX_L} members"
-                )
             for column, added in zip(columns, coset):
                 column.extend(added)
             multiple = tuple((x + c) % d for x, c in zip(multiple, g))

@@ -21,7 +21,10 @@ Two independent routes to the singular fibers are provided:
   stratum with Groebner bases, returning the product of the eliminants.
   Strata that are singular for every t (this happens at a vertex when every
   monomial vanishes there to order >= 2) say nothing about any particular
-  fiber and are dropped.
+  fiber and are dropped.  It is the one user of sympy: the equations are
+  built as exponent dicts, and only become elements of sympy's sparse
+  polynomial rings over QQ for Buchberger's algorithm, which runs on them
+  directly; sympy is imported when the oracle runs.
 
 The structure classification (``classify_trichotomy``) splits minimal
 fibrations three ways, by the shape of k:
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import ceil, gcd
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -47,45 +51,7 @@ from .exact import rational_kth_roots
 from .reduction import MinimalFibration, PlaneModel
 
 if TYPE_CHECKING:
-    import sympy
-
-# ---------------------------------------------------------------------------
-# sympy bridge
-#
-# The closed-form locus and the trichotomy are integer arithmetic; only the
-# oracle and the expression builders below need sympy, and they import it
-# when they run.
-# ---------------------------------------------------------------------------
-
-
-def _symbols():
-    """The sympy symbols (t, u, x, y, z) of this module's expressions."""
-    from sympy.abc import t, u, x, y, z
-
-    return t, u, x, y, z
-
-
-def rational_to_sympy(q: Fraction) -> sympy.Rational:
-    import sympy
-
-    return sympy.Rational(q.numerator, q.denominator)
-
-
-def plane_curve_expr(plane: PlaneModel, t=None):
-    """The plane projective family: sum of coeff * t^{[i = 4]} * x^a y^b z^c
-    in the symbols x, y, z; ``t`` defaults to the symbol t."""
-    import sympy
-
-    t0, _, x, y, z = _symbols()
-    t = t0 if t is None else t
-    total = sympy.Integer(0)
-    for i, ((a, b, c), coeff) in enumerate(zip(plane.exponents, plane.coefficients)):
-        term = rational_to_sympy(coeff) * x**a * y**b * z**c
-        if i == 3:
-            term *= t
-        total += term
-    return total
-
+    from sympy.polys.rings import PolyElement
 
 # ---------------------------------------------------------------------------
 # Closed-form singular locus
@@ -168,22 +134,103 @@ def singular_locus(plane: PlaneModel) -> SingularLocus:
 # ---------------------------------------------------------------------------
 
 
-def _eliminant(system, eliminate, keep) -> Optional[sympy.Expr]:
-    """Generator of (ideal of ``system``) intersected with QQ[keep].
+# A polynomial under construction is a dict from exponent tuples to Fraction
+# coefficients.  The plane family is keyed by (a, b, c, e), the term
+# coefficient * x^a y^b z^c t^e; a chart or a stratum drops a coordinate's
+# exponent from every key.
+
+
+def _family(plane: PlaneModel) -> dict:
+    """The plane family; only the fourth monomial carries t."""
+    return {
+        (*exponents, int(i == 3)): coeff
+        for i, (exponents, coeff) in enumerate(zip(plane.exponents, plane.coefficients))
+    }
+
+
+def _at(poly: dict, j: int, value: int) -> dict:
+    """``poly`` with its variable j set to ``value``, 0 or 1.
+
+    Setting a coordinate of the homogeneous family to 1 merges no terms, and
+    setting a variable to 0 only drops terms."""
+    return {m[:j] + m[j + 1 :]: c for m, c in poly.items() if value or not m[j]}
+
+
+def _diff(poly: dict, j: int) -> dict:
+    """The partial derivative of ``poly`` by its variable j."""
+    return {
+        m[:j] + (m[j] - 1,) + m[j + 1 :]: m[j] * c for m, c in poly.items() if m[j]
+    }
+
+
+def _t_ring():
+    """QQ[t], the ring of the oracle polynomial."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import PolyRing
+
+    return PolyRing("t", QQ, "lex")
+
+
+def _in_t(poly: dict) -> PolyElement:
+    """The QQ[t] element of ``poly``, keyed by the exponent of t alone."""
+    return _t_ring().from_dict({(e,): c for e, c in poly.items()})
+
+
+def _basis(system: list, nonzero: str, order: str) -> list:
+    """Reduced Groebner basis over QQ of ``system`` and u * prod(nonzero) - 1,
+    which keeps the chart variables ``nonzero`` off 0.
+
+    ``system`` holds dicts keyed by the exponents of ``nonzero`` and then of
+    t.  In ``lex`` order the generators are (u, *nonzero, t), so the basis
+    eliminates all but t; a ``grevlex`` system is free of t, which is then no
+    generator.  sympy's generic ``groebner`` would run the same Buchberger
+    algorithm on the same ring elements.
+    """
+    from sympy.polys.domains import QQ
+    from sympy.polys.groebnertools import groebner
+    from sympy.polys.rings import PolyRing
+
+    size = len(nonzero) + (order == "lex")
+    ring = PolyRing(("u", *nonzero, "t")[: size + 1], QQ, order)
+    polys = [
+        ring.from_dict({(0, *m[:size]): c for m, c in p.items()}) for p in system if p
+    ]
+    unit = (1,) * (len(nonzero) + 1) + (0,) * (size - len(nonzero))
+    polys.append(ring.from_dict({unit: 1, (0,) * (size + 1): -1}))
+    return groebner(polys, ring)
+
+
+def _eliminant(system: list, nonzero: str) -> Optional[PolyElement]:
+    """Generator of (ideal of ``system`` and u * prod(nonzero) - 1)
+    intersected with QQ[t], as ``_basis`` takes them.
 
     Returns None when the elimination ideal is zero (the stratum is critical
-    for every value of ``keep``), 1 when the system is infeasible.
+    for every t), 1 when the system is infeasible.  The generator is sympy's:
+    monic, or primitive with a positive leading coefficient when every
+    coefficient of ``system`` is an integer (sympy then works over ZZ).
     """
-    import sympy
-
-    basis = sympy.groebner(system, *eliminate, keep, order="lex")
-    only_keep = [p for p in basis.exprs if p.free_symbols <= {keep}]
-    if not only_keep:
+    in_t = [
+        g for g in _basis(system, nonzero, "lex")
+        if not any(any(m[:-1]) for m in g.itermonoms())
+    ]
+    if not in_t:
         return None
-    g = sympy.Integer(0)
-    for p in only_keep:
-        g = sympy.gcd(g, p, keep)
-    return sympy.expand(g)
+    g = in_t[0]  # a reduced basis meets QQ[t] in at most one element
+    if all(c.denominator == 1 for p in system for c in p.values()):
+        g = g.clear_denoms()[1]
+    return _in_t({m[-1]: c for m, c in g.items()})
+
+
+def _vertex_gcd(conditions: list) -> PolyElement:
+    """gcd of the QQ[t] polynomials ``conditions`` (dicts keyed by the
+    exponent of t), normalized as ``sympy.gcd`` normalizes it: over ZZ the
+    content stays and the leading coefficient is positive, over QQ it is
+    monic."""
+    g = reduce(lambda f, h: f.gcd(h), map(_in_t, conditions)).monic()
+    coefficients = [c for p in conditions for c in p.values()]
+    if all(c.denominator == 1 for c in coefficients):
+        g = g.clear_denoms()[1] * gcd(*(c.numerator for c in coefficients))
+    return g
 
 
 def _newton_boundary(points):
@@ -212,127 +259,107 @@ def _newton_boundary(points):
     return hull
 
 
-def _persistent_vertex_eliminant(coeff_at, v1, v2) -> Optional[sympy.Expr]:
+def _persistent_vertex_eliminant(coeff_at: dict, names: str) -> Optional[PolyElement]:
     """t-values where a persistently singular vertex degenerates further.
 
-    The germ at the vertex is singular for every t, so the fiber only differs
-    from its neighbours there when the equisingularity type jumps.  With the
-    Newton boundary constant in t that happens exactly when some boundary face
+    ``coeff_at`` maps each exponent pair of the chart variables ``names`` to
+    its coefficient, a dict keyed by the exponent of t.  The germ at the
+    vertex is singular for every t, so the fiber only differs from its
+    neighbours there when the equisingularity type jumps.  With the Newton
+    boundary constant in t that happens exactly when some boundary face
     polynomial becomes critical on the torus, or when a boundary monomial's
     coefficient vanishes (changing the boundary itself).  Faces that are
     degenerate for every t carry no information and make us give up (None).
     """
-    import sympy
-
-    t, u = _symbols()[:2]
     hull = _newton_boundary(coeff_at)
-    result = sympy.Integer(1)
+    result = _t_ring().one
     for point in hull:
-        coefficient = coeff_at[point]
-        if t in coefficient.free_symbols:
-            result *= coefficient
+        if any(coeff_at[point]):  # the coefficient carries t
+            result *= _in_t(coeff_at[point])
     for start, end in zip(hull, hull[1:]):
         dx, dy = end[0] - start[0], end[1] - start[1]
-        face = sympy.Integer(0)
-        for (a, b), coefficient in coeff_at.items():
-            if (a - start[0]) * dy == (b - start[1]) * dx and (
-                min(start[0], end[0]) <= a <= max(start[0], end[0])
-            ):
-                face += coefficient * v1**a * v2**b
-        system = [face, face.diff(v1), face.diff(v2), u * v1 * v2 - 1]
-        if t in face.free_symbols:
-            eliminant = _eliminant(system, (u, v1, v2), t)
+        face = {
+            (a, b, e): c
+            for (a, b), coefficient in coeff_at.items()
+            if (a - start[0]) * dy == (b - start[1]) * dx
+            and min(start[0], end[0]) <= a <= max(start[0], end[0])
+            for e, c in coefficient.items()
+        }
+        system = [face, _diff(face, 0), _diff(face, 1)]
+        if any(m[2] for m in face):
+            eliminant = _eliminant(system, names)
             if eliminant is None:
                 return None
             result *= eliminant
-        else:
-            basis = sympy.groebner(system, u, v1, v2, order="grevlex")
-            if list(basis.exprs) != [sympy.Integer(1)]:
-                return None
-    return sympy.expand(result)
+        elif _basis(system, names, "grevlex") != [1]:
+            return None
+    return result
 
 
-def discriminant_oracle(plane: PlaneModel) -> sympy.Poly:
-    """Product of per-stratum eliminants, a polynomial in t whose roots are
-    the parameters with a singular member (plus possibly t = 0 factors).
+def discriminant_oracle(plane: PlaneModel) -> PolyElement:
+    """Product of per-stratum eliminants, a polynomial in QQ[t] whose roots
+    are the parameters with a singular member (plus possibly t = 0 factors).
 
     This route never looks at the relation vector, which makes it a genuine
     second opinion on ``singular_locus``.
     """
-    import sympy
-
-    t, u, x, y, z = _symbols()
-    F = plane_curve_expr(plane)
+    family = _family(plane)
     contributions = []
 
-    def add(expr: Optional[sympy.Expr]) -> None:
-        if expr is None:  # persistent stratum: singular for all t, no info
-            return
-        p = sympy.Poly(expr, t)
-        if not p.is_zero and p.degree() > 0:
-            contributions.append(p)
-
-    # the torus and the three punctured lines, each as its chart, the chart
-    # variables and the one set to 0 (None on the torus); every other chart
-    # variable is nonzero
-    f, h = F.subs(z, 1), F.subs(y, 1)
-    for chart, chart_vars, zero in (
-        (f, (x, y), None),  # torus (chart z = 1, x y != 0)
-        (f, (x, y), x),  # punctured line x = 0 (chart z = 1, y != 0)
-        (f, (x, y), y),  # punctured line y = 0 (chart z = 1, x != 0)
-        (h, (x, z), z),  # punctured line z = 0 (chart y = 1, x != 0)
+    # the torus and the three punctured lines, each as the coordinate set to
+    # 1 in its chart and the chart variable set to 0 (None on the torus);
+    # every other chart variable is nonzero
+    for one, zero in (
+        (2, None),  # torus (chart z = 1, x y != 0)
+        (2, 0),  # punctured line x = 0 (chart z = 1, y != 0)
+        (2, 1),  # punctured line y = 0 (chart z = 1, x != 0)
+        (1, 1),  # punctured line z = 0 (chart y = 1, x != 0)
     ):
-        system = [chart] + [chart.diff(v) for v in chart_vars]
+        chart, names = _at(family, one, 1), "xyz".replace("xyz"[one], "")
+        system = [chart, _diff(chart, 0), _diff(chart, 1)]
         if zero is not None:
-            system = [g.subs(zero, 0) for g in system]
-        nonzero = tuple(v for v in chart_vars if v is not zero)
-        add(_eliminant(system + [sympy.Mul(u, *nonzero) - 1], (u, *nonzero), t))
+            system = [_at(g, zero, 0) for g in system]
+            names = names.replace(names[zero], "")
+        contributions.append(_eliminant(system, names))
 
-    # the three vertices: multiplicity >= 2 there means every monomial of
-    # local degree <= 1 has vanishing t-coefficient
-    for chart_vars, expr in (
-        ((x, y), f),                  # vertex (0 : 0 : 1)
-        ((x, z), h),                  # vertex (0 : 1 : 0)
-        ((y, z), F.subs(x, 1)),       # vertex (1 : 0 : 0)
-    ):
-        v1, v2 = chart_vars
-        # t named here and in each gcd: sympy sorts unnamed generators by
-        # their printed names
-        p = sympy.Poly(expr, v1, v2, domain=sympy.QQ[t])
-        coeff_at = dict(zip(p.monoms(), p.coeffs()))
-        conditions = [c for mono, c in coeff_at.items() if mono[0] + mono[1] <= 1]
+    # the three vertices, each the origin of the chart where its coordinate
+    # is 1: multiplicity >= 2 there means every monomial of local degree <= 1
+    # has vanishing t-coefficient
+    for one in (2, 1, 0):  # (0 : 0 : 1), (0 : 1 : 0), (1 : 0 : 0)
+        coeff_at: dict = {}
+        for (a, b, e), c in _at(family, one, 1).items():
+            coeff_at.setdefault((a, b), {})[e] = c
+        conditions = [c for (a, b), c in coeff_at.items() if a + b <= 1]
         if conditions:
-            g = sympy.Integer(0)
-            for cond in conditions:
-                g = sympy.gcd(g, cond, t)
-            add(sympy.expand(g))
-            continue
-        add(_persistent_vertex_eliminant(coeff_at, v1, v2))
+            contributions.append(_vertex_gcd(conditions))
+        else:
+            names = "xyz".replace("xyz"[one], "")
+            contributions.append(_persistent_vertex_eliminant(coeff_at, names))
 
-    result = sympy.Poly(1, t)
+    oracle = _t_ring().one
     for p in contributions:
-        result *= p
-    return result
+        # None: a persistent stratum, singular for all t, says nothing
+        if p is not None and p.degree() > 0:
+            oracle *= p
+    return oracle
 
 
-def oracle_matches_locus(oracle: sympy.Poly, locus: SingularLocus) -> bool:
+def oracle_matches_locus(oracle: PolyElement, locus: SingularLocus) -> bool:
     """Do the nonzero roots of the oracle agree exactly with the away orbit?
 
     Compares the squarefree part of the oracle, with t divided out, against
     t^{k4} - c up to a constant.  A degenerate locus has no closed form to
     compare with, and is refused.
     """
-    import sympy
-
     if locus.degenerate:  # raised, not asserted: must hold under -O too
         raise AssertionError("degenerate locus has no closed form")
-    if oracle.is_zero:
+    if not oracle:
         return False
-    t = _symbols()[0]
-    _, reduced = oracle.sqf_part().terms_gcd()
-    orbit = sympy.Poly(t**locus.exponent - rational_to_sympy(locus.value), t)
-    return reduced.monic() == orbit.monic()
-
+    squarefree = oracle.sqf_part()
+    low = min(e for (e,) in squarefree.itermonoms())
+    reduced = {(e - low,): c for (e,), c in squarefree.items()}
+    orbit = {(locus.exponent,): 1, (0,): -locus.value}
+    return oracle.ring.from_dict(reduced).monic() == oracle.ring.from_dict(orbit)
 
 # ---------------------------------------------------------------------------
 # Trichotomy

@@ -6,10 +6,11 @@ denominator, and ``entries`` turns them back; ``frac_part`` and
 ``picard_family_all_vectors`` is the family count that scans every member of
 L0 rather than one unit-orbit slice, and ``hodge_counts_all_vectors`` the
 Hodge-level count that walks every member rather than using the closed form
-per slice; ``enumerate_L0_product`` lists the generated group by looping over
+per slice; ``group_product`` lists the generated group by looping over
 every combination of the generators' multiples rather than closing it coset
-by coset, and ``lefschetz_by_fractions`` counts L0 ∩ Lambda on that list with
-a ``Fraction`` scan.
+by coset or counting it from an echelon form, ``enumerate_L0_product`` keeps
+its all-nonzero members, and ``lefschetz_by_fractions`` counts L0 ∩ Lambda
+on that list with a ``Fraction`` scan.
 """
 
 from __future__ import annotations
@@ -95,10 +96,10 @@ def order(numerators, d: int) -> int:
     return d // gcd(d, *numerators)
 
 
-def enumerate_L0_product(d: int, generators) -> frozenset[tuple[int, ...]]:
-    """All-nonzero members, as numerators over ``d``, of the group generated
-    by g1, g2, g3, from every combination i g1 + k g2 + j g3 with i, k, j
-    below the generators' orders."""
+def group_product(d: int, generators) -> frozenset[tuple[int, ...]]:
+    """All members, as numerators over ``d``, of the group generated by g1,
+    g2, g3, from every combination i g1 + k g2 + j g3 with i, k, j below
+    the generators' orders."""
     g1, g2, g3 = generators
     members: set[tuple[int, ...]] = set()
     for i in range(order(g1, d)):
@@ -106,7 +107,12 @@ def enumerate_L0_product(d: int, generators) -> frozenset[tuple[int, ...]]:
             base = [i * x + k * y for x, y in zip(g1, g2)]
             for j in range(order(g3, d)):
                 members.add(tuple((b + j * z) % d for b, z in zip(base, g3)))
-    return frozenset(n for n in members if 0 not in n)
+    return frozenset(members)
+
+
+def enumerate_L0_product(d: int, generators) -> frozenset[tuple[int, ...]]:
+    """The all-nonzero members of ``group_product``."""
+    return frozenset(n for n in group_product(d, generators) if 0 not in n)
 
 
 def lefschetz_by_fractions(d: int, generators) -> int:

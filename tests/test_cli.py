@@ -132,12 +132,13 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
 
     # the Lefschetz number reuses the surface's adjugate, and the oracle the
     # plane model and locus of the same analysis; the check that compares
-    # them builds its own orbit polynomial and factors nothing
+    # them builds its own orbit polynomial, factors nothing and takes the
+    # squarefree part of the oracle polynomial, a QQ[t] ring element, once
     calls.clear()
     report = run_json(capsys, "analyze", CUBIC_WITH_SECTION, "--shioda", "--verify")
     assert report["verify"]["oracle"] == "match"
     assert calls == once + Counter(
-        {"discriminant_oracle": 1, "oracle_matches_locus": 1}
+        {"discriminant_oracle": 1, "oracle_matches_locus": 1, "PolyElement.sqf_part": 1}
     )
 
 
@@ -732,6 +733,48 @@ def test_analyze_prints_without_sympy_printer(capsys, monkeypatch, surface):
     report = run_json(capsys, "analyze", surface, "--verify")
     assert "genus_one" in report and "polynomial" in report["verify"]
     assert calls["StrPrinter.doprint"] == 0
+
+
+def test_verify_runs_groebner_on_ring_elements(capsys, monkeypatch):
+    # the oracle builds its systems as ring elements: no expression is
+    # substituted into, made a Poly or handed to the expression-level groebner
+    expression_calls = count_calls(
+        monkeypatch,
+        [
+            ("sympy", "groebner"),
+            ("sympy.polys.polytools", "groebner"),
+            ("sympy.polys.polytools", "Poly.__new__"),
+            ("sympy.core.basic", "Basic.subs"),
+        ],
+    )
+    ring_calls = count_calls(monkeypatch, [("sympy.polys.groebnertools", "groebner")])
+    report = run_json(capsys, "analyze", CUBIC_WITH_SECTION, "--verify")
+    assert report["verify"]["polynomial"] == "27*t**2 + 4*t"
+    assert sum(expression_calls.values()) == 0
+    assert ring_calls["groebner"] >= 1
+
+
+# one named witness per normalization rule of the printed oracle polynomial,
+# on CUBIC_WITH_SECTION's monomials: its line y = 0 gives the eliminant
+# (27t + 4 with unit coefficients), and its vertex (0 : 0 : 1), where the
+# t-monomial c t is the only one of local degree <= 1, gives the gcd factor
+@pytest.mark.parametrize(
+    "coefficients, polynomial",
+    [
+        # over ZZ the eliminant is primitive with a positive leading
+        # coefficient, here 27, not monic
+        ([1, 1, 1, 1], "27*t**2 + 4*t"),
+        # over ZZ the vertex gcd keeps its content: |c| t = 3t for c = -3;
+        # the eliminant is 81t - 4
+        ([1, 1, 1, -3], "243*t**2 - 12*t"),
+        # over QQ both are monic: t - 8575/81 and t
+        ([2, "3/5", -7, "4/3"], "t**2 - 8575*t/81"),
+    ],
+)
+def test_verify_polynomial_normalization_is_pinned(capsys, coefficients, polynomial):
+    source = dict(json.loads(CUBIC_WITH_SECTION), coefficients=coefficients)
+    report = run_json(capsys, "analyze", json.dumps(source), "--verify")
+    assert report["verify"] == {"oracle": "match", "polynomial": polynomial}
 
 
 # ---------------------------------------------------------------------------

@@ -246,8 +246,8 @@ def test_star_import_binds_every_public_name():
 def test_no_module_prints_through_sympy_expressions():
     # the report prints from .terms() with exact.format_polynomial and
     # exact.format_quotient; sympy's str of .as_expr() is left to the tests
-    # as the printers' oracle, and the --verify oracle is built from
-    # expressions directly
+    # as the printers' oracle, and the --verify oracle is built as ring
+    # elements directly
     for path in sorted((SRC / "delsarte").glob("*.py")):
         calls = [
             node.lineno

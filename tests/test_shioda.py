@@ -11,6 +11,7 @@ a denominator d, as the package holds it.
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -29,6 +30,7 @@ from delsarte.shioda import (
     excluded_fractions,
     exhaustive_sums,
     family_L0_count,
+    group_order,
     gs_hodge_counts,
     is_prime,
     lambda_membership,
@@ -42,6 +44,7 @@ from shioda_oracle import (
     enumerate_L0_product,
     frac_part,
     fraction_exhaustive_sums,
+    group_product,
     hodge_counts_all_vectors,
     lefschetz_by_fractions,
     order,
@@ -163,6 +166,23 @@ def test_L0_closure_stops_past_its_bound(monkeypatch):
     assert enumerate_L0(d, generators) == enumerate_L0_product(d, generators)
 
 
+def test_L0_refuses_past_the_bound_before_any_coset():
+    # the Fermat surface of degree 160 has |L| = 160**3 = 4,096,000; counted
+    # first, it is refused before the closure adds a coset, where closing up
+    # to the bound held a million members
+    fermat = [[160 if i == j else 0 for j in range(4)] for i in range(4)]
+    d, generators = shioda_vectors(adjugate(fermat))
+    assert group_order(d, generators) == 160**3
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="more than 1000000 members"):
+            enumerate_L0(d, generators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def random_matrices() -> list:
     """60 seeded random exponent matrices of degree 3-9 with |det A| >= 30
     and an order product small enough for the product loop."""
@@ -192,8 +212,11 @@ def test_L0_closure_matches_the_product_loop():
     sizes = set()
     for rows in random_matrices() + families:
         d, generators = shioda_vectors(adjugate(rows))
+        members = group_product(d, generators)
         closure = enumerate_L0(d, generators)
-        assert closure == enumerate_L0_product(d, generators), rows
+        assert closure == frozenset(n for n in members if 0 not in n), rows
+        # the echelon count of |L| is the size of the group listed
+        assert group_order(d, generators) == len(members), rows
         sizes.add(len(closure))
     assert len(sizes) > 15  # the draws are not all one small lattice
 

@@ -37,7 +37,6 @@ from delsarte.singular import (
     generic_fiber_genus,
     generic_profile,
     oracle_matches_locus,
-    plane_curve_expr,
     singular_locus,
     superelliptic_form,
     superelliptic_genus,
@@ -423,6 +422,16 @@ def test_analyze_computes_the_generic_genus_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def plane_curve_expr(plane, t0: Fraction) -> sympy.Expr:
+    """The fiber over t0 of the plane projective family, the sum of
+    coeff * t0^{[i = 4]} * x^a y^b z^c, as a sympy expression."""
+    total = sympy.Integer(0)
+    for i, ((a, b, c), coeff) in enumerate(zip(plane.exponents, plane.coefficients)):
+        scale = coeff * t0 if i == 3 else coeff
+        total += sympy.Rational(scale.numerator, scale.denominator) * x**a * y**b * z**c
+    return total
+
+
 def fiber_singularities_are_nodal(plane, t0: Fraction) -> bool:
     """True when every singular point of the fiber over t0 is an ordinary
     node (nondegenerate Hessian).
@@ -431,7 +440,7 @@ def fiber_singularities_are_nodal(plane, t0: Fraction) -> bool:
     system {g = 0, grad g = 0, det Hess g = 0} must be infeasible over the
     complex numbers, which the Groebner basis decides.
     """
-    F = plane_curve_expr(plane, t=sympy.Rational(t0.numerator, t0.denominator))
+    F = plane_curve_expr(plane, t0)
     for g, (v1, v2) in (
         (F.subs(z, 1), (x, y)),
         (F.subs(y, 1), (x, z)),
