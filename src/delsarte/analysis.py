@@ -12,8 +12,7 @@ is imported only when a genus-one section runs, and ``shioda`` only under
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import NotConvertibleError, VerificationError
 from .exact import format_polynomial
@@ -42,8 +41,7 @@ if TYPE_CHECKING:
     from .elliptic import GenusOneSection
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """The analysis of one surface.
 
     A degenerate surface has its ``degeneracy`` verdict and nothing else; a

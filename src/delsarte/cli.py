@@ -21,9 +21,9 @@ imports the stage modules it runs when it is dispatched, so that a fresh
 process compiles no module its command does not need.  ``analyze`` loads
 ``analysis`` (with ``model``, ``reduction`` and ``singular``), ``elliptic``
 only for a genus-one section and ``shioda`` only under --shioda; ``picard``
-loads ``shioda``.  Only --verify loads sympy; ``picard`` and every stage of
-a plain ``analyze``, the genus-one section included, run on the standard
-library alone.
+loads ``shioda``, and ``exact`` only under --excluded or --verify.  Only
+--verify loads sympy; ``picard`` and every stage of a plain ``analyze``,
+the genus-one section included, run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -246,7 +246,6 @@ def run_analyze(args) -> dict:
 
 
 def run_picard(args) -> dict:
-    from .exact import rational_to_json
     from .shioda import (
         HODGE_LEVELS,
         FamilyParams,
@@ -273,6 +272,8 @@ def run_picard(args) -> dict:
     if hodge is not None:
         record.update(zip(HODGE_LEVELS.values(), hodge))
     if args.excluded:
+        from .exact import rational_to_json
+
         record["excluded_fractions"] = [
             rational_to_json(q) for q in sorted(excluded)
         ]

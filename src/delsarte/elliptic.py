@@ -37,9 +37,8 @@ of the fiber table (the away orbit as k4 places) over k4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import NotConvertibleError, ValidationError
 from .exact import QPoly, T, primitive_quotient
@@ -73,8 +72,7 @@ Quotient = tuple[QPoly, QPoly]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
+class WeierstrassModel(NamedTuple):
     """y^2 = x^3 + a2 x^2 + a4 x + a6, the coefficients polynomials in t."""
 
     a2: QPoly = QPoly()
@@ -82,8 +80,7 @@ class WeierstrassModel:
     a6: QPoly = QPoly()
 
 
-@dataclass(frozen=True)
-class WeierstrassInvariants:
+class WeierstrassInvariants(NamedTuple):
     """The b- and c-invariants and the discriminant, polynomials in t."""
 
     b2: QPoly
@@ -123,8 +120,7 @@ def weierstrass_invariants(model: WeierstrassModel) -> WeierstrassInvariants:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KodairaFiber:
+class KodairaFiber(NamedTuple):
     """A Kodaira symbol with its Euler number and conductor exponent.
 
     ``n`` is the index for I_n and I_n* and 0 otherwise; the smooth fiber is
@@ -323,16 +319,14 @@ def genus_one_weierstrass(form: SuperellipticForm) -> WeierstrassModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantJ:
+class ConstantJ(NamedTuple):
     """All smooth fibers share one modulus, ``j_value``."""
 
     kind = "constant_j"
     j_value: Fraction
 
 
-@dataclass(frozen=True)
-class BaseChangeOfGammaLessOne:
+class BaseChangeOfGammaLessOne(NamedTuple):
     """The fibration is the degree-k4 base change of a rational elliptic
     fibration with one away fiber and gamma < 1."""
 
@@ -347,8 +341,7 @@ class BaseChangeOfGammaLessOne:
 FastenbergVerdict = Union[ConstantJ, BaseChangeOfGammaLessOne]
 
 
-@dataclass(frozen=True)
-class GenusOneSection:
+class GenusOneSection(NamedTuple):
     """The genus-one data of one fibration, each part computed once: the
     Weierstrass model, its invariants, j = c4^3/delta in lowest terms, the
     fibers at 0, over the away orbit ``orbit`` (t^k4 - c) and at infinity,

@@ -7,8 +7,9 @@ A surface here is cut out in P^3 by a sum of exactly four monomials
 all of the same total degree.  The 4x4 exponent matrix (rows = monomials,
 columns = variables) determines almost everything this package computes, so
 the matrix *is* the primary data; coefficients default to 1.  Its integer
-determinant and adjugate are computed once per surface
-(``DelsarteSurface.adjugate``) and read by every later stage.
+determinant and adjugate are computed once per surface, when it is built,
+and kept as the field ``DelsarteSurface.adjugate`` that every later stage
+reads.
 
 The fibration studied throughout is projection away from the line
 {X2 = X3 = 0} onto the line {X0 = X1 = 0}; concretely we work in the affine
@@ -25,10 +26,8 @@ used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ValidationError
 from .exact import Adjugate, parse_rational, rational_to_json
@@ -41,27 +40,23 @@ IntVec = tuple[int, int, int, int]
 # Projective model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DelsarteSurface:
+class DelsarteSurface(NamedTuple):
     """A validated four-monomial surface in P^3.
 
     ``rows[i]`` is the exponent vector of the i-th monomial over the
     variables (X0, X1, X2, X3); ``coefficients[i]`` its coefficient.
-    Construct through ``validate_surface`` rather than directly.
+    ``adjugate`` is ``(det A, adj A)`` of the exponent matrix A, computed
+    once per surface: the reduction and the character lattice read A^{-1}
+    off it.  Construct through ``validate_surface`` rather than directly.
     """
 
     rows: tuple[IntVec, IntVec, IntVec, IntVec]
     coefficients: tuple[Fraction, Fraction, Fraction, Fraction]
+    adjugate: Adjugate
 
     @property
     def degree(self) -> int:
         return sum(self.rows[0])
-
-    @cached_property
-    def adjugate(self) -> Adjugate:
-        """``(det A, adj A)`` of the exponent matrix A, computed once per
-        surface: the reduction and the character lattice read A^{-1} off it."""
-        return integer_adjugate(self.rows)
 
     def determinant(self) -> int:
         return self.adjugate[0]
@@ -84,7 +79,9 @@ class DelsarteSurface:
         ):
             raise ValidationError(f"not a permutation of 0..3: {perm!r}")
         rows = tuple(tuple(r[perm[j]] for j in range(4)) for r in self.rows)
-        return DelsarteSurface(rows, self.coefficients)  # type: ignore[arg-type]
+        return DelsarteSurface(
+            rows, self.coefficients, integer_adjugate(rows)  # type: ignore[arg-type]
+        )
 
 
 def validate_surface(
@@ -134,7 +131,9 @@ def validate_surface(
         coeffs = tuple(Fraction(c) for c in coefficients)
         if any(c == 0 for c in coeffs):
             raise ValidationError("coefficients must be nonzero")
-    return DelsarteSurface(tuple(clean), coeffs)  # type: ignore[arg-type]
+    return DelsarteSurface(
+        tuple(clean), coeffs, integer_adjugate(clean)  # type: ignore[arg-type]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +143,26 @@ def validate_surface(
 Term = tuple[Fraction, tuple[int, int, int]]
 
 
-@dataclass(frozen=True)
-class AffineEquation:
+class _Terms(NamedTuple):
+    terms: tuple[Term, ...]
+
+
+class AffineEquation(_Terms):
     """f(x, y, t) as an ordered sum of monomial terms.
 
     Exponents of x and y are >= 0; the t-exponent may be any integer (base
     changes produce Laurent polynomials before powers of t are cleared).
     Term order is meaningful and preserved: index 3 is the designated
-    t-carrying monomial once an equation is in minimal form.
+    t-carrying monomial once an equation is in minimal form.  The terms are
+    checked when the equation is built (``_replace`` and ``_make`` would
+    skip the checks, so nothing calls them).
     """
 
-    terms: tuple[Term, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, terms: tuple[Term, ...]) -> "AffineEquation":
         seen = set()
-        for coeff, (ex, ey, et) in self.terms:
+        for coeff, (ex, ey, et) in terms:
             if coeff == 0:
                 raise ValidationError("zero term in equation")
             if ex < 0 or ey < 0:
@@ -166,6 +170,7 @@ class AffineEquation:
             if (ex, ey, et) in seen:
                 raise ValidationError("terms must have distinct monomials")
             seen.add((ex, ey, et))
+        return super().__new__(cls, terms)
 
     def t_exponents(self) -> tuple[int, ...]:
         return tuple(et for _, (_, _, et) in self.terms)
@@ -197,8 +202,7 @@ def affine_equation(surface: DelsarteSurface) -> AffineEquation:
     )
 
 
-@dataclass(frozen=True)
-class BaseChangeRecord:
+class BaseChangeRecord(NamedTuple):
     """How a reduced equation g relates to the one it came from.
 
     The substitution x -> x t^twist[0], y -> y t^twist[1], t -> t^inner_degree

@@ -23,9 +23,8 @@ with the integer relation vector among the four plane monomials
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DegenerateFibrationError, ValidationError
 from .exact import (
@@ -48,8 +47,7 @@ RATIONAL_FIBERS = "rational_fibers"
 SPLITS_AFTER_BASE_CHANGE = "splits_after_base_change"
 
 
-@dataclass(frozen=True)
-class DegenerateVerdict:
+class DegenerateVerdict(NamedTuple):
     """What a singular exponent matrix does to the fibration.
 
     ``direction`` is a primitive integer triple (a, b, c): substituting
@@ -112,8 +110,7 @@ def _shifted_direction(u) -> tuple[int, int, int]:
 # Reduction to minimal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinimalFibration:
+class MinimalFibration(NamedTuple):
     """A fibration in minimal form, plus how it was reached.
 
     ``equation`` has t-exponent pattern (0, 0, 0, 1): the t-carrying monomial
@@ -209,8 +206,7 @@ def _reorder_minimal(eq: AffineEquation, carrier: int) -> AffineEquation:
 # Plane projective model of the generic fiber
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlaneModel:
+class PlaneModel(NamedTuple):
     """The generic fiber of a minimal fibration as a plane projective curve.
 
     ``exponents[i]`` is the exponent triple of the i-th monomial over

@@ -50,11 +50,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import SingularMatrixError, ValidationError, VerificationError
-from .exact import Adjugate
-from .exact import adjugate as integer_adjugate
+
+if TYPE_CHECKING:
+    from .exact import Adjugate
 
 # ``is_prime`` accepts n < MAX_P.  Miller-Rabin with the first twelve primes
 # as witnesses decides primality exactly below 3.18 * 10**23 (Sorenson and
@@ -325,7 +326,9 @@ def verify_family(
     early-exit scan on every member; with ``hodge``, the levels of
     ``gs_hodge_counts``, it checks those against the members' entry sums.
     """
-    d, generators = shioda_vectors(integer_adjugate(params.matrix))
+    from .exact import adjugate  # only the matrix route needs it
+
+    d, generators = shioda_vectors(adjugate(params.matrix))
     members = enumerate_L0(d, generators)
     if len(members) != L0_count:
         raise VerificationError(f"L0 size {len(members)} != direct count {L0_count}")

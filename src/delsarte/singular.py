@@ -40,11 +40,10 @@ fibrations three ways, by the shape of k:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import ceil, gcd
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .errors import ValidationError
 from .exact import rational_kth_roots
@@ -58,8 +57,7 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularLocus:
+class SingularLocus(NamedTuple):
     """The away orbit of singular fibers: the solutions of t^exponent = value.
 
     The locus only involves t^exponent, so the order-``exponent`` rotations
@@ -366,8 +364,7 @@ def oracle_matches_locus(oracle: PolyElement, locus: SingularLocus) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Isotrivial:
+class Isotrivial(NamedTuple):
     """The t-monomial duplicates monomial ``duplicate_index``: the family is
     one fixed curve with a moving coefficient, degenerating at one value."""
 
@@ -376,8 +373,7 @@ class Isotrivial:
     degeneration_value: Fraction
 
 
-@dataclass(frozen=True)
-class SuperellipticForm:
+class SuperellipticForm(NamedTuple):
     """Normal form u^a = psi(v) of the generic fiber as a cyclic cover.
 
     ``terms`` are the three monomials of psi: (coefficient, exponent,
@@ -389,16 +385,14 @@ class SuperellipticForm:
     terms: tuple[tuple[Fraction, int, bool], ...]
 
 
-@dataclass(frozen=True)
-class Superelliptic:
+class Superelliptic(NamedTuple):
     branch = "superelliptic"
     form: SuperellipticForm
     generic_genus: int
     constant_j: Optional[Fraction]
 
 
-@dataclass(frozen=True)
-class SemistableAway:
+class SemistableAway(NamedTuple):
     """All k_i nonzero: no cyclic-cover structure, singular away fibers are
     isolated and expected nodal."""
 

@@ -6,7 +6,6 @@ checks (total = 12 on a rational elliptic surface) guard against symbol-table
 typos.
 """
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -115,7 +114,7 @@ def test_invariants_identity_on_random_models(p0, p1, q0, q1, r0, r1):
         inv = weierstrass_invariants(model)
     except ValidationError:
         assume(False)
-    # the 1728-identity is checked inside; recheck from the dataclass fields
+    # the 1728-identity is checked inside; recheck from the record's fields
     assert inv.c4**3 - inv.c6**2 - 1728 * inv.delta == 0
     assert 4 * inv.b8 - inv.b2 * inv.b6 + inv.b4**2 == 0
 
@@ -125,8 +124,8 @@ def test_section_is_polynomial_but_for_j():
     # quotient, kept as two integer polynomials
     section = report_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]).genus_one
     for part in (section.model, section.invariants):
-        for field in dataclasses.fields(part):
-            assert isinstance(getattr(part, field.name), QPoly), field.name
+        for field in part._fields:
+            assert isinstance(getattr(part, field), QPoly), field
     numer, denom = section.j
     assert numer.integral and denom.integral
     inv = section.invariants
@@ -307,7 +306,7 @@ def test_orbit_place():
 
     # y^2 = x^3 - 3x + t - 4: of the roots of t^2 - 4, 2 carries I1 and -2
     # carries I0, so the place has no one type
-    inv = weierstrass_invariants(dataclasses.replace(model, a6=T - 4))
+    inv = weierstrass_invariants(model._replace(a6=T - 4))
     with pytest.raises(AssertionError, match="places disagree"):
         kodaira_type(inv, T**2 - 4)
 
@@ -352,7 +351,6 @@ def test_discriminant_shape_is_checked_under_optimize():
     # delta is a monomial times (t^k4 - c)^nu must still raise, on a delta
     # left with a remainder and on one with a root at t = 1
     script = (
-        "import dataclasses\n"
         "from corpus import surface_from_affine_triples\n"
         "from delsarte.analysis import analyze\n"
         "from delsarte.elliptic import _j_and_verdict, _split\n"
@@ -360,7 +358,7 @@ def test_discriminant_shape_is_checked_under_optimize():
         "triples = [(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]\n"
         "s = analyze(surface_from_affine_triples(triples)).genus_one\n"
         "for delta in (T**2, s.invariants.delta * (T - 1)):\n"
-        "    inv = dataclasses.replace(s.invariants, delta=delta)\n"
+        "    inv = s.invariants._replace(delta=delta)\n"
         "    try:\n"
         "        _j_and_verdict(\n"
         "            inv, 1, _split(delta, s.orbit), s.at_zero, s.away, s.at_infinity\n"
@@ -380,7 +378,6 @@ def test_verdict_and_place_claims_are_checked_under_optimize():
     # y^2 = x^3 - 3x + t - 4, t^2 - 4 has roots of two fiber types, which
     # breaks _multiplicity's claim, and a place of three terms is refused
     script = (
-        "import dataclasses\n"
         "from corpus import surface_from_affine_triples\n"
         "from delsarte.analysis import analyze\n"
         "from delsarte.elliptic import (\n"
@@ -397,7 +394,7 @@ def test_verdict_and_place_claims_are_checked_under_optimize():
         ")\n"
         "calls = [\n"
         "    lambda: _j_and_verdict(\n"
-        "        dataclasses.replace(s.invariants, c4=T), 2, split, **table\n"
+        "        s.invariants._replace(c4=T), 2, split, **table\n"
         "    ),\n"
         "    lambda: _j_and_verdict(\n"
         "        s.invariants, 2, split, **dict(table, away=kodaira_fiber('II'))\n"

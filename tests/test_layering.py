@@ -98,33 +98,47 @@ def package(*names: str) -> set[str]:
     return {f"delsarte.{name}" for name in names}
 
 
+# no process needs these: the records are NamedTuples, and dataclasses
+# would pull in inspect, ast, dis and tokenize
+UNUSED = {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize(
     "args, loads, skips",
     [
-        (("-c", "import delsarte.cli"), set(), package(*STAGES) | {"dataclasses"}),
+        (("-c", "import delsarte.cli"), set(), package(*STAGES) | UNUSED),
         (
             ("-m", "delsarte.cli", "picard", "--p", "7", "--a", "2"),
             package("shioda"),
+            package("analysis", "model", "reduction", "singular", "elliptic", "exact")
+            | UNUSED,
+        ),
+        (
+            ("-m", "delsarte.cli", "picard", "--p", "7", "--a", "2", "--excluded"),
+            package("shioda", "exact"),
             package("analysis", "model", "reduction", "singular", "elliptic")
-            | {"dataclasses"},
+            | UNUSED,
         ),
         (
             ("-m", "delsarte.cli", "analyze", HESSE_PENCIL),
             package("analysis", "model", "reduction", "singular"),
-            package("elliptic", "shioda"),
+            package("elliptic", "shioda") | UNUSED,
         ),
         (
             ("-m", "delsarte.cli", "analyze", WORKED_CUBIC),
             package("analysis", "elliptic"),
-            package("shioda"),
+            package("shioda") | UNUSED,
         ),
         (
             ("-m", "delsarte.cli", "analyze", HESSE_PENCIL, "--shioda"),
             package("analysis", "shioda"),
-            package("elliptic"),
+            package("elliptic") | UNUSED,
         ),
     ],
-    ids=["import_cli", "picard", "analyze", "analyze_genus_one", "analyze_shioda"],
+    ids=[
+        "import_cli", "picard", "picard_excluded", "analyze", "analyze_genus_one",
+        "analyze_shioda",
+    ],
 )
 def test_each_entry_loads_only_the_modules_it_runs(args, loads, skips):
     # with PYTHONDONTWRITEBYTECODE=1 a fresh process compiles every module
@@ -260,26 +274,47 @@ def test_no_module_prints_through_sympy_expressions():
 
 
 def test_no_dataclass_default_is_a_container():
-    # Python 3.10's dataclasses refuses a list, dict or set default when the
-    # class is made, or importing the module fails there: a mutable default
-    # needs a default_factory
-    import dataclasses
+    # a record is a NamedTuple, which shares a list, dict or set default
+    # across every instance without an error, so a default must be immutable
     import importlib
 
+    with_defaults = set()
     for path in sorted((SRC / "delsarte").glob("*.py")):
         module = importlib.import_module(f"delsarte.{path.stem}")
         for name, value in vars(module).items():
-            if not (isinstance(value, type) and dataclasses.is_dataclass(value)):
+            if not (isinstance(value, type) and issubclass(value, tuple)):
                 continue
-            for f in dataclasses.fields(value):
-                assert not isinstance(f.default, (list, dict, set)), (
-                    f"{path.name}: {name}.{f.name}"
+            for field, default in getattr(value, "_field_defaults", {}).items():
+                with_defaults.add(name)
+                assert not isinstance(default, (list, dict, set)), (
+                    f"{path.name}: {name}.{field}"
                 )
+    assert {"WeierstrassModel", "SingularLocus", "Report"} <= with_defaults
 
 
 def package_trees():
     for path in sorted((SRC / "delsarte").glob("*.py")):
         yield path.name, ast.parse(path.read_text())
+
+
+def test_no_module_imports_dataclasses():
+    # building a frozen dataclass execs its methods, and the module pulls in
+    # inspect; the records are NamedTuples, which a cold process makes cheaply
+    for name, tree in package_trees():
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (
+                isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+            )
+            or (
+                isinstance(node, ast.ImportFrom)
+                and node.level == 0
+                and (node.module or "").split(".")[0] == "dataclasses"
+            )
+        ]
+        assert not lines, f"{name} imports dataclasses on lines {lines}"
 
 
 def test_only_singular_imports_sympy():

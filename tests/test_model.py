@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from base_change import apply_base_change, term_set
 from corpus import deterministic_corpus
 from delsarte.errors import ValidationError
+from delsarte.exact import adjugate
 from delsarte.model import (
     AffineEquation,
     affine_equation,
@@ -196,6 +197,15 @@ def test_permuted_is_validated():
     }
     s = surface_from_json(obj)
     assert s.degree == 3
+
+
+def test_permuted_surface_has_the_adjugate_of_its_rows():
+    # permuted builds the surface with its adjugate, from the permuted rows
+    rows = [[0, 2, 0, 1], [3, 0, 0, 0], [2, 0, 0, 1], [0, 0, 1, 2]]
+    s = validate_surface(rows)
+    for perm in permutations(range(4)):
+        moved = [[r[perm[j]] for j in range(4)] for r in rows]
+        assert s.permuted(perm).adjugate == adjugate(moved)
 
 
 def test_every_permutation_of_the_corpus_validates():
