@@ -36,12 +36,15 @@ level lo + 1 and r - 1 at level lo + 2.
 ``verify_family`` (``picard --verify``) relies on neither: it enumerates
 all of L0 from the adjugate of the family's exponent matrix, rescans every
 member with the exhaustive scan and recounts the Hodge levels from the
-members' entry sums.
+members' entry sums.  The exhaustive scan lists the units of each order
+with its own sieve (``_sieved_units``) rather than the early-exit scan's
+gcd filter (``_units``), so the two scans of the pair share no unit table.
 
-Input sizes are bounded: a family member needs 2ap <= MAX_WEIGHT, and
+Input sizes are bounded: a family member needs 2ap <= MAX_WEIGHT,
 ``enumerate_L0`` counts |L| from the generators and refuses with
 ValidationError, before the closure starts, a group of more than MAX_L
-members.
+members, and ``verify_family`` refuses a recount of more than MAX_RECOUNT
+steps, |L0| * 2ap, before L0 is built.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -71,6 +75,12 @@ MAX_WEIGHT = 10**4
 # Largest |L| that ``enumerate_L0`` closes: the Fermat surface of degree
 # 100 has |L| = 10**6, that of degree 160 has 4,096,000.
 MAX_L = 10**6
+
+# Largest |L0| * 2ap that ``verify_family`` rescans: the exhaustive scan
+# takes at most 2ap unit scalings per member of L0.  The largest member of
+# the p <= 43, a <= 10 grid, (43, 10), needs 30,990,960 steps (about 3 s
+# cold); (47, 106) would need 4.57 * 10**9.
+MAX_RECOUNT = 5 * 10**7
 
 Numerators = tuple[int, int, int, int]
 
@@ -240,21 +250,47 @@ def lambda_membership(numerators: Numerators, d: int) -> Optional[int]:
     return None
 
 
+@lru_cache(maxsize=256)
+def _sieved_units(order: int) -> tuple[int, ...]:
+    """The t in [1, order] prime to ``order``, ascending, by a sieve.
+
+    Each prime factor of ``order`` strikes out its multiples in a bytearray,
+    and the survivors are read back with ``compress``.  This is not
+    ``_units``'s gcd filter on purpose: the exhaustive scan lists its units
+    by its own algorithm, so a fault in one unit table cannot hide in both
+    scans of the pair.
+    """
+    keep = bytearray(b"\x01") * (order + 1)
+    keep[0] = 0
+    rest, prime = order, 2
+    while prime * prime <= rest:
+        if rest % prime == 0:
+            keep[prime::prime] = bytes(order // prime)
+            while rest % prime == 0:
+                rest //= prime
+        prime += 1
+    if rest > 1:  # the one prime factor above the square root of what is left
+        keep[rest::rest] = bytes(order // rest)
+    return tuple(compress(range(order + 1), keep))
+
+
 def exhaustive_sums(numerators: Numerators, d: int) -> dict[int, int]:
     """All unit scalings with their fractional-part sums (no early exit).
 
     The unoptimized form of the Lambda test, kept as the reference the
-    early-exit scan is validated against.  It works over the character's
-    order N itself, numerators reduced to N.  Each sum is an integer
-    because the entry sum is.
+    early-exit scan is validated against: it sums every unit t of the
+    character's order N, numerators reduced to N, and never stops early.
+    Its units come from ``_sieved_units``, not from ``_units``, so the two
+    scans share no unit table.  Each sum is an integer because the entry
+    sum is.
     """
     g = gcd(d, *numerators)
     order = d // g
-    reduced = [n // g for n in numerators]
+    n1, n2, n3, n4 = (n // g for n in numerators)
     return {
-        t: sum((t * n) % order for n in reduced) // order
-        for t in range(1, order + 1)
-        if gcd(t, order) == 1
+        t: ((t * n1) % order + (t * n2) % order + (t * n3) % order + (t * n4) % order)
+        // order
+        for t in _sieved_units(order)
     }
 
 
@@ -325,7 +361,14 @@ def verify_family(
     number ``lam`` that the slice count of ``picard_family`` gives, and the
     early-exit scan on every member; with ``hodge``, the levels of
     ``gs_hodge_counts``, it checks those against the members' entry sums.
+    Raises ValidationError, before L0 is built, when |L0| * 2ap exceeds
+    MAX_RECOUNT.
     """
+    steps = family_L0_count(params) * params.weight
+    if steps > MAX_RECOUNT:
+        raise ValidationError(
+            f"the L0 recount needs {steps} scaling steps, more than {MAX_RECOUNT}"
+        )
     from .exact import adjugate  # only the matrix route needs it
 
     d, generators = shioda_vectors(adjugate(params.matrix))

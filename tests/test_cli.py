@@ -21,6 +21,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from corpus import deterministic_corpus, surface_from_affine_triples, y_squared_
 from delsarte import analysis, cli, shioda
 from digest import run_quietly
 from delsarte.errors import UnsupportedShapeError, ValidationError
-from delsarte.exact import rational_to_json
+from delsarte.exact import adjugate, rational_to_json
 
 CUBIC_WITH_SECTION = '{"monomials": [[0,2,0,1],[3,0,0,0],[2,0,0,1],[0,0,1,2]]}'
 # x y^2 + x^3 + x^2 + t: no direct y^2 shape, a double cover after straightening
@@ -311,6 +312,29 @@ def test_picard_past_the_weight_bound_exits_3_at_once(capsys):
         assert "must be at most 10000" in err
         assert elapsed < 2.0
     assert run_json(capsys, "picard", "--p", "4999", "--a", "1")["p"] == 4999
+
+
+def test_picard_verify_past_the_recount_budget_exits_3_at_once(capsys):
+    # |L0| * 2ap = 458,252 * 9,964 = 4.57 * 10**9 scaling steps, past the
+    # bound of 5 * 10**7; unbounded, the recount would run for about 45 min
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "picard", "--p", "47", "--a", "106", "--verify")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert "4566022928 scaling steps, more than 50000000" in err
+    assert elapsed < 1.0
+
+
+def test_picard_verify_builds_each_unit_set_once(capsys):
+    # the members of L0 at (13, 4) have orders 26, 52 and 104: the exhaustive
+    # scan sieves the units of each once and reads the rest from the cache
+    shioda._sieved_units.cache_clear()
+    record = run_json(capsys, "picard", "--p", "13", "--a", "4", "--verify")
+    info = shioda._sieved_units.cache_info()
+    assert (info.misses, info.hits) == (3, record["verify"]["vectors_checked"] - 3)
+    d, generators = shioda.shioda_vectors(adjugate(shioda.FamilyParams(13, 4).matrix))
+    members = shioda.enumerate_L0(d, generators)
+    assert {d // gcd(d, *n) for n in members} == {26, 52, 104}
 
 
 def test_analyze_shioda_past_the_character_bound_exits_3_at_once(capsys):

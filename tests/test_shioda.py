@@ -308,6 +308,69 @@ def test_dual_routes_agree_on_seeded_draws():
         checked += 1
 
 
+def divisors(n: int) -> list:
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+def test_sieved_units_match_the_gcd_filter():
+    # the exhaustive scan's own unit set, by sieve, against the gcd filter on
+    # every order up to 2,000 and the divisors of the largest weights
+    sieve = shioda._sieved_units.__wrapped__  # the sieve itself, not the cache
+    assert sieve(1) == (1,)
+    for n in sorted(set(range(1, 2001)) | set(divisors(9998)) | set(divisors(10000))):
+        assert list(sieve(n)) == [t for t in range(1, n + 1) if gcd(t, n) == 1], n
+
+
+def test_exhaustive_sums_match_the_fraction_scan_off_L0():
+    # Seeded characters with zero entries, so outside L0, over d up to 10**4
+    # with an integer entry sum: the integer scan equals the Fraction scan.
+    rng = random.Random(4241)
+    draws = [(0, 0, 0, 0, 1), (0, 0, 0, 0, 10**4), (0, 1, 0, 9997, 9998)]
+    while len(draws) < 30:
+        d = rng.choice((rng.randint(2, 60), rng.randint(61, 10**4)))
+        zeros = rng.randint(1, 3)
+        numerators = [0] * zeros + [rng.randrange(1, d) for _ in range(3 - zeros)]
+        numerators.append(-sum(numerators) % d)
+        rng.shuffle(numerators)
+        draws.append((*numerators, d))
+    for *numerators, d in draws:
+        sums = exhaustive_sums(tuple(numerators), d)
+        assert sums == fraction_exhaustive_sums(entries(numerators, d)), (numerators, d)
+
+
+def test_exhaustive_scan_keeps_its_own_unit_set(monkeypatch):
+    # a wrong unit table for the early-exit scan leaves the exhaustive scan
+    # as it was: the two scans of the pair list their units independently
+    d, generators = shioda_vectors(adjugate(FamilyParams(11, 1).matrix))
+    members = sorted(enumerate_L0(d, generators))
+    sums = [exhaustive_sums(n, d) for n in members]
+    witnesses = [lambda_membership(n, d) for n in members]
+    monkeypatch.setattr(shioda, "_units", lambda modulus: (1,))
+    assert [exhaustive_sums(n, d) for n in members] == sums
+    assert [lambda_membership(n, d) for n in members] != witnesses
+
+
+def test_recount_budget_admits_the_grid():
+    # by arithmetic, without a run: every (p, a) with p <= 43 and a <= 10 is
+    # recounted, and (47, 106) is refused
+    def steps(p: int, a: int) -> int:
+        params = FamilyParams(p, a)
+        return family_L0_count(params) * params.weight
+
+    grid = [(p, a) for p in range(3, 44) if is_prime(p) for a in range(1, 11)]
+    assert len(grid) == 130
+    assert max(steps(p, a) for p, a in grid) == steps(43, 10) == 30_990_960
+    assert steps(43, 10) <= shioda.MAX_RECOUNT < steps(47, 106) == 4_566_022_928
+
+
+def test_recount_refuses_past_its_budget_before_L0(monkeypatch):
+    monkeypatch.setattr(shioda, "MAX_RECOUNT", 8 * 6 - 1)  # (3, 1): 8 members, 2ap = 6
+    monkeypatch.setattr(shioda, "enumerate_L0", None)  # never reached
+    params = FamilyParams(3, 1)
+    with pytest.raises(ValidationError, match="48 scaling steps, more than 47"):
+        shioda.verify_family(params, 8, 0)
+
+
 # ---------------------------------------------------------------------------
 # Picard numbers
 # ---------------------------------------------------------------------------
