@@ -17,9 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "DelsarteError": "errors",
     "FamilyParams": "shioda",
-    "NotConvertibleError": "errors",
     "Report": "analysis",
-    "UnsupportedShapeError": "errors",
     "ValidationError": "errors",
     "analyze": "analysis",
     "classify_degenerate": "reduction",

@@ -4,7 +4,10 @@
 to minimal form, the plane model, the singular locus, the trichotomy, the
 genus-one section, the Lefschetz number and the elimination oracle.  It
 computes each quantity once and returns them together as a ``Report``; a
-degenerate surface stops after its degeneracy verdict.  The integer stages
+degenerate surface stops after its degeneracy verdict.  The genus-one
+section runs on a genus-one cyclic cover u^a = psi(v) with a = 2, where psi
+cleared of its even power of v is always a cubic or a quartic; covers with
+a = 3 or 4 get none.  No stage error is caught.  The integer stages
 of ``reduction`` and ``singular`` are imported with this module; ``elliptic``
 is imported only when a genus-one section runs, and ``shioda`` only under
 ``shioda=True``.  Only ``verify`` loads sympy.
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .errors import NotConvertibleError, VerificationError
+from .errors import VerificationError
 from .exact import format_polynomial
 from .model import DelsarteSurface
 from .reduction import (
@@ -47,9 +50,9 @@ class Report(NamedTuple):
     A degenerate surface has its ``degeneracy`` verdict and nothing else; a
     nondegenerate one has ``degeneracy`` None and every stage from
     ``minimal`` to ``trichotomy``.  ``genus_one`` is set for a genus-one
-    double cover, ``lefschetz`` when ``shioda`` asked for it, and ``oracle``
-    when ``verify`` asked for it and the locus is not degenerate (the closed
-    form it checks does not apply there).
+    double cover (cover exponent 2), ``lefschetz`` when ``shioda`` asked for
+    it, and ``oracle`` when ``verify`` asked for it and the locus is not
+    degenerate (the closed form it checks does not apply there).
     """
 
     surface: DelsarteSurface
@@ -76,13 +79,14 @@ def analyze(
     locus = singular_locus(plane)
     trichotomy = classify_trichotomy(minimal, plane, locus)
     genus_one = lefschetz = None
-    if isinstance(trichotomy, Superelliptic) and trichotomy.generic_genus == 1:
+    if (
+        isinstance(trichotomy, Superelliptic)
+        and trichotomy.generic_genus == 1
+        and trichotomy.form.cover_exponent == 2
+    ):
         from .elliptic import genus_one_section
 
-        try:
-            genus_one = genus_one_section(trichotomy, locus)
-        except NotConvertibleError:  # not a double cover
-            pass
+        genus_one = genus_one_section(trichotomy, locus)
     if shioda:
         from .shioda import lefschetz_number
 

@@ -12,9 +12,11 @@ given (p, a).
 Output is a single JSON document on stdout with sorted keys; all numbers
 are integers or exact "p/q" strings, so identical invocations are
 byte-identical.  Exit codes: 2 for unreadable input, a closed stdout or a
-command-line usage error, 3 for invalid input, 4 for valid surfaces outside
-the supported analysis shapes, 1 for a --verify mismatch (the oracle
-disagreeing with the closed form).
+command-line usage error (a --json-indent outside 0..16 among them), 3 for
+invalid input (``ValidationError``, a size past its bound included), 1 for
+a --verify mismatch (``VerificationError``, the oracle disagreeing with the
+closed form).  A genus-one cover that is not a double cover, such as a
+cube cover, exits 0 with no genus-one section.
 
 The module imports only the standard library and ``errors``: each command
 imports the stage modules it runs when it is dispatched, so that a fresh
@@ -35,7 +37,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import UnsupportedShapeError, ValidationError, VerificationError
+from .errors import ValidationError, VerificationError
 
 
 class UnreadableInputError(Exception):
@@ -249,6 +251,7 @@ def run_picard(args) -> dict:
     from .shioda import (
         HODGE_LEVELS,
         FamilyParams,
+        check_recount_budget,
         excluded_fractions,
         family_L0_count,
         gs_hodge_counts,
@@ -257,6 +260,8 @@ def run_picard(args) -> dict:
     )
 
     params = FamilyParams(args.p, args.a)
+    if args.verify:  # refuse an oversized recount before the slice scan
+        check_recount_budget(params)
     excluded = excluded_fractions(params)
     rho_tilde = picard_family(params, excluded)
     count = family_L0_count(params)
@@ -339,6 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--json-indent",
             type=int,
+            # json.dumps writes this many spaces per nesting level
+            choices=range(17),
+            metavar="JSON_INDENT",
             default=None,
             help="pretty-print the report with this indent",
         )
@@ -369,9 +377,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 3
-    except UnsupportedShapeError as exc:
-        print(f"error: unsupported shape: {exc}", file=sys.stderr)
-        return 4
     except VerificationError as exc:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return 1

@@ -32,7 +32,10 @@ whole of Tate's algorithm.
 
 ``genus_one_section`` computes each genus-one quantity once (psi from the
 cyclic-cover form, nu from the away fiber); its verdict's gamma is ``gamma``
-of the fiber table (the away orbit as k4 places) over k4.
+of the fiber table (the away orbit as k4 places) over k4.  Its input is a
+genus-one double cover u^2 = psi(v), the one shape ``analysis.analyze``
+hands it; ``genus_one_weierstrass`` raises ValidationError on any other
+cover, a precondition for a library caller and not a verdict on the surface.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
-from .errors import NotConvertibleError, ValidationError
+from .errors import ValidationError
 from .exact import QPoly, T, primitive_quotient
 from .singular import SingularLocus, Superelliptic, SuperellipticForm
 
@@ -295,7 +298,7 @@ def _double_cover_model(psi: dict[int, QPoly]) -> WeierstrassModel:
             - 2 * c**3
         )
         return WeierstrassModel(a4=-27 * inv_i, a6=-27 * inv_j)
-    raise NotConvertibleError(
+    raise ValidationError(
         f"double cover has degree {degree} after clearing squares; need 3 or 4"
     )
 
@@ -303,12 +306,10 @@ def _double_cover_model(psi: dict[int, QPoly]) -> WeierstrassModel:
 def genus_one_weierstrass(form: SuperellipticForm) -> WeierstrassModel:
     """Weierstrass model of a genus-one fibration from ``form``, the
     cyclic-cover normal form u^a = psi(v) of its superelliptic trichotomy
-    (``classify_trichotomy(...).form``); raises NotConvertibleError unless
-    it is a double cover u^2 = cubic-or-quartic."""
+    (``classify_trichotomy(...).form``).  Its precondition is a double
+    cover u^2 = cubic-or-quartic; it raises ValidationError otherwise."""
     if form.cover_exponent != 2:
-        raise NotConvertibleError(
-            f"cyclic cover of exponent {form.cover_exponent}, not 2"
-        )
+        raise ValidationError(f"cyclic cover of exponent {form.cover_exponent}, not 2")
     return _double_cover_model(
         {e: c * T if carries_t else QPoly([c]) for c, e, carries_t in form.terms}
     )
@@ -410,9 +411,9 @@ def genus_one_section(
     """Model, invariants, fiber table, j and verdict of a genus-one
     fibration.
 
-    ``trichotomy`` is a superelliptic trichotomy, whose cyclic-cover form
-    gives the model, and ``locus`` its locus (not degenerate; its exponent
-    is k4).  Raises NotConvertibleError when the cover is not a double cover.
+    ``trichotomy`` is a superelliptic trichotomy of genus one whose
+    cyclic-cover form is a double cover (``cover_exponent`` 2), which gives
+    the model, and ``locus`` its locus (not degenerate; its exponent is k4).
     """
     model = genus_one_weierstrass(trichotomy.form)
     inv = weierstrass_invariants(model)

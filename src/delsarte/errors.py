@@ -1,16 +1,14 @@
 """Exception hierarchy shared across the package.
 
-Three families matter to callers (and to the CLI exit-code mapping):
+Each class below maps to one exit code of the command line, and no stage
+catches them: an error ends the run.
 
-* ``ValidationError`` -- the input data itself is malformed or violates a
-  documented precondition (wrong shape, inconsistent degrees, degenerate
-  exponent matrix where a nondegenerate one is required, ...).
-* ``UnsupportedShapeError`` -- the input is a perfectly good surface, but it
-  is outside the shape a particular routine handles (e.g. a fibration that
-  still needs normalization, or a genus-1 family with no usable plane cubic
-  or quartic model).
-* ``VerificationError`` -- a ``verify`` recount disagreed with the closed
-  form it checks.
+* ``ValidationError`` (exit 3) -- the input data itself is malformed or
+  violates a documented precondition (wrong shape, inconsistent degrees, a
+  singular matrix where a nonsingular one is required, a size past its
+  bound, ...).
+* ``VerificationError`` (exit 1) -- a ``verify`` recount disagreed with the
+  closed form it checks.
 """
 
 
@@ -20,26 +18,6 @@ class DelsarteError(Exception):
 
 class ValidationError(DelsarteError):
     """Input data fails a documented precondition."""
-
-
-class UnsupportedShapeError(DelsarteError):
-    """Valid input, but outside the shape this routine supports."""
-
-
-class SingularMatrixError(ValidationError):
-    """A matrix that must be invertible has determinant zero."""
-
-
-class RankDeficiencyError(ValidationError):
-    """A matrix that must have full expected rank does not."""
-
-
-class DegenerateFibrationError(ValidationError):
-    """The exponent matrix is singular, so the standard fibration degenerates."""
-
-
-class NotConvertibleError(UnsupportedShapeError):
-    """No Weierstrass model can be extracted from this equation shape."""
 
 
 class VerificationError(DelsarteError):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Iterable, Sequence, Union
 
-from .errors import RankDeficiencyError, ValidationError
+from .errors import ValidationError
 
 RationalLike = Union[int, Fraction]
 
@@ -218,16 +218,15 @@ def left_kernel_normalized(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     gcd(k) = 1 and k[3] > 0.  Computed fraction-free: k_i is (up to sign) the
     3x3 minor obtained by deleting row i.
 
-    Raises ``RankDeficiencyError`` if the rank is below 3, and
-    ``ValidationError`` if the kernel's last coordinate vanishes (no sign
-    normalization exists).
+    Raises ``ValidationError`` if the rank is below 3 or the kernel's last
+    coordinate vanishes (no sign normalization exists).
     """
     if len(rows) != 4 or any(len(r) != 3 for r in rows):
         raise ValidationError("left_kernel_normalized expects a 4x3 matrix")
     k = [(-1) ** i * _det3(*(r for j, r in enumerate(rows) if j != i))
          for i in range(4)]
     if all(x == 0 for x in k):
-        raise RankDeficiencyError("matrix has rank < 3; left kernel is not a line")
+        raise ValidationError("matrix has rank < 3; left kernel is not a line")
     g = gcd(*k)
     k = [x // g for x in k]
     if k[3] == 0:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import DegenerateFibrationError, ValidationError
+from .errors import ValidationError
 from .exact import (
     left_kernel_normalized,
     nullspace_basis,
@@ -141,9 +141,7 @@ def reduce_to_minimal(surface: DelsarteSurface) -> MinimalFibration:
     deterministic.
     """
     if surface.is_degenerate:
-        raise DegenerateFibrationError(
-            "exponent matrix is singular; see classify_degenerate"
-        )
+        raise ValidationError("exponent matrix is singular; see classify_degenerate")
     eq = affine_equation(surface)
     tvec = eq.t_exponents()
     carriers = [i for i, e in enumerate(tvec) if e != 0]

@@ -43,8 +43,9 @@ gcd filter (``_units``), so the two scans of the pair share no unit table.
 Input sizes are bounded: a family member needs 2ap <= MAX_WEIGHT,
 ``enumerate_L0`` counts |L| from the generators and refuses with
 ValidationError, before the closure starts, a group of more than MAX_L
-members, and ``verify_family`` refuses a recount of more than MAX_RECOUNT
-steps, |L0| * 2ap, before L0 is built.
+members, and ``check_recount_budget`` refuses a recount of more than
+MAX_RECOUNT steps, |L0| * 2ap; ``verify_family`` runs it before L0 is built,
+and ``picard --verify`` before the slice scan too.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from itertools import compress
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import SingularMatrixError, ValidationError, VerificationError
+from .errors import ValidationError, VerificationError
 
 if TYPE_CHECKING:
     from .exact import Adjugate
@@ -167,7 +168,7 @@ def shioda_vectors(adjugate: Adjugate) -> tuple[int, tuple[Numerators, ...]]:
     """
     det, adj = adjugate
     if det == 0:
-        raise SingularMatrixError("matrix is singular")
+        raise ValidationError("matrix is singular")
     sign, m = (1, det) if det > 0 else (-1, -det)
     rows = [tuple(sign * (x - y) % m for x, y in zip(adj[i], adj[3])) for i in range(3)]
     for row in rows:
@@ -350,6 +351,16 @@ def gs_hodge_counts(params: FamilyParams) -> tuple[int, int, int]:
 HODGE_LEVELS = {1: "h20", 2: "h11prim", 3: "h02"}
 
 
+def check_recount_budget(params: FamilyParams) -> None:
+    """Raise ValidationError when the recount of ``verify_family`` would
+    take more than MAX_RECOUNT scaling steps, |L0| * 2ap."""
+    steps = family_L0_count(params) * params.weight
+    if steps > MAX_RECOUNT:
+        raise ValidationError(
+            f"the L0 recount needs {steps} scaling steps, more than {MAX_RECOUNT}"
+        )
+
+
 def verify_family(
     params: FamilyParams, L0_count: int, lam: int, hodge: Optional[tuple] = None
 ) -> int:
@@ -361,14 +372,9 @@ def verify_family(
     number ``lam`` that the slice count of ``picard_family`` gives, and the
     early-exit scan on every member; with ``hodge``, the levels of
     ``gs_hodge_counts``, it checks those against the members' entry sums.
-    Raises ValidationError, before L0 is built, when |L0| * 2ap exceeds
-    MAX_RECOUNT.
+    Raises ValidationError, before L0 is built, past ``check_recount_budget``.
     """
-    steps = family_L0_count(params) * params.weight
-    if steps > MAX_RECOUNT:
-        raise ValidationError(
-            f"the L0 recount needs {steps} scaling steps, more than {MAX_RECOUNT}"
-        )
+    check_recount_budget(params)
     from .exact import adjugate  # only the matrix route needs it
 
     d, generators = shioda_vectors(adjugate(params.matrix))

@@ -5,7 +5,7 @@ subprocess tests check the ``python -m`` entry point for real and the pinned
 stdout of ``analyze`` under ``python -O``. The contract
 under test: a single sorted-key JSON document on stdout, byte-identical
 across runs, and the exit-code mapping (0 ok, 1 verify mismatch, 2 unreadable
-input, closed output or usage error, 3 invalid input, 4 unsupported shape).
+input, closed output or usage error, 3 invalid input).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from calls import count_calls
 from corpus import deterministic_corpus, surface_from_affine_triples, y_squared_triples
 from delsarte import analysis, cli, shioda
 from digest import run_quietly
-from delsarte.errors import UnsupportedShapeError, ValidationError
+from delsarte.errors import ValidationError
 from delsarte.exact import adjugate, rational_to_json
 
 CUBIC_WITH_SECTION = '{"monomials": [[0,2,0,1],[3,0,0,0],[2,0,0,1],[0,0,1,2]]}'
@@ -40,6 +40,8 @@ DEGENERATE = '{"monomials": [[2,0,0,0],[0,2,0,0],[1,1,0,0],[0,0,2,0]]}'
 ISOTRIVIAL = '{"monomials": [[5,0,0,0],[0,5,0,0],[0,4,0,1],[0,4,1,0]]}'
 # x y^2 + x^3 y + y + x t: every kernel entry nonzero
 SEMISTABLE = '{"monomials": [[1,2,0,1],[3,1,0,0],[0,1,0,3],[1,0,1,2]]}'
+# y^3 + x^3 + x + t: a genus-one cube cover, which has no Weierstrass section
+CUBE_COVER = '{"monomials": [[0,3,0,0],[3,0,0,0],[1,0,0,2],[0,0,1,2]]}'
 # y + y^3 + x*y^2 + t: superelliptic with a = 1, rational generic fiber
 GENUS_ZERO = '{"monomials": [[0,1,0,2],[0,3,0,0],[1,2,0,0],[0,0,1,2]]}'
 
@@ -140,6 +142,17 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
     assert report["verify"]["oracle"] == "match"
     assert calls == once + Counter(
         {"discriminant_oracle": 1, "oracle_matches_locus": 1, "PolyElement.sqf_part": 1}
+    )
+
+    # the section is gated on the cover exponent: a genus-one cube cover
+    # never enters the genus-one stages
+    calls.clear()
+    report = run_json(capsys, "analyze", CUBE_COVER)
+    assert report["trichotomy"]["generic_genus"] == 1
+    assert report["trichotomy"]["cover_exponent"] == 3
+    assert "genus_one" not in report
+    assert calls == Counter(
+        {"plane_model": 1, "singular_locus": 1, "classify_trichotomy": 1, "adjugate": 1}
     )
 
 
@@ -325,6 +338,16 @@ def test_picard_verify_past_the_recount_budget_exits_3_at_once(capsys):
     assert elapsed < 1.0
 
 
+def test_picard_verify_checks_the_budget_before_the_slice_scan(capsys, monkeypatch):
+    # a refused recount does none of the 2ap - 2 early-exit scans of the slice
+    calls = count_calls(monkeypatch, [("shioda", "excluded_fractions")])
+    code, out, _ = run_cli(capsys, "picard", "--p", "47", "--a", "106", "--verify")
+    assert (code, out, calls["excluded_fractions"]) == (3, "", 0)
+    # without --verify the same member is in range, and its slice is scanned
+    assert run_json(capsys, "picard", "--p", "47", "--a", "106")["p"] == 47
+    assert calls["excluded_fractions"] == 1
+
+
 def test_picard_verify_builds_each_unit_set_once(capsys):
     # the members of L0 at (13, 4) have orders 26, 52 and 104: the exhaustive
     # scan sieves the units of each once and reads the rest from the cache
@@ -349,6 +372,27 @@ def test_analyze_shioda_past_the_character_bound_exits_3_at_once(capsys):
     assert (code, out) == (3, "")
     assert "more than 1000000 members" in err
     assert elapsed < 2.0
+
+
+def test_json_indent_past_its_bound_is_a_usage_error(capsys):
+    # json.dumps writes the indent once per nesting level, so an unbounded
+    # indent asks for an unbounded output before anything prints
+    for indent in ("17", "-1", str(10**9)):
+        for argv in (
+            ("picard", "--p", "7", "--a", "2"),
+            ("analyze", CUBIC_WITH_SECTION),
+        ):
+            with pytest.raises(SystemExit) as info:
+                cli.main([*argv, "--json-indent", indent])
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors = [line for line in captured.err.splitlines() if "error:" in line]
+            assert len(errors) == 1
+            assert f"argument --json-indent: invalid choice: {indent} " in errors[0]
+    for indent in ("0", "16"):
+        argv = ("picard", "--p", "7", "--a", "2", "--json-indent", indent)
+        assert run_json(capsys, *argv)["p"] == 7
 
 
 def test_threads_is_a_usage_error(capsys):
@@ -483,17 +527,6 @@ def test_composite_p_exits_3(capsys):
         assert code == 3
         assert out == ""
         assert "odd prime" in err
-
-
-def test_unsupported_shape_maps_to_exit_4(capsys, monkeypatch):
-    def raise_shape(args):
-        raise UnsupportedShapeError("no usable model")
-
-    monkeypatch.setattr(cli, "run_analyze", raise_shape)
-    code, out, err = run_cli(capsys, "analyze", CUBIC_WITH_SECTION)
-    assert code == 4
-    assert out == ""
-    assert "unsupported shape" in err
 
 
 def test_verify_mismatch_exits_1_with_no_partial_json(capsys, monkeypatch):

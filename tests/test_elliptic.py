@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -37,7 +38,7 @@ from delsarte.elliptic import (
     kodaira_type,
     weierstrass_invariants,
 )
-from delsarte.errors import NotConvertibleError, ValidationError
+from delsarte.errors import ValidationError
 from delsarte.exact import QPoly, T
 from delsarte.model import validate_surface
 from delsarte.reduction import MinimalFibration, plane_model, reduce_to_minimal
@@ -489,7 +490,7 @@ def test_direct_and_cyclic_cover_routes_agree():
     def outcome(model):
         try:
             return model()
-        except NotConvertibleError as exc:
+        except ValidationError as exc:
             return str(exc)
 
     rng = random.Random(20121)
@@ -516,16 +517,58 @@ def test_direct_and_cyclic_cover_routes_agree():
     assert models >= 100
 
 
-def test_not_convertible_shapes():
-    # a cube cover has a form but no double cover; the semistable branch has
-    # no cyclic-cover form at all
+def test_genus_one_section_exactly_on_genus_one_double_covers():
+    # analyze gates the section on the cover exponent, and on a = 2 the
+    # model never refuses: psi cleared of its even power of v is a cubic or
+    # a quartic; a cube cover has a form but no double cover, and the
+    # semistable branch has no cyclic-cover form at all
     cube_cover = [(0, 3, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)]
-    with pytest.raises(NotConvertibleError):
+    with pytest.raises(ValidationError, match="cyclic cover of exponent 3, not 2"):
         model_of(cube_cover)
     assert report_of(cube_cover).genus_one is None
     report = report_of([(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)])
     assert isinstance(report.trichotomy, SemistableAway)
     assert report.genus_one is None
+
+    rng = random.Random(2012)
+    genus_one_covers = Counter()
+    for draw in range(3000):
+        if draw % 4:  # u^a plus three u-free monomials, a in 2..4
+            a = rng.choice([2, 3, 4])
+            exponents = rng.sample(range(5), 3)
+            triples = [(0, a, 0)] + [(e, 0, rng.randrange(4)) for e in exponents]
+            rng.shuffle(triples)
+        else:  # four distinct triples in [0..4]^2 x [0..3]
+            triples = set()
+            while len(triples) < 4:
+                triples.add((rng.randrange(5), rng.randrange(5), rng.randrange(4)))
+            triples = sorted(triples)
+        coefficients = [
+            Fraction(rng.choice([-7, -3, -2, -1, 1, 2, 5, 9]), rng.randrange(1, 8))
+            for _ in range(4)
+        ]
+        try:
+            rows = surface_from_affine_triples(triples).rows
+            surface = validate_surface(rows, coefficients)
+        except ValidationError:
+            continue
+        try:  # a double cover must never be refused by the model
+            report = analyze(surface)
+        except ValidationError as exc:
+            assert "generic fiber is rational" in str(exc), triples
+            continue
+        trichotomy = report.trichotomy
+        a = None  # the cover exponent of a genus-one cyclic cover
+        if isinstance(trichotomy, Superelliptic) and trichotomy.generic_genus == 1:
+            a = trichotomy.form.cover_exponent
+        assert (report.genus_one is not None) == (a == 2), triples
+        if a is not None:
+            genus_one_covers[a] += 1
+            if a != 2:
+                with pytest.raises(ValidationError, match=f"exponent {a}, not 2"):
+                    genus_one_weierstrass(trichotomy.form)
+    assert set(genus_one_covers) == {2, 3, 4}
+    assert min(genus_one_covers.values()) >= 100, genus_one_covers
 
 
 def test_semistable_check_builds_the_plane_once(monkeypatch):

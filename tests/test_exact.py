@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.abc import t
 
-from delsarte.errors import RankDeficiencyError, ValidationError
+from delsarte.errors import ValidationError
 from delsarte.exact import (
     MAX_DIGITS,
     QPoly,
@@ -325,7 +325,7 @@ def test_left_kernel_matches_gaussian_oracle(rows, _):
 @settings(max_examples=200)
 def test_left_kernel_random_against_oracle(rows):
     if rank(rows) < 3:
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(ValidationError, match="rank < 3"):
             left_kernel_normalized(rows)
         return
     try:

@@ -353,3 +353,64 @@ def test_no_assert_statement_in_the_package():
     for name, tree in package_trees():
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{name} has assert statements on lines {lines}"
+
+
+def caught_error_classes(tree: ast.Module) -> dict[int, set[str]]:
+    """The ``delsarte.errors`` classes that each ``except`` of a module
+    names, by line; a class imported under another name is read back to its
+    own, and ``errors.X`` counts as X."""
+    classes, modules = {}, set()  # local names of errors' classes, and of errors
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if (node.level, node.module) in ((1, "errors"), (0, "delsarte.errors")):
+            classes.update({a.asname or a.name: a.name for a in node.names})
+        elif (node.level, node.module) in ((1, None), (0, "delsarte")):
+            modules.update(a.asname or a.name for a in node.names if a.name == "errors")
+    caught = {}
+    for handler in ast.walk(tree):
+        if not isinstance(handler, ast.ExceptHandler) or handler.type is None:
+            continue
+        names = set()
+        for node in ast.walk(handler.type):
+            if isinstance(node, ast.Name) and node.id in classes:
+                names.add(classes[node.id])
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                names.add(node.attr)
+        if names:
+            caught[handler.lineno] = names
+    return caught
+
+
+def test_each_error_class_is_one_exit_code_and_no_control_flow():
+    # cli.main tells every class of errors apart, each by its exit code, and
+    # nothing else catches one: an error ends the run, it never steers it
+    from delsarte import errors
+
+    classes = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type)
+        and issubclass(value, errors.DelsarteError)
+        and value is not errors.DelsarteError
+    }
+    assert classes
+    for name, tree in package_trees():
+        caught = caught_error_classes(tree)
+        if name == "cli.py":
+            main = next(
+                node
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main"
+            )
+            in_main = {
+                line: caught.pop(line)
+                for line in range(main.lineno, main.end_lineno + 1)
+                if line in caught
+            }
+            assert classes <= set().union(*in_main.values())
+        assert not caught, f"{name} catches {caught}"
