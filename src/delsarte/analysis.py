@@ -2,9 +2,10 @@
 
 ``analyze`` runs the stages in order: the degeneracy check, the reduction
 to minimal form, the plane model, the singular locus, the trichotomy, the
-genus-one section, the Lefschetz number and the elimination oracle.  It
-computes each quantity once and returns them together as a ``Report``; a
-degenerate surface stops after its degeneracy verdict.  The genus-one
+genus-one section, the Lefschetz number, the elimination oracle and the
+Picard number rho = h2 - lambda.  It computes each quantity once and returns
+them together as a ``Report``; a degenerate surface stops after its
+degeneracy verdict.  The genus-one
 section runs on a genus-one cyclic cover u^a = psi(v) with a = 2, where psi
 cleared of its even power of v is always a cubic or a quartic; covers with
 a = 3 or 4 get none.  No stage error is caught.  The integer stages
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .errors import VerificationError
+from .errors import ValidationError, VerificationError
 from .exact import format_polynomial
 from .model import DelsarteSurface
 from .reduction import (
@@ -51,8 +52,9 @@ class Report(NamedTuple):
     nondegenerate one has ``degeneracy`` None and every stage from
     ``minimal`` to ``trichotomy``.  ``genus_one`` is set for a genus-one
     double cover (cover exponent 2), ``lefschetz`` when ``shioda`` asked for
-    it, and ``oracle`` when ``verify`` asked for it and the locus is not
-    degenerate (the closed form it checks does not apply there).
+    it, ``rho`` when ``h2`` was given as well, and ``oracle`` when
+    ``verify`` asked for it and the locus is not degenerate (the closed form
+    it checks does not apply there).
     """
 
     surface: DelsarteSurface
@@ -64,21 +66,28 @@ class Report(NamedTuple):
     genus_one: Optional[GenusOneSection] = None
     lefschetz: Optional[int] = None
     oracle: Optional[PolyElement] = None
+    rho: Optional[int] = None
 
 
 def analyze(
-    surface: DelsarteSurface, *, verify: bool = False, shioda: bool = False
+    surface: DelsarteSurface,
+    *,
+    verify: bool = False,
+    shioda: bool = False,
+    h2: Optional[int] = None,
 ) -> Report:
-    """The ``Report`` of ``surface``.  ``shioda`` adds the Lefschetz number;
-    ``verify`` rechecks the closed-form locus against the elimination oracle
-    and raises VerificationError when they disagree."""
+    """The ``Report`` of ``surface``.  ``shioda`` adds the Lefschetz number,
+    and with ``h2`` (ignored without ``shioda``) the Picard number rho =
+    h2 - lambda, raising ValidationError when rho < 1; ``verify`` rechecks
+    the closed-form locus against the elimination oracle and raises
+    VerificationError when they disagree, before rho is checked."""
     if surface.is_degenerate:
         return Report(surface, degeneracy=classify_degenerate(surface))
     minimal = reduce_to_minimal(surface)
     plane = plane_model(minimal)
     locus = singular_locus(plane)
     trichotomy = classify_trichotomy(minimal, plane, locus)
-    genus_one = lefschetz = None
+    genus_one = lefschetz = rho = None
     if (
         isinstance(trichotomy, Superelliptic)
         and trichotomy.generic_genus == 1
@@ -91,6 +100,13 @@ def analyze(
         from .shioda import lefschetz_number
 
         lefschetz = lefschetz_number(surface.adjugate)
+    oracle = _verify_analysis(plane, locus) if verify else None
+    if shioda and h2 is not None:
+        rho = h2 - lefschetz
+        if rho < 1:  # a projective surface carries an ample class
+            raise ValidationError(
+                f"--h2 {h2} gives rho = {rho}; every projective surface has rho >= 1"
+            )
     return Report(
         surface,
         minimal=minimal,
@@ -99,7 +115,8 @@ def analyze(
         trichotomy=trichotomy,
         genus_one=genus_one,
         lefschetz=lefschetz,
-        oracle=_verify_analysis(plane, locus) if verify else None,
+        oracle=oracle,
+        rho=rho,
     )
 
 

@@ -177,7 +177,7 @@ def run_analyze(args) -> dict:
     from .model import surface_from_json, surface_to_json
 
     surface = surface_from_json(_load_surface_source(args.surface))
-    result = analyze(surface, verify=args.verify, shioda=args.shioda)
+    result = analyze(surface, verify=args.verify, shioda=args.shioda, h2=args.h2)
     report: dict = {
         "input": surface_to_json(surface),
         "validation": {
@@ -227,15 +227,9 @@ def run_analyze(args) -> dict:
         report["genus_one"] = _genus_one_json(result.genus_one)
     if args.shioda:
         shioda_section: dict = {"lambda": result.lefschetz}
-        if args.h2 is not None:
-            rho = args.h2 - result.lefschetz
-            if rho < 1:  # a projective surface carries an ample class
-                raise ValidationError(
-                    f"--h2 {args.h2} gives rho = {rho}; every projective "
-                    "surface has rho >= 1"
-                )
+        if result.rho is not None:
             shioda_section["h2"] = args.h2
-            shioda_section["rho"] = rho
+            shioda_section["rho"] = result.rho
         report["shioda"] = shioda_section
     if args.verify:
         report["verify"] = _verify_json(result.oracle)

@@ -21,7 +21,12 @@ Two independent routes to the singular fibers are provided:
   stratum with Groebner bases, returning the product of the eliminants.
   Strata that are singular for every t (this happens at a vertex when every
   monomial vanishes there to order >= 2) say nothing about any particular
-  fiber and are dropped.  It is the one user of sympy: the equations are
+  fiber and are dropped.  Wherever a chart variable is kept off 0, its
+  critical equation is the Euler derivative x * df/dx rather than df/dx:
+  with x a unit the two generate the same ideal, hence the same reduced
+  basis and eliminant, and x * df/dx keeps the support of f, so Buchberger
+  meets binomials at once instead of chasing S-pairs between f and its
+  lower-degree partials.  It is the one user of sympy: the equations are
   built as exponent dicts, and only become elements of sympy's sparse
   polynomial rings over QQ for Buchberger's algorithm, which runs on them
   directly; sympy is imported when the oracle runs.
@@ -161,6 +166,12 @@ def _diff(poly: dict, j: int) -> dict:
     }
 
 
+def _euler(poly: dict, j: int) -> dict:
+    """The Euler derivative x_j * d(poly)/dx_j of ``poly`` by its variable j,
+    which has the support of ``poly`` less the terms free of x_j."""
+    return {m: m[j] * c for m, c in poly.items() if m[j]}
+
+
 def _t_ring():
     """QQ[t], the ring of the oracle polynomial."""
     from sympy.polys.domains import QQ
@@ -182,7 +193,9 @@ def _basis(system: list, nonzero: str, order: str) -> list:
     t.  In ``lex`` order the generators are (u, *nonzero, t), so the basis
     eliminates all but t; a ``grevlex`` system is free of t, which is then no
     generator.  sympy's generic ``groebner`` would run the same Buchberger
-    algorithm on the same ring elements.
+    algorithm on the same ring elements.  The reduced basis depends on the
+    ideal alone, so a caller may hand in any generators of it: the oracle
+    passes x * df/dx for df/dx wherever x is one of ``nonzero``.
     """
     from sympy.polys.domains import QQ
     from sympy.polys.groebnertools import groebner
@@ -283,7 +296,7 @@ def _persistent_vertex_eliminant(coeff_at: dict, names: str) -> Optional[PolyEle
             and min(start[0], end[0]) <= a <= max(start[0], end[0])
             for e, c in coefficient.items()
         }
-        system = [face, _diff(face, 0), _diff(face, 1)]
+        system = [face, _euler(face, 0), _euler(face, 1)]
         if any(m[2] for m in face):
             eliminant = _eliminant(system, names)
             if eliminant is None:
@@ -299,7 +312,12 @@ def discriminant_oracle(plane: PlaneModel) -> PolyElement:
     are the parameters with a singular member (plus possibly t = 0 factors).
 
     This route never looks at the relation vector, which makes it a genuine
-    second opinion on ``singular_locus``.
+    second opinion on ``singular_locus``.  On the torus (and on the Newton
+    faces of a persistent vertex) the critical system is (f, x df/dx,
+    y df/dy): u x y - 1 makes x and y units, and df/dx = u y (x df/dx) -
+    df/dx (u x y - 1), so it generates the ideal of (f, df/dx, df/dy).  On a
+    punctured line the variable set to 0 keeps its plain partial and the
+    other one, a unit there, its Euler derivative.
     """
     family = _family(plane)
     contributions = []
@@ -314,7 +332,8 @@ def discriminant_oracle(plane: PlaneModel) -> PolyElement:
         (1, 1),  # punctured line z = 0 (chart y = 1, x != 0)
     ):
         chart, names = _at(family, one, 1), "xyz".replace("xyz"[one], "")
-        system = [chart, _diff(chart, 0), _diff(chart, 1)]
+        # a variable set to 0 keeps its partial, a unit one takes x * d/dx
+        system = [chart] + [(_diff if j == zero else _euler)(chart, j) for j in (0, 1)]
         if zero is not None:
             system = [_at(g, zero, 0) for g in system]
             names = names.replace(names[zero], "")

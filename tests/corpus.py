@@ -25,6 +25,18 @@ def y_squared_triples(rng) -> list[tuple[int, int, int]]:
     return [(0, 2, 0)] + [(e, 0, rng.randrange(4)) for e in exponents]
 
 
+def uniform_rows(rng, degree: int) -> list[list[int]]:
+    """Four exponent rows of ``degree``, each uniform among the ways to write
+    ``degree`` as four ordered nonnegative integers (stars and bars), drawn
+    from ``rng`` (a ``random.Random``); they need not form a valid surface."""
+    rows = []
+    for _ in range(4):
+        bars = sorted(rng.sample(range(degree + 3), 3))
+        edges = [-1, *bars, degree + 3]
+        rows.append([edges[i + 1] - edges[i] - 1 for i in range(4)])
+    return rows
+
+
 def surface_from_affine_triples(triples) -> DelsarteSurface:
     """Homogenize four affine exponent triples into a surface (may raise)."""
     d = max(sum(tr) for tr in triples)

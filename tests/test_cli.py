@@ -27,11 +27,17 @@ from pathlib import Path
 import pytest
 
 from calls import count_calls
-from corpus import deterministic_corpus, surface_from_affine_triples, y_squared_triples
+from corpus import (
+    deterministic_corpus,
+    surface_from_affine_triples,
+    uniform_rows,
+    y_squared_triples,
+)
 from delsarte import analysis, cli, shioda
 from digest import run_quietly
 from delsarte.errors import ValidationError
 from delsarte.exact import adjugate, rational_to_json
+from delsarte.model import surface_from_json, validate_surface
 
 CUBIC_WITH_SECTION = '{"monomials": [[0,2,0,1],[3,0,0,0],[2,0,0,1],[0,0,1,2]]}'
 # x y^2 + x^3 + x^2 + t: no direct y^2 shape, a double cover after straightening
@@ -225,6 +231,22 @@ def test_analyze_verify_reports_the_oracle_polynomial(capsys):
     assert report["verify"]["polynomial"] == "27*t**2 + 4*t"
 
 
+def test_analyze_verify_on_a_degree_eight_eliminant_is_fast(capsys):
+    # the oracle's torus stratum of this degree-7 plane curve took Buchberger
+    # about 23 s on (f, df/dx, df/dy); on (f, x df/dx, y df/dy) it takes
+    # milliseconds, with the same eliminant
+    surface = '{"monomials": [[5,1,1,0],[1,4,0,2],[0,0,5,2],[4,3,0,0]]}'
+    start = time.perf_counter()
+    report = run_json(capsys, "analyze", surface, "--verify")
+    elapsed = time.perf_counter() - start
+    assert report["verify"] == {
+        "oracle": "match",
+        "polynomial": "86413802648320402620376583*t**8"
+        " - 6182561423938479966012434375*t**3",
+    }
+    assert elapsed < 2.0
+
+
 def test_analyze_shioda_on_a_large_lattice_is_fast(capsys):
     # |det A| = 1008 but the generator moduli multiply to 2,985,984: the
     # coset closure lists L in O(|L|) steps, where a loop over every
@@ -246,6 +268,16 @@ def test_analyze_shioda_section_with_h2(capsys):
 
     without_h2 = run_json(capsys, "analyze", CUBIC_WITH_SECTION, "--shioda")
     assert without_h2["shioda"] == {"lambda": 0}
+
+
+def test_analyze_reports_rho_only_with_shioda_and_h2():
+    # the library computes rho and checks it; the command line prints it
+    surface = surface_from_json(json.loads(CUBIC_WITH_SECTION))
+    assert analysis.analyze(surface, shioda=True, h2=10).rho == 10
+    assert analysis.analyze(surface, shioda=True).rho is None
+    assert analysis.analyze(surface, h2=10).rho is None  # ignored without shioda
+    with pytest.raises(ValidationError, match="gives rho = 0"):
+        analysis.analyze(surface, shioda=True, h2=0)
 
 
 @pytest.mark.parametrize("h2", ["0", "-5"])
@@ -779,6 +811,56 @@ def test_verify_stdout_is_pinned():
             polynomials += "polynomial" in json.loads(out)["verify"]
     assert polynomials >= 30  # most draws print an oracle polynomial
     assert digest.hexdigest() == PINNED_VERIFY_SHA256
+
+
+def verify_fuzz_commands(seed: int, count: int) -> list[tuple[str, ...]]:
+    """analyze --verify on ``count`` seeded nondegenerate surfaces of degree
+    2 to 7, each row uniform among those of its degree, with four rational
+    coefficients, and about three in ten with a permutation of the
+    variables."""
+    rng = random.Random(seed)
+    commands = []
+    while len(commands) < count:
+        rows = uniform_rows(rng, rng.randint(2, 7))
+        try:
+            if validate_surface(rows).is_degenerate:
+                continue
+        except ValidationError:
+            continue
+        source: dict = {
+            "monomials": rows,
+            "coefficients": [
+                rational_to_json(
+                    Fraction(
+                        rng.choice((-1, 1)) * rng.randrange(1, 100),
+                        rng.randrange(1, 100),
+                    )
+                )
+                for _ in range(4)
+            ],
+        }
+        if rng.random() < 0.3:
+            source["permutation"] = rng.sample(range(4), 4)
+        commands.append(("analyze", json.dumps(source), "--verify"))
+    return commands
+
+
+def test_verify_fuzz_exits_0_or_3_and_every_oracle_matches(capsys):
+    # every admitted surface either checks its locus against the oracle or
+    # is refused with exit 3 (a rational generic fiber) and no partial JSON
+    outcomes = Counter()
+    for argv in verify_fuzz_commands(23, 200):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 3) and "Traceback" not in err, (argv, err)
+        if code == 3:
+            assert out == "", argv
+            outcomes["exit 3"] += 1
+            continue
+        verify = json.loads(out)["verify"]
+        assert verify["oracle"] in ("match", "skipped"), argv
+        assert ("polynomial" in verify) == (verify["oracle"] == "match"), argv
+        outcomes[verify["oracle"]] += 1
+    assert outcomes["match"] >= 100 and outcomes["exit 3"] >= 1, outcomes
 
 
 @pytest.mark.parametrize("surface", [CUBIC_WITH_SECTION, ODD_ORDER_QUARTIC])

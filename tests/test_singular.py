@@ -9,6 +9,7 @@ a hand computation before being frozen.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from corpus import (
     deterministic_corpus,
     nondegenerate_surfaces,
     surface_from_affine_triples,
+    uniform_rows,
 )
+from delsarte import singular
 from delsarte.analysis import analyze
 from delsarte.errors import ValidationError
 from delsarte.model import validate_surface
@@ -31,6 +34,11 @@ from delsarte.singular import (
     SemistableAway,
     Superelliptic,
     SuperellipticForm,
+    _at,
+    _basis,
+    _diff,
+    _euler,
+    _family,
     classify_trichotomy,
     constant_j_value,
     discriminant_oracle,
@@ -164,6 +172,86 @@ def test_oracle_persistent_vertex_cone_degeneration():
     _, p = minimal_and_plane([(0, 0, 0), (0, 1, 0), (3, 1, 0), (2, 1, 1)])
     assert oracle_factors(p) == {4 * t**3 + 27}
     assert oracle_matches_locus(discriminant_oracle(p), singular_locus(p))
+
+
+def plain_partials(f: dict) -> list:
+    """(f, df/dx, df/dy): the critical system of a two-variable chart by
+    its plain partials, the reference for the oracle's Euler system."""
+    return [f, _diff(f, 0), _diff(f, 1)]
+
+
+def euler_partials(f: dict) -> list:
+    """(f, x df/dx, y df/dy): the oracle's system where x and y are units."""
+    return [f, _euler(f, 0), _euler(f, 1)]
+
+
+def seeded_torus_charts(seed: int, count: int):
+    """(f, f at one t) for ``count`` seeded nondegenerate surfaces of degree
+    2 to 5: f is the torus chart z = 1 of the plane family, keyed by the
+    exponents of x, y and t, and the second is free of t, at a rational
+    point of the locus when it has one.  Every other draw has rational
+    coefficients."""
+    rng = random.Random(seed)
+    charts = []
+    while len(charts) < count:
+        rows = uniform_rows(rng, rng.randint(2, 5))
+        coefficients = None
+        if len(charts) % 2:
+            coefficients = [
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+                for _ in range(4)
+            ]
+        try:
+            surface = validate_surface(rows, coefficients)
+        except ValidationError:
+            continue
+        if surface.is_degenerate:
+            continue
+        p = plane_model(reduce_to_minimal(surface))
+        f = _at(_family(p), 2, 1)
+        t0 = (singular_locus(p).rational_points or (Fraction(1),))[0]
+        at_t0: dict = {}
+        for (a, b, e), c in f.items():
+            at_t0[a, b] = at_t0.get((a, b), 0) + c * t0**e
+        charts.append((f, {m: c for m, c in at_t0.items() if c}))
+    return charts
+
+
+def test_euler_partials_generate_the_partials_ideal():
+    # u x y - 1 makes x and y units, so df/dx = u y (x df/dx) - df/dx (u x y
+    # - 1) and (f, x df/dx, y df/dy) generate the ideal of (f, df/dx, df/dy):
+    # the reduced bases, hence the eliminants and their bytes, are equal
+    singular_fibers = 0
+    for f, at_t0 in seeded_torus_charts(23, 60):
+        assert _basis(euler_partials(f), "xy", "lex") == _basis(
+            plain_partials(f), "xy", "lex"
+        )
+        basis = _basis(euler_partials(at_t0), "xy", "grevlex")
+        assert basis == _basis(plain_partials(at_t0), "xy", "grevlex")
+        singular_fibers += basis != [1]
+    # some fibers at a locus point are singular, so not every basis is [1]
+    assert singular_fibers > 0
+
+
+def test_euler_partials_hold_on_the_newton_faces(monkeypatch):
+    # every two-variable system the oracle hands to _basis (the torus and
+    # each Newton-boundary face of the persistent vertex) has the basis of
+    # its plain partials
+    seen = []
+
+    def recording_basis(system, nonzero, order):
+        basis = _basis(system, nonzero, order)
+        if len(nonzero) == 2:
+            seen.append((system, nonzero, order, basis))
+        return basis
+
+    monkeypatch.setattr(singular, "_basis", recording_basis)
+    _, p = minimal_and_plane([(0, 0, 0), (0, 1, 0), (3, 1, 0), (2, 1, 1)])
+    discriminant_oracle(p)
+    assert len(seen) >= 2  # the torus and at least one face
+    for system, nonzero, order, basis in seen:
+        assert system == euler_partials(system[0])
+        assert basis == _basis(plain_partials(system[0]), nonzero, order)
 
 
 def test_oracle_genus_zero_family_has_no_away_roots():
