@@ -27,9 +27,13 @@ Two independent routes to the singular fibers are provided:
   basis and eliminant, and x * df/dx keeps the support of f, so Buchberger
   meets binomials at once instead of chasing S-pairs between f and its
   lower-degree partials.  It is the one user of sympy: the equations are
-  built as exponent dicts, and only become elements of sympy's sparse
-  polynomial rings over QQ for Buchberger's algorithm, which runs on them
-  directly; sympy is imported when the oracle runs.
+  built as exponent dicts with ``Fraction`` coefficients, and only become
+  elements of sympy's sparse polynomial rings over QQ for Buchberger's
+  algorithm, which runs on them directly.  They cross over in one place,
+  ``_element``, which makes each coefficient a QQ element from its
+  numerator and denominator, into a ring that ``_ring`` builds once per
+  generator tuple and order; so the oracle makes no sympy expression.
+  sympy is imported when the oracle runs.
 
 The structure classification (``classify_trichotomy``) splits minimal
 fibrations three ways, by the shape of k:
@@ -46,7 +50,7 @@ fibrations three ways, by the shape of k:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import ceil, gcd
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
@@ -55,7 +59,7 @@ from .exact import rational_kth_roots
 from .reduction import MinimalFibration, PlaneModel
 
 if TYPE_CHECKING:
-    from sympy.polys.rings import PolyElement
+    from sympy.polys.rings import PolyElement, PolyRing
 
 # ---------------------------------------------------------------------------
 # Closed-form singular locus
@@ -172,17 +176,39 @@ def _euler(poly: dict, j: int) -> dict:
     return {m: m[j] * c for m, c in poly.items() if m[j]}
 
 
-def _t_ring():
-    """QQ[t], the ring of the oracle polynomial."""
+@lru_cache(maxsize=None)  # the strata use nine (names, order) pairs
+def _ring(names: tuple, order: str) -> PolyRing:
+    """QQ[names] in the monomial ``order``, built once per generator tuple
+    and order: sympy keeps no cache of its rings, so each ``PolyRing`` call
+    parses the names and generates the monomial operations again."""
     from sympy.polys.domains import QQ
     from sympy.polys.rings import PolyRing
 
-    return PolyRing("t", QQ, "lex")
+    return PolyRing(names, QQ, order)
+
+
+def _element(ring: PolyRing, poly: dict) -> PolyElement:
+    """The element of ``ring`` with the terms of ``poly``, a dict from
+    exponent tuples of the ring's generators to rationals (``Fraction``,
+    ``int`` or QQ elements).
+
+    Each coefficient becomes a QQ element from its numerator and denominator;
+    handed over as it is, a ``Fraction`` would reach sympy's generic
+    conversion, which goes through a sympy ``Rational`` expression.  Zero
+    coefficients drop, as in ``ring.from_dict``.
+    """
+    qq = ring.domain
+    return ring.from_dict({m: qq(c.numerator, c.denominator) for m, c in poly.items()})
+
+
+def _t_ring() -> PolyRing:
+    """QQ[t], the ring of the oracle polynomial."""
+    return _ring(("t",), "lex")
 
 
 def _in_t(poly: dict) -> PolyElement:
     """The QQ[t] element of ``poly``, keyed by the exponent of t alone."""
-    return _t_ring().from_dict({(e,): c for e, c in poly.items()})
+    return _element(_t_ring(), {(e,): c for e, c in poly.items()})
 
 
 def _basis(system: list, nonzero: str, order: str) -> list:
@@ -195,19 +221,19 @@ def _basis(system: list, nonzero: str, order: str) -> list:
     generator.  sympy's generic ``groebner`` would run the same Buchberger
     algorithm on the same ring elements.  The reduced basis depends on the
     ideal alone, so a caller may hand in any generators of it: the oracle
-    passes x * df/dx for df/dx wherever x is one of ``nonzero``.
+    passes x * df/dx for df/dx wherever x is one of ``nonzero``.  The
+    coefficients stay ``Fraction``s in the dicts; ``_element`` makes them QQ
+    elements of the ring ``_ring`` keeps for these generators and order.
     """
-    from sympy.polys.domains import QQ
     from sympy.polys.groebnertools import groebner
-    from sympy.polys.rings import PolyRing
 
     size = len(nonzero) + (order == "lex")
-    ring = PolyRing(("u", *nonzero, "t")[: size + 1], QQ, order)
+    ring = _ring(("u", *nonzero, "t")[: size + 1], order)
     polys = [
-        ring.from_dict({(0, *m[:size]): c for m, c in p.items()}) for p in system if p
+        _element(ring, {(0, *m[:size]): c for m, c in p.items()}) for p in system if p
     ]
     unit = (1,) * (len(nonzero) + 1) + (0,) * (size - len(nonzero))
-    polys.append(ring.from_dict({unit: 1, (0,) * (size + 1): -1}))
+    polys.append(_element(ring, {unit: 1, (0,) * (size + 1): -1}))
     return groebner(polys, ring)
 
 
@@ -376,7 +402,7 @@ def oracle_matches_locus(oracle: PolyElement, locus: SingularLocus) -> bool:
     low = min(e for (e,) in squarefree.itermonoms())
     reduced = {(e - low,): c for (e,), c in squarefree.items()}
     orbit = {(locus.exponent,): 1, (0,): -locus.value}
-    return oracle.ring.from_dict(reduced).monic() == oracle.ring.from_dict(orbit)
+    return oracle.ring.from_dict(reduced).monic() == _element(oracle.ring, orbit)
 
 # ---------------------------------------------------------------------------
 # Trichotomy

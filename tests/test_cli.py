@@ -33,7 +33,7 @@ from corpus import (
     uniform_rows,
     y_squared_triples,
 )
-from delsarte import analysis, cli, shioda
+from delsarte import analysis, cli, shioda, singular
 from digest import run_quietly
 from delsarte.errors import ValidationError
 from delsarte.exact import adjugate, rational_to_json
@@ -845,10 +845,28 @@ def verify_fuzz_commands(seed: int, count: int) -> list[tuple[str, ...]]:
     return commands
 
 
+# the (generators, order) pairs of the oracle's rings: QQ[t] for the oracle
+# polynomial, then per stratum (u, *nonzero chart variables, t) in lex for an
+# eliminant and (u, *nonzero) in grevlex for a persistent face free of t --
+# the torus, the punctured lines and the three vertex charts
+ORACLE_RINGS = {
+    (("t",), "lex"),
+    (("u", "x", "y", "t"), "lex"),
+    (("u", "x", "t"), "lex"),
+    (("u", "y", "t"), "lex"),
+    (("u", "x", "z", "t"), "lex"),
+    (("u", "y", "z", "t"), "lex"),
+    (("u", "x", "y"), "grevlex"),
+    (("u", "x", "z"), "grevlex"),
+    (("u", "y", "z"), "grevlex"),
+}
+
+
 def test_verify_fuzz_exits_0_or_3_and_every_oracle_matches(capsys):
     # every admitted surface either checks its locus against the oracle or
     # is refused with exit 3 (a rational generic fiber) and no partial JSON
     outcomes = Counter()
+    singular._ring.cache_clear()
     for argv in verify_fuzz_commands(23, 200):
         code, out, err = run_cli(capsys, *argv)
         assert code in (0, 3) and "Traceback" not in err, (argv, err)
@@ -861,6 +879,8 @@ def test_verify_fuzz_exits_0_or_3_and_every_oracle_matches(capsys):
         assert ("polynomial" in verify) == (verify["oracle"] == "match"), argv
         outcomes[verify["oracle"]] += 1
     assert outcomes["match"] >= 100 and outcomes["exit 3"] >= 1, outcomes
+    # each ring is built once, however many strata and draws use it
+    assert 0 < singular._ring.cache_info().currsize <= len(ORACLE_RINGS)
 
 
 @pytest.mark.parametrize("surface", [CUBIC_WITH_SECTION, ODD_ORDER_QUARTIC])

@@ -37,8 +37,10 @@ from delsarte.singular import (
     _at,
     _basis,
     _diff,
+    _element,
     _euler,
     _family,
+    _ring,
     classify_trichotomy,
     constant_j_value,
     discriminant_oracle,
@@ -172,6 +174,105 @@ def test_oracle_persistent_vertex_cone_degeneration():
     _, p = minimal_and_plane([(0, 0, 0), (0, 1, 0), (3, 1, 0), (2, 1, 1)])
     assert oracle_factors(p) == {4 * t**3 + 27}
     assert oracle_matches_locus(discriminant_oracle(p), singular_locus(p))
+
+
+# rows of the persistent-vertex input above, and a degree-8 input whose
+# torus eliminant once took seconds
+PERSISTENT_VERTEX_ROWS = [[0, 0, 0, 4], [0, 1, 0, 3], [3, 1, 0, 0], [2, 1, 1, 0]]
+DEGREE_EIGHT_ROWS = [[5, 1, 1, 0], [1, 4, 0, 2], [0, 0, 5, 2], [4, 3, 0, 0]]
+
+
+def seeded_coefficients(rng) -> list:
+    return [
+        Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 99))
+        for _ in range(4)
+    ]
+
+
+def seeded_oracle_inputs(seed: int, count: int):
+    """(minimal, plane) for the two pinned rows above and ``count`` seeded
+    nondegenerate surfaces of degree 2 to 7, each with unit coefficients
+    and again with seeded rational ones."""
+    rng = random.Random(seed)
+    rows_drawn = [PERSISTENT_VERTEX_ROWS, DEGREE_EIGHT_ROWS]
+    while len(rows_drawn) < count + 2:
+        rows = uniform_rows(rng, rng.randint(2, 7))
+        try:
+            if not validate_surface(rows).is_degenerate:
+                rows_drawn.append(rows)
+        except ValidationError:
+            pass
+    inputs = []
+    for rows in rows_drawn:
+        for coefficients in (None, seeded_coefficients(rng)):
+            m = reduce_to_minimal(validate_surface(rows, coefficients))
+            inputs.append((m, plane_model(m)))
+    return inputs
+
+
+class SympyExpressionBuilt(Exception):
+    pass
+
+
+def test_oracle_builds_no_sympy_expression(monkeypatch):
+    # sympy's Domain.convert has no path for a Fraction and falls back on
+    # sympify, which builds a Rational expression; the oracle hands sympy
+    # QQ elements only, so that fallback is never reached
+    def refuse(*args, **kwargs):
+        raise SympyExpressionBuilt(args)
+
+    monkeypatch.setattr("sympy.polys.domains.domain.sympify", refuse)
+    matched = 0
+    for m, p in seeded_oracle_inputs(5, 40):
+        oracle = discriminant_oracle(p)
+        locus = singular_locus(p)
+        if not locus.degenerate:
+            matches = oracle_matches_locus(oracle, locus)
+            assert matches or not in_oracle_scope(m, p), p
+            matched += matches
+    assert matched >= 40
+
+
+def test_element_is_the_ring_conversion():
+    # the same ring element as sympy's own conversion of the coefficients,
+    # for Fraction (negative, integral, cancelling to 0) and int coefficients
+    rng = random.Random(11)
+    names = ("u", "x", "y", "t")
+    ring = _ring(names, "lex")
+    for _ in range(50):
+        poly: dict = {}
+        for _ in range(rng.randint(1, 6)):
+            monomial = tuple(rng.randint(0, 4) for _ in names)
+            poly[monomial] = rng.choice(
+                (
+                    Fraction(rng.randint(-50, 50), rng.randint(1, 50)),
+                    Fraction(rng.randint(-50, 50)),
+                    rng.randint(-50, 50),
+                )
+            )
+        cancelled = Fraction(3, 7) - Fraction(6, 14)  # Fraction(0), which drops
+        poly[(5, 5, 5, 5)] = cancelled
+        element = _element(ring, poly)
+        assert element == ring.from_dict(poly)
+        assert element.ring is ring
+        assert (5, 5, 5, 5) not in element
+        assert len(element) == sum(1 for c in poly.values() if c)
+
+
+@pytest.mark.parametrize(
+    "names, order",
+    [(("t",), "lex"), (("u", "x", "y", "t"), "lex"), (("u", "y", "z"), "grevlex")],
+)
+def test_ring_is_sympys_ring(names, order):
+    # sympy keeps no ring cache, so a fresh PolyRing is an equal ring, and
+    # elements of the two mix; _ring hands out one ring per key
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import PolyRing
+
+    ring = PolyRing(names, QQ, order)
+    assert _ring(names, order) == ring
+    assert _ring(names, order) is _ring(names, order)
+    assert _ring(names, order).gens[0] * ring.gens[0] == ring.gens[0] ** 2
 
 
 def plain_partials(f: dict) -> list:
