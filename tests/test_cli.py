@@ -359,6 +359,17 @@ def test_picard_past_the_weight_bound_exits_3_at_once(capsys):
     assert run_json(capsys, "picard", "--p", "4999", "--a", "1")["p"] == 4999
 
 
+def test_picard_verify_on_the_worst_admitted_input(capsys):
+    # of the 1,885 admitted (p, a), the slowest recount found: |L0| * 2ap =
+    # 9,944 * 4,974 = 49,461,456 steps, just inside the bound, over orders
+    # up to 4,974 with 1,656 units; it took 0.8-1.3 s cold
+    start = time.perf_counter()
+    record = run_json(capsys, "picard", "--p", "3", "--a", "829", "--verify")
+    elapsed = time.perf_counter() - start
+    assert record["verify"] == {"status": "match", "vectors_checked": 9944}
+    assert elapsed < 2.0
+
+
 def test_picard_verify_past_the_recount_budget_exits_3_at_once(capsys):
     # |L0| * 2ap = 458,252 * 9,964 = 4.57 * 10**9 scaling steps, past the
     # bound of 5 * 10**7; unbounded, the recount would run for about 45 min
@@ -382,11 +393,12 @@ def test_picard_verify_checks_the_budget_before_the_slice_scan(capsys, monkeypat
 
 def test_picard_verify_builds_each_unit_set_once(capsys):
     # the members of L0 at (13, 4) have orders 26, 52 and 104: the exhaustive
-    # scan sieves the units of each once and reads the rest from the cache
+    # scan packs the units of each order once per recount and reads every
+    # member's sums from those lanes, so it asks the sieve once per order
     shioda._sieved_units.cache_clear()
-    record = run_json(capsys, "picard", "--p", "13", "--a", "4", "--verify")
+    run_json(capsys, "picard", "--p", "13", "--a", "4", "--verify")
     info = shioda._sieved_units.cache_info()
-    assert (info.misses, info.hits) == (3, record["verify"]["vectors_checked"] - 3)
+    assert (info.misses, info.hits) == (3, 0)
     d, generators = shioda.shioda_vectors(adjugate(shioda.FamilyParams(13, 4).matrix))
     members = shioda.enumerate_L0(d, generators)
     assert {d // gcd(d, *n) for n in members} == {26, 52, 104}
@@ -597,6 +609,18 @@ def test_picard_verify_catches_a_hodge_level_off_by_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "verification failed: h20 " in err
+
+
+def test_picard_verify_catches_a_wrong_exhaustive_unit_set(capsys, monkeypatch):
+    # the exhaustive scan's unit table gains the order N itself, which is no
+    # unit: its lane sums to 0, so every member looks to be in Lambda, and
+    # the first member the early-exit scan puts outside Lambda disagrees
+    real_units = shioda._sieved_units
+    monkeypatch.setattr(shioda, "_sieved_units", lambda order: real_units(order) + (order,))
+    code, out, err = run_cli(capsys, "picard", "--p", "7", "--a", "2", "--verify")
+    assert code == 1
+    assert out == ""
+    assert "verification failed: scan disagreement at (1/2, " in err
 
 
 def test_picard_verify_catches_a_flipped_early_exit_verdict(capsys, monkeypatch):

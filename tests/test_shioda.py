@@ -338,6 +338,22 @@ def test_exhaustive_sums_match_the_fraction_scan_off_L0():
         assert sums == fraction_exhaustive_sums(entries(numerators, d)), (numerators, d)
 
 
+def test_exhaustive_sums_across_the_lane_width_switch():
+    # Seeded characters of order d with an integer entry sum, around the
+    # switch from 16-bit lanes (4d <= 0xFFFF) to 64-bit ones and past
+    # MAX_WEIGHT.  A lane holds sums up to 3d, so a 16-bit lane at d = 32749
+    # would carry into its neighbour and show as a wrong sum, not a crash.
+    rng = random.Random(6553)
+    for d in (16383, 16384, 16385, 20000, 32749, 65537):
+        numerators = [0]
+        while 0 in numerators or gcd(d, *numerators) != 1:
+            numerators = [rng.randrange(1, d) for _ in range(3)]
+            numerators.append(-sum(numerators) % d)
+        sums = exhaustive_sums(tuple(numerators), d)
+        assert sums == fraction_exhaustive_sums(entries(numerators, d)), (numerators, d)
+        assert set(sums.values()) <= {1, 2, 3}
+
+
 def test_exhaustive_scan_keeps_its_own_unit_set(monkeypatch):
     # a wrong unit table for the early-exit scan leaves the exhaustive scan
     # as it was: the two scans of the pair list their units independently
