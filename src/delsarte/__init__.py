@@ -17,12 +17,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "DelsarteError": "errors",
     "FamilyParams": "shioda",
+    "FamilyReport": "shioda",
     "Report": "analysis",
     "ValidationError": "errors",
     "analyze": "analysis",
     "classify_degenerate": "reduction",
     "classify_trichotomy": "singular",
     "discriminant_oracle": "singular",
+    "family_report": "shioda",
     "gamma": "elliptic",
     "genus_one_weierstrass": "elliptic",
     "kodaira_type": "elliptic",

@@ -6,8 +6,9 @@ an inline JSON object, or ``-`` for standard input), runs
 degeneracy check, minimal form, plane model, singular locus (with its away
 orbit), trichotomy, and -- for genus-one fibrations with a Weierstrass
 reduction -- discriminant, j, fiber table and the gamma verdict.
-``picard`` enumerates the character lattice of the double-cover family for
-given (p, a).
+``picard`` serializes ``shioda.family_report`` for the member (p, a) of the
+double-cover family: its Picard numbers, Lefschetz number and, on request,
+Hodge levels, excluded fractions and matrix-route recount.
 
 Output is a single JSON document on stdout with sorted keys; all numbers
 are integers or exact "p/q" strings, so identical invocations are
@@ -242,42 +243,28 @@ def run_analyze(args) -> dict:
 
 
 def run_picard(args) -> dict:
-    from .shioda import (
-        HODGE_LEVELS,
-        FamilyParams,
-        check_recount_budget,
-        excluded_fractions,
-        family_L0_count,
-        gs_hodge_counts,
-        picard_family,
-        verify_family,
-    )
+    from .shioda import HODGE_LEVELS, FamilyParams, family_report
 
     params = FamilyParams(args.p, args.a)
-    if args.verify:  # refuse an oversized recount before the slice scan
-        check_recount_budget(params)
-    excluded = excluded_fractions(params)
-    rho_tilde = picard_family(params, excluded)
-    count = family_L0_count(params)
+    family = family_report(
+        params, hodge=args.hodge, excluded=args.excluded, verify=args.verify
+    )
     record = {
         "p": params.p,
         "a": params.a,
-        "L0_count": count,
-        "lambda": count - (rho_tilde - 2),
-        "rho_tilde": rho_tilde,
-        "rho": rho_tilde - 1,
+        "L0_count": family.L0_count,
+        "lambda": family.lefschetz,
+        "rho_tilde": family.rho_tilde,
+        "rho": family.rho,
     }
-    hodge = gs_hodge_counts(params) if args.hodge else None
-    if hodge is not None:
-        record.update(zip(HODGE_LEVELS.values(), hodge))
-    if args.excluded:
+    if family.hodge is not None:
+        record.update(zip(HODGE_LEVELS.values(), family.hodge))
+    if family.excluded is not None:
         from .exact import rational_to_json
 
-        record["excluded_fractions"] = [
-            rational_to_json(q) for q in sorted(excluded)
-        ]
-    if args.verify:
-        checked = verify_family(params, count, record["lambda"], hodge)
+        record["excluded_fractions"] = [rational_to_json(q) for q in family.excluded]
+    if family.vectors_checked is not None:
+        checked = family.vectors_checked
         record["verify"] = {"status": "match", "vectors_checked": checked}
     return record
 

@@ -33,14 +33,15 @@ the j below 2ap - r sit at level q = lo + 1, j = 2ap - r gives k = 0, and
 the j above sit at level lo + 2: slice i puts 2ap - r - 1 characters at
 level lo + 1 and r - 1 at level lo + 2.
 
-``verify_family`` (``picard --verify``) relies on neither: it enumerates
-all of L0 from the adjugate of the family's exponent matrix, rescans every
-member with the exhaustive scan and recounts the Hodge levels from the
-members' entry sums.  The exhaustive scan takes every unit of every
-member's order and never stops early, but it adds them all at once: for
-each order N it packs (t*m) mod N for every unit t into the lanes of one
-int per reduced numerator m (``_UnitLanes``), so a member's |U| sums are
-one sum of four ints, compared with 2N in every lane.  A cold
+``family_report`` gives every quantity ``picard`` prints.  Its recount,
+``verify_family`` (``picard --verify``), relies on neither shortcut: it
+enumerates all of L0 from the adjugate of the family's exponent matrix,
+rescans every member with the exhaustive scan and recounts the Hodge
+levels from the members' entry sums.  ``exhaustive_scan`` takes every unit
+of every member's order and never stops early, but it adds them all at
+once: for each order N it packs (t*m) mod N for every unit t into the
+lanes of one int per reduced numerator m (``_UnitLanes``), so a member's
+|U| sums are one sum of four ints, compared with 2N in every lane.  A cold
 ``picard --p 43 --a 10 --verify`` took 3.1-3.3 s with one sum per unit,
 and takes 0.24-0.39 s so, on a 2-core shared VM.  The exhaustive scan
 lists the units of each order with its own sieve (``_sieved_units``)
@@ -51,8 +52,8 @@ Input sizes are bounded: a family member needs 2ap <= MAX_WEIGHT,
 ``enumerate_L0`` counts |L| from the generators and refuses with
 ValidationError, before the closure starts, a group of more than MAX_L
 members, and ``check_recount_budget`` refuses a recount of more than
-MAX_RECOUNT steps, |L0| * 2ap; ``verify_family`` runs it before L0 is built,
-and ``picard --verify`` before the slice scan too.
+MAX_RECOUNT steps, |L0| * 2ap; ``family_report`` runs it once, under
+``verify``, before the slice scan and before L0 is built.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import ValidationError, VerificationError
 
@@ -249,8 +250,8 @@ def lambda_membership(numerators: Numerators, d: int) -> Optional[int]:
     the character lies outside Lambda.
 
     Unit t is exactly the order-preserving scaling.  Intended for
-    characters without zero entries (members of L0); tests compare this
-    early-exit scan against ``exhaustive_sums``.
+    characters without zero entries (members of L0); ``verify_family``
+    compares this early-exit scan with ``exhaustive_scan`` on every member.
     """
     n1, n2, n3, n4 = numerators
     target = 2 * d
@@ -290,11 +291,8 @@ class _UnitLanes(dict):
     every lane, built on first use, and ``full`` holds 2N in every lane.
 
     A lane is 16 bits when 4N fits in one, else 64.  The sum of four rows
-    is below 4N in every lane, so no carry crosses a lane, and ``sums``
-    holds the |U| scaled entry sums of a character of order N, times N, at
-    once.  Rows are packed through the bytes of an ``array`` in the host's
-    byte order and unpacked by the exact inverse, so the lane order does
-    not depend on it.
+    is below 4N in every lane, so no carry crosses a lane.  Rows are packed
+    through the bytes of an ``array`` in the host's byte order.
     """
 
     def __init__(self, order: int) -> None:
@@ -316,35 +314,20 @@ class _UnitLanes(dict):
         row = self[m] = self._pack([t * m % order for t in self.units])
         return row
 
-    def sums(self, numerators: Numerators, g: int) -> int:
-        """The |U| sums of the character ``numerators``/(g*N), times N,
-        packed: one sum of four rows, the numerators reduced to N."""
-        n1, n2, n3, n4 = numerators
-        return self[n1 // g] + self[n2 // g] + self[n3 // g] + self[n4 // g]
 
-    def unpack(self, packed: int) -> list[int]:
-        lanes = self._empty[:0]
-        lanes.frombytes(packed.to_bytes(len(self.units) * lanes.itemsize, sys.byteorder))
-        return lanes.tolist()
-
-
-def exhaustive_sums(numerators: Numerators, d: int) -> dict[int, int]:
-    """All unit scalings with their fractional-part sums (no early exit).
-
-    The reference the early-exit scan is validated against: it sums every
-    unit t of the character's order N, numerators reduced to N, and never
-    stops early.  The sums are the lanes of ``_UnitLanes.sums``, the packed
-    sum ``verify_family`` compares with 2N in every lane, unpacked.  Over
-    the 36,036 members of L0 at (p, a) = (43, 10), orders up to 860, the
-    packed scan took 0.09-0.15 s in process, against 2.7-3.1 s with one
-    sum of four terms per unit.  Its units come from
-    ``_sieved_units``, not from ``_units``, so the two scans share no unit
-    table.  Each sum is an integer because the entry sum is.
-    """
+def exhaustive_scan(
+    numerators: Numerators, d: int, tables: dict[int, _UnitLanes]
+) -> tuple[_UnitLanes, int]:
+    """``(rows, sums)``: the character ``numerators``/``d`` scaled by every
+    unit of its order N, no early exit, as one sum of four packed rows of
+    ``rows = tables[N]`` (built on first use), numerators reduced to N.  The
+    character is outside Lambda exactly when ``sums == rows.full``."""
     g = gcd(d, *numerators)
-    rows = _UnitLanes(d // g)
-    packed = rows.sums(numerators, g)
-    return {t: s // rows.order for t, s in zip(rows.units, rows.unpack(packed))}
+    rows = tables.get(d // g)
+    if rows is None:
+        rows = tables[d // g] = _UnitLanes(d // g)
+    n1, n2, n3, n4 = numerators
+    return rows, rows[n1 // g] + rows[n2 // g] + rows[n3 // g] + rows[n4 // g]
 
 
 def lefschetz_number(adjugate: Adjugate) -> int:
@@ -362,16 +345,10 @@ def family_L0_count(params: FamilyParams) -> int:
     return (params.p - 1) * (params.weight - 2)
 
 
-def picard_family(
-    params: FamilyParams, excluded: Optional[set[Fraction]] = None
-) -> int:
+def picard_family(params: FamilyParams) -> int:
     """rho of the desingularized family member: 2 plus the number of L0
-    characters outside Lambda, which is p - 1 times the number on the slice
-    i = 1 (see the module docstring).  ``excluded`` is that slice's
-    ``excluded_fractions`` when the caller has it already."""
-    if excluded is None:
-        excluded = excluded_fractions(params)
-    return 2 + (params.p - 1) * len(excluded)
+    characters outside Lambda (``family_report``'s ``rho_tilde``)."""
+    return family_report(params).rho_tilde
 
 
 def excluded_fractions(params: FamilyParams) -> set[Fraction]:
@@ -413,6 +390,42 @@ def check_recount_budget(params: FamilyParams) -> None:
         )
 
 
+class FamilyReport(NamedTuple):
+    """Every quantity ``picard`` prints for one family member; ``hodge``
+    (h20, h11prim, h02), ``excluded`` (the sorted j-fractions of the slice
+    outside Lambda) and ``vectors_checked`` are None unless asked for."""
+
+    L0_count: int
+    lefschetz: int  # #(L0 ∩ Lambda)
+    rho_tilde: int  # rho of the desingularization
+    rho: int
+    hodge: Optional[tuple[int, int, int]]
+    excluded: Optional[tuple[Fraction, ...]]
+    vectors_checked: Optional[int]
+
+
+def family_report(
+    params: FamilyParams, *, hodge=False, excluded=False, verify=False
+) -> FamilyReport:
+    """The ``picard`` record of ``params`` from one scan of the slice i = 1:
+    rho_tilde is 2 plus p - 1 times its j-fractions outside Lambda (see the
+    module docstring), and lambda is the rest of L0.  ``verify`` checks
+    ``check_recount_budget`` before any scan, then recounts all of L0 with
+    ``verify_family``, which raises VerificationError on a disagreement."""
+    if verify:
+        check_recount_budget(params)
+    fractions = excluded_fractions(params)
+    count = family_L0_count(params)
+    rho_tilde = 2 + (params.p - 1) * len(fractions)
+    lam = count - (rho_tilde - 2)
+    levels = gs_hodge_counts(params) if hodge else None
+    return FamilyReport(
+        count, lam, rho_tilde, rho_tilde - 1, levels,
+        tuple(sorted(fractions)) if excluded else None,
+        verify_family(params, count, lam, levels) if verify else None,
+    )
+
+
 def verify_family(
     params: FamilyParams, L0_count: int, lam: int, hodge: Optional[tuple] = None
 ) -> int:
@@ -421,12 +434,11 @@ def verify_family(
     VerificationError on the first disagreement.
 
     This enumerates all of L0, so it checks ``L0_count``, the Lefschetz
-    number ``lam`` that the slice count of ``picard_family`` gives, and the
-    early-exit scan on every member; with ``hodge``, the levels of
-    ``gs_hodge_counts``, it checks those against the members' entry sums.
-    Raises ValidationError, before L0 is built, past ``check_recount_budget``.
+    number ``lam`` of the slice count, and the early-exit scan on every
+    member; with ``hodge``, the levels of ``gs_hodge_counts``, it checks
+    those against the members' entry sums.  ``family_report`` checks
+    ``check_recount_budget`` before it calls this.
     """
-    check_recount_budget(params)
     from .exact import adjugate  # only the matrix route needs it
 
     d, generators = shioda_vectors(adjugate(params.matrix))
@@ -434,13 +446,10 @@ def verify_family(
     if len(members) != L0_count:
         raise VerificationError(f"L0 size {len(members)} != direct count {L0_count}")
     slow_lam = 0
-    tables: dict[int, _UnitLanes] = {}  # the units of each order, packed
+    tables: dict[int, _UnitLanes] = {}  # each order's packed rows, for this call
     for n in members:
-        g = gcd(d, *n)
-        rows = tables.get(d // g)
-        if rows is None:
-            rows = tables[d // g] = _UnitLanes(d // g)
-        slow = rows.sums(n, g) != rows.full
+        rows, sums = exhaustive_scan(n, d, tables)
+        slow = sums != rows.full
         if slow != (lambda_membership(n, d) is not None):
             raise VerificationError(f"scan disagreement at {_readable(n, d)}")
         slow_lam += slow

@@ -11,12 +11,20 @@ every combination of the generators' multiples rather than closing it coset
 by coset or counting it from an echelon form, ``enumerate_L0_product`` keeps
 its all-nonzero members, and ``lefschetz_by_fractions`` counts L0 ∩ Lambda
 on that list with a ``Fraction`` scan.
+
+``exhaustive_sums`` is the one helper that runs the package: it reads the
+packed sum of ``shioda.exhaustive_scan``, the kernel ``picard --verify``
+compares, lane by lane, so that the tests can hold each lane against
+``fraction_exhaustive_sums``.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+
+from delsarte.shioda import exhaustive_scan
 
 
 def character(values) -> tuple[tuple[int, ...], int]:
@@ -50,6 +58,19 @@ def fraction_exhaustive_sums(entries) -> dict[int, Fraction]:
         for t in range(1, modulus + 1)
         if gcd(t, modulus) == 1
     }
+
+
+def exhaustive_sums(numerators, d: int, tables=None) -> dict[int, int]:
+    """Every unit t of the order N of ``numerators``/``d``, with the sum of
+    the fractional parts of t times the entries, unpacked from the lanes of
+    ``exhaustive_scan``; ``tables`` is shared between calls when given, as
+    one recount shares it.  Each sum is an integer because the entry sum is.
+    """
+    tables = {} if tables is None else tables
+    rows, packed = exhaustive_scan(numerators, d, tables)
+    lanes = rows._empty[:0]  # an empty array of the lane width
+    lanes.frombytes(packed.to_bytes(len(rows.units) * lanes.itemsize, sys.byteorder))
+    return {t: s // rows.order for t, s in zip(rows.units, lanes.tolist())}
 
 
 def _outside_lambda(numerators, d: int) -> bool:

@@ -383,12 +383,16 @@ def test_picard_verify_past_the_recount_budget_exits_3_at_once(capsys):
 
 def test_picard_verify_checks_the_budget_before_the_slice_scan(capsys, monkeypatch):
     # a refused recount does none of the 2ap - 2 early-exit scans of the slice
-    calls = count_calls(monkeypatch, [("shioda", "excluded_fractions")])
+    targets = [("shioda", "excluded_fractions"), ("shioda", "check_recount_budget")]
+    calls = count_calls(monkeypatch, targets)
     code, out, _ = run_cli(capsys, "picard", "--p", "47", "--a", "106", "--verify")
     assert (code, out, calls["excluded_fractions"]) == (3, "", 0)
     # without --verify the same member is in range, and its slice is scanned
     assert run_json(capsys, "picard", "--p", "47", "--a", "106")["p"] == 47
-    assert calls["excluded_fractions"] == 1
+    assert calls == {"excluded_fractions": 1, "check_recount_budget": 1}
+    # an admitted recount checks its budget once
+    run_json(capsys, "picard", "--p", "7", "--a", "2", "--verify")
+    assert calls == {"excluded_fractions": 2, "check_recount_budget": 2}
 
 
 def test_picard_verify_builds_each_unit_set_once(capsys):
@@ -723,8 +727,9 @@ def test_analyze_stdout_is_pinned():
     assert digest.hexdigest() == PINNED_ANALYZE_SHA256
 
 
-def test_analyze_stdout_is_pinned_under_optimize():
-    # assert statements are stripped under -O; the bytes must not move
+def optimized_digest(commands) -> str:
+    """``digest.stdout_digest`` of ``commands`` in a ``python -O`` child,
+    where assert statements are stripped."""
     env = entry_point_env(str(Path(__file__).resolve().parent))
     script = (
         "import json, sys\n"
@@ -733,14 +738,19 @@ def test_analyze_stdout_is_pinned_under_optimize():
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        input=json.dumps(pinned_commands()),
+        input=json.dumps(commands),
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == PINNED_ANALYZE_SHA256
+    return proc.stdout.strip()
+
+
+def test_analyze_stdout_is_pinned_under_optimize():
+    # assert statements are stripped under -O; the bytes must not move
+    assert optimized_digest(pinned_commands()) == PINNED_ANALYZE_SHA256
 
 
 # sha256 over the exit code and stdout of every command in
@@ -835,6 +845,50 @@ def test_verify_stdout_is_pinned():
             polynomials += "polynomial" in json.loads(out)["verify"]
     assert polynomials >= 30  # most draws print an oracle polynomial
     assert digest.hexdigest() == PINNED_VERIFY_SHA256
+
+
+# sha256 over the exit code and stdout of every command in picard_commands();
+# pinned like PINNED_ANALYZE_SHA256
+PINNED_PICARD_SHA256 = (
+    "fa442fa9d9367ed3d263c5b72b07732c1521d60da7a1e32b59ac14cb3d80b634"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def picard_commands() -> tuple[tuple[str, ...], ...]:
+    """picard --hodge --excluded on the 130 members of the grid, odd prime
+    p <= 43 and a <= 10; --verify --hodge on six small members; one record
+    printed with --json-indent 2; and a recount refused past its budget."""
+    grid = [(p, a) for p in range(3, 44) if shioda.is_prime(p) for a in range(1, 11)]
+    small = ((3, 1), (3, 2), (5, 3), (7, 2), (11, 1), (13, 4))
+    commands = [
+        ("picard", "--p", str(p), "--a", str(a), "--hodge", "--excluded")
+        for p, a in grid
+    ]
+    commands += [
+        ("picard", "--p", str(p), "--a", str(a), "--verify", "--hodge")
+        for p, a in small
+    ]
+    commands += [
+        ("picard", "--p", "11", "--a", "2", "--excluded", "--json-indent", "2"),
+        ("picard", "--p", "47", "--a", "106", "--verify"),
+    ]
+    return tuple(commands)
+
+
+def test_picard_stdout_is_pinned():
+    digest = hashlib.sha256()
+    codes = Counter()
+    for argv in picard_commands():
+        code, out = run_quietly(argv)
+        digest.update(f"{code}\n{out}".encode())
+        codes[code] += 1
+    assert codes == {0: 137, 3: 1}  # the grid has 130 members
+    assert digest.hexdigest() == PINNED_PICARD_SHA256
+
+
+def test_picard_stdout_is_pinned_under_optimize():
+    assert optimized_digest(picard_commands()) == PINNED_PICARD_SHA256
 
 
 def verify_fuzz_commands(seed: int, count: int) -> list[tuple[str, ...]]:

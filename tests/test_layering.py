@@ -228,10 +228,14 @@ RECORD_TYPES = {
     "Isotrivial", "Superelliptic", "SemistableAway", "ConstantJ",
     "BaseChangeOfGammaLessOne",
 }
+# what cli may take from shioda: the family's parameters, its one record
+# function, and the names of the Hodge levels that key the record
+SHIODA_NAMES = {"FamilyParams", "family_report", "HODGE_LEVELS"}
 
 
 def test_cli_imports_no_stage_function():
-    # cli.py serializes what analyze returns; it runs no stage itself
+    # cli.py serializes what analyze and family_report return; it runs no
+    # stage itself
     imported: dict[str, set[str]] = {}
     for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
         if isinstance(node, ast.Import):
@@ -248,6 +252,43 @@ def test_cli_imports_no_stage_function():
     assert "analyze" in imported["analysis"]
     for module in STAGE_MODULES & set(imported):
         assert imported[module] and imported[module] <= RECORD_TYPES, module
+    assert "family_report" in imported["shioda"]
+    assert imported["shioda"] <= SHIODA_NAMES
+
+
+def test_cli_does_no_arithmetic():
+    # every number cli prints is computed in the library; cli only maps
+    # fields to keys
+    tree = ast.parse(Path(cli.__file__).read_text())
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+    ]
+    assert not lines, f"cli.py has arithmetic operators on lines {lines}"
+
+
+def test_every_package_function_has_a_package_caller_or_an_export():
+    # no test-only API: a top-level function or class that no package code
+    # names and the package does not export serves only the tests (a dunder
+    # such as the package's __getattr__ is called by the interpreter)
+    defined, referenced = set(), set()
+    for file, tree in package_trees():
+        for top in tree.body:
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((file, top.name))
+                names.discard(top.name)  # a definition is not its own caller
+            referenced |= names
+    unreached = {
+        f"{file}: {name}"
+        for file, name in defined
+        if name not in referenced
+        and name not in delsarte._EXPORTS
+        and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert not unreached, sorted(unreached)
 
 
 def test_star_import_binds_every_public_name():

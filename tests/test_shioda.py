@@ -1,10 +1,11 @@
 """Character-lattice enumeration: generators, L0, Lambda, Picard numbers.
 
-The early-exit unit scan is validated against the exhaustive reference scan
-on whole small lattices, and both against a ``Fraction`` reference; the
-one-slice family count and the closed-form Hodge levels are validated
-against walks over every member of L0, and the coset closure of L against
-the loop over every combination of the generators' multiples
+The early-exit unit scan is validated on whole small lattices against the
+exhaustive scan, the kernel ``shioda.exhaustive_scan`` that ``picard
+--verify`` runs, read lane by lane, and both against a ``Fraction``
+reference; the one-slice family count and the closed-form Hodge levels are
+validated against walks over every member of L0, and the coset closure of
+L against the loop over every combination of the generators' multiples
 (``shioda_oracle.py``).  A character is a tuple of integer numerators over
 a denominator d, as the package holds it.
 """
@@ -28,8 +29,9 @@ from delsarte.shioda import (
     FamilyParams,
     enumerate_L0,
     excluded_fractions,
-    exhaustive_sums,
+    exhaustive_scan,
     family_L0_count,
+    family_report,
     group_order,
     gs_hodge_counts,
     is_prime,
@@ -42,6 +44,7 @@ from shioda_oracle import (
     character,
     entries,
     enumerate_L0_product,
+    exhaustive_sums,
     frac_part,
     fraction_exhaustive_sums,
     group_product,
@@ -263,9 +266,10 @@ def test_membership_invariant_under_unit_scaling():
 def test_early_exit_agrees_with_exhaustive_scan():
     for p, a in [(3, 1), (3, 2), (5, 1)]:
         d, generators = shioda_vectors(adjugate(FamilyParams(p, a).matrix))
+        tables = {}  # shared by the members, as one recount shares them
         for n in enumerate_L0(d, generators):
             witness = lambda_membership(n, d)
-            sums = exhaustive_sums(n, d)
+            sums = exhaustive_sums(n, d, tables)
             assert (witness is not None) == any(s != 2 for s in sums.values())
             if witness is not None:
                 assert witness == min(t for t, s in sums.items() if s != 2)
@@ -296,15 +300,19 @@ def test_dual_routes_agree_on_seeded_draws():
         members = enumerate_L0(d, generators)
         assert len(members) == count
         lam = lam_fraction = 0
+        tables = {}  # one recount's packed rows, as verify_family holds them
         for n in members:
-            sums = exhaustive_sums(n, d)
+            sums = exhaustive_sums(n, d, tables)
             reference = fraction_exhaustive_sums(entries(n, d))
             assert sums == reference, (params, n)
             slow = any(s != 2 for s in sums.values())
             assert (lambda_membership(n, d) is not None) == slow, (params, n)
+            rows, packed = exhaustive_scan(n, d, tables)  # verify_family's verdict
+            assert (packed != rows.full) == slow, (params, n)
             lam += slow
             lam_fraction += any(s != 2 for s in reference.values())
         assert lam == lam_fraction == count - (picard_family(params) - 2), params
+        assert family_report(params).lefschetz == lam, params
         checked += 1
 
 
@@ -381,10 +389,12 @@ def test_recount_budget_admits_the_grid():
 
 def test_recount_refuses_past_its_budget_before_L0(monkeypatch):
     monkeypatch.setattr(shioda, "MAX_RECOUNT", 8 * 6 - 1)  # (3, 1): 8 members, 2ap = 6
-    monkeypatch.setattr(shioda, "enumerate_L0", None)  # never reached
+    # neither scan is reached: not the slice's, and not the recount's
+    monkeypatch.setattr(shioda, "excluded_fractions", None)
+    monkeypatch.setattr(shioda, "enumerate_L0", None)
     params = FamilyParams(3, 1)
     with pytest.raises(ValidationError, match="48 scaling steps, more than 47"):
-        shioda.verify_family(params, 8, 0)
+        family_report(params, verify=True)
 
 
 # ---------------------------------------------------------------------------
