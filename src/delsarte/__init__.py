@@ -3,10 +3,9 @@ elliptic or superelliptic fibrations they carry.
 
 The public names below are resolved on first access (PEP 562): importing
 the package loads none of its stage modules, and each name loads only the
-module that defines it.  No stage loads sympy: every stage of a plain
-``analyze`` and of ``picard`` runs on the standard library, and only the
-``--verify`` elimination oracle of ``singular`` imports sympy, when it is
-called.
+module that defines it.  Every stage, the ``--verify`` elimination oracle
+included, runs on the standard library alone; sympy serves only the tests,
+as a second implementation to check against.
 """
 
 from importlib import import_module
@@ -23,7 +22,7 @@ _EXPORTS = {
     "analyze": "analysis",
     "classify_degenerate": "reduction",
     "classify_trichotomy": "singular",
-    "discriminant_oracle": "singular",
+    "discriminant_oracle": "oracle",
     "family_report": "shioda",
     "gamma": "elliptic",
     "genus_one_weierstrass": "elliptic",

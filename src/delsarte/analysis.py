@@ -10,8 +10,8 @@ section runs on a genus-one cyclic cover u^a = psi(v) with a = 2, where psi
 cleared of its even power of v is always a cubic or a quartic; covers with
 a = 3 or 4 get none.  No stage error is caught.  The integer stages
 of ``reduction`` and ``singular`` are imported with this module; ``elliptic``
-is imported only when a genus-one section runs, and ``shioda`` only under
-``shioda=True``.  Only ``verify`` loads sympy.
+is imported only when a genus-one section runs, ``shioda`` only under
+``shioda=True`` and the elimination ``oracle`` only under ``verify``.
 """
 
 from __future__ import annotations
@@ -34,15 +34,12 @@ from .singular import (
     Superelliptic,
     Trichotomy,
     classify_trichotomy,
-    discriminant_oracle,
-    oracle_matches_locus,
     singular_locus,
 )
 
 if TYPE_CHECKING:
-    from sympy.polys.rings import PolyElement
-
     from .elliptic import GenusOneSection
+    from .exact import QPoly
 
 
 class Report(NamedTuple):
@@ -65,7 +62,7 @@ class Report(NamedTuple):
     trichotomy: Optional[Trichotomy] = None
     genus_one: Optional[GenusOneSection] = None
     lefschetz: Optional[int] = None
-    oracle: Optional[PolyElement] = None
+    oracle: Optional[QPoly] = None
     rho: Optional[int] = None
 
 
@@ -125,6 +122,8 @@ def _verify_analysis(plane: PlaneModel, locus: SingularLocus):
     for a degenerate locus, where the closed form does not apply."""
     if locus.degenerate:
         return None
+    from .oracle import discriminant_oracle, oracle_matches_locus
+
     oracle = discriminant_oracle(plane)
     if not oracle_matches_locus(oracle, locus):
         raise VerificationError(

@@ -23,10 +23,9 @@ The module imports only the standard library and ``errors``: each command
 imports the stage modules it runs when it is dispatched, so that a fresh
 process compiles no module its command does not need.  ``analyze`` loads
 ``analysis`` (with ``model``, ``reduction`` and ``singular``), ``elliptic``
-only for a genus-one section and ``shioda`` only under --shioda; ``picard``
-loads ``shioda``, and ``exact`` only under --excluded or --verify.  Only
---verify loads sympy; ``picard`` and every stage of a plain ``analyze``,
-the genus-one section included, run on the standard library alone.
+only for a genus-one section, ``shioda`` only under --shioda and ``oracle``
+only under --verify; ``picard`` loads ``shioda``, and ``exact`` only under
+--excluded or --verify.  Every command runs on the standard library alone.
 """
 
 from __future__ import annotations

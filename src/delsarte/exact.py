@@ -12,8 +12,9 @@ exact machinery the rest of the code leans on:
   cofactors (fraction-free, so there is no pivoting nondeterminism), and a
   right-kernel basis for singular matrices;
 * ``QPoly``, a polynomial in t over Q with the few operations the genus-one
-  section needs, and ``primitive_quotient``, which scales a quotient already
-  in lowest terms to integer coefficients as sympy's ``cancel`` leaves it;
+  section and the ``--verify`` oracle need, and ``primitive_quotient``,
+  which scales a quotient already in lowest terms to integer coefficients
+  as sympy's ``cancel`` leaves it;
 * the text of a polynomial in t, and of a quotient of two, as sympy's
   ``str`` writes the expression (``format_polynomial``, ``format_quotient``).
 """
@@ -278,8 +279,9 @@ class QPoly:
     The value is immutable and hashable.  Besides ``+``, ``-``, ``*`` and
     ``**`` by a natural number, it has division with remainder
     (``divmod``), the degree, the lowest exponent, the leading coefficient,
-    a shift by a power of t, a coprimality test, and ``.terms()`` in the
-    ``((e,), c)`` shape that ``format_polynomial`` reads.
+    a shift by a power of t, the monic gcd with a coprimality test, the
+    monic multiple, the squarefree part, and ``.terms()`` in the ``((e,),
+    c)`` shape that ``format_polynomial`` reads.
     """
 
     __slots__ = ("coeffs", "integral")
@@ -428,13 +430,33 @@ class QPoly:
             raise ValueError(f"t^{-n} does not divide {self!r}")
         return _make(list(self.coeffs[-n:]), self.integral)
 
-    def is_coprime(self, other: QPoly) -> bool:
-        """Whether self and other have no common root, by Euclid's
-        algorithm."""
+    def monic(self) -> QPoly:
+        """self over its leading coefficient; the zero polynomial stays 0."""
+        lead = self.lc
+        if lead in (0, 1):
+            return self
+        inverse = 1 / Fraction(lead)
+        return _make([c * inverse for c in self.coeffs], False)
+
+    def gcd(self, other: QPoly) -> QPoly:
+        """The monic greatest common divisor, by Euclid's algorithm; 0 when
+        both are 0."""
         a, b = self, other
         while b:
             a, b = b, divmod(a, b)[1]
-        return a.degree == 0
+        return a.monic()
+
+    def is_coprime(self, other: QPoly) -> bool:
+        """Whether self and other have no common root."""
+        return self.gcd(other).degree == 0
+
+    def sqf_part(self) -> QPoly:
+        """self over gcd(self, self'): the product of its distinct
+        irreducible factors, up to a constant factor."""
+        if not self:
+            return self
+        derivative = [e * c for e, c in enumerate(self.coeffs)][1:]
+        return divmod(self, self.gcd(_make(derivative, self.integral)))[0]
 
 
 T = QPoly([0, 1])

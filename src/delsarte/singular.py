@@ -5,35 +5,14 @@ N1..N4 in (x, y, z) of common degree, pairwise distinct, with the parameter
 t multiplying N4, and the primitive relation vector k (k . exponents = 0,
 sum(k) = 0, k[3] > 0).
 
-Two independent routes to the singular fibers are provided:
+``singular_locus`` evaluates the closed-form criterion: away from t = 0 and
+t = infinity the fiber over t0 is singular exactly when
 
-* ``singular_locus`` evaluates the closed-form criterion: away from t = 0
-  and t = infinity the fiber over t0 is singular exactly when
+    t0^{k4} = prod_i k_i^{k_i} / prod_i coeff_i^{k_i},
 
-      t0^{k4} = prod_i k_i^{k_i} / prod_i coeff_i^{k_i},
-
-  a single orbit of values (the "away" orbit), which the returned
-  ``SingularLocus`` carries.
-
-* ``discriminant_oracle`` knows nothing about k.  It stratifies the plane
-  (torus, the three punctured coordinate lines, the three vertices) and
-  eliminates the curve variables from the critical equations on each
-  stratum with Groebner bases, returning the product of the eliminants.
-  Strata that are singular for every t (this happens at a vertex when every
-  monomial vanishes there to order >= 2) say nothing about any particular
-  fiber and are dropped.  Wherever a chart variable is kept off 0, its
-  critical equation is the Euler derivative x * df/dx rather than df/dx:
-  with x a unit the two generate the same ideal, hence the same reduced
-  basis and eliminant, and x * df/dx keeps the support of f, so Buchberger
-  meets binomials at once instead of chasing S-pairs between f and its
-  lower-degree partials.  It is the one user of sympy: the equations are
-  built as exponent dicts with ``Fraction`` coefficients, and only become
-  elements of sympy's sparse polynomial rings over QQ for Buchberger's
-  algorithm, which runs on them directly.  They cross over in one place,
-  ``_element``, which makes each coefficient a QQ element from its
-  numerator and denominator, into a ring that ``_ring`` builds once per
-  generator tuple and order; so the oracle makes no sympy expression.
-  sympy is imported when the oracle runs.
+a single orbit of values (the "away" orbit), which the returned
+``SingularLocus`` carries.  ``oracle.discriminant_oracle`` is the second,
+independent route to the singular fibers: it never looks at k.
 
 The structure classification (``classify_trichotomy``) splits minimal
 fibrations three ways, by the shape of k:
@@ -50,16 +29,12 @@ fibrations three ways, by the shape of k:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
 from math import ceil, gcd
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import ValidationError
 from .exact import rational_kth_roots
 from .reduction import MinimalFibration, PlaneModel
-
-if TYPE_CHECKING:
-    from sympy.polys.rings import PolyElement, PolyRing
 
 # ---------------------------------------------------------------------------
 # Closed-form singular locus
@@ -76,7 +51,8 @@ class SingularLocus(NamedTuple):
     When the moving monomial duplicates monomial ``duplicate_index`` the
     locus is ``degenerate``: the fibration is m1 + m2 + (gamma_i + gamma_4 t)
     m_i, the kernel is e_4 - e_i, and t^1 = -gamma_i/gamma_4 is its single
-    degenerate fiber, with no closed form (``oracle_matches_locus`` refuses).
+    degenerate fiber, with no closed form (``oracle.oracle_matches_locus``
+    refuses).
     """
 
     exponent: int
@@ -135,274 +111,6 @@ def singular_locus(plane: PlaneModel) -> SingularLocus:
             )
     return SingularLocus(exponent, value, points)
 
-
-# ---------------------------------------------------------------------------
-# Discriminant oracle (stratified elimination; independent of k)
-# ---------------------------------------------------------------------------
-
-
-# A polynomial under construction is a dict from exponent tuples to Fraction
-# coefficients.  The plane family is keyed by (a, b, c, e), the term
-# coefficient * x^a y^b z^c t^e; a chart or a stratum drops a coordinate's
-# exponent from every key.
-
-
-def _family(plane: PlaneModel) -> dict:
-    """The plane family; only the fourth monomial carries t."""
-    return {
-        (*exponents, int(i == 3)): coeff
-        for i, (exponents, coeff) in enumerate(zip(plane.exponents, plane.coefficients))
-    }
-
-
-def _at(poly: dict, j: int, value: int) -> dict:
-    """``poly`` with its variable j set to ``value``, 0 or 1.
-
-    Setting a coordinate of the homogeneous family to 1 merges no terms, and
-    setting a variable to 0 only drops terms."""
-    return {m[:j] + m[j + 1 :]: c for m, c in poly.items() if value or not m[j]}
-
-
-def _diff(poly: dict, j: int) -> dict:
-    """The partial derivative of ``poly`` by its variable j."""
-    return {
-        m[:j] + (m[j] - 1,) + m[j + 1 :]: m[j] * c for m, c in poly.items() if m[j]
-    }
-
-
-def _euler(poly: dict, j: int) -> dict:
-    """The Euler derivative x_j * d(poly)/dx_j of ``poly`` by its variable j,
-    which has the support of ``poly`` less the terms free of x_j."""
-    return {m: m[j] * c for m, c in poly.items() if m[j]}
-
-
-@lru_cache(maxsize=None)  # the strata use nine (names, order) pairs
-def _ring(names: tuple, order: str) -> PolyRing:
-    """QQ[names] in the monomial ``order``, built once per generator tuple
-    and order: sympy keeps no cache of its rings, so each ``PolyRing`` call
-    parses the names and generates the monomial operations again."""
-    from sympy.polys.domains import QQ
-    from sympy.polys.rings import PolyRing
-
-    return PolyRing(names, QQ, order)
-
-
-def _element(ring: PolyRing, poly: dict) -> PolyElement:
-    """The element of ``ring`` with the terms of ``poly``, a dict from
-    exponent tuples of the ring's generators to rationals (``Fraction``,
-    ``int`` or QQ elements).
-
-    Each coefficient becomes a QQ element from its numerator and denominator;
-    handed over as it is, a ``Fraction`` would reach sympy's generic
-    conversion, which goes through a sympy ``Rational`` expression.  Zero
-    coefficients drop, as in ``ring.from_dict``.
-    """
-    qq = ring.domain
-    return ring.from_dict({m: qq(c.numerator, c.denominator) for m, c in poly.items()})
-
-
-def _t_ring() -> PolyRing:
-    """QQ[t], the ring of the oracle polynomial."""
-    return _ring(("t",), "lex")
-
-
-def _in_t(poly: dict) -> PolyElement:
-    """The QQ[t] element of ``poly``, keyed by the exponent of t alone."""
-    return _element(_t_ring(), {(e,): c for e, c in poly.items()})
-
-
-def _basis(system: list, nonzero: str, order: str) -> list:
-    """Reduced Groebner basis over QQ of ``system`` and u * prod(nonzero) - 1,
-    which keeps the chart variables ``nonzero`` off 0.
-
-    ``system`` holds dicts keyed by the exponents of ``nonzero`` and then of
-    t.  In ``lex`` order the generators are (u, *nonzero, t), so the basis
-    eliminates all but t; a ``grevlex`` system is free of t, which is then no
-    generator.  sympy's generic ``groebner`` would run the same Buchberger
-    algorithm on the same ring elements.  The reduced basis depends on the
-    ideal alone, so a caller may hand in any generators of it: the oracle
-    passes x * df/dx for df/dx wherever x is one of ``nonzero``.  The
-    coefficients stay ``Fraction``s in the dicts; ``_element`` makes them QQ
-    elements of the ring ``_ring`` keeps for these generators and order.
-    """
-    from sympy.polys.groebnertools import groebner
-
-    size = len(nonzero) + (order == "lex")
-    ring = _ring(("u", *nonzero, "t")[: size + 1], order)
-    polys = [
-        _element(ring, {(0, *m[:size]): c for m, c in p.items()}) for p in system if p
-    ]
-    unit = (1,) * (len(nonzero) + 1) + (0,) * (size - len(nonzero))
-    polys.append(_element(ring, {unit: 1, (0,) * (size + 1): -1}))
-    return groebner(polys, ring)
-
-
-def _eliminant(system: list, nonzero: str) -> Optional[PolyElement]:
-    """Generator of (ideal of ``system`` and u * prod(nonzero) - 1)
-    intersected with QQ[t], as ``_basis`` takes them.
-
-    Returns None when the elimination ideal is zero (the stratum is critical
-    for every t), 1 when the system is infeasible.  The generator is sympy's:
-    monic, or primitive with a positive leading coefficient when every
-    coefficient of ``system`` is an integer (sympy then works over ZZ).
-    """
-    in_t = [
-        g for g in _basis(system, nonzero, "lex")
-        if not any(any(m[:-1]) for m in g.itermonoms())
-    ]
-    if not in_t:
-        return None
-    g = in_t[0]  # a reduced basis meets QQ[t] in at most one element
-    if all(c.denominator == 1 for p in system for c in p.values()):
-        g = g.clear_denoms()[1]
-    return _in_t({m[-1]: c for m, c in g.items()})
-
-
-def _vertex_gcd(conditions: list) -> PolyElement:
-    """gcd of the QQ[t] polynomials ``conditions`` (dicts keyed by the
-    exponent of t), normalized as ``sympy.gcd`` normalizes it: over ZZ the
-    content stays and the leading coefficient is positive, over QQ it is
-    monic."""
-    g = reduce(lambda f, h: f.gcd(h), map(_in_t, conditions)).monic()
-    coefficients = [c for p in conditions for c in p.values()]
-    if all(c.denominator == 1 for c in coefficients):
-        g = g.clear_denoms()[1] * gcd(*(c.numerator for c in coefficients))
-    return g
-
-
-def _newton_boundary(points):
-    """Vertices of the compact Newton boundary of a plane curve germ.
-
-    ``points`` are the exponent pairs of the local equation; the boundary is
-    the chain of negative-slope edges of the convex hull of points + (Z>=0)^2,
-    returned as hull vertices sorted by first coordinate.
-    """
-    pts = sorted(set(points))
-    minimal = [
-        p
-        for p in pts
-        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
-    ]
-    hull: list[tuple[int, int]] = []
-    for p in minimal:  # already sorted: d1 ascending, d2 strictly descending
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
-
-
-def _persistent_vertex_eliminant(coeff_at: dict, names: str) -> Optional[PolyElement]:
-    """t-values where a persistently singular vertex degenerates further.
-
-    ``coeff_at`` maps each exponent pair of the chart variables ``names`` to
-    its coefficient, a dict keyed by the exponent of t.  The germ at the
-    vertex is singular for every t, so the fiber only differs from its
-    neighbours there when the equisingularity type jumps.  With the Newton
-    boundary constant in t that happens exactly when some boundary face
-    polynomial becomes critical on the torus, or when a boundary monomial's
-    coefficient vanishes (changing the boundary itself).  Faces that are
-    degenerate for every t carry no information and make us give up (None).
-    """
-    hull = _newton_boundary(coeff_at)
-    result = _t_ring().one
-    for point in hull:
-        if any(coeff_at[point]):  # the coefficient carries t
-            result *= _in_t(coeff_at[point])
-    for start, end in zip(hull, hull[1:]):
-        dx, dy = end[0] - start[0], end[1] - start[1]
-        face = {
-            (a, b, e): c
-            for (a, b), coefficient in coeff_at.items()
-            if (a - start[0]) * dy == (b - start[1]) * dx
-            and min(start[0], end[0]) <= a <= max(start[0], end[0])
-            for e, c in coefficient.items()
-        }
-        system = [face, _euler(face, 0), _euler(face, 1)]
-        if any(m[2] for m in face):
-            eliminant = _eliminant(system, names)
-            if eliminant is None:
-                return None
-            result *= eliminant
-        elif _basis(system, names, "grevlex") != [1]:
-            return None
-    return result
-
-
-def discriminant_oracle(plane: PlaneModel) -> PolyElement:
-    """Product of per-stratum eliminants, a polynomial in QQ[t] whose roots
-    are the parameters with a singular member (plus possibly t = 0 factors).
-
-    This route never looks at the relation vector, which makes it a genuine
-    second opinion on ``singular_locus``.  On the torus (and on the Newton
-    faces of a persistent vertex) the critical system is (f, x df/dx,
-    y df/dy): u x y - 1 makes x and y units, and df/dx = u y (x df/dx) -
-    df/dx (u x y - 1), so it generates the ideal of (f, df/dx, df/dy).  On a
-    punctured line the variable set to 0 keeps its plain partial and the
-    other one, a unit there, its Euler derivative.
-    """
-    family = _family(plane)
-    contributions = []
-
-    # the torus and the three punctured lines, each as the coordinate set to
-    # 1 in its chart and the chart variable set to 0 (None on the torus);
-    # every other chart variable is nonzero
-    for one, zero in (
-        (2, None),  # torus (chart z = 1, x y != 0)
-        (2, 0),  # punctured line x = 0 (chart z = 1, y != 0)
-        (2, 1),  # punctured line y = 0 (chart z = 1, x != 0)
-        (1, 1),  # punctured line z = 0 (chart y = 1, x != 0)
-    ):
-        chart, names = _at(family, one, 1), "xyz".replace("xyz"[one], "")
-        # a variable set to 0 keeps its partial, a unit one takes x * d/dx
-        system = [chart] + [(_diff if j == zero else _euler)(chart, j) for j in (0, 1)]
-        if zero is not None:
-            system = [_at(g, zero, 0) for g in system]
-            names = names.replace(names[zero], "")
-        contributions.append(_eliminant(system, names))
-
-    # the three vertices, each the origin of the chart where its coordinate
-    # is 1: multiplicity >= 2 there means every monomial of local degree <= 1
-    # has vanishing t-coefficient
-    for one in (2, 1, 0):  # (0 : 0 : 1), (0 : 1 : 0), (1 : 0 : 0)
-        coeff_at: dict = {}
-        for (a, b, e), c in _at(family, one, 1).items():
-            coeff_at.setdefault((a, b), {})[e] = c
-        conditions = [c for (a, b), c in coeff_at.items() if a + b <= 1]
-        if conditions:
-            contributions.append(_vertex_gcd(conditions))
-        else:
-            names = "xyz".replace("xyz"[one], "")
-            contributions.append(_persistent_vertex_eliminant(coeff_at, names))
-
-    oracle = _t_ring().one
-    for p in contributions:
-        # None: a persistent stratum, singular for all t, says nothing
-        if p is not None and p.degree() > 0:
-            oracle *= p
-    return oracle
-
-
-def oracle_matches_locus(oracle: PolyElement, locus: SingularLocus) -> bool:
-    """Do the nonzero roots of the oracle agree exactly with the away orbit?
-
-    Compares the squarefree part of the oracle, with t divided out, against
-    t^{k4} - c up to a constant.  A degenerate locus has no closed form to
-    compare with, and is refused.
-    """
-    if locus.degenerate:  # raised, not asserted: must hold under -O too
-        raise AssertionError("degenerate locus has no closed form")
-    if not oracle:
-        return False
-    squarefree = oracle.sqf_part()
-    low = min(e for (e,) in squarefree.itermonoms())
-    reduced = {(e - low,): c for (e,), c in squarefree.items()}
-    orbit = {(locus.exponent,): 1, (0,): -locus.value}
-    return oracle.ring.from_dict(reduced).monic() == _element(oracle.ring, orbit)
 
 # ---------------------------------------------------------------------------
 # Trichotomy

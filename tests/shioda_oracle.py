@@ -2,7 +2,8 @@
 
 ``character`` turns ``Fraction`` entries into numerators over one
 denominator, and ``entries`` turns them back; ``frac_part`` and
-``fraction_exhaustive_sums`` redo the Lambda test on ``Fraction`` entries;
+``fraction_exhaustive_sums`` redo the Lambda test on ``Fraction`` entries,
+and ``integer_exhaustive_sums`` on integer numerators with its own units;
 ``picard_family_all_vectors`` is the family count that scans every member of
 L0 rather than one unit-orbit slice, and ``hodge_counts_all_vectors`` the
 Hodge-level count that walks every member rather than using the closed form
@@ -55,6 +56,18 @@ def fraction_exhaustive_sums(entries) -> dict[int, Fraction]:
     modulus = lcm(*(e.denominator for e in entries))
     return {
         t: sum((frac_part(t * e) for e in entries), Fraction(0))
+        for t in range(1, modulus + 1)
+        if gcd(t, modulus) == 1
+    }
+
+
+def integer_exhaustive_sums(numerators, d: int) -> dict[int, int]:
+    """``fraction_exhaustive_sums`` of the character ``numerators``/``d``
+    on integers: every unit t modulo its order N, found by a gcd test, with
+    sum((t*n) mod d) / d."""
+    modulus = d // gcd(d, *numerators)
+    return {
+        t: sum((t * n) % d for n in numerators) // d
         for t in range(1, modulus + 1)
         if gcd(t, modulus) == 1
     }

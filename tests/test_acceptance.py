@@ -33,6 +33,7 @@ from delsarte.elliptic import (
 )
 from delsarte.errors import ValidationError
 from delsarte.exact import QPoly, T, primitive_integer_vector
+from delsarte.oracle import discriminant_oracle, oracle_matches_locus
 from delsarte.reduction import plane_model, reduce_to_minimal
 from delsarte.shioda import (
     FamilyParams,
@@ -40,13 +41,7 @@ from delsarte.shioda import (
     family_L0_count,
     gs_hodge_counts,
 )
-from delsarte.singular import (
-    discriminant_oracle,
-    generic_fiber_genus,
-    oracle_matches_locus,
-    singular_locus,
-    superelliptic_form,
-)
+from delsarte.singular import generic_fiber_genus, singular_locus, superelliptic_form
 
 
 def picard_record(capsys, p: int, a: int) -> dict:

@@ -33,7 +33,7 @@ from corpus import (
     uniform_rows,
     y_squared_triples,
 )
-from delsarte import analysis, cli, shioda, singular
+from delsarte import analysis, cli, oracle, shioda
 from digest import run_quietly
 from delsarte.errors import ValidationError
 from delsarte.exact import adjugate, rational_to_json
@@ -96,8 +96,8 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
             ("reduction", "plane_model"),
             ("singular", "singular_locus"),
             ("singular", "classify_trichotomy"),
-            ("singular", "discriminant_oracle"),
-            ("singular", "oracle_matches_locus"),
+            ("oracle", "discriminant_oracle"),
+            ("oracle", "oracle_matches_locus"),
             ("exact", "adjugate"),
             ("elliptic", "genus_one_section"),
             ("elliptic", "genus_one_weierstrass"),
@@ -105,7 +105,7 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
             ("elliptic", "kodaira_type"),
             ("elliptic", "_split"),
             ("sympy", "factor_list"),
-            ("sympy.polys.rings", "PolyElement.sqf_part"),
+            ("exact", "QPoly.sqf_part"),
         ],
     )
     # psi comes from the trichotomy's cyclic-cover form alone, and the away
@@ -127,7 +127,7 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
             "kodaira_type": 2,  # at 0 and at infinity
             "_split": 3,  # c4, c6 and delta, each divided by the orbit once
             "factor_list": 0,
-            "PolyElement.sqf_part": 0,  # the orbit t^k4 - c is squarefree
+            "QPoly.sqf_part": 0,  # the orbit t^k4 - c is squarefree
         }
     )
     report = run_json(capsys, "analyze", CUBIC_WITH_SECTION)
@@ -142,12 +142,12 @@ def test_analyze_computes_each_genus_one_quantity_once(capsys, monkeypatch):
     # the Lefschetz number reuses the surface's adjugate, and the oracle the
     # plane model and locus of the same analysis; the check that compares
     # them builds its own orbit polynomial, factors nothing and takes the
-    # squarefree part of the oracle polynomial, a QQ[t] ring element, once
+    # squarefree part of the oracle polynomial, a QPoly, once
     calls.clear()
     report = run_json(capsys, "analyze", CUBIC_WITH_SECTION, "--shioda", "--verify")
     assert report["verify"]["oracle"] == "match"
     assert calls == once + Counter(
-        {"discriminant_oracle": 1, "oracle_matches_locus": 1, "PolyElement.sqf_part": 1}
+        {"discriminant_oracle": 1, "oracle_matches_locus": 1, "QPoly.sqf_part": 1}
     )
 
     # the section is gated on the cover exponent: a genus-one cube cover
@@ -578,7 +578,7 @@ def test_composite_p_exits_3(capsys):
 
 
 def test_verify_mismatch_exits_1_with_no_partial_json(capsys, monkeypatch):
-    monkeypatch.setattr(analysis, "oracle_matches_locus", lambda oracle, locus: False)
+    monkeypatch.setattr(oracle, "oracle_matches_locus", lambda polynomial, locus: False)
     code, out, err = run_cli(capsys, "analyze", CUBIC_WITH_SECTION, "--verify")
     assert code == 1
     assert out == ""
@@ -923,28 +923,28 @@ def verify_fuzz_commands(seed: int, count: int) -> list[tuple[str, ...]]:
     return commands
 
 
-# the (generators, order) pairs of the oracle's rings: QQ[t] for the oracle
-# polynomial, then per stratum (u, *nonzero chart variables, t) in lex for an
-# eliminant and (u, *nonzero) in grevlex for a persistent face free of t --
-# the torus, the punctured lines and the three vertex charts
-ORACLE_RINGS = {
-    (("t",), "lex"),
-    (("u", "x", "y", "t"), "lex"),
-    (("u", "x", "t"), "lex"),
-    (("u", "y", "t"), "lex"),
-    (("u", "x", "z", "t"), "lex"),
-    (("u", "y", "z", "t"), "lex"),
-    (("u", "x", "y"), "grevlex"),
-    (("u", "x", "z"), "grevlex"),
-    (("u", "y", "z"), "grevlex"),
+# the (chart variables kept off 0, order) pairs of the oracle's Groebner
+# bases: per stratum (u, *nonzero, t) in lex for an eliminant -- the torus,
+# the punctured lines and the faces at the three vertex charts -- and
+# (u, *nonzero) in grevlex for a persistent face free of t
+ORACLE_SYSTEMS = {
+    ("xy", "lex"), ("x", "lex"), ("y", "lex"), ("xz", "lex"), ("yz", "lex"),
+    ("xy", "grevlex"), ("xz", "grevlex"), ("yz", "grevlex"),
 }
 
 
-def test_verify_fuzz_exits_0_or_3_and_every_oracle_matches(capsys):
+def test_verify_fuzz_exits_0_or_3_and_every_oracle_matches(capsys, monkeypatch):
     # every admitted surface either checks its locus against the oracle or
     # is refused with exit 3 (a rational generic fiber) and no partial JSON
     outcomes = Counter()
-    singular._ring.cache_clear()
+    systems = set()
+    basis = oracle._basis
+
+    def recording_basis(system, nonzero, order):
+        systems.add((nonzero, order))
+        return basis(system, nonzero, order)
+
+    monkeypatch.setattr(oracle, "_basis", recording_basis)
     for argv in verify_fuzz_commands(23, 200):
         code, out, err = run_cli(capsys, *argv)
         assert code in (0, 3) and "Traceback" not in err, (argv, err)
@@ -957,8 +957,8 @@ def test_verify_fuzz_exits_0_or_3_and_every_oracle_matches(capsys):
         assert ("polynomial" in verify) == (verify["oracle"] == "match"), argv
         outcomes[verify["oracle"]] += 1
     assert outcomes["match"] >= 100 and outcomes["exit 3"] >= 1, outcomes
-    # each ring is built once, however many strata and draws use it
-    assert 0 < singular._ring.cache_info().currsize <= len(ORACLE_RINGS)
+    # every basis is taken over the generators of one of the strata
+    assert ("xy", "lex") in systems and systems <= ORACLE_SYSTEMS
 
 
 @pytest.mark.parametrize("surface", [CUBIC_WITH_SECTION, ODD_ORDER_QUARTIC])
@@ -972,23 +972,23 @@ def test_analyze_prints_without_sympy_printer(capsys, monkeypatch, surface):
     assert calls["StrPrinter.doprint"] == 0
 
 
-def test_verify_runs_groebner_on_ring_elements(capsys, monkeypatch):
-    # the oracle builds its systems as ring elements: no expression is
-    # substituted into, made a Poly or handed to the expression-level groebner
-    expression_calls = count_calls(
+def test_verify_runs_groebner_in_the_standard_library(capsys, monkeypatch):
+    # the oracle's Buchberger is its own: neither of sympy's groebner
+    # functions runs, and no expression is substituted into or made a Poly
+    sympy_calls = count_calls(
         monkeypatch,
         [
             ("sympy", "groebner"),
-            ("sympy.polys.polytools", "groebner"),
+            ("sympy.polys.groebnertools", "groebner"),
             ("sympy.polys.polytools", "Poly.__new__"),
             ("sympy.core.basic", "Basic.subs"),
         ],
     )
-    ring_calls = count_calls(monkeypatch, [("sympy.polys.groebnertools", "groebner")])
+    kernel_calls = count_calls(monkeypatch, [("oracle", "_buchberger")])
     report = run_json(capsys, "analyze", CUBIC_WITH_SECTION, "--verify")
     assert report["verify"]["polynomial"] == "27*t**2 + 4*t"
-    assert sum(expression_calls.values()) == 0
-    assert ring_calls["groebner"] >= 1
+    assert sum(sympy_calls.values()) == 0
+    assert kernel_calls["_buchberger"] >= 1
 
 
 # one named witness per normalization rule of the printed oracle polynomial,

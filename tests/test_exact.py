@@ -427,6 +427,28 @@ def test_qpoly_division_matches_sympy(seed):
         divmod(T, QPoly())
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_qpoly_gcd_monic_and_squarefree_part_match_sympy(seed):
+    # products with a common factor and a repeated one, so that the gcd and
+    # the squarefree part are not trivial
+    rng = random.Random(seed)
+    for _ in range(50):
+        p, q, b = random_polynomial(rng), random_polynomial(rng), random_binomial(rng)
+        for f, g in ((p, q), (p * b, q * b), (p * b**2, b**3), (q, QPoly())):
+            F, G = to_ring(f), to_ring(g)
+            H = F.gcd(G)  # sympy returns gcd(f, 0) as f, not monic
+            assert to_ring(f.gcd(g)) == (H.monic() if H else H)
+            assert is_canonical(f.gcd(g))
+            if f:
+                assert to_ring(f.monic()) == F.monic() and f.monic().lc == 1
+                assert to_ring(f.sqf_part()).monic() == F.sqf_part()
+                assert divmod(f, f.sqf_part())[1] == QPoly()
+            else:
+                assert f.monic() == f.sqf_part() == QPoly()
+    assert (T**2 * (T - 1) ** 3 * 6).sqf_part().monic() == T**2 - T
+    assert QPoly([4]).gcd(QPoly()) == 1 and QPoly().gcd(QPoly()) == QPoly()
+
+
 def test_qpoly_keeps_integral_coefficients_as_ints():
     p = QPoly([Fraction(4, 2), Fraction(1, 3), 0, Fraction(0)])
     assert p.coeffs == (2, Fraction(1, 3)) and type(p.coeffs[0]) is int

@@ -1,17 +1,16 @@
-"""Which stages load sympy, and what the command line may import.
+"""Which modules each command loads, and what the command line may import.
 
-sympy is a lazy dependency: only the --verify oracle and the symbolic
-helpers of ``singular`` import it, when they are called.  Every stage of a
-plain ``analyze``, the genus-one section included, runs on ``exact.QPoly``
-and the standard library.  The stage modules are lazy too: the package and
-``cli.py`` import none of them up front, and each command loads only the
-ones it runs.  The process tests here run a fresh
-``python -X importtime -m delsarte.cli`` (or ``-c "import delsarte.cli"``)
-and read the modules it imported from the import-time report on stderr, so
-the entry point is exercised exactly as a user runs it.  The pinned stdout
-hashes are the bytes these commands printed when the genus-one section
-still ran on sympy.  Printing needs no sympy at all: ``exact``'s printers
-write every polynomial and j.
+No package module imports sympy: every stage, the genus-one section and the
+--verify elimination oracle included, runs on ``exact.QPoly`` and the
+standard library, and sympy serves the tests alone as a second
+implementation.  The stage modules are lazy: the package and ``cli.py``
+import none of them up front, and each command loads only the ones it runs.
+The process tests here run a fresh ``python -X importtime -m delsarte.cli``
+(or ``-c "import delsarte.cli"``) and read the modules it imported from the
+import-time report on stderr, so the entry point is exercised exactly as a
+user runs it.  The pinned stdout hashes are the bytes these commands printed
+when the genus-one section and the oracle still ran on sympy.  Printing
+needs no sympy at all: ``exact``'s printers write every polynomial and j.
 """
 
 from __future__ import annotations
@@ -91,7 +90,9 @@ def test_integer_stages_run_without_sympy(argv, sha256):
 
 
 # the modules a command may import lazily, one per stage of the pipeline
-STAGES = ("analysis", "model", "reduction", "singular", "elliptic", "shioda")
+STAGES = (
+    "analysis", "model", "reduction", "singular", "elliptic", "shioda", "oracle"
+)
 
 
 def package(*names: str) -> set[str]:
@@ -110,34 +111,42 @@ UNUSED = {"dataclasses", "inspect"}
         (
             ("-m", "delsarte.cli", "picard", "--p", "7", "--a", "2"),
             package("shioda"),
-            package("analysis", "model", "reduction", "singular", "elliptic", "exact")
+            package(
+                "analysis", "model", "reduction", "singular", "elliptic", "oracle",
+                "exact",
+            )
             | UNUSED,
         ),
         (
             ("-m", "delsarte.cli", "picard", "--p", "7", "--a", "2", "--excluded"),
             package("shioda", "exact"),
-            package("analysis", "model", "reduction", "singular", "elliptic")
+            package("analysis", "model", "reduction", "singular", "elliptic", "oracle")
             | UNUSED,
         ),
         (
             ("-m", "delsarte.cli", "analyze", HESSE_PENCIL),
             package("analysis", "model", "reduction", "singular"),
-            package("elliptic", "shioda") | UNUSED,
+            package("elliptic", "shioda", "oracle") | UNUSED,
         ),
         (
             ("-m", "delsarte.cli", "analyze", WORKED_CUBIC),
             package("analysis", "elliptic"),
-            package("shioda") | UNUSED,
+            package("shioda", "oracle") | UNUSED,
         ),
         (
             ("-m", "delsarte.cli", "analyze", HESSE_PENCIL, "--shioda"),
             package("analysis", "shioda"),
-            package("elliptic") | UNUSED,
+            package("elliptic", "oracle") | UNUSED,
+        ),
+        (
+            ("-m", "delsarte.cli", "analyze", HESSE_PENCIL, "--verify"),
+            package("analysis", "oracle", "exact"),
+            package("elliptic", "shioda") | UNUSED | {"sympy"},
         ),
     ],
     ids=[
         "import_cli", "picard", "picard_excluded", "analyze", "analyze_genus_one",
-        "analyze_shioda",
+        "analyze_shioda", "analyze_verify",
     ],
 )
 def test_each_entry_loads_only_the_modules_it_runs(args, loads, skips):
@@ -204,9 +213,12 @@ def test_entry_modules_import_no_stage_at_module_level(name):
     ids=["verify_genus_one", "verify_semistable_away"],
 )
 def test_symbolic_stages_load_sympy_and_keep_their_bytes(argv, sha256):
+    # the --verify oracle, the last stage that loaded sympy, now runs
+    # without it and prints the bytes it printed on sympy
     code, out, imported = run_entry_point(*argv)
     assert code == 0, out
-    assert "sympy" in imported
+    assert "delsarte.oracle" in imported
+    assert "sympy" not in imported
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
@@ -301,8 +313,7 @@ def test_star_import_binds_every_public_name():
 def test_no_module_prints_through_sympy_expressions():
     # the report prints from .terms() with exact.format_polynomial and
     # exact.format_quotient; sympy's str of .as_expr() is left to the tests
-    # as the printers' oracle, and the --verify oracle is built as ring
-    # elements directly
+    # as the printers' oracle
     for path in sorted((SRC / "delsarte").glob("*.py")):
         calls = [
             node.lineno
@@ -358,34 +369,24 @@ def test_no_module_imports_dataclasses():
         assert not lines, f"{name} imports dataclasses on lines {lines}"
 
 
-def test_only_singular_imports_sympy():
-    # the --verify oracle in singular is the one sympy user; a module may
-    # still name sympy's types for annotations inside `if TYPE_CHECKING:`
-    def imports_sympy(node) -> bool:
-        if isinstance(node, ast.Import):
-            return any(a.name.split(".")[0] == "sympy" for a in node.names)
-        if isinstance(node, ast.ImportFrom):
-            return node.level == 0 and (node.module or "").split(".")[0] == "sympy"
-        return False
-
-    def type_checking_blocks(tree):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.If) and ast.unparse(node.test) in (
-                "TYPE_CHECKING", "typing.TYPE_CHECKING"
-            ):
-                yield from node.body
-
-    importers = set()
+def test_no_package_module_imports_sympy():
+    # sympy is a test dependency only: no module imports it, not even for
+    # annotations
     for name, tree in package_trees():
-        guarded = {
-            id(n) for block in type_checking_blocks(tree) for n in ast.walk(block)
-        }
-        if any(
-            imports_sympy(node) and id(node) not in guarded
+        lines = [
+            node.lineno
             for node in ast.walk(tree)
-        ):
-            importers.add(name)
-    assert importers == {"singular.py"}
+            if (
+                isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == "sympy" for a in node.names)
+            )
+            or (
+                isinstance(node, ast.ImportFrom)
+                and node.level == 0
+                and (node.module or "").split(".")[0] == "sympy"
+            )
+        ]
+        assert not lines, f"{name} imports sympy on lines {lines}"
 
 
 def test_no_assert_statement_in_the_package():

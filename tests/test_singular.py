@@ -1,15 +1,18 @@
 """Tests for singular-fiber location, the elimination oracle, the trichotomy.
 
-The locus formula and the discriminant oracle share no code: one evaluates a
-closed form of the relation vector, the other stratifies the plane curve and
-eliminates variables.  Their agreement over a corpus is therefore a genuine
-two-route check, and the pinned polynomials below were each verified against
-a hand computation before being frozen.
+The locus formula (``singular``) and the discriminant oracle (``oracle``)
+share no code: one evaluates a closed form of the relation vector, the other
+stratifies the plane curve and eliminates variables.  Their agreement over a
+corpus is therefore a genuine two-route check, and the pinned polynomials
+below were each verified against a hand computation before being frozen.
+The oracle's Groebner bases are checked against sympy's
+(``groebner_oracle.py``) on every system it builds for seeded surfaces.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,35 +21,38 @@ from hypothesis import assume, given, settings
 from sympy.abc import t, x, y, z
 
 from calls import count_calls
+from groebner_oracle import sympy_basis
+from qt_oracle import to_expr
 from corpus import (
     deterministic_corpus,
     nondegenerate_surfaces,
     surface_from_affine_triples,
     uniform_rows,
 )
-from delsarte import singular
+from delsarte import oracle as oracle_module
 from delsarte.analysis import analyze
 from delsarte.errors import ValidationError
 from delsarte.model import validate_surface
+from delsarte.oracle import (
+    _at,
+    _basis,
+    _diff,
+    _eliminant,
+    _euler,
+    _family,
+    discriminant_oracle,
+    oracle_matches_locus,
+)
 from delsarte.reduction import plane_model, reduce_to_minimal
 from delsarte.singular import (
     Isotrivial,
     SemistableAway,
     Superelliptic,
     SuperellipticForm,
-    _at,
-    _basis,
-    _diff,
-    _element,
-    _euler,
-    _family,
-    _ring,
     classify_trichotomy,
     constant_j_value,
-    discriminant_oracle,
     generic_fiber_genus,
     generic_profile,
-    oracle_matches_locus,
     singular_locus,
     superelliptic_form,
     superelliptic_genus,
@@ -60,7 +66,7 @@ def minimal_and_plane(triples):
 
 def oracle_factors(plane) -> set:
     """Irreducible factors of the oracle output, content and powers dropped."""
-    _, factors = sympy.factor_list(discriminant_oracle(plane).as_expr(), t)
+    _, factors = sympy.factor_list(to_expr(discriminant_oracle(plane)), t)
     return {base.as_expr() for base, _ in factors}
 
 
@@ -215,9 +221,9 @@ class SympyExpressionBuilt(Exception):
 
 
 def test_oracle_builds_no_sympy_expression(monkeypatch):
-    # sympy's Domain.convert has no path for a Fraction and falls back on
-    # sympify, which builds a Rational expression; the oracle hands sympy
-    # QQ elements only, so that fallback is never reached
+    # the oracle runs on the standard library: with sympy's fallback from a
+    # foreign number to an expression made to raise, it still matches the
+    # locus on every seeded surface in scope
     def refuse(*args, **kwargs):
         raise SympyExpressionBuilt(args)
 
@@ -233,46 +239,67 @@ def test_oracle_builds_no_sympy_expression(monkeypatch):
     assert matched >= 40
 
 
-def test_element_is_the_ring_conversion():
-    # the same ring element as sympy's own conversion of the coefficients,
-    # for Fraction (negative, integral, cancelling to 0) and int coefficients
-    rng = random.Random(11)
-    names = ("u", "x", "y", "t")
-    ring = _ring(names, "lex")
-    for _ in range(50):
-        poly: dict = {}
-        for _ in range(rng.randint(1, 6)):
-            monomial = tuple(rng.randint(0, 4) for _ in names)
-            poly[monomial] = rng.choice(
-                (
-                    Fraction(rng.randint(-50, 50), rng.randint(1, 50)),
-                    Fraction(rng.randint(-50, 50)),
-                    rng.randint(-50, 50),
-                )
-            )
-        cancelled = Fraction(3, 7) - Fraction(6, 14)  # Fraction(0), which drops
-        poly[(5, 5, 5, 5)] = cancelled
-        element = _element(ring, poly)
-        assert element == ring.from_dict(poly)
-        assert element.ring is ring
-        assert (5, 5, 5, 5) not in element
-        assert len(element) == sum(1 for c in poly.values() if c)
+def recorded_bases(monkeypatch, planes) -> list:
+    """(system, nonzero, order, basis) of every ``_basis`` call that
+    ``discriminant_oracle`` makes on ``planes``."""
+    calls = []
+
+    def recording_basis(system, nonzero, order):
+        basis = _basis(system, nonzero, order)
+        calls.append((system, nonzero, order, basis))
+        return basis
+
+    monkeypatch.setattr(oracle_module, "_basis", recording_basis)
+    for plane in planes:
+        discriminant_oracle(plane)
+    monkeypatch.undo()
+    return calls
 
 
-@pytest.mark.parametrize(
-    "names, order",
-    [(("t",), "lex"), (("u", "x", "y", "t"), "lex"), (("u", "y", "z"), "grevlex")],
-)
-def test_ring_is_sympys_ring(names, order):
-    # sympy keeps no ring cache, so a fresh PolyRing is an equal ring, and
-    # elements of the two mix; _ring hands out one ring per key
-    from sympy.polys.domains import QQ
-    from sympy.polys.rings import PolyRing
+UNIT_IDEAL = {"lex": {(0, 0, 0, 0): 1}, "grevlex": {(0, 0, 0): 1}}
 
-    ring = PolyRing(names, QQ, order)
-    assert _ring(names, order) == ring
-    assert _ring(names, order) is _ring(names, order)
-    assert _ring(names, order).gens[0] * ring.gens[0] == ring.gens[0] ** 2
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_basis_is_sympys_reduced_basis(monkeypatch, seed):
+    # every system the oracle builds, on the torus, the punctured lines and
+    # the Newton faces of a persistent vertex (in lex) and in the feasibility
+    # check of a face free of t (in grevlex), has sympy's reduced basis; a
+    # system free of t has it in the other order too
+    planes = [p for _, p in seeded_oracle_inputs(seed, 30)]
+    calls = recorded_bases(monkeypatch, planes)
+    shapes = Counter()
+    for system, nonzero, order, basis in calls:
+        assert basis == sympy_basis(system, nonzero, order), (system, nonzero, order)
+        assert all(next(iter(g.values())) == 1 for g in basis)  # monic
+        if not any(m[-1] for p in system for m in p):
+            other = "grevlex" if order == "lex" else "lex"
+            assert _basis(system, nonzero, other) == sympy_basis(system, nonzero, other)
+            shapes["free of t"] += 1
+        shapes[order, len(nonzero)] += 1
+        shapes["unit ideal"] += basis == [UNIT_IDEAL[order]]
+    # the torus and the faces have two chart variables, a line one
+    assert shapes["lex", 2] and shapes["lex", 1] and shapes["grevlex", 2], shapes
+    assert shapes["free of t"] and shapes["unit ideal"], shapes
+
+
+def test_basis_on_a_zero_elimination_ideal_and_an_infeasible_system():
+    # (x - y)^2 + t z^2 is singular at (1 : 1 : 0) for every t: on the line
+    # z = 0 (chart y = 1, x != 0) its system ((x - 1)^2, x d/dx, d/dz at
+    # z = 0) has the basis (u - 1, x - 1), which meets Q[t] in 0
+    line = [
+        {(2, 0): Fraction(1), (1, 0): Fraction(-2), (0, 0): Fraction(1)},
+        {(2, 0): Fraction(2), (1, 0): Fraction(-2)},
+        {},
+    ]
+    basis = [{(1, 0, 0): 1, (0, 0, 0): -1}, {(0, 1, 0): 1, (0, 0, 0): -1}]
+    assert _basis(line, "x", "lex") == basis == sympy_basis(line, "x", "lex")
+    assert _eliminant(line, "x") is None
+    # a monomial, kept off 0, generates the unit ideal
+    point = [{(1, 0): Fraction(3)}]
+    for order, unit in (("lex", (0, 0, 0)), ("grevlex", (0, 0))):
+        assert _basis(point, "x", order) == [{unit: 1}]
+        assert _basis(point, "x", order) == sympy_basis(point, "x", order)
+    assert _eliminant(point, "x") == 1
 
 
 def plain_partials(f: dict) -> list:
@@ -329,7 +356,7 @@ def test_euler_partials_generate_the_partials_ideal():
         )
         basis = _basis(euler_partials(at_t0), "xy", "grevlex")
         assert basis == _basis(plain_partials(at_t0), "xy", "grevlex")
-        singular_fibers += basis != [1]
+        singular_fibers += basis != [UNIT_IDEAL["grevlex"]]
     # some fibers at a locus point are singular, so not every basis is [1]
     assert singular_fibers > 0
 
@@ -346,7 +373,7 @@ def test_euler_partials_hold_on_the_newton_faces(monkeypatch):
             seen.append((system, nonzero, order, basis))
         return basis
 
-    monkeypatch.setattr(singular, "_basis", recording_basis)
+    monkeypatch.setattr(oracle_module, "_basis", recording_basis)
     _, p = minimal_and_plane([(0, 0, 0), (0, 1, 0), (3, 1, 0), (2, 1, 1)])
     discriminant_oracle(p)
     assert len(seen) >= 2  # the torus and at least one face
