@@ -28,7 +28,6 @@ _EXPORTS = {
     "genus_one_weierstrass": "elliptic",
     "kodaira_type": "elliptic",
     "lefschetz_number": "shioda",
-    "picard_family": "shioda",
     "plane_model": "reduction",
     "reduce_to_minimal": "reduction",
     "singular_locus": "singular",

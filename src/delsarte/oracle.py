@@ -18,19 +18,22 @@ The equations are dicts from exponent tuples to ``Fraction`` coefficients,
 and ``_basis`` computes their reduced Groebner basis with the standard
 library alone: Buchberger's algorithm with normal selection and the
 Gebauer-Moeller criteria, as in Becker and Weispfenning, "Groebner Bases"
-(1993), p. 232, over integer coefficients kept primitive.  A reduced basis
-depends only on the ideal and the monomial order, so the basis is the one
-any other implementation returns.  Eliminants, gcds and the squarefree test
-run on ``exact.QPoly``.  ``oracle_matches_locus`` compares the oracle's
+(1993), p. 232, over integer coefficients kept primitive.  Every basis is
+taken in one order, lex with t last, which eliminates the curve variables.
+A Newton face free of t needs no other order: its elimination ideal is the
+unit ideal or zero, and a reduced basis is [1] exactly for the unit ideal,
+in every order.  A reduced basis depends only on the ideal and the monomial
+order, so the basis is the one any other implementation returns, up to the
+scaling of each element.  Eliminants, gcds and the squarefree test run on
+``exact.QPoly``.  ``oracle_matches_locus`` compares the oracle's
 nonzero roots with the closed-form away orbit.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import add, ge, sub
+from operator import add, ge, itemgetter, sub
 from typing import TYPE_CHECKING, Optional
 
 from .exact import T, QPoly, primitive_integer_vector
@@ -49,19 +52,9 @@ if TYPE_CHECKING:
 # it stands for the monic polynomial over Q.
 
 
-def _grevlex(m: tuple) -> tuple:
-    """The sort key of the monomial ``m`` in graded reverse lexicographic
-    order."""
-    return sum(m), tuple(-e for e in reversed(m))
-
-
-# the sort key of each monomial order; tuples already compare in lex
-_ORDERS = {"lex": None, "grevlex": _grevlex}
-
-
-def _primitive(poly: dict, key) -> tuple:
+def _primitive(poly: dict) -> tuple:
     """(lm, poly over its content, with a positive leading coefficient)."""
-    lm = max(poly, key=key)
+    lm = max(poly)
     content = gcd(*poly.values())
     if poly[lm] < 0:
         content = -content
@@ -70,7 +63,7 @@ def _primitive(poly: dict, key) -> tuple:
     return lm, poly
 
 
-def _reduce(poly: dict, divisors: list, key) -> Optional[tuple]:
+def _reduce(poly: dict, divisors: list) -> Optional[tuple]:
     """The remainder of ``poly`` on division by ``divisors``, (lm, poly)
     pairs tried in their order, as an (lm, poly) pair; None when it is 0.
 
@@ -81,7 +74,7 @@ def _reduce(poly: dict, divisors: list, key) -> Optional[tuple]:
     """
     poly, rest = dict(poly), {}
     while poly:
-        m = max(poly, key=key)
+        m = max(poly)
         for lm, g in divisors:
             if all(map(ge, m, lm)):
                 break
@@ -106,7 +99,7 @@ def _reduce(poly: dict, divisors: list, key) -> Optional[tuple]:
                     poly[n] = v
                 else:
                     del poly[n]
-    return _primitive(rest, key) if rest else None
+    return _primitive(rest) if rest else None
 
 
 def _s_polynomial(f: tuple, g: tuple) -> dict:
@@ -163,9 +156,9 @@ def _update(f: list, basis: set, pairs: dict, new: int) -> set:
     return basis
 
 
-def _buchberger(polys: list, key) -> list:
-    """The reduced Groebner basis of the ideal of ``polys``, nonzero integer
-    dicts, as (lm, poly) pairs by descending leading monomial.
+def _buchberger(polys: list) -> list:
+    """The reduced lex Groebner basis of the ideal of ``polys``, nonzero
+    integer dicts, as (lm, poly) pairs by descending leading monomial.
 
     The steps are those of sympy's ``groebnertools._buchberger``: the input
     is interreduced until it is stable, the pair with the least lcm of
@@ -173,62 +166,57 @@ def _buchberger(polys: list, key) -> list:
     sorted by ascending leading monomial, and the basis is reduced at the
     end.
     """
-    rank = key or (lambda m: m)
-    f = [_primitive(p, key) for p in polys]
+    f = [_primitive(p) for p in polys]
     while True:
-        reduced = [r for i, (_, p) in enumerate(f) if (r := _reduce(p, f[:i], key))]
+        reduced = [r for i, (_, p) in enumerate(f) if (r := _reduce(p, f[:i]))]
         if reduced == f:
             break
         f = reduced
 
     basis, pairs = set(), {}
-    for i in sorted(range(len(f)), key=lambda i: rank(f[i][0])):
+    for i in sorted(range(len(f)), key=lambda i: f[i][0]):
         basis = _update(f, basis, pairs, i)
-    divisors = sorted((f[g] for g in basis), key=lambda d: rank(d[0]))
+    divisors = sorted((f[g] for g in basis), key=itemgetter(0))
     while pairs:
-        i, j = min(pairs, key=lambda p: rank(pairs[p]))
+        i, j = min(pairs, key=pairs.get)
         del pairs[i, j]
-        h = _reduce(_s_polynomial(f[i], f[j]), divisors, key)
+        h = _reduce(_s_polynomial(f[i], f[j]), divisors)
         if h is not None:
             f.append(h)
             basis = _update(f, basis, pairs, len(f) - 1)
-            divisors = sorted((f[g] for g in basis), key=lambda d: rank(d[0]))
+            divisors = sorted((f[g] for g in basis), key=itemgetter(0))
 
     result = [
-        r for g in basis
-        if (r := _reduce(f[g][1], [f[i] for i in basis if i != g], key))
+        r for g in basis if (r := _reduce(f[g][1], [f[i] for i in basis if i != g]))
     ]
-    return sorted(result, key=lambda r: rank(r[0]), reverse=True)
+    return sorted(result, key=itemgetter(0), reverse=True)
 
 
-def _basis(system: list, nonzero: str, order: str) -> list:
-    """Reduced Groebner basis over Q of ``system`` and u * prod(nonzero) - 1,
-    which keeps the chart variables ``nonzero`` off 0, as monic dicts from
-    exponent tuples to ``Fraction``s by descending leading monomial.
+def _basis(system: list, nonzero: str) -> list:
+    """Reduced lex Groebner basis of ``system`` and u * prod(nonzero) - 1,
+    which keeps the chart variables ``nonzero`` off 0, in the generators
+    (u, *nonzero, t): integer dicts from exponent tuples, each primitive with
+    a positive leading coefficient, by descending leading monomial.
 
     ``system`` holds dicts keyed by the exponents of ``nonzero`` and then of
-    t.  In ``lex`` order the generators are (u, *nonzero, t), so the basis
-    eliminates all but t; a ``grevlex`` system is free of t, which is then no
-    generator.  The reduced basis depends on the ideal alone, so a caller may
-    hand in any generators of it: the oracle passes x * df/dx for df/dx
-    wherever x is one of ``nonzero``.  Each equation is scaled to integer
-    coefficients before Buchberger's algorithm runs.
+    t, with rational coefficients; each is scaled to integers before
+    Buchberger's algorithm runs.  With t last the basis eliminates all but
+    t.  No second order is needed for a system free of t: its basis is [1]
+    exactly for the unit ideal, in every order.  The reduced basis depends
+    on the ideal alone, so a caller may hand in any generators of it: the
+    oracle passes x * df/dx for df/dx wherever x is one of ``nonzero``.
     """
-    size = len(nonzero) + (order == "lex")
     polys = []
     for p in system:
-        terms = {(0, *m[:size]): c for m, c in p.items() if c}
+        terms = {(0, *m): c for m, c in p.items() if c}
         if terms:
             scale = lcm(*(c.denominator for c in terms.values()))
             polys.append(
                 {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
             )
-    unit = (1,) * (len(nonzero) + 1) + (0,) * (size - len(nonzero))
-    polys.append({unit: 1, (0,) * (size + 1): -1})
-    return [
-        {m: Fraction(c, p[lm]) for m, c in p.items()}
-        for lm, p in _buchberger(polys, _ORDERS[order])
-    ]
+    size = len(nonzero) + 1
+    polys.append({(1,) * size + (0,): 1, (0,) * (size + 1): -1})
+    return [p for _, p in _buchberger(polys)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +277,17 @@ def _eliminant(system: list, nonzero: str) -> Optional[QPoly]:
     intersected with Q[t], as ``_basis`` takes them.
 
     Returns None when the elimination ideal is zero (the stratum is critical
-    for every t), 1 when the system is infeasible.  The generator is monic,
-    or primitive with a positive leading coefficient when every coefficient
-    of ``system`` is an integer.
+    for every t), 1 when the system is infeasible; a system free of t has
+    one of the two.  The generator is monic, or primitive with a positive
+    leading coefficient when every coefficient of ``system`` is an integer.
     """
     # the last element has the least leading monomial; in lex with t last
     # it lies in Q[t] when any element does, and then it is the only one
-    last = _basis(system, nonzero, "lex")[-1]
+    last = _basis(system, nonzero)[-1]
     if any(any(m[:-1]) for m in last):
         return None
     g = _in_qt({m[-1]: c for m, c in last.items()})
-    if _integral(system):
-        g = QPoly(primitive_integer_vector(g.coeffs))
-    return g
+    return g if _integral(system) else g.monic()
 
 
 def _vertex_gcd(conditions: list) -> QPoly:
@@ -368,16 +354,14 @@ def _persistent_vertex_eliminant(coeff_at: dict, names: str) -> Optional[QPoly]:
             and min(start[0], end[0]) <= a <= max(start[0], end[0])
             for e, c in coefficient.items()
         }
-        system = [face, _euler(face, 0), _euler(face, 1)]
-        if any(m[2] for m in face):
-            eliminant = _eliminant(system, names)
-            if eliminant is None:
-                return None
-            result *= eliminant
-        # the face is free of t: unless its basis is the unit ideal, of
-        # (u, *names), it is critical somewhere on the torus for every t
-        elif _basis(system, names, "grevlex") != [{(0, 0, 0): 1}]:
+        # a face free of t is critical on the torus for every t unless its
+        # ideal is the unit ideal; on admitted input it is a binomial, which
+        # never is critical there (k[3] != 0 rules out a third collinear
+        # monomial free of t)
+        eliminant = _eliminant([face, _euler(face, 0), _euler(face, 1)], names)
+        if eliminant is None:
             return None
+        result *= eliminant
     return result
 
 

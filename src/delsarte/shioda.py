@@ -63,19 +63,13 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import ValidationError, VerificationError
 
 if TYPE_CHECKING:
     from .exact import Adjugate
-
-# ``is_prime`` accepts n < MAX_P.  Miller-Rabin with the first twelve primes
-# as witnesses decides primality exactly below 3.18 * 10**23 (Sorenson and
-# Webster, Math. Comp. 86, 2017), which covers every such n.
-MAX_P = 2**64
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Largest weight 2ap of a family member.  The slice scan costs O(2ap) unit
 # scans: a cold ``picard`` takes about 0.14 s at 2ap = 9,998, and would
@@ -97,28 +91,9 @@ Numerators = tuple[int, int, int, int]
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality of an integer n < 2**64 (deterministic Miller-Rabin)."""
-    if n >= MAX_P:
-        raise ValueError(f"{n} is outside the range decided exactly")
-    if n < 2:
-        return False
-    for w in _WITNESSES:
-        if n % w == 0:
-            return n == w
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for w in _WITNESSES:
-        x = pow(w, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Whether the integer n is prime, by trial division up to its square
+    root: ``FamilyParams`` asks only about p <= MAX_WEIGHT / 2."""
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _readable(numerators: Sequence[int], d: int) -> str:
@@ -134,7 +109,7 @@ class FamilyParams:
     def __init__(self, p: int, a: int) -> None:
         if a < 1:
             raise ValidationError(f"a = {a} must be positive")
-        # the one range check; it also keeps p below MAX_P for is_prime
+        # the weight bound goes first: it keeps p small for trial division
         if 2 * a * p > MAX_WEIGHT:
             raise ValidationError(f"2ap = {2 * a * p} must be at most {MAX_WEIGHT}")
         if not (p % 2 == 1 and is_prime(p)):
@@ -343,12 +318,6 @@ def lefschetz_number(adjugate: Adjugate) -> int:
 
 def family_L0_count(params: FamilyParams) -> int:
     return (params.p - 1) * (params.weight - 2)
-
-
-def picard_family(params: FamilyParams) -> int:
-    """rho of the desingularized family member: 2 plus the number of L0
-    characters outside Lambda (``family_report``'s ``rho_tilde``)."""
-    return family_report(params).rho_tilde
 
 
 def excluded_fractions(params: FamilyParams) -> set[Fraction]:

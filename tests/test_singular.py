@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -32,6 +33,7 @@ from corpus import (
 from delsarte import oracle as oracle_module
 from delsarte.analysis import analyze
 from delsarte.errors import ValidationError
+from delsarte.exact import T
 from delsarte.model import validate_surface
 from delsarte.oracle import (
     _at,
@@ -40,6 +42,7 @@ from delsarte.oracle import (
     _eliminant,
     _euler,
     _family,
+    _persistent_vertex_eliminant,
     discriminant_oracle,
     oracle_matches_locus,
 )
@@ -240,13 +243,13 @@ def test_oracle_builds_no_sympy_expression(monkeypatch):
 
 
 def recorded_bases(monkeypatch, planes) -> list:
-    """(system, nonzero, order, basis) of every ``_basis`` call that
+    """(system, nonzero, basis) of every ``_basis`` call that
     ``discriminant_oracle`` makes on ``planes``."""
     calls = []
 
-    def recording_basis(system, nonzero, order):
-        basis = _basis(system, nonzero, order)
-        calls.append((system, nonzero, order, basis))
+    def recording_basis(system, nonzero):
+        basis = _basis(system, nonzero)
+        calls.append((system, nonzero, basis))
         return basis
 
     monkeypatch.setattr(oracle_module, "_basis", recording_basis)
@@ -256,30 +259,31 @@ def recorded_bases(monkeypatch, planes) -> list:
     return calls
 
 
-UNIT_IDEAL = {"lex": {(0, 0, 0, 0): 1}, "grevlex": {(0, 0, 0): 1}}
+UNIT_IDEAL = {(0, 0, 0, 0): 1}
 
 
 @pytest.mark.parametrize("seed", [3, 7])
 def test_basis_is_sympys_reduced_basis(monkeypatch, seed):
     # every system the oracle builds, on the torus, the punctured lines and
-    # the Newton faces of a persistent vertex (in lex) and in the feasibility
-    # check of a face free of t (in grevlex), has sympy's reduced basis; a
-    # system free of t has it in the other order too
+    # the Newton faces of a persistent vertex, those free of t included, has
+    # sympy's reduced lex basis
     planes = [p for _, p in seeded_oracle_inputs(seed, 30)]
     calls = recorded_bases(monkeypatch, planes)
     shapes = Counter()
-    for system, nonzero, order, basis in calls:
-        assert basis == sympy_basis(system, nonzero, order), (system, nonzero, order)
-        assert all(next(iter(g.values())) == 1 for g in basis)  # monic
-        if not any(m[-1] for p in system for m in p):
-            other = "grevlex" if order == "lex" else "lex"
-            assert _basis(system, nonzero, other) == sympy_basis(system, nonzero, other)
-            shapes["free of t"] += 1
-        shapes[order, len(nonzero)] += 1
-        shapes["unit ideal"] += basis == [UNIT_IDEAL[order]]
-    # the torus and the faces have two chart variables, a line one
-    assert shapes["lex", 2] and shapes["lex", 1] and shapes["grevlex", 2], shapes
-    assert shapes["free of t"] and shapes["unit ideal"], shapes
+    for system, nonzero, basis in calls:
+        assert basis == sympy_basis(system, nonzero), (system, nonzero)
+        # primitive, with a positive leading coefficient
+        assert all(gcd(*g.values()) == 1 and g[max(g)] > 0 for g in basis)
+        free_of_t = not any(m[-1] for p in system for m in p)
+        shapes[len(nonzero)] += 1
+        shapes["free of t", len(nonzero)] += free_of_t
+        shapes["unit ideal"] += basis == [UNIT_IDEAL]
+    # the torus and the faces have two chart variables, a line one; the
+    # torus always carries t, so a system free of t with two chart
+    # variables is a Newton face free of t, the branch _eliminant answers
+    # with 1 or None
+    assert shapes[2] and shapes[1], shapes
+    assert shapes["free of t", 2] and shapes["unit ideal"], shapes
 
 
 def test_basis_on_a_zero_elimination_ideal_and_an_infeasible_system():
@@ -292,14 +296,28 @@ def test_basis_on_a_zero_elimination_ideal_and_an_infeasible_system():
         {},
     ]
     basis = [{(1, 0, 0): 1, (0, 0, 0): -1}, {(0, 1, 0): 1, (0, 0, 0): -1}]
-    assert _basis(line, "x", "lex") == basis == sympy_basis(line, "x", "lex")
+    assert _basis(line, "x") == basis == sympy_basis(line, "x")
     assert _eliminant(line, "x") is None
     # a monomial, kept off 0, generates the unit ideal
     point = [{(1, 0): Fraction(3)}]
-    for order, unit in (("lex", (0, 0, 0)), ("grevlex", (0, 0))):
-        assert _basis(point, "x", order) == [{unit: 1}]
-        assert _basis(point, "x", order) == sympy_basis(point, "x", order)
+    assert _basis(point, "x") == [{(0, 0, 0): 1}] == sympy_basis(point, "x")
     assert _eliminant(point, "x") == 1
+
+
+def test_persistent_vertex_gives_up_on_a_face_critical_for_every_t():
+    # a vertex chart's coefficients by exponent pair of x and y, each a dict
+    # keyed by the exponent of t; a face critical on the torus for every t,
+    # free of t or not, says nothing about any one fiber
+    behind_t_x3 = {(2, 0): {0: 1}, (1, 1): {0: -2}, (0, 2): {0: 1}, (3, 0): {1: 1}}
+    assert _persistent_vertex_eliminant(behind_t_x3, "xy") is None  # (x - y)^2
+    with_y3 = {(2, 0): {0: 1}, (1, 1): {1: -2}, (0, 2): {2: 1}, (0, 3): {0: 1}}
+    assert _persistent_vertex_eliminant(with_y3, "xy") is None  # (x - t y)^2
+    # a binomial face free of t is never critical on the torus
+    cusp = {(2, 0): {0: 1}, (0, 3): {0: 1}, (2, 2): {1: 1}}
+    assert _persistent_vertex_eliminant(cusp, "xy") == 1
+    # the boundary vertex t x y^2 degenerates at t = 0
+    chain = {(2, 0): {0: 1}, (1, 2): {1: 1}, (0, 5): {0: 1}}
+    assert _persistent_vertex_eliminant(chain, "xy") == T
 
 
 def plain_partials(f: dict) -> list:
@@ -316,9 +334,9 @@ def euler_partials(f: dict) -> list:
 def seeded_torus_charts(seed: int, count: int):
     """(f, f at one t) for ``count`` seeded nondegenerate surfaces of degree
     2 to 5: f is the torus chart z = 1 of the plane family, keyed by the
-    exponents of x, y and t, and the second is free of t, at a rational
-    point of the locus when it has one.  Every other draw has rational
-    coefficients."""
+    exponents of x, y and t, and the second is f at one t, free of t and
+    keyed the same with t's exponent 0, at a rational point of the locus
+    when it has one.  Every other draw has rational coefficients."""
     rng = random.Random(seed)
     charts = []
     while len(charts) < count:
@@ -340,7 +358,7 @@ def seeded_torus_charts(seed: int, count: int):
         t0 = (singular_locus(p).rational_points or (Fraction(1),))[0]
         at_t0: dict = {}
         for (a, b, e), c in f.items():
-            at_t0[a, b] = at_t0.get((a, b), 0) + c * t0**e
+            at_t0[a, b, 0] = at_t0.get((a, b, 0), 0) + c * t0**e
         charts.append((f, {m: c for m, c in at_t0.items() if c}))
     return charts
 
@@ -351,12 +369,10 @@ def test_euler_partials_generate_the_partials_ideal():
     # the reduced bases, hence the eliminants and their bytes, are equal
     singular_fibers = 0
     for f, at_t0 in seeded_torus_charts(23, 60):
-        assert _basis(euler_partials(f), "xy", "lex") == _basis(
-            plain_partials(f), "xy", "lex"
-        )
-        basis = _basis(euler_partials(at_t0), "xy", "grevlex")
-        assert basis == _basis(plain_partials(at_t0), "xy", "grevlex")
-        singular_fibers += basis != [UNIT_IDEAL["grevlex"]]
+        assert _basis(euler_partials(f), "xy") == _basis(plain_partials(f), "xy")
+        basis = _basis(euler_partials(at_t0), "xy")
+        assert basis == _basis(plain_partials(at_t0), "xy")
+        singular_fibers += basis != [UNIT_IDEAL]
     # some fibers at a locus point are singular, so not every basis is [1]
     assert singular_fibers > 0
 
@@ -367,19 +383,19 @@ def test_euler_partials_hold_on_the_newton_faces(monkeypatch):
     # its plain partials
     seen = []
 
-    def recording_basis(system, nonzero, order):
-        basis = _basis(system, nonzero, order)
+    def recording_basis(system, nonzero):
+        basis = _basis(system, nonzero)
         if len(nonzero) == 2:
-            seen.append((system, nonzero, order, basis))
+            seen.append((system, nonzero, basis))
         return basis
 
     monkeypatch.setattr(oracle_module, "_basis", recording_basis)
     _, p = minimal_and_plane([(0, 0, 0), (0, 1, 0), (3, 1, 0), (2, 1, 1)])
     discriminant_oracle(p)
     assert len(seen) >= 2  # the torus and at least one face
-    for system, nonzero, order, basis in seen:
+    for system, nonzero, basis in seen:
         assert system == euler_partials(system[0])
-        assert basis == _basis(plain_partials(system[0]), nonzero, order)
+        assert basis == _basis(plain_partials(system[0]), nonzero)
 
 
 def test_oracle_genus_zero_family_has_no_away_roots():
