@@ -101,16 +101,17 @@ def _fiber_json(place: str, fiber) -> dict:
     }
 
 
-def _verdict_json(verdict) -> dict:
+def _verdict_json(section) -> dict:
+    verdict = section.verdict
     if verdict.kind == "constant_j":
         return {"kind": verdict.kind, "j": exact.rational_to_json(verdict.j_value)}
     return {
         "kind": verdict.kind,
         "gamma": exact.rational_to_json(verdict.gamma),
         "base_change_exponent": verdict.base_change_exponent,
-        "away_type": verdict.away_fiber.symbol,
-        "at_zero": verdict.at_zero.symbol,
-        "at_infinity": verdict.at_infinity.symbol,
+        "away_type": section.away.symbol,
+        "at_zero": section.at_zero.symbol,
+        "at_infinity": section.at_infinity.symbol,
     }
 
 
@@ -133,7 +134,7 @@ def _genus_one_json(section) -> dict:
             _fiber_json(exact.format_polynomial(section.orbit.terms()), section.away),
             _fiber_json("infinity", section.at_infinity),
         ],
-        "verdict": _verdict_json(verdict),
+        "verdict": _verdict_json(section),
     }
     if verdict.kind == "base_change_gamma_lt_one":
         report["gamma"] = exact.rational_to_json(verdict.gamma)

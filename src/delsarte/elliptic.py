@@ -31,11 +31,12 @@ k <= min(v4/4, v6/6, vd/12), which in residue characteristic zero is the
 whole of Tate's algorithm.
 
 ``genus_one_section`` computes each genus-one quantity once (psi from the
-cyclic-cover form, nu from the away fiber); its verdict's gamma is ``gamma``
-of the fiber table (the away orbit as k4 places) over k4.  Its input is a
-genus-one double cover u^2 = psi(v), the one shape ``analysis.analyze``
-hands it; ``genus_one_weierstrass`` raises ValidationError on any other
-cover, a precondition for a library caller and not a verdict on the surface.
+cyclic-cover form, nu from the away fiber).  The section holds the fiber
+table; its verdict holds only k4 and gamma, which is ``gamma`` of that
+table (the away orbit as k4 places) over k4.  Its input is a genus-one
+double cover u^2 = psi(v), the one shape ``analysis.analyze`` hands it;
+``genus_one_weierstrass`` raises ValidationError on any other cover, a
+precondition for a library caller and not a verdict on the surface.
 """
 
 from __future__ import annotations
@@ -127,31 +128,16 @@ class KodairaFiber(NamedTuple):
     """A Kodaira symbol with its Euler number and conductor exponent.
 
     ``n`` is the index for I_n and I_n* and 0 otherwise; the smooth fiber is
-    I0 with (n, e, f) = (0, 0, 0).
+    I0 with (n, e, f) = (0, 0, 0).  In characteristic zero the Euler number
+    is e = v(delta_min), the valuation of the minimal discriminant (Ogg), and
+    the conductor exponent is 0 for I0, 1 for I_n (n >= 1) and 2 for every
+    additive fiber.  ``_classify_valuations`` builds every record.
     """
 
     symbol: str
     n: int
     euler: int
     conductor: int
-
-
-_ADDITIVE_EULER = {"II": 2, "III": 3, "IV": 4, "I0*": 6, "IV*": 8, "III*": 9, "II*": 10}
-
-
-def kodaira_fiber(symbol: str) -> KodairaFiber:
-    """Build a fiber record from its symbol ("I3", "I1*", "IV*", ...)."""
-    if symbol == "I0":
-        return KodairaFiber("I0", 0, 0, 0)
-    if symbol in _ADDITIVE_EULER:
-        return KodairaFiber(symbol, 0, _ADDITIVE_EULER[symbol], 2)
-    body = symbol[1:-1] if symbol.endswith("*") else symbol[1:]
-    if symbol.startswith("I") and body.isdigit() and int(body) >= 1:
-        n = int(body)
-        if symbol.endswith("*"):
-            return KodairaFiber(symbol, n, 6 + n, 2)
-        return KodairaFiber(symbol, n, n, 1)
-    raise ValidationError(f"unknown Kodaira symbol {symbol!r}")
 
 
 Place = Union[Fraction, QPoly, _Infinity]
@@ -191,6 +177,8 @@ def _valuations(inv: WeierstrassInvariants, place: Place) -> list[Valuation]:
 
 
 def _classify_valuations(v4, v6, vd) -> KodairaFiber:
+    """The fiber record of the valuations (v(c4), v(c6), v(delta)) at a
+    place, read off the minimal valuations (a, b, d); its Euler number is d."""
     # pass to the minimal model: u-substitutions shift by multiples of
     # (4, 6, 12), and vd is always finite; k <= vd // 12, so d >= 0
     k = vd // 12
@@ -202,11 +190,11 @@ def _classify_valuations(v4, v6, vd) -> KodairaFiber:
     b = v6 - 6 * k if v6 is not INFINITY else INFINITY
     d = vd - 12 * k
     if d == 0:
-        return kodaira_fiber("I0")
+        return KodairaFiber("I0", 0, 0, 0)
     if a == 0:
-        return kodaira_fiber(f"I{d}")
+        return KodairaFiber(f"I{d}", d, d, 1)
     if a == 2 and b == 3 and d >= 7:
-        return kodaira_fiber(f"I{d - 6}*")
+        return KodairaFiber(f"I{d - 6}*", d - 6, d, 2)
     table = {2: "II", 3: "III", 4: "IV", 6: "I0*", 8: "IV*", 9: "III*", 10: "II*"}
     symbol = table.get(d)
     sane = {
@@ -220,7 +208,7 @@ def _classify_valuations(v4, v6, vd) -> KodairaFiber:
     }
     if symbol is None or not sane[symbol]:
         raise AssertionError(f"no Kodaira symbol for valuations {(a, b, d)}")
-    return kodaira_fiber(symbol)
+    return KodairaFiber(symbol, 0, d, 2)
 
 
 def kodaira_type(inv: WeierstrassInvariants, place: Place) -> KodairaFiber:
@@ -329,14 +317,12 @@ class ConstantJ(NamedTuple):
 
 class BaseChangeOfGammaLessOne(NamedTuple):
     """The fibration is the degree-k4 base change of a rational elliptic
-    fibration with one away fiber and gamma < 1."""
+    fibration with one away fiber and gamma < 1; the fibers it is read off
+    are the section's."""
 
     kind = "base_change_gamma_lt_one"
     gamma: Fraction
-    away_fiber: KodairaFiber
     base_change_exponent: int
-    at_zero: KodairaFiber
-    at_infinity: KodairaFiber
 
 
 FastenbergVerdict = Union[ConstantJ, BaseChangeOfGammaLessOne]
@@ -401,8 +387,7 @@ def _j_and_verdict(
     if at_zero.n % k4 or at_infinity.n % k4:
         raise AssertionError("k4 must divide n0 and n_inf")
     quotient_gamma = gamma(at_zero, at_infinity, [(away, k4)]) / k4
-    verdict = BaseChangeOfGammaLessOne(quotient_gamma, away, k4, at_zero, at_infinity)
-    return j, verdict
+    return j, BaseChangeOfGammaLessOne(quotient_gamma, k4)
 
 
 def genus_one_section(

@@ -160,21 +160,17 @@ def _buchberger(polys: list) -> list:
     """The reduced lex Groebner basis of the ideal of ``polys``, nonzero
     integer dicts, as (lm, poly) pairs by descending leading monomial.
 
-    The steps are those of sympy's ``groebnertools._buchberger``: the input
-    is interreduced until it is stable, the pair with the least lcm of
-    leading monomials goes first, each S-polynomial is divided by the basis
-    sorted by ascending leading monomial, and the basis is reduced at the
-    end.
+    The inputs join the basis in their own order, the pair with the least
+    lcm of leading monomials goes first, and the basis is reduced at the
+    end; an element whose leading monomial another one divides reduces to 0
+    then.  A reduced basis depends only on the ideal, so no step order
+    changes the result, but one changes the cost: each S-polynomial is
+    divided by the basis sorted by ascending leading monomial, without
+    which some degree-80 inputs take over 20 times as long.
     """
     f = [_primitive(p) for p in polys]
-    while True:
-        reduced = [r for i, (_, p) in enumerate(f) if (r := _reduce(p, f[:i]))]
-        if reduced == f:
-            break
-        f = reduced
-
     basis, pairs = set(), {}
-    for i in sorted(range(len(f)), key=lambda i: f[i][0]):
+    for i in range(len(f)):
         basis = _update(f, basis, pairs, i)
     divisors = sorted((f[g] for g in basis), key=itemgetter(0))
     while pairs:

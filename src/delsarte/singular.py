@@ -29,7 +29,7 @@ fibrations three ways, by the shape of k:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import ValidationError
@@ -252,7 +252,7 @@ def superelliptic_form(
         raise AssertionError("off-line monomial cannot share the line's u-level")
 
     raw = [new_pairs[j][1] - off_v for j in line]
-    shift = max(0, ceil(-min(raw) / a)) * a
+    shift = max(0, -(min(raw) // a)) * a
     exponents = [r + shift for r in raw]
     if len(set(exponents)) != 3:
         raise AssertionError(f"cover exponents {exponents} must be distinct")

@@ -22,12 +22,12 @@ import sympy
 from sympy.abc import t
 
 from corpus import deterministic_corpus, surface_from_affine_triples
+from kodaira_oracle import kodaira_fiber
 from delsarte import cli
 from delsarte.elliptic import (
     AT_INFINITY,
     WeierstrassModel,
     gamma,
-    kodaira_fiber,
     kodaira_type,
     weierstrass_invariants,
 )

@@ -22,19 +22,21 @@ from sympy.abc import t
 
 from calls import count_calls
 from corpus import deterministic_corpus, surface_from_affine_triples, y_squared_triples
+from kodaira_oracle import ADDITIVE_EULER, kodaira_fiber
 from qt_oracle import QT, to_expr, to_ring
 from delsarte.analysis import analyze
 from delsarte.elliptic import (
     AT_INFINITY,
+    INFINITY,
     BaseChangeOfGammaLessOne,
     ConstantJ,
     KodairaFiber,
     WeierstrassModel,
+    _classify_valuations,
     _double_cover_model,
     gamma,
     genus_one_section,
     genus_one_weierstrass,
-    kodaira_fiber,
     kodaira_type,
     weierstrass_invariants,
 )
@@ -208,11 +210,25 @@ def test_fiber_table():
         fiber = kodaira_fiber(symbol)
         assert (fiber.euler, fiber.conductor, fiber.n) == (euler, 2, 0)
 
-
-def test_fiber_table_rejects_garbage():
-    for bad in ("V", "I-1", "I0**", "i2"):
-        with pytest.raises(ValidationError):
-            kodaira_fiber(bad)
+    # the package builds each record from the minimal valuations, with
+    # e = v(delta_min): every triple it accepts gives the textbook record
+    # of its symbol, which checks Ogg's formula on every type reached
+    grid = [*range(30), INFINITY]
+    reached = set()
+    for v4 in grid:
+        for v6 in grid:
+            for vd in range(40):
+                try:
+                    fiber = _classify_valuations(v4, v6, vd)
+                except AssertionError:
+                    continue
+                assert fiber == kodaira_fiber(fiber.symbol), (v4, v6, vd)
+                reached.add(fiber.symbol)
+    assert reached == {
+        *(f"I{n}" for n in range(40)),
+        *(f"I{n}*" for n in range(1, 34)),
+        *ADDITIVE_EULER,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +399,9 @@ def test_verdict_and_place_claims_are_checked_under_optimize():
         "from delsarte.analysis import analyze\n"
         "from delsarte.elliptic import (\n"
         "    WeierstrassModel, _j_and_verdict, _split,\n"
-        "    kodaira_fiber, kodaira_type, weierstrass_invariants,\n"
+        "    kodaira_type, weierstrass_invariants,\n"
         ")\n"
+        "from kodaira_oracle import kodaira_fiber\n"
         "from delsarte.exact import QPoly, T\n"
         "triples = [(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)]\n"
         "s = analyze(surface_from_affine_triples(triples)).genus_one\n"
@@ -458,10 +475,10 @@ def test_quartic_conversion():
     model = model_of([(0, 2, 0), (4, 0, 0), (1, 0, 0), (0, 0, 1)])
     inv = weierstrass_invariants(model)
     assert inv.delta == 8503056 * (256 * T**3 - 27)
-    verdict = report_of([(0, 2, 0), (4, 0, 0), (1, 0, 0), (0, 0, 1)]).genus_one.verdict
-    assert verdict.gamma == Fraction(5, 6)
-    assert verdict.base_change_exponent == 3
-    assert verdict.at_infinity.symbol == "III*"
+    section = report_of([(0, 2, 0), (4, 0, 0), (1, 0, 0), (0, 0, 1)]).genus_one
+    assert section.verdict.gamma == Fraction(5, 6)
+    assert section.verdict.base_change_exponent == 3
+    assert section.at_infinity.symbol == "III*"
 
 
 def test_square_factor_is_absorbed():
@@ -475,12 +492,12 @@ def test_odd_order_quartic_route():
     # x y^2 + x^3 + x^2 + t straightens to (xy)^2 = quartic with a simple
     # root at x = 0; this realizes the (III, I1, IV*) configuration on an
     # honest 4-monomial surface
-    verdict = report_of([(1, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]).genus_one.verdict
-    assert isinstance(verdict, BaseChangeOfGammaLessOne)
-    assert verdict.at_zero.symbol == "III"
-    assert verdict.away_fiber.symbol == "I1"
-    assert verdict.at_infinity.symbol == "IV*"
-    assert verdict.gamma == Fraction(5, 6)
+    section = report_of([(1, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]).genus_one
+    assert isinstance(section.verdict, BaseChangeOfGammaLessOne)
+    assert section.at_zero.symbol == "III"
+    assert section.away.symbol == "I1"
+    assert section.at_infinity.symbol == "IV*"
+    assert section.verdict.gamma == Fraction(5, 6)
 
 
 def test_direct_and_cyclic_cover_routes_agree():
@@ -604,12 +621,13 @@ def test_verdict_base_change_families():
         ([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)], Fraction(5, 6), 2, "II*"),
     ]
     for triples, expected_gamma, k4, inf_symbol in cases:
-        verdict = report_of(triples).genus_one.verdict
+        section = report_of(triples).genus_one
+        verdict = section.verdict
         assert isinstance(verdict, BaseChangeOfGammaLessOne)
         assert verdict.gamma == expected_gamma
         assert verdict.base_change_exponent == k4
-        assert verdict.at_infinity.symbol == inf_symbol
-        assert verdict.away_fiber.symbol == "I1"
+        assert section.at_infinity.symbol == inf_symbol
+        assert section.away.symbol == "I1"
 
 
 def test_verdict_constant_j_families():
@@ -641,12 +659,13 @@ def genus_one_double_cover(surface) -> bool:
 
 def test_verdict_gamma_below_one_on_corpus():
     for surface in deterministic_corpus(min_count=10, keep=genus_one_double_cover):
-        verdict = analyze(surface).genus_one.verdict
+        section = analyze(surface).genus_one
+        verdict = section.verdict
         assert isinstance(verdict, BaseChangeOfGammaLessOne)
         assert verdict.gamma < 1
-        assert verdict.away_fiber.conductor == 1  # multiplicative
+        assert section.away.conductor == 1  # multiplicative
         if verdict.base_change_exponent == 1:
             # no quotient: the verdict must agree with the raw formula
             assert verdict.gamma == gamma(
-                verdict.at_zero, verdict.at_infinity, [(verdict.away_fiber, 1)]
+                section.at_zero, section.at_infinity, [(section.away, 1)]
             )

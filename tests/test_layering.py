@@ -389,6 +389,34 @@ def test_no_package_module_imports_sympy():
         assert not lines, f"{name} imports sympy on lines {lines}"
 
 
+def test_no_float_in_the_package():
+    # every decision is exact: math lends only its integer functions (no
+    # ceil of a true quotient, no sqrt), and no module names float
+    for name, tree in package_trees():
+        from_math = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and node.module == "math"
+            for alias in node.names
+        }
+        from_math |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+        }
+        assert from_math <= {"gcd", "lcm", "isqrt"}, (name, sorted(from_math))
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "float"
+        ]
+        assert not lines, f"{name} names float on lines {lines}"
+
+
 def test_no_assert_statement_in_the_package():
     # checks of mathematical claims raise AssertionError, so that they hold
     # under python -O, where assert statements are stripped

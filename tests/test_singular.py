@@ -510,6 +510,29 @@ def test_trichotomy_superelliptic_after_coordinate_change():
     assert tri.generic_genus == 1
 
 
+def test_superelliptic_form_is_exact_past_float_precision():
+    # x^N y^2 + 1 + x + t x^2: the v-twist that clears negative exponents is
+    # a ceiling of N/2, which a float rounds one step short at N = 2^60 + 1
+    # and leaves a rational generic fiber; the form must not depend on N
+    forms = []
+    for n in (11, 1001, 2**60 + 1):
+        report = analyze(
+            surface_from_affine_triples([(n, 2, 0), (0, 0, 0), (1, 0, 0), (2, 0, 1)])
+        )
+        assert isinstance(report.trichotomy, Superelliptic)
+        assert report.trichotomy.generic_genus == 1
+        forms.append(report.trichotomy.form)
+        section = report.genus_one
+        fibers = (section.at_zero, section.away, section.at_infinity)
+        assert [fiber.symbol for fiber in fibers] == ["I2", "I1", "III*"]
+        assert section.verdict.gamma == Fraction(1, 2)
+    assert forms[0].cover_exponent == 2
+    assert [(e, flag) for _, e, flag in forms[0].terms] == [
+        (1, False), (2, False), (3, True),
+    ]
+    assert forms == [forms[0]] * 3
+
+
 def test_trichotomy_superelliptic_genus_two():
     m, p = minimal_and_plane([(0, 5, 0), (2, 0, 0), (1, 0, 0), (0, 0, 3)])
     tri = classify_trichotomy(m, p, singular_locus(p))
