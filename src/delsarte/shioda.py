@@ -31,22 +31,34 @@ and the member's entry sum is c + j + k = 2ap * ceil((c + j) / 2ap).  With
 lo, r = divmod(c, 2ap) (r is never 0, since 2ai = ap would make p even),
 the j below 2ap - r sit at level q = lo + 1, j = 2ap - r gives k = 0, and
 the j above sit at level lo + 2: slice i puts 2ap - r - 1 characters at
-level lo + 1 and r - 1 at level lo + 2.
+level lo + 1 and r - 1 at level lo + 2.  The same split cuts the slice
+scan in half.  On the slice i = 1, lo = 0 and r = ap + 2a: a j below
+ap - 2a has entry sum 2ap, so its fractional parts sum to 1 and t = 1
+already puts it in Lambda, and j = ap - 2a gives k = 0.  So
+``excluded_fractions`` scans only the level-2 members, j from
+ap - 2a + 1 to 2ap - 1.
 
 ``family_report`` gives every quantity ``picard`` prints.  Its recount,
-``verify_family`` (``picard --verify``), relies on neither shortcut: it
-enumerates all of L0 from the adjugate of the family's exponent matrix,
-rescans every member with the exhaustive scan and recounts the Hodge
-levels from the members' entry sums.  ``exhaustive_scan`` takes every unit
-of every member's order and never stops early, but it adds them all at
-once: for each order N it packs (t*m) mod N for every unit t into the
-lanes of one int per reduced numerator m (``_UnitLanes``), so a member's
-|U| sums are one sum of four ints, compared with 2N in every lane.  A cold
+``verify_family`` (``picard --verify``), relies on none of these
+shortcuts: it enumerates all of L0 from the adjugate of the family's
+exponent matrix, rescans every member with the exhaustive scan and
+recounts the Hodge levels from the members' entry sums.  Both per-member
+loops run on packed lanes (``_Lanes``): one int holds one value per
+lane, and one add and one masked reduction act on every lane at once.
+``enumerate_L0`` holds the group as four packed columns and closes it
+by doubling its cosets.  ``exhaustive_scan`` takes every unit of every
+member's order and never stops early, but it adds them all at once: for
+each order N it packs (t*m) mod N for every unit t into the lanes of one
+int per reduced numerator m (``_UnitLanes``), so a member's |U| sums are
+one sum of four ints, compared with 2N in every lane.  A row is built by
+doubling from the rows of m's binary prefixes, not unit by unit.  A cold
 ``picard --p 43 --a 10 --verify`` took 3.1-3.3 s with one sum per unit,
-and takes 0.24-0.39 s so, on a 2-core shared VM.  The exhaustive scan
-lists the units of each order with its own sieve (``_sieved_units``)
-rather than the early-exit scan's gcd filter (``_units``), so the two
-scans of the pair share no unit table.
+and takes 0.22-0.45 s so; ``--p 3 --a 829 --verify`` took 0.77-1.51 s
+with each row packed unit by unit, and takes 0.19-0.49 s (2-core shared
+VM).
+The exhaustive scan lists the units of each order with its own sieve
+(``_sieved_units``) rather than the early-exit scan's gcd filter
+(``_units``), so the two scans of the pair share no unit table.
 
 Input sizes are bounded: a family member needs 2ap <= MAX_WEIGHT,
 ``enumerate_L0`` counts |L| from the generators and refuses with
@@ -59,7 +71,6 @@ MAX_RECOUNT steps, |L0| * 2ap; ``family_report`` runs it once, under
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -82,9 +93,10 @@ MAX_L = 10**6
 
 # Largest |L0| * 2ap that ``verify_family`` rescans: the exhaustive scan
 # takes at most 2ap unit scalings per member of L0.  The largest member of
-# the p <= 43, a <= 10 grid, (43, 10), needs 30,990,960 steps (0.24-0.39 s
-# cold on a 2-core shared VM); the slowest admitted input found, (3, 829),
-# needs 49,461,456 (0.8-1.3 s cold); (47, 106) would need 4.57 * 10**9.
+# the p <= 43, a <= 10 grid, (43, 10), needs 30,990,960 steps (0.22-0.45 s
+# cold on a 2-core shared VM); (3, 829) needs 49,461,456 (0.19-0.49 s
+# cold); the slowest admitted input found, (229, 1), the largest L0, needs
+# 47,617,344 (0.49-1.12 s cold); (47, 106) would need 4.57 * 10**9.
 MAX_RECOUNT = 5 * 10**7
 
 Numerators = tuple[int, int, int, int]
@@ -188,29 +200,99 @@ def group_order(d: int, generators: Sequence[Numerators]) -> int:
     return d**4 // index
 
 
+class _Lanes:
+    """``count`` lanes of w bits packed into one int, for values reduced
+    modulo ``modulus``: w = 16 when ``largest``, the largest value a lane
+    will hold, fits in 16 bits, else 64 (callers keep it below 2^64).
+    ``ones`` holds 1 in every lane.
+
+    A lane-wise add or shift never carries into the next lane while every
+    lane stays at most ``largest``.  ``reduce`` subtracts the modulus N
+    from every lane that reached it, so lanes in [0, 2N) come back in
+    [0, N) when 2N - 2 <= ``largest``: it adds 2^(w-1) - N to every lane,
+    keeps each lane's top bit and subtracts that bit times N.  ``pack`` and
+    ``unpack`` go through the bytes of an ``array`` in the host's byte
+    order, so they read the lanes in one order on any host.
+    """
+
+    __slots__ = ("count", "modulus", "width", "ones", "_empty", "_top", "_bias")
+
+    def __init__(self, count: int, modulus: int, largest: int) -> None:
+        from array import array  # only the matrix route needs it
+
+        self.count = count
+        self.modulus = modulus
+        self._empty = array("H" if largest <= 0xFFFF else "Q")
+        self.width = width = 8 * self._empty.itemsize
+        self.ones = ((1 << width * count) - 1) // ((1 << width) - 1)
+        self._top = self.ones << (width - 1)  # the top bit of every lane
+        self._bias = ((1 << (width - 1)) - modulus) * self.ones
+
+    def pack(self, values: Sequence[int]) -> int:
+        lanes = self._empty[:0]
+        lanes.fromlist(list(values))
+        return int.from_bytes(lanes.tobytes(), sys.byteorder)
+
+    def unpack(self, packed: int) -> Sequence[int]:
+        lanes = self._empty[:0]
+        lanes.frombytes(packed.to_bytes(self.count * lanes.itemsize, sys.byteorder))
+        return lanes
+
+    def _reached(self, packed: int, bias: int) -> int:
+        # 1 in every lane that reaches its top bit once its lane of ``bias``,
+        # 2^(w-1) - b for a bound b, is added, that is every lane >= b; else 0
+        return ((packed + bias) & self._top) >> (self.width - 1)
+
+    def reduce(self, packed: int) -> int:
+        return packed - self._reached(packed, self._bias) * self.modulus
+
+    def nonzero(self, packed: int) -> int:
+        """1 in every lane of ``packed`` that is not 0, else 0."""
+        return self._reached(packed, self._top - self.ones)
+
+
 def enumerate_L0(d: int, generators: Sequence[Numerators]) -> frozenset[Numerators]:
     """All-nonzero members of the subgroup generated by ``generators``, as
     numerators over ``d``.
 
     Raises ValidationError when ``group_order`` counts more than MAX_L
-    members, before any is built.  The group is closed one generator g at a
-    time: the cosets H + g, H + 2g, ... of the group H so far are added until
-    a multiple of g lands in H, so the work is O(|L|) rather than the product
-    of the orders.  The members are held as four columns of numerators.
+    members, before any is built.  The members are held as four packed
+    columns (``_Lanes``), one int per coordinate with one lane per member.
+    The group is closed one generator g at a time: the group H so far and
+    its cosets H + g, H + 2g, ... make the next group, which holds
+    ``group_order`` of the generators so far members, so there are that
+    order over |H| cosets.  They come by doubling: when the columns hold
+    the cosets H + mg for m < f, adding fg to every lane (one add and one
+    reduction per column) gives those for f <= m < 2f.  So the work is
+    O(|L|) big-integer work in O(log |L|) steps, rather than the product of
+    the generators' orders, and the members with no zero entry are read
+    through a packed mask.  A lane holds up to 2d - 2, so d stays below
+    2^63; from ``shioda_vectors`` d is the lcm of the generators' orders,
+    which divides |L| <= MAX_L.
     """
-    if group_order(d, generators) > MAX_L:
+    size = group_order(d, generators)
+    if size > MAX_L:
         raise ValidationError(f"the character group has more than {MAX_L} members")
-    columns: list[list[int]] = [[0], [0], [0], [0]]
-    for g in generators:
-        subgroup = set(zip(*columns))
-        coset = [list(column) for column in columns]
-        multiple = g
-        while multiple not in subgroup:
-            coset = [[(x + c) % d for x in column] for column, c in zip(coset, g)]
-            for column, added in zip(columns, coset):
-                column.extend(added)
-            multiple = tuple((x + c) % d for x, c in zip(multiple, g))
-    return frozenset(n for n in zip(*columns) if 0 not in n)
+    columns, count = [0, 0, 0, 0], 1  # H = {0}
+    for i, g in enumerate(generators):
+        cosets = group_order(d, generators[: i + 1]) // count
+        filled = 1  # the columns hold the cosets H + mg, m < filled
+        while filled < cosets:
+            lanes = _Lanes(count * filled, d, 2 * d - 2)
+            added = (1 << count * min(filled, cosets - filled) * lanes.width) - 1
+            columns = [
+                x | (lanes.reduce(x + filled * c % d * lanes.ones) & added)
+                << count * filled * lanes.width
+                for x, c in zip(columns, g)
+            ]
+            filled = min(2 * filled, cosets)
+        count *= cosets
+    lanes = _Lanes(size, d, 2 * d - 2)
+    n1, n2, n3, n4 = columns
+    mask = lanes.nonzero(n1) & lanes.nonzero(n2) & lanes.nonzero(n3) & lanes.nonzero(n4)
+    return frozenset(
+        compress(zip(*(lanes.unpack(column) for column in columns)), lanes.unpack(mask))
+    )
 
 
 @lru_cache(maxsize=256)
@@ -263,30 +345,33 @@ def _sieved_units(order: int) -> tuple[int, ...]:
 class _UnitLanes(dict):
     """The units of one order N in packed lanes, one lane per unit t of
     ``_sieved_units(N)``: ``self[m]`` is one int that holds (t*m) mod N in
-    every lane, built on first use, and ``full`` holds 2N in every lane.
+    every lane, and ``full`` holds 2N in every lane.
 
-    A lane is 16 bits when 4N fits in one, else 64.  The sum of four rows
-    is below 4N in every lane, so no carry crosses a lane.  Rows are packed
-    through the bytes of an ``array`` in the host's byte order.
+    A sum of four rows is at most 4(N - 1) in every lane, which sets the
+    lane width (``_Lanes``).  A row is built on first use by doubling: with
+    low = m & -m, row(m) is row(m - low) + row(low), a power of two is its
+    half doubled and row(1) packs the units, and one reduction brings every
+    lane back below N.  So only the rows asked for, their binary prefixes
+    and the powers of two are built, O(log N) rows per row asked for.
     """
 
     def __init__(self, order: int) -> None:
         super().__init__()
-        from array import array  # only the exhaustive scan needs it
-
         self.order = order
         self.units = _sieved_units(order)
-        self._empty = array("H" if 4 * order <= 0xFFFF else "Q")  # lane width
-        self.full = self._pack([2 * order] * len(self.units))
-
-    def _pack(self, values: list[int]) -> int:
-        lanes = self._empty[:0]
-        lanes.fromlist(values)
-        return int.from_bytes(lanes.tobytes(), sys.byteorder)
+        self.lanes = _Lanes(len(self.units), order, 4 * order - 4)
+        self.full = 2 * order * self.lanes.ones
+        self[0] = 0
 
     def __missing__(self, m: int) -> int:
-        order = self.order
-        row = self[m] = self._pack([t * m % order for t in self.units])
+        low = m & -m
+        if m != low:
+            row = self[m - low] + self[low]
+        elif m > 1:
+            row = self[m >> 1] << 1
+        else:
+            row = self.lanes.pack(self.units)
+        row = self[m] = self.lanes.reduce(row)
         return row
 
 
@@ -321,16 +406,19 @@ def family_L0_count(params: FamilyParams) -> int:
 
 
 def excluded_fractions(params: FamilyParams) -> set[Fraction]:
-    """Brute force, on the slice i = 1, of the j-fractions outside Lambda."""
+    """Brute force, on the slice i = 1, of the j-fractions outside Lambda.
+
+    Only the level-2 members are scanned, j from ap - 2a + 1 to 2ap - 1
+    with k = 4ap - c - j, c = ap + 2a: a smaller j has entry sum 2ap, so
+    t = 1 puts it in Lambda, and j = ap - 2a gives k = 0 (see the module
+    docstring)."""
     a, p, d = params.a, params.p, params.weight
-    out: set[Fraction] = set()
-    for j in range(1, d):
-        k = -(a * p + 2 * a + j) % d
-        if k == 0:
-            continue
-        if lambda_membership((a * p, 2 * a, j, k), d) is None:
-            out.add(Fraction(j, d))
-    return out
+    c = a * p + 2 * a
+    return {
+        Fraction(j, d)
+        for j in range(d - c + 1, d)
+        if lambda_membership((a * p, 2 * a, j, 2 * d - c - j), d) is None
+    }
 
 
 def gs_hodge_counts(params: FamilyParams) -> tuple[int, int, int]:
@@ -415,6 +503,7 @@ def verify_family(
     if len(members) != L0_count:
         raise VerificationError(f"L0 size {len(members)} != direct count {L0_count}")
     slow_lam = 0
+    levels = [0, 0, 0, 0]  # members by entry sum q = 0, 1, 2, 3 over d
     tables: dict[int, _UnitLanes] = {}  # each order's packed rows, for this call
     for n in members:
         rows, sums = exhaustive_scan(n, d, tables)
@@ -422,10 +511,11 @@ def verify_family(
         if slow != (lambda_membership(n, d) is not None):
             raise VerificationError(f"scan disagreement at {_readable(n, d)}")
         slow_lam += slow
+        if hodge is not None:
+            levels[sum(n) // d] += 1
     if slow_lam != lam:
         raise VerificationError(f"lambda {slow_lam} != {lam}")
     if hodge is not None:
-        levels = Counter(sum(n) // d for n in members)
         for (q, name), count in zip(HODGE_LEVELS.items(), hodge):
             if levels[q] != count:
                 raise VerificationError(f"{name} {levels[q]} != {count}")

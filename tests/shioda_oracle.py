@@ -13,19 +13,22 @@ by coset or counting it from an echelon form, ``enumerate_L0_product`` keeps
 its all-nonzero members, and ``lefschetz_by_fractions`` counts L0 ∩ Lambda
 on that list with a ``Fraction`` scan.
 
-``exhaustive_sums`` is the one helper that runs the package: it reads the
+Three helpers run part of the package.  ``exhaustive_sums`` reads the
 packed sum of ``shioda.exhaustive_scan``, the kernel ``picard --verify``
 compares, lane by lane, so that the tests can hold each lane against
-``fraction_exhaustive_sums``.
+``fraction_exhaustive_sums``.  ``unit_row`` is the row that kernel packs,
+one product per unit of its own unit set, against which the rows it builds
+by doubling are held.  ``excluded_fractions_all_j`` is the slice scan over
+every j of the slice, with the package's early-exit scan, against which
+the scan of its level-2 members only is held.
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from delsarte.shioda import exhaustive_scan
+from delsarte.shioda import _sieved_units, exhaustive_scan, lambda_membership
 
 
 def character(values) -> tuple[tuple[int, ...], int]:
@@ -81,9 +84,13 @@ def exhaustive_sums(numerators, d: int, tables=None) -> dict[int, int]:
     """
     tables = {} if tables is None else tables
     rows, packed = exhaustive_scan(numerators, d, tables)
-    lanes = rows._empty[:0]  # an empty array of the lane width
-    lanes.frombytes(packed.to_bytes(len(rows.units) * lanes.itemsize, sys.byteorder))
-    return {t: s // rows.order for t, s in zip(rows.units, lanes.tolist())}
+    return {t: s // rows.order for t, s in zip(rows.units, rows.lanes.unpack(packed))}
+
+
+def unit_row(order: int, m: int) -> list[int]:
+    """(t*m) mod N for every unit t of the exhaustive scan's own unit set,
+    one product at a time: the row that ``shioda._UnitLanes`` packs."""
+    return [t * m % order for t in _sieved_units(order)]
 
 
 def _outside_lambda(numerators, d: int) -> bool:
@@ -104,6 +111,18 @@ def _family_members(p: int, a: int):
             k = -(a * p + 2 * a * i + j) % d
             if k:
                 yield (a * p, 2 * a * i, j, k)
+
+
+def excluded_fractions_all_j(p: int, a: int) -> set[Fraction]:
+    """The j-fractions of the slice (ap, 2a, j, k)/2ap outside Lambda, by the
+    early-exit scan over every j with k != 0, not only the level-2 ones."""
+    d = 2 * a * p
+    out = set()
+    for j in range(1, d):
+        k = -(a * p + 2 * a + j) % d
+        if k and lambda_membership((a * p, 2 * a, j, k), d) is None:
+            out.add(Fraction(j, d))
+    return out
 
 
 def picard_family_all_vectors(p: int, a: int) -> int:

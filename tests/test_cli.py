@@ -360,13 +360,26 @@ def test_picard_past_the_weight_bound_exits_3_at_once(capsys):
 
 
 def test_picard_verify_on_the_worst_admitted_input(capsys):
-    # of the 1,885 admitted (p, a), the slowest recount found: |L0| * 2ap =
-    # 9,944 * 4,974 = 49,461,456 steps, just inside the bound, over orders
-    # up to 4,974 with 1,656 units; it took 0.8-1.3 s cold
+    # of the 1,885 admitted (p, a), the slowest recount found while each
+    # unit row was packed unit by unit: |L0| * 2ap = 9,944 * 4,974 =
+    # 49,461,456 steps, just inside the bound, over orders up to 4,974 with
+    # 1,656 units; it took 0.77-1.51 s cold then, and 0.19-0.49 s with the
+    # rows built by doubling (2-core shared VM)
     start = time.perf_counter()
     record = run_json(capsys, "picard", "--p", "3", "--a", "829", "--verify")
     elapsed = time.perf_counter() - start
     assert record["verify"] == {"status": "match", "vectors_checked": 9944}
+    assert elapsed < 2.0
+
+
+def test_picard_verify_on_the_largest_admitted_L0(capsys):
+    # with the rows built by doubling, the recount's cost follows |L0|, and
+    # the slowest admitted (p, a) found is the one with the largest L0:
+    # 103,968 members over 2ap = 458, 47,617,344 steps; 0.49-1.12 s cold
+    start = time.perf_counter()
+    record = run_json(capsys, "picard", "--p", "229", "--a", "1", "--verify")
+    elapsed = time.perf_counter() - start
+    assert record["verify"] == {"status": "match", "vectors_checked": 103968}
     assert elapsed < 2.0
 
 

@@ -42,6 +42,7 @@ from shioda_oracle import (
     character,
     entries,
     enumerate_L0_product,
+    excluded_fractions_all_j,
     exhaustive_sums,
     frac_part,
     fraction_exhaustive_sums,
@@ -51,6 +52,7 @@ from shioda_oracle import (
     lefschetz_by_fractions,
     order,
     picard_family_all_vectors,
+    unit_row,
 )
 
 
@@ -183,6 +185,30 @@ def test_L0_refuses_past_the_bound_before_any_coset():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_L0_closure_across_the_lane_width_switch():
+    # hand-built generators around the switch of the closure's lanes from 16
+    # bits (a coset's sum, at most 2d - 2, fits in 16) to 64: at d = 32,771 a
+    # 16-bit lane would carry into its neighbour.  Each group has members
+    # with zero entries: 187 multiples of (7, 31, 151, -189) at 32,767 =
+    # 7 * 31 * 151, three members at 32,768, and at the prime 32,771 the
+    # identity, or every member when a generator entry is 0.  The product
+    # loop takes every combination of the generators' multiples, so the
+    # other generators are 0.
+    zero = (0, 0, 0, 0)
+    cases = [
+        (32767, ((7, 31, 151, 32767 - 189), zero, zero)),
+        (32768, ((1, 3, 5, 32768 - 9), (16384, 16384, 0, 0), zero)),
+        (32771, (zero, (1, 2, 3, 32771 - 6), zero)),
+        (32771, ((1, 2, 0, 32771 - 3), zero, zero)),
+    ]
+    sizes = []
+    for d, generators in cases:
+        closure = enumerate_L0(d, generators)
+        assert closure == enumerate_L0_product(d, generators), d
+        sizes.append((len(group_product(d, generators)), len(closure)))
+    assert sizes == [(32767, 32580), (65536, 65533), (32771, 32770), (32771, 0)]
 
 
 def random_matrices() -> list:
@@ -348,7 +374,7 @@ def test_exhaustive_sums_match_the_fraction_scan_off_L0():
 
 def test_exhaustive_sums_across_the_lane_width_switch():
     # Seeded characters of order d with an integer entry sum, around the
-    # switch from 16-bit lanes (4d <= 0xFFFF) to 64-bit ones and past
+    # switch from 16-bit lanes (4(d - 1) <= 0xFFFF) to 64-bit ones and past
     # MAX_WEIGHT.  A lane holds sums up to 3d, so a 16-bit lane at d = 32749
     # would carry into its neighbour and show as a wrong sum, not a crash.
     # The integer reference checks every draw; the Fraction one, which ties
@@ -364,6 +390,21 @@ def test_exhaustive_sums_across_the_lane_width_switch():
         if d == 16383:
             assert sums == fraction_exhaustive_sums(entries(numerators, d))
         assert set(sums.values()) <= {1, 2, 3}
+
+
+def test_unit_rows_by_doubling_match_the_direct_rows():
+    # every row of three orders, then seeded rows at 4,974, the largest order
+    # of (3, 829), and at 16,385, where the 64-bit lanes start; only the rows
+    # asked for, their binary prefixes and the powers of two are built
+    rng = random.Random(1657)
+    for order in (26, 52, 860, 4974, 16385):
+        rows = shioda._UnitLanes(order)
+        assert rows.lanes.width == (64 if order == 16385 else 16), order
+        asked = range(order) if order <= 860 else rng.sample(range(order), 12)
+        for m in asked:
+            assert list(rows.lanes.unpack(rows[m])) == unit_row(order, m), (order, m)
+        if order > 860:
+            assert len(rows) <= 1 + (len(asked) + 1) * order.bit_length(), order
 
 
 def test_exhaustive_scan_keeps_its_own_unit_set(monkeypatch):
@@ -498,6 +539,19 @@ def test_excluded_fractions_small_prime_is_larger():
     assert excluded_fractions(FamilyParams(5, 2)) > lemexcl_set(5)
     assert excluded_fractions(FamilyParams(5, 6)) > lemexcl_set(5)
     assert excluded_fractions(FamilyParams(7, 3)) > lemexcl_set(7)
+
+
+def test_slice_scan_skips_only_members_in_Lambda_at_t_1():
+    # the slice scan starts at j = ap - 2a + 1: every j below it with k != 0
+    # is a level-1 member, so t = 1 puts it in Lambda, and the scan finds the
+    # same fractions as the early-exit scan over every j of the slice
+    grid = [(p, a) for p in range(3, 44) if is_prime(p) for a in range(1, 11)]
+    for p, a in grid:
+        d = 2 * a * p
+        for j in range(1, a * p - 2 * a + 1):
+            k = -(a * p + 2 * a + j) % d
+            assert k == 0 or lambda_membership((a * p, 2 * a, j, k), d) == 1, (p, a, j)
+        assert excluded_fractions(FamilyParams(p, a)) == excluded_fractions_all_j(p, a)
 
 
 def test_out_of_lambda_spread_evenly_over_slices():
