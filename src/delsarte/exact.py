@@ -9,8 +9,10 @@ exact machinery the rest of the code leans on:
   ``t^k = c``);
 * integer linear algebra for exponent matrices: the determinant and
   adjugate of a 4x4 matrix and the left kernel of a 4x3 one, both from 3x3
-  cofactors (fraction-free, so there is no pivoting nondeterminism), and a
-  right-kernel basis for singular matrices;
+  cofactors (fraction-free, so there is no pivoting nondeterminism), and
+  ``hermite``, the Hermite normal form with its unimodular transform, the
+  one echelon routine: integer kernels, Bezout pairs and the orders of the
+  character groups all come from it;
 * ``QPoly``, a polynomial in t over Q with the few operations the genus-one
   section and the ``--verify`` oracle need, and ``primitive_quotient``,
   which scales a quotient already in lowest terms to integer coefficients
@@ -147,7 +149,8 @@ def primitive_integer_vector(v: Sequence[RationalLike]) -> tuple[int, ...]:
 # Integer exponent matrices
 # ---------------------------------------------------------------------------
 
-Adjugate = tuple[int, tuple[tuple[int, ...], ...]]  # (det A, rows of adj A)
+Matrix = tuple[tuple[int, ...], ...]  # integer rows
+Adjugate = tuple[int, Matrix]  # (det A, rows of adj A)
 
 
 # the indices 0..3 but one, in order: _OMIT[i] leaves out i
@@ -181,35 +184,40 @@ def adjugate(rows: Sequence[Sequence[int]]) -> Adjugate:
     return det, tuple(map(tuple, adj))
 
 
-def nullspace_basis(rows: Sequence[Sequence[int]]) -> list[tuple[Fraction, ...]]:
-    """A basis of the right kernel {v : rows . v = 0}, one vector per free
-    column of the reduced row echelon form (deterministic)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    ncols = len(m[0])
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        pivot_row = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot_row is None:
+def hermite(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
+    """``(H, U)``: the Hermite normal form H of an integer matrix and a
+    unimodular U with ``U . rows = H`` (Cohen, GTM 138, section 2.4).
+
+    H is in row echelon form with its zero rows last, each pivot positive
+    and the entries above it in [0, pivot).  Column by column, Euclid's
+    algorithm with floor quotients folds every row below the pivots so far
+    into the first of them.  So the rows of U past the rank span the left
+    kernel, and on one column (a, b) the first row of U is the Bezout pair
+    of the extended Euclid algorithm.
+    """
+    width, m = (len(rows[0]) if rows else 0), len(rows)
+    # each row carries its row of U, the identity at first
+    h = [[*r, *(0,) * i, 1, *(0,) * (m - 1 - i)] for i, r in enumerate(rows)]
+    rank = 0
+    for col in range(width):
+        if rank == m:
+            break
+        pivot = h[rank]
+        for i in range(rank + 1, m):
+            row = h[i]
+            while row[col]:
+                q = pivot[col] // row[col]
+                pivot, row = row, [x - q * y for x, y in zip(pivot, row)]
+            h[i] = row
+        if not pivot[col]:  # the column is 0 below the pivots found
             continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, pc in enumerate(pivots):
-            v[pc] = -m[row][free]
-        basis.append(tuple(v))
-    return basis
+        h[rank] = pivot = pivot if pivot[col] > 0 else [-x for x in pivot]
+        for i in range(rank):
+            q = h[i][col] // pivot[col]
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], pivot)]
+        rank += 1
+    return tuple(tuple(r[:width]) for r in h), tuple(tuple(r[width:]) for r in h)
 
 
 def left_kernel_normalized(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:

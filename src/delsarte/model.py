@@ -93,7 +93,8 @@ def validate_surface(
     Rejected inputs: anything not 4x4; negative or non-integer exponents;
     unequal row sums; duplicate rows (the defining polynomial would have
     fewer than four terms); a variable dividing every monomial (the surface
-    would be reducible); zero coefficients.
+    would be reducible); coefficients that are not an ``int`` or a
+    ``Fraction`` (a float or a bool); zero coefficients.
     """
     if (
         not isinstance(rows, (list, tuple))
@@ -126,8 +127,10 @@ def validate_surface(
     if coefficients is None:
         coeffs = (Fraction(1),) * 4
     else:
-        if len(coefficients) != 4:
+        if not isinstance(coefficients, (list, tuple)) or len(coefficients) != 4:
             raise ValidationError("need exactly 4 coefficients")
+        if not all(type(c) in (int, Fraction) for c in coefficients):  # no bool
+            raise ValidationError(f"coefficients must be rational: {coefficients!r}")
         coeffs = tuple(Fraction(c) for c in coefficients)
         if any(c == 0 for c in coeffs):
             raise ValidationError("coefficients must be nonzero")

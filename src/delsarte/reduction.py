@@ -27,11 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import ValidationError
-from .exact import (
-    left_kernel_normalized,
-    nullspace_basis,
-    primitive_integer_vector,
-)
+from .exact import hermite, left_kernel_normalized, primitive_integer_vector
 from .model import (
     AffineEquation,
     BaseChangeRecord,
@@ -69,31 +65,29 @@ def classify_degenerate(surface: DelsarteSurface) -> DegenerateVerdict:
     vector u is never proportional to all-ones, and v = u - u[3]*(1,1,1,1)
     is a nonzero vector with last coordinate 0 mapped into the all-ones
     line.  Its first three coordinates are the substitution direction.
+    A kernel vector with u[2] == u[3] gives c = 0 (rational fibers); the
+    c-functional is linear, so a kernel of dimension >= 2 always has one,
+    and a kernel without one is a line.
     """
     if surface.determinant() != 0:
         raise ValidationError("exponent matrix is nonsingular; nothing to classify")
-    basis = nullspace_basis(surface.rows)
+    rational = _right_kernel(surface.rows + ((0, 0, 1, -1),))
+    if rational:
+        return DegenerateVerdict(RATIONAL_FIBERS, _shifted_direction(rational[0]), None)
 
-    # prefer a kernel vector with u[2] == u[3] (then c = 0: rational fibers);
-    # the c-functional is linear, so on a kernel of dimension >= 2 it always
-    # has a nonzero root
-    witness = None
-    for u in basis:
-        if u[2] == u[3]:
-            witness = u
-            break
-    if witness is None and len(basis) >= 2:
-        u1, u2 = basis[0], basis[1]
-        c1, c2 = u1[2] - u1[3], u2[2] - u2[3]
-        witness = tuple(c2 * a - c1 * b for a, b in zip(u1, u2))
-    if witness is not None:
-        v = _shifted_direction(witness)
-        return DegenerateVerdict(RATIONAL_FIBERS, v, None)
-
-    v = _shifted_direction(basis[0])
+    v = _shifted_direction(_right_kernel(surface.rows)[0])
     if v[2] == 0:  # raised, not asserted: the checks here hold under -O too
         raise AssertionError("a splitting direction must move t")
     return DegenerateVerdict(SPLITS_AFTER_BASE_CHANGE, v, abs(v[2]))
+
+
+def _right_kernel(rows) -> list[tuple[int, ...]]:
+    """The Hermite basis of the integer right kernel {u : rows . u = 0}: the
+    rows of the Hermite form of [rows^T | I] whose first part is zero."""
+    n, width = len(rows), len(rows[0])
+    identity = [[int(i == j) for j in range(width)] for i in range(width)]
+    h, _ = hermite([[*c, *e] for c, e in zip(zip(*rows), identity)])
+    return [row[n:] for row in h if not any(row[:n])]
 
 
 def _shifted_direction(u) -> tuple[int, int, int]:

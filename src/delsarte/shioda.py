@@ -176,28 +176,24 @@ def shioda_vectors(adjugate: Adjugate) -> tuple[int, tuple[Numerators, ...]]:
     return d, tuple(tuple(n // (m // d) for n in row) for row in rows)
 
 
-def group_order(d: int, generators: Sequence[Numerators]) -> int:
-    """|L| for the subgroup L of (Z/d)^4 generated by ``generators``.
+def prefix_orders(d: int, generators: Sequence[Numerators]) -> list[int]:
+    """``[|H_0|, |H_1|, ...]``: the orders of the subgroups H_i of (Z/d)^4
+    that the first i ``generators`` span, H_0 = {0} first.
 
-    L is the lattice the generators span together with d Z^4, taken modulo
-    d Z^4, so |L| = d^4 / [Z^4 : lattice].  The index is the product of the
-    pivots of an echelon form: column by column, Euclid's algorithm folds
-    every row into one pivot row that starts as d e_col, which the lattice
-    holds, and the other rows, now 0 in that column, are reduced mod d.
+    H_i is the lattice of the first i generators and d Z^4, modulo d Z^4,
+    so |H_i| is d^4 over the product of the diagonal of the lattice's
+    Hermite normal form: that of the four rows of H_(i-1)'s, from d I, and
+    the i-th generator.
     """
-    rows = [list(g) for g in generators]
-    index = 1
-    for col in range(4):
-        pivot = [d * (j == col) for j in range(4)]
-        rest = []
-        for row in rows:
-            while row[col]:
-                q = pivot[col] // row[col]
-                pivot, row = row, [p - q * r for p, r in zip(pivot, row)]
-            rest.append([x % d for x in row])
-        index *= abs(pivot[col])
-        rows = rest
-    return d**4 // index
+    from .exact import hermite  # only the matrix route needs it
+
+    basis = [[d * (i == j) for j in range(4)] for i in range(4)]
+    orders = [1]
+    for g in generators:
+        h, _ = hermite([*basis, g])
+        basis = h[:4]
+        orders.append(d**4 // (h[0][0] * h[1][1] * h[2][2] * h[3][3]))
+    return orders
 
 
 class _Lanes:
@@ -255,27 +251,28 @@ def enumerate_L0(d: int, generators: Sequence[Numerators]) -> frozenset[Numerato
     """All-nonzero members of the subgroup generated by ``generators``, as
     numerators over ``d``.
 
-    Raises ValidationError when ``group_order`` counts more than MAX_L
-    members, before any is built.  The members are held as four packed
-    columns (``_Lanes``), one int per coordinate with one lane per member.
-    The group is closed one generator g at a time: the group H so far and
-    its cosets H + g, H + 2g, ... make the next group, which holds
-    ``group_order`` of the generators so far members, so there are that
-    order over |H| cosets.  They come by doubling: when the columns hold
-    the cosets H + mg for m < f, adding fg to every lane (one add and one
-    reduction per column) gives those for f <= m < 2f.  So the work is
-    O(|L|) big-integer work in O(log |L|) steps, rather than the product of
-    the generators' orders, and the members with no zero entry are read
-    through a packed mask.  A lane holds up to 2d - 2, so d stays below
-    2^63; from ``shioda_vectors`` d is the lcm of the generators' orders,
-    which divides |L| <= MAX_L.
+    ``prefix_orders`` counts the groups the generators span, one prefix
+    at a time; the last one is L, and when it has more than MAX_L members
+    this raises ValidationError before any is built.  The members are held
+    as four packed columns (``_Lanes``), one int per coordinate with one
+    lane per member.  The group is closed one generator g at a time: the
+    group H so far and its cosets H + g, H + 2g, ... make the next group,
+    so there are its order over |H| cosets.  They come by doubling: when
+    the columns hold the cosets H + mg for m < f, adding fg to every lane
+    (one add and one reduction per column) gives those for f <= m < 2f.
+    So the work is O(|L|) big-integer work in O(log |L|) steps, rather
+    than the product of the generators' orders, and the members with no
+    zero entry are read through a packed mask.  A lane holds up to 2d - 2,
+    so d stays below 2^63; from ``shioda_vectors`` d is the lcm of the
+    generators' orders, which divides |L| <= MAX_L.
     """
-    size = group_order(d, generators)
+    orders = prefix_orders(d, generators)
+    size = orders[-1]
     if size > MAX_L:
         raise ValidationError(f"the character group has more than {MAX_L} members")
-    columns, count = [0, 0, 0, 0], 1  # H = {0}
-    for i, g in enumerate(generators):
-        cosets = group_order(d, generators[: i + 1]) // count
+    columns = [0, 0, 0, 0]  # H = {0}
+    for g, count, order in zip(generators, orders, orders[1:]):
+        cosets = order // count
         filled = 1  # the columns hold the cosets H + mg, m < filled
         while filled < cosets:
             lanes = _Lanes(count * filled, d, 2 * d - 2)
@@ -286,7 +283,6 @@ def enumerate_L0(d: int, generators: Sequence[Numerators]) -> frozenset[Numerato
                 for x, c in zip(columns, g)
             ]
             filled = min(2 * filled, cosets)
-        count *= cosets
     lanes = _Lanes(size, d, 2 * d - 2)
     n1, n2, n3, n4 = columns
     mask = lanes.nonzero(n1) & lanes.nonzero(n2) & lanes.nonzero(n3) & lanes.nonzero(n4)

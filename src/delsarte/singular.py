@@ -33,7 +33,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import ValidationError
-from .exact import rational_kth_roots
+from .exact import hermite, rational_kth_roots
 from .reduction import MinimalFibration, PlaneModel
 
 # ---------------------------------------------------------------------------
@@ -185,21 +185,6 @@ def classify_trichotomy(
 # ---------------------------------------------------------------------------
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, u) with a*s + b*u = g = gcd(a, b); iterative, deterministic."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_u, u = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_u, u = u, old_u - q * u
-    if old_r < 0:
-        old_r, old_s, old_u = -old_r, -old_s, -old_u
-    return old_r, old_s, old_u
-
-
 def superelliptic_form(
     minimal: MinimalFibration, plane: PlaneModel
 ) -> SuperellipticForm:
@@ -207,8 +192,10 @@ def superelliptic_form(
 
     When k_i = 0 the other three monomials have collinear exponent vectors.
     A unimodular change of torus coordinates sends the common direction to
-    the v-axis, putting those three at one u-level and the k_i = 0 monomial
-    at another; the level gap is the cover exponent a, and dividing through
+    the v-axis (its other column is the Bezout pair of that direction, the
+    first row of U in ``exact.hermite`` of the direction as a column),
+    putting those three at one u-level and the k_i = 0 monomial at another;
+    the level gap is the cover exponent a, and dividing through
     (after a final u -> u * v^s twist to clear negative exponents, s minimal)
     leaves psi as minus the three-term side over the off-line coefficient.
     """
@@ -234,9 +221,10 @@ def superelliptic_form(
     if (a3 - a1) * db != (b3 - b1) * da:
         raise AssertionError("kernel zero without collinearity")
 
-    # unimodular M with (da, db) . M = (0, 1): columns (-db, da) and a Bezout
-    # pair; new exponents of (p, q) are (p, q) . M
-    _, mu, nu = _egcd(da, db)
+    # unimodular M with (da, db) . M = (0, 1): columns (-db, da) and the
+    # Bezout pair of the Hermite form of the column (da, db); new exponents
+    # of (p, q) are (p, q) . M
+    _, ((mu, nu), _) = hermite([[da], [db]])
 
     def transform(p: int, q: int) -> tuple[int, int]:
         return (-db * p + da * q, mu * p + nu * q)

@@ -28,8 +28,8 @@ from delsarte.exact import (
     adjugate,
     format_polynomial,
     format_quotient,
+    hermite,
     left_kernel_normalized,
-    nullspace_basis,
     parse_rational,
     primitive_integer_vector,
     primitive_quotient,
@@ -261,7 +261,7 @@ def test_rank():
 
 
 @given(
-    st.integers(2, 4).flatmap(
+    st.integers(1, 4).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(-6, 6), min_size=n, max_size=n),
             min_size=2,
@@ -270,14 +270,38 @@ def test_rank():
     )
 )
 @settings(max_examples=150)
-def test_nullspace_basis_properties(rows):
-    basis = nullspace_basis(rows)
-    assert len(basis) == len(rows[0]) - rank(rows)
-    for v in basis:
-        assert all(sum(x * y for x, y in zip(r, v)) == 0 for r in rows)
-    # vectors are independent: each has a 1 in a column where the others are 0
-    sym_rank = sympy.Matrix([list(v) for v in basis]).rank() if basis else 0
-    assert sym_rank == len(basis)
+def test_hermite_properties(rows):
+    # on the matrix and on its transpose: the kernel of the transpose is the
+    # right kernel that classify_degenerate reads
+    for m in (rows, [list(c) for c in zip(*rows)]):
+        h, u = hermite(m)
+        assert matmul(u, m) == [list(r) for r in h]
+        assert abs(sympy.Matrix(u).det()) == 1
+        # echelon: each nonzero row's pivot right of the last, zero rows last,
+        # a positive pivot and the entries above it in [0, pivot)
+        pivots = [next((j for j, x in enumerate(r) if x), None) for r in h]
+        r = rank(m)
+        assert all(p is not None for p in pivots[:r])
+        assert all(p is None for p in pivots[r:])
+        assert pivots[:r] == sorted(set(pivots[:r]))
+        for i, p in enumerate(pivots[:r]):
+            assert h[i][p] > 0
+            assert all(0 <= h[k][p] < h[i][p] for k in range(i))
+        # the rows of U past the rank span the left kernel
+        assert len(u[r:]) == len(m) - r
+        assert all(vecmat(v, m) == (0,) * len(m[0]) for v in u[r:])
+    column = [r[0] for r in rows]
+    h, _ = hermite([[x] for x in column])
+    assert h[0][0] == gcd(*column)
+
+
+def test_hermite_bezout_pair():
+    # on one column (a, b) the first row of U is the extended-Euclid pair
+    # s a + u b = gcd(a, b), with the quotients of Euclid's algorithm
+    assert hermite([[5], [3]]) == (((1,), (0,)), ((-1, 2), (3, -5)))
+    assert hermite([[0], [1]])[1][0] == (0, 1)
+    assert hermite([[0], [0]]) == (((0,), (0,)), ((1, 0), (0, 1)))
+    assert hermite([[-4], [6]])[0] == ((2,), (0,))
 
 
 def test_row_vector_times_inverse_frozen():

@@ -71,6 +71,22 @@ def test_validate_surface_zero_coefficient():
     assert s.coefficients[1] == Fraction(-4, 27)
 
 
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        [0.1, 1, True, 1], [1, 1, 1, 0.5], [1, True, 1, 1], [1, "2", 1, 1],
+        [1, 1, None, 1], 5, "1234",
+    ],
+)
+def test_validate_surface_takes_only_exact_coefficients(coefficients):
+    # a float would enter as its binary expansion (0.1 as
+    # 3602879701896397/36028797018963968) and a bool as 0 or 1, so only a
+    # list or tuple of ints and Fractions is a coefficient vector
+    rows = [[0, 2, 0, 1], [3, 0, 0, 0], [2, 0, 0, 1], [0, 0, 1, 2]]
+    with pytest.raises(ValidationError, match="coefficients"):
+        validate_surface(rows, coefficients)
+
+
 def test_degenerate_flag():
     # rows chosen dependent: row3 = row0 + row1 - row2 won't generally stay a
     # monomial row, so use a clean rank-drop instead

@@ -68,15 +68,18 @@ def test_classify_degenerate_split_case():
 
 def test_classify_degenerate_rational_case():
     # all four (x, y)-exponent pairs sit on the line ex + ey = 2, so every
-    # fiber is a (degenerate) conic; the second matrix has rank 2, so its
-    # witness is the combination of two kernel vectors with u[2] == u[3]
-    for rows in (
-        [[2, 0, 0, 3], [1, 1, 1, 2], [0, 2, 2, 1], [2, 0, 3, 0]],
-        [[3, 0, 0, 0], [2, 1, 0, 0], [1, 2, 0, 0], [0, 3, 0, 0]],
+    # fiber is a (degenerate) conic; the second matrix has rank 2, and its
+    # kernel meets u[2] == u[3] in a line.  The third, F(X2, X3) alone, has
+    # rank 2 with its whole kernel inside u[2] == u[3]: the one shape where
+    # the choice of kernel basis shows in the direction.
+    for rows, direction in (
+        ([[2, 0, 0, 3], [1, 1, 1, 2], [0, 2, 2, 1], [2, 0, 3, 0]], (1, 1, 0)),
+        ([[3, 0, 0, 0], [2, 1, 0, 0], [1, 2, 0, 0], [0, 3, 0, 0]], (1, 1, 0)),
+        ([[0, 0, 3, 0], [0, 0, 2, 1], [0, 0, 1, 2], [0, 0, 0, 3]], (1, 0, 0)),
     ):
         verdict = classify_degenerate(validate_surface(rows))
         assert verdict.kind == RATIONAL_FIBERS
-        assert verdict.direction == (1, 1, 0)
+        assert verdict.direction == direction
         assert verdict.base_change_degree is None
 
 

@@ -31,11 +31,11 @@ from delsarte.shioda import (
     exhaustive_scan,
     family_L0_count,
     family_report,
-    group_order,
     gs_hodge_counts,
     is_prime,
     lambda_membership,
     lefschetz_number,
+    prefix_orders,
     shioda_vectors,
 )
 from shioda_oracle import (
@@ -176,7 +176,7 @@ def test_L0_refuses_past_the_bound_before_any_coset():
     # to the bound held a million members
     fermat = [[160 if i == j else 0 for j in range(4)] for i in range(4)]
     d, generators = shioda_vectors(adjugate(fermat))
-    assert group_order(d, generators) == 160**3
+    assert prefix_orders(d, generators)[-1] == 160**3
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError, match="more than 1000000 members"):
@@ -243,8 +243,15 @@ def test_L0_closure_matches_the_product_loop():
         members = group_product(d, generators)
         closure = enumerate_L0(d, generators)
         assert closure == frozenset(n for n in members if 0 not in n), rows
-        # the echelon count of |L| is the size of the group listed
-        assert group_order(d, generators) == len(members), rows
+        # the Hermite count of each prefix group, whose quotients set the
+        # closure's coset counts, is the size of the group its generators
+        # span, the last one L
+        zero = (0, 0, 0, 0)
+        prefixes = [
+            len(group_product(d, [*generators[:i], *[zero] * (3 - i)]))
+            for i in range(3)
+        ]
+        assert prefix_orders(d, generators) == [*prefixes, len(members)], rows
         sizes.add(len(closure))
     assert len(sizes) > 15  # the draws are not all one small lattice
 
