@@ -47,18 +47,23 @@ loops run on packed lanes (``_Lanes``): one int holds one value per
 lane, and one add and one masked reduction act on every lane at once.
 ``enumerate_L0`` holds the group as four packed columns and closes it
 by doubling its cosets.  ``exhaustive_scan`` takes every unit of every
-member's order and never stops early, but it adds them all at once: for
-each order N it packs (t*m) mod N for every unit t into the lanes of one
-int per reduced numerator m (``_UnitLanes``), so a member's |U| sums are
-one sum of four ints, compared with 2N in every lane.  A row is built by
-doubling from the rows of m's binary prefixes, not unit by unit.  A cold
+member's order and never stops early, but it adds them all at once, and
+one table serves the whole recount: it packs (t*m) mod d for every unit
+t of d into the lanes of one int per numerator m (``_UnitLanes(d)``), so
+a member's sums are one sum of the four rows of its raw numerators,
+compared with 2d in every lane.  A member of order N needs no table of
+its own: reduction mod N maps the units of d onto the units of N, so its
+lanes still take every unit of N.  A row is built by doubling from the
+rows of m's binary prefixes, not unit by unit.  The members' sums are
+made and compared one at a time, so no more than one is held.  A cold
 ``picard --p 43 --a 10 --verify`` took 3.1-3.3 s with one sum per unit,
-and takes 0.22-0.45 s so; ``--p 3 --a 829 --verify`` took 0.77-1.51 s
-with each row packed unit by unit, and takes 0.19-0.49 s (2-core shared
-VM).
-The exhaustive scan lists the units of each order with its own sieve
-(``_sieved_units``) rather than the early-exit scan's gcd filter
-(``_units``), so the two scans of the pair share no unit table.
+and takes 0.18-0.20 s so; ``--p 3 --a 829 --verify`` took 0.77-1.51 s
+with each row packed unit by unit, and takes 0.18-0.24 s (2-core shared
+VM), as with one table per order.
+The exhaustive scan lists the units of d with its own sieve
+(``_sieved_units``) rather than the early-exit scan's gcd filter of the
+units of each member's order (``_units``), so the two scans of the pair
+share no unit table.
 
 Input sizes are bounded: a family member needs 2ap <= MAX_WEIGHT,
 ``enumerate_L0`` counts |L| from the generators and refuses with
@@ -71,11 +76,12 @@ MAX_RECOUNT steps, |L0| * 2ap; ``family_report`` runs it once, under
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, lcm
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ValidationError, VerificationError
 
@@ -93,10 +99,11 @@ MAX_L = 10**6
 
 # Largest |L0| * 2ap that ``verify_family`` rescans: the exhaustive scan
 # takes at most 2ap unit scalings per member of L0.  The largest member of
-# the p <= 43, a <= 10 grid, (43, 10), needs 30,990,960 steps (0.22-0.45 s
-# cold on a 2-core shared VM); (3, 829) needs 49,461,456 (0.19-0.49 s
+# the p <= 43, a <= 10 grid, (43, 10), needs 30,990,960 steps (0.18-0.20 s
+# cold on a 2-core shared VM); (3, 829) needs 49,461,456 (0.18-0.24 s
 # cold); the slowest admitted input found, (229, 1), the largest L0, needs
-# 47,617,344 (0.49-1.12 s cold); (47, 106) would need 4.57 * 10**9.
+# 47,617,344 (0.46-0.53 s cold, where its early-exit scans take most of
+# the time); (47, 106) would need 4.57 * 10**9.
 MAX_RECOUNT = 5 * 10**7
 
 Numerators = tuple[int, int, int, int]
@@ -114,11 +121,15 @@ def _readable(numerators: Sequence[int], d: int) -> str:
 
 class FamilyParams:
     """The double-cover family y^2 = x^p + t^{2ap} + s^{2ap}: p an odd
-    prime, a positive, and 2ap at most MAX_WEIGHT."""
+    prime, a positive, both of type ``int`` (not ``bool``), and 2ap at most
+    MAX_WEIGHT."""
 
     __slots__ = ("p", "a")
 
     def __init__(self, p: int, a: int) -> None:
+        for name, value in (("p", p), ("a", a)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} = {value!r} must be an integer")
         if a < 1:
             raise ValidationError(f"a = {a} must be positive")
         # the weight bound goes first: it keeps p small for trial division
@@ -353,7 +364,6 @@ class _UnitLanes(dict):
 
     def __init__(self, order: int) -> None:
         super().__init__()
-        self.order = order
         self.units = _sieved_units(order)
         self.lanes = _Lanes(len(self.units), order, 4 * order - 4)
         self.full = 2 * order * self.lanes.ones
@@ -372,18 +382,24 @@ class _UnitLanes(dict):
 
 
 def exhaustive_scan(
-    numerators: Numerators, d: int, tables: dict[int, _UnitLanes]
-) -> tuple[_UnitLanes, int]:
-    """``(rows, sums)``: the character ``numerators``/``d`` scaled by every
-    unit of its order N, no early exit, as one sum of four packed rows of
-    ``rows = tables[N]`` (built on first use), numerators reduced to N.  The
-    character is outside Lambda exactly when ``sums == rows.full``."""
-    g = gcd(d, *numerators)
-    rows = tables.get(d // g)
-    if rows is None:
-        rows = tables[d // g] = _UnitLanes(d // g)
-    n1, n2, n3, n4 = numerators
-    return rows, rows[n1 // g] + rows[n2 // g] + rows[n3 // g] + rows[n4 // g]
+    members: Iterable[Numerators], d: int
+) -> tuple[_UnitLanes, Iterator[int]]:
+    """``(rows, sums)``: the exhaustive scan of ``members``, characters
+    over ``d``.  ``rows = _UnitLanes(d)`` is the scan's one table, and
+    ``sums`` yields, one member at a time as it is consumed, the sum of the
+    four rows of the member's numerators: one lane per unit t of d holds
+    the sum of (t*n) mod d over its entries.  No lane is skipped and
+    nothing stops early.  A member is outside Lambda exactly when its sum
+    is ``rows.full``.
+
+    The units of d cover those of every member's order N: (t*n) mod d is
+    d/N times ((t mod N)*(n*N/d)) mod N, and reduction mod N maps the units
+    of d onto the units of N, each phi(d)/phi(N) times.  So every lane
+    reads 2d exactly when every unit of N keeps the sum at 2N, and no
+    member needs its order, its reduced numerators or a table of its own.
+    """
+    rows = _UnitLanes(d)
+    return rows, (rows[a] + rows[b] + rows[c] + rows[e] for a, b, c, e in members)
 
 
 def lefschetz_number(adjugate: Adjugate) -> int:
@@ -488,7 +504,9 @@ def verify_family(
 
     This enumerates all of L0, so it checks ``L0_count``, the Lefschetz
     number ``lam`` of the slice count, and the early-exit scan on every
-    member; with ``hodge``, the levels of ``gs_hodge_counts``, it checks
+    member: one list of verdicts comes from one pass of the exhaustive scan,
+    one from the early-exit scan, and the first member where they differ is
+    named; with ``hodge``, the levels of ``gs_hodge_counts``, it checks
     those against the members' entry sums.  ``family_report`` checks
     ``check_recount_budget`` before it calls this.
     """
@@ -498,21 +516,18 @@ def verify_family(
     members = enumerate_L0(d, generators)
     if len(members) != L0_count:
         raise VerificationError(f"L0 size {len(members)} != direct count {L0_count}")
-    slow_lam = 0
-    levels = [0, 0, 0, 0]  # members by entry sum q = 0, 1, 2, 3 over d
-    tables: dict[int, _UnitLanes] = {}  # each order's packed rows, for this call
-    for n in members:
-        rows, sums = exhaustive_scan(n, d, tables)
-        slow = sums != rows.full
-        if slow != (lambda_membership(n, d) is not None):
-            raise VerificationError(f"scan disagreement at {_readable(n, d)}")
-        slow_lam += slow
-        if hodge is not None:
-            levels[sum(n) // d] += 1
+    rows, sums = exhaustive_scan(members, d)
+    slow = [s != rows.full for s in sums]
+    fast = [lambda_membership(n, d) is not None for n in members]
+    if slow != fast:
+        n = next(n for n, s, f in zip(members, slow, fast) if s != f)
+        raise VerificationError(f"scan disagreement at {_readable(n, d)}")
+    slow_lam = sum(slow)
     if slow_lam != lam:
         raise VerificationError(f"lambda {slow_lam} != {lam}")
     if hodge is not None:
+        levels = Counter(map(sum, members))  # members by entry sum q*d
         for (q, name), count in zip(HODGE_LEVELS.items(), hodge):
-            if levels[q] != count:
-                raise VerificationError(f"{name} {levels[q]} != {count}")
+            if levels[q * d] != count:
+                raise VerificationError(f"{name} {levels[q * d]} != {count}")
     return len(members)

@@ -15,12 +15,12 @@ on that list with a ``Fraction`` scan.
 
 Three helpers run part of the package.  ``exhaustive_sums`` reads the
 packed sum of ``shioda.exhaustive_scan``, the kernel ``picard --verify``
-compares, lane by lane, so that the tests can hold each lane against
-``fraction_exhaustive_sums``.  ``unit_row`` is the row that kernel packs,
-one product per unit of its own unit set, against which the rows it builds
-by doubling are held.  ``excluded_fractions_all_j`` is the slice scan over
-every j of the slice, with the package's early-exit scan, against which
-the scan of its level-2 members only is held.
+compares, lane by lane over the units of d, so that the tests can hold
+each lane against ``fraction_exhaustive_sums``.  ``unit_row`` is the row
+that kernel packs, one product per unit of its own unit set, against which
+the rows it builds by doubling are held.  ``excluded_fractions_all_j`` is
+the slice scan over every j of the slice, with the package's early-exit
+scan, against which the scan of its level-2 members only is held.
 """
 
 from __future__ import annotations
@@ -76,15 +76,22 @@ def integer_exhaustive_sums(numerators, d: int) -> dict[int, int]:
     }
 
 
-def exhaustive_sums(numerators, d: int, tables=None) -> dict[int, int]:
+def exhaustive_sums(numerators, d: int) -> dict[int, int]:
     """Every unit t of the order N of ``numerators``/``d``, with the sum of
     the fractional parts of t times the entries, unpacked from the lanes of
-    ``exhaustive_scan``; ``tables`` is shared between calls when given, as
-    one recount shares it.  Each sum is an integer because the entry sum is.
+    ``exhaustive_scan``.  Its lanes run over the units of d: each lane is
+    keyed by its class (t - 1) % N + 1, the unit of N it reduces to, and
+    every lane of one class must agree.  Each sum is an integer because the
+    entry sum is.
     """
-    tables = {} if tables is None else tables
-    rows, packed = exhaustive_scan(numerators, d, tables)
-    return {t: s // rows.order for t, s in zip(rows.units, rows.lanes.unpack(packed))}
+    rows, sums = exhaustive_scan([numerators], d)
+    (packed,) = sums
+    N = order(numerators, d)
+    out: dict[int, int] = {}
+    for t, s in zip(rows.units, rows.lanes.unpack(packed)):
+        assert s % d == 0, (numerators, d, t, s)
+        assert out.setdefault((t - 1) % N + 1, s // d) == s // d, (numerators, d, t)
+    return out
 
 
 def unit_row(order: int, m: int) -> list[int]:

@@ -410,14 +410,18 @@ def test_picard_verify_checks_the_budget_before_the_slice_scan(capsys, monkeypat
 
 def test_picard_verify_builds_each_unit_set_once(capsys):
     # the members of L0 at (13, 4) have orders 26, 52 and 104: the exhaustive
-    # scan packs the units of each order once per recount and reads every
-    # member's sums from those lanes, so it asks the sieve once per order
+    # scan packs the units of d = 104 once per recount, and every member's
+    # lanes run over those units whatever its order, so it asks the sieve
+    # once, for d, and one table covers three orders
     shioda._sieved_units.cache_clear()
     run_json(capsys, "picard", "--p", "13", "--a", "4", "--verify")
     info = shioda._sieved_units.cache_info()
-    assert (info.misses, info.hits) == (3, 0)
+    assert (info.misses, info.hits) == (1, 0)
+    shioda._sieved_units(104)  # the one unit set asked for was that of d
+    assert shioda._sieved_units.cache_info().hits == 1
     d, generators = shioda.shioda_vectors(adjugate(shioda.FamilyParams(13, 4).matrix))
     members = shioda.enumerate_L0(d, generators)
+    assert d == 104
     assert {d // gcd(d, *n) for n in members} == {26, 52, 104}
 
 

@@ -13,6 +13,7 @@ a denominator d, as the package holds it.
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -298,10 +299,9 @@ def test_membership_invariant_under_unit_scaling():
 def test_early_exit_agrees_with_exhaustive_scan():
     for p, a in [(3, 1), (3, 2), (5, 1)]:
         d, generators = shioda_vectors(adjugate(FamilyParams(p, a).matrix))
-        tables = {}  # shared by the members, as one recount shares them
         for n in enumerate_L0(d, generators):
             witness = lambda_membership(n, d)
-            sums = exhaustive_sums(n, d, tables)
+            sums = exhaustive_sums(n, d)
             assert (witness is not None) == any(s != 2 for s in sums.values())
             if witness is not None:
                 assert witness == min(t for t, s in sums.items() if s != 2)
@@ -332,15 +332,14 @@ def test_dual_routes_agree_on_seeded_draws():
         members = enumerate_L0(d, generators)
         assert len(members) == count
         lam = lam_fraction = 0
-        tables = {}  # one recount's packed rows, as verify_family holds them
-        for n in members:
-            sums = exhaustive_sums(n, d, tables)
+        rows, packed_sums = exhaustive_scan(members, d)  # verify_family's one pass
+        for n, packed in zip(members, packed_sums):
+            sums = exhaustive_sums(n, d)
             reference = fraction_exhaustive_sums(entries(n, d))
             assert sums == reference, (params, n)
             slow = any(s != 2 for s in sums.values())
             assert (lambda_membership(n, d) is not None) == slow, (params, n)
-            rows, packed = exhaustive_scan(n, d, tables)  # verify_family's verdict
-            assert (packed != rows.full) == slow, (params, n)
+            assert (packed != rows.full) == slow, (params, n)  # its verdict
             lam += slow
             lam_fraction += any(s != 2 for s in reference.values())
         report = family_report(params)
@@ -360,6 +359,20 @@ def test_sieved_units_match_the_gcd_filter():
     assert sieve(1) == (1,)
     for n in sorted(set(range(1, 2001)) | set(divisors(9998)) | set(divisors(10000))):
         assert list(sieve(n)) == [t for t in range(1, n + 1) if gcd(t, n) == 1], n
+
+
+def test_units_of_d_reduce_onto_the_units_of_each_divisor():
+    # the fact the exhaustive kernel rests on: reduction mod N maps the units
+    # of d onto the units of every divisor N of d, each one phi(d)/phi(N)
+    # times, so the lanes of one table over the units of d take every unit
+    # of a member's order N; on every d up to 500 and the largest weights
+    sieve = shioda._sieved_units.__wrapped__  # the sieve itself, not the cache
+    for d in [*range(1, 501), 9998, 10000]:
+        units = sieve(d)
+        for N in divisors(d):
+            units_N = [u for u in range(N) if gcd(u, N) == 1]
+            times = len(units) // len(units_N)  # phi(d) / phi(N)
+            assert Counter(t % N for t in units) == dict.fromkeys(units_N, times), (d, N)
 
 
 def test_exhaustive_sums_match_the_fraction_scan_off_L0():
@@ -518,6 +531,16 @@ def test_family_params_validation():
     for p in (1, 9, -3, 2**61 - 1):
         with pytest.raises(ValidationError):
             FamilyParams(p, 1)
+
+
+def test_family_params_take_only_integers():
+    # a float, or a bool, which is an int to isinstance, is refused before
+    # any arithmetic: 1.5 would reach family_report and True would print
+    # "a": true in the record
+    for p, a in [(3, 1.5), (3.0, 1), (3, True), (True, 1), (3, Fraction(1)), ("3", 1)]:
+        with pytest.raises(ValidationError, match="must be an integer"):
+            FamilyParams(p, a)
+    assert (FamilyParams(3, 1).p, FamilyParams(3, 1).a) == (3, 1)
 
 
 def test_is_prime_agrees_with_sympy():
