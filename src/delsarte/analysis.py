@@ -83,7 +83,7 @@ def analyze(
     minimal = reduce_to_minimal(surface)
     plane = plane_model(minimal)
     locus = singular_locus(plane)
-    trichotomy = classify_trichotomy(minimal, plane, locus)
+    trichotomy = classify_trichotomy(plane, locus)
     genus_one = lefschetz = rho = None
     if (
         isinstance(trichotomy, Superelliptic)
@@ -127,7 +127,7 @@ def _verify_analysis(plane: PlaneModel, locus: SingularLocus):
     oracle = discriminant_oracle(plane)
     if not oracle_matches_locus(oracle, locus):
         raise VerificationError(
-            f"discriminant oracle {format_polynomial(oracle.terms())} does not match "
+            f"discriminant oracle {format_polynomial(oracle)} does not match "
             f"t^{locus.exponent} = {locus.value}"
         )
     return oracle

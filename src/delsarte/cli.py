@@ -117,21 +117,20 @@ def _verdict_json(section) -> dict:
 
 def _genus_one_json(section) -> dict:
     model, verdict = section.model, section.verdict
-    j_numer, j_denom = section.j
     report = {
         "weierstrass": {
             "a1": "0",  # the model is short: y^2 = x^3 + a2 x^2 + a4 x + a6
             "a3": "0",
             **{
-                name: exact.format_polynomial(getattr(model, name).terms())
+                name: exact.format_polynomial(getattr(model, name))
                 for name in ("a2", "a4", "a6")
             },
         },
-        "discriminant": exact.format_polynomial(section.invariants.delta.terms()),
-        "j": exact.format_quotient(j_numer.terms(), j_denom.terms()),
+        "discriminant": exact.format_polynomial(section.invariants.delta),
+        "j": exact.format_quotient(*section.j),
         "fibers": [
             _fiber_json("0", section.at_zero),
-            _fiber_json(exact.format_polynomial(section.orbit.terms()), section.away),
+            _fiber_json(exact.format_polynomial(section.orbit), section.away),
             _fiber_json("infinity", section.at_infinity),
         ],
         "verdict": _verdict_json(section),
@@ -147,7 +146,7 @@ def _verify_json(oracle) -> dict:
             "oracle": "skipped",
             "reason": "duplicate moving monomial: closed form does not apply",
         }
-    return {"oracle": "match", "polynomial": exact.format_polynomial(oracle.terms())}
+    return {"oracle": "match", "polynomial": exact.format_polynomial(oracle)}
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import ValidationError
 
@@ -288,8 +288,7 @@ class QPoly:
     ``**`` by a natural number, it has division with remainder
     (``divmod``), the degree, the lowest exponent, the leading coefficient,
     a shift by a power of t, the monic gcd with a coprimality test, the
-    monic multiple, the squarefree part, and ``.terms()`` in the ``((e,),
-    c)`` shape that ``format_polynomial`` reads.
+    monic multiple and the squarefree part.
     """
 
     __slots__ = ("coeffs", "integral")
@@ -322,11 +321,6 @@ class QPoly:
         """The leading coefficient; 0 for the zero polynomial."""
         return self.coeffs[-1] if self.coeffs else 0
 
-    def terms(self) -> list[tuple[tuple[int], RationalLike]]:
-        """The nonzero terms as ((e,), c) pairs, by descending e."""
-        coeffs = self.coeffs
-        return [((e,), coeffs[e]) for e in range(len(coeffs) - 1, -1, -1) if coeffs[e]]
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -340,7 +334,7 @@ class QPoly:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"QPoly({format_polynomial(self.terms())!r})"
+        return f"QPoly({format_polynomial(self)!r})"
 
     # -- ring operations -------------------------------------------------
 
@@ -486,21 +480,19 @@ def primitive_quotient(numer: QPoly, denom: QPoly) -> tuple[QPoly, QPoly]:
 # Polynomials in t as text
 # ---------------------------------------------------------------------------
 #
-# The printers take ``.terms()`` of a polynomial in t -- ((e,), c) pairs, c
-# anything with an integer ``numerator`` and ``denominator`` -- and write what
-# sympy's ``str`` writes for the expression: terms by descending degree, a
-# term as ``t``, ``-t``, ``5*t**3``, ``3*t/4`` or ``-t**2/2``, a constant as
-# ``p`` or ``p/q``.
-
-Terms = Iterable[tuple[tuple[int], Any]]
+# The printers take a ``QPoly`` and write what sympy's ``str`` writes for
+# the expression: terms by descending degree, a term as ``t``, ``-t``,
+# ``5*t**3``, ``3*t/4`` or ``-t**2/2``, a constant as ``p`` or ``p/q``.
 
 
-def _monomials(terms: Terms) -> list[tuple[int, int, int]]:
-    """(e, p, q) for each nonzero term p/q t^e, by descending e."""
-    return sorted(
-        ((e, int(c.numerator), int(c.denominator)) for (e,), c in terms if c),
-        reverse=True,
-    )
+def _monomials(poly: QPoly) -> list[tuple[int, int, int]]:
+    """(e, p, q) for each nonzero term p/q t^e of ``poly``, by descending e."""
+    coeffs = poly.coeffs
+    return [
+        (e, coeffs[e].numerator, coeffs[e].denominator)
+        for e in range(len(coeffs) - 1, -1, -1)
+        if coeffs[e]
+    ]
 
 
 def _power(e: int) -> str:
@@ -539,14 +531,14 @@ def _format_sum(monomials: list[tuple[int, int, int]]) -> str:
     return "".join(parts)
 
 
-def format_polynomial(terms: Terms) -> str:
-    """sympy's ``str`` of a polynomial in t, from its ``.terms()``."""
-    return _format_sum(_monomials(terms))
+def format_polynomial(poly: QPoly) -> str:
+    """sympy's ``str`` of the polynomial ``poly`` in t."""
+    return _format_sum(_monomials(poly))
 
 
-def format_quotient(numer: Terms, denom: Terms) -> str:
-    """sympy's ``str`` of numer/denom, polynomials in t given by their
-    ``.terms()``, as the expression ``numer.as_expr()/denom.as_expr()``.
+def format_quotient(numer: QPoly, denom: QPoly) -> str:
+    """sympy's ``str`` of numer/denom, polynomials in t, as the expression
+    ``numer.as_expr()/denom.as_expr()``.
 
     Over a constant the quotient is a polynomial again, a monomial over a
     monomial is one monomial (of negative degree, perhaps), and otherwise

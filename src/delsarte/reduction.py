@@ -129,7 +129,7 @@ def reduce_to_minimal(surface: DelsarteSurface) -> MinimalFibration:
 
         v_i = primitive(column i of adj A minus its last entry, spread),
 
-    oriented so that c > 0 (column i of adj A spans the same line as column
+    oriented so that c > 0 by ``_shifted_direction`` (column i of adj A spans the same line as column
     i of A^{-1}), and among the at most four candidates the one with the
     smallest |c| wins (ties: smallest carrier index), which makes the result
     deterministic.
@@ -153,14 +153,9 @@ def reduce_to_minimal(surface: DelsarteSurface) -> MinimalFibration:
     _, adj = surface.adjugate
     best: Optional[tuple[int, int, tuple[int, ...]]] = None
     for idx in range(4):
-        w = [row[idx] for row in adj]  # solves  A w = det(A) e_idx
-        spread = [w[j] - w[3] for j in range(4)]
-        v = primitive_integer_vector(spread)
-        if v[2] == 0:
-            continue
-        if v[2] < 0:
-            v = tuple(-x for x in v)
-        if best is None or (abs(v[2]), idx) < (abs(best[0]), best[1]):
+        # column idx of adj A solves A w = det(A) e_idx
+        v = _shifted_direction([row[idx] for row in adj])
+        if v[2] and (best is None or (v[2], idx) < best[:2]):
             best = (v[2], idx, v)
     if best is None:
         # all candidate directions had c = 0: impossible, they span 3-space
@@ -168,7 +163,8 @@ def reduce_to_minimal(surface: DelsarteSurface) -> MinimalFibration:
 
     c, idx, v = best
     a, b = v[0], v[1]
-    # A v = e * (1,1,1,1) + n * e_idx
+    # A v = e * (1,1,1,1) + n * e_idx; the spread's fourth entry is 0, so
+    # v is the triple (a, b, c) and zip drops only that zero term
     image = [sum(x * y for x, y in zip(row, v)) for row in surface.rows]
     others = [image[j] for j in range(4) if j != idx]
     if not others[0] == others[1] == others[2]:

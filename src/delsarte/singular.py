@@ -14,14 +14,17 @@ a single orbit of values (the "away" orbit), which the returned
 ``SingularLocus`` carries.  ``oracle.discriminant_oracle`` is the second,
 independent route to the singular fibers: it never looks at k.
 
-The structure classification (``classify_trichotomy``) splits minimal
-fibrations three ways, by the shape of k:
+The structure classification (``classify_trichotomy``) reads the plane
+model and its locus, and splits minimal fibrations three ways, by the shape
+of k:
 
 1. the t-monomial repeats another monomial (the locus is ``degenerate``) --
    the family is a fixed curve with one coefficient moving, degenerating at
    the single t given by the locus;
 2. some k_i = 0 (i < 4) -- the generic fiber is a cyclic cover u^a = psi(v)
-   of the line, made explicit by ``superelliptic_form``;
+   of the line with a three-term psi, made explicit by
+   ``superelliptic_form``; ``generic_fiber_genus`` is Riemann-Hurwitz on
+   a and the three exponents of psi;
 3. all k_i != 0 -- no cyclic-cover form exists, the away fibers are
    expected to be nodal, and the branch carries the locus.
 """
@@ -30,11 +33,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import ValidationError
 from .exact import hermite, rational_kth_roots
-from .reduction import MinimalFibration, PlaneModel
+from .reduction import PlaneModel
 
 # ---------------------------------------------------------------------------
 # Closed-form singular locus
@@ -156,17 +159,15 @@ class SemistableAway(NamedTuple):
 Trichotomy = Union[Isotrivial, Superelliptic, SemistableAway]
 
 
-def classify_trichotomy(
-    minimal: MinimalFibration, plane: PlaneModel, locus: SingularLocus
-) -> Trichotomy:
-    """The structure branch of ``minimal``; ``plane`` and ``locus`` are its
-    plane model and closed-form locus (a degenerate locus is the isotrivial
-    branch; the semistable branch carries the locus)."""
+def classify_trichotomy(plane: PlaneModel, locus: SingularLocus) -> Trichotomy:
+    """The structure branch of the fibration whose plane model is ``plane``
+    and whose closed-form locus is ``locus`` (a degenerate locus is the
+    isotrivial branch; the semistable branch carries the locus)."""
     if locus.degenerate:
         return Isotrivial(locus.duplicate_index, locus.value)
     k = plane.kernel
     if any(k[i] == 0 for i in range(3)):
-        form = superelliptic_form(minimal, plane)
+        form = superelliptic_form(plane)
         genus = generic_fiber_genus(form)
         if genus < 1:
             raise ValidationError(
@@ -185,9 +186,7 @@ def classify_trichotomy(
 # ---------------------------------------------------------------------------
 
 
-def superelliptic_form(
-    minimal: MinimalFibration, plane: PlaneModel
-) -> SuperellipticForm:
+def superelliptic_form(plane: PlaneModel) -> SuperellipticForm:
     """Rewrite the generic fiber as u^a = psi(v).
 
     When k_i = 0 the other three monomials have collinear exponent vectors.
@@ -204,8 +203,8 @@ def superelliptic_form(
     if len(zero_positions) != 1:
         raise ValidationError("superelliptic form needs exactly one k_i = 0, i < 4")
     off = zero_positions[0]
-    pairs = [(ex, ey) for _, (ex, ey, _) in minimal.equation.terms]
-    coeffs = [c for c, _ in minimal.equation.terms]
+    pairs = [(ex, ey) for ex, ey, _ in plane.exponents]
+    coeffs = plane.coefficients
     line = [j for j in range(4) if j != off]
 
     (a1, b1), (a2, b2) = pairs[line[0]], pairs[line[1]]
@@ -250,47 +249,26 @@ def superelliptic_form(
     return SuperellipticForm(a, terms)
 
 
-def generic_profile(form: SuperellipticForm) -> list[int]:
-    """Multiplicities of the distinct roots of psi for generic t.
+def generic_fiber_genus(form: SuperellipticForm) -> int:
+    """Genus of the smooth model of u^a = psi(v), psi = v^m * (trinomial
+    with nonzero constant term) of degree top.
 
-    psi = v^m * (trinomial with nonzero constant term); for all but finitely
-    many t the trinomial is squarefree with nonzero roots, so the profile is
-    one root of multiplicity m (if m > 0) plus deg - m simple roots.
+    For all but finitely many t the trinomial is squarefree with nonzero
+    roots, so psi has top - m >= 1 simple roots (the cover is irreducible)
+    and, when m > 0, one root of multiplicity m at v = 0.  Riemann-Hurwitz
+    over the v-line sums a - gcd(a, multiplicity) over the branch places:
+
+        2g - 2 = -2a + (a - gcd(a, top)) + (a - gcd(a, m)) + (top - m)(a - 1),
+
+    the terms being v = infinity, v = 0 (0 when m = 0, as gcd(a, 0) = a)
+    and the simple roots.
     """
-    exps = sorted(e for _, e, _ in form.terms)
-    m = exps[0]
-    simple = exps[2] - m
-    return ([m] if m > 0 else []) + [1] * simple
-
-
-def superelliptic_genus(cover_exponent: int, multiplicities: Sequence[int]) -> int:
-    """Genus of the smooth model of u^a = psi(v) from the multiplicity profile
-    of psi (one entry per distinct root; the degree is their sum).
-
-    Riemann-Hurwitz over the v-line: 2g - 2 = -2a + sum over branch places
-    (the roots and v = infinity) of (a - gcd(a, multiplicity)).
-    """
-    a = cover_exponent
-    if a < 1:
-        raise ValidationError("cover exponent must be >= 1")
-    if any(m < 1 for m in multiplicities):
-        raise ValidationError("multiplicities must be >= 1")
-    degree = sum(multiplicities)
-    component_count = gcd(a, gcd(degree, *multiplicities) if multiplicities else a)
-    if component_count > 1:
-        raise ValidationError(
-            f"cover splits into {component_count} components; genus undefined"
-        )
-    total = -2 * a + (a - gcd(a, degree))
-    for m in multiplicities:
-        total += a - gcd(a, m)
-    if total % 2:
+    a = form.cover_exponent
+    m, _, top = sorted(e for _, e, _ in form.terms)
+    total = -2 * a + (a - gcd(a, top)) + (a - gcd(a, m)) + (top - m) * (a - 1)
+    if total % 2:  # raised, not asserted: the check holds under -O too
         raise AssertionError("Riemann-Hurwitz gives an odd 2g - 2")
     return total // 2 + 1
-
-
-def generic_fiber_genus(form: SuperellipticForm) -> int:
-    return superelliptic_genus(form.cover_exponent, generic_profile(form))
 
 
 def constant_j_value(a: int) -> Fraction:

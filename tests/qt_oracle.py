@@ -20,7 +20,7 @@ QT_RING = QT.ring
 
 def to_ring(p: QPoly):
     return QT_RING.from_dict(
-        {(e,): QQ(c.numerator, c.denominator) for (e,), c in p.terms()}
+        {(e,): QQ(c.numerator, c.denominator) for e, c in enumerate(p.coeffs) if c}
     )
 
 

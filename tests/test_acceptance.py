@@ -63,12 +63,11 @@ def oracle_scope(surface) -> bool:
     """Oracle == closed form is claimed for distinct moving monomials and
     positive generic genus (genus-0 families can be equisingular over every
     t != 0 while the closed form still has roots)."""
-    m = reduce_to_minimal(surface)
-    p = plane_model(m)
+    p = plane_model(reduce_to_minimal(surface))
     if len(set(p.exponents)) < 4:
         return False
     if any(p.kernel[i] == 0 for i in range(3)):
-        return generic_fiber_genus(superelliptic_form(m, p)) >= 1
+        return generic_fiber_genus(superelliptic_form(p)) >= 1
     return True
 
 

@@ -55,7 +55,7 @@ from delsarte.singular import (
 
 def trichotomy_of(minimal: MinimalFibration):
     plane = plane_model(minimal)
-    return classify_trichotomy(minimal, plane, singular_locus(plane))
+    return classify_trichotomy(plane, singular_locus(plane))
 
 
 def model_of(triples) -> WeierstrassModel:

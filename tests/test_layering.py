@@ -281,21 +281,38 @@ def test_cli_does_no_arithmetic():
 
 
 def test_every_package_function_has_a_package_caller_or_an_export():
-    # no test-only API: a top-level function or class that no package code
-    # names and the package does not export serves only the tests (a dunder
-    # such as the package's __getattr__ is called by the interpreter)
+    # no test-only API: a top-level function or class, or a method or
+    # property of a package class, that no package code names and the
+    # package does not export serves only the tests (a dunder such as the
+    # package's __getattr__ or QPoly's __add__ is called by the interpreter).
+    # Names are matched as names: a method counts as called wherever an
+    # attribute of its name is read, on whatever object
+    def names(node, *own):
+        found = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        found |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        return found - set(own)  # a definition is not its own caller
+
     defined, referenced = set(), set()
     for file, tree in package_trees():
         for top in tree.body:
-            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                defined.add((file, top.name))
-                names.discard(top.name)  # a definition is not its own caller
-            referenced |= names
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                referenced |= names(top)
+                continue
+            defined.add((file, top.name, top.name))
+            if isinstance(top, ast.FunctionDef):
+                referenced |= names(top, top.name)
+                continue
+            for header in (*top.bases, *top.keywords, *top.decorator_list):
+                referenced |= names(header)
+            for member in top.body:
+                if isinstance(member, ast.FunctionDef):
+                    defined.add((file, f"{top.name}.{member.name}", member.name))
+                    referenced |= names(member, top.name, member.name)
+                else:
+                    referenced |= names(member, top.name)
     unreached = {
-        f"{file}: {name}"
-        for file, name in defined
+        f"{file}: {qualified}"
+        for file, qualified, name in defined
         if name not in referenced
         and name not in delsarte._EXPORTS
         and not (name.startswith("__") and name.endswith("__"))
@@ -311,7 +328,7 @@ def test_star_import_binds_every_public_name():
 
 
 def test_no_module_prints_through_sympy_expressions():
-    # the report prints from .terms() with exact.format_polynomial and
+    # the report prints its QPolys with exact.format_polynomial and
     # exact.format_quotient; sympy's str of .as_expr() is left to the tests
     # as the printers' oracle
     for path in sorted((SRC / "delsarte").glob("*.py")):

@@ -55,16 +55,13 @@ from delsarte.singular import (
     classify_trichotomy,
     constant_j_value,
     generic_fiber_genus,
-    generic_profile,
     singular_locus,
     superelliptic_form,
-    superelliptic_genus,
 )
 
 
-def minimal_and_plane(triples):
-    m = reduce_to_minimal(surface_from_affine_triples(triples))
-    return m, plane_model(m)
+def plane_of(triples):
+    return plane_model(reduce_to_minimal(surface_from_affine_triples(triples)))
 
 
 def oracle_factors(plane) -> set:
@@ -73,7 +70,7 @@ def oracle_factors(plane) -> set:
     return {base.as_expr() for base, _ in factors}
 
 
-def in_oracle_scope(m, p) -> bool:
+def in_oracle_scope(p) -> bool:
     """Locus == oracle is claimed for distinct monomials and positive genus.
 
     A duplicated monomial has no closed-form locus at all, and a rational
@@ -83,7 +80,7 @@ def in_oracle_scope(m, p) -> bool:
     if len(set(p.exponents)) < 4:
         return False
     if any(p.kernel[i] == 0 for i in range(3)):
-        return generic_fiber_genus(superelliptic_form(m, p)) >= 1
+        return generic_fiber_genus(superelliptic_form(p)) >= 1
     return True
 
 
@@ -93,7 +90,7 @@ def in_oracle_scope(m, p) -> bool:
 
 
 def test_locus_cusp_family():
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
     loc = singular_locus(p)
     assert p.kernel == (0, 2, -3, 1)
     assert (loc.exponent, loc.value) == (1, Fraction(-4, 27))
@@ -103,7 +100,7 @@ def test_locus_cusp_family():
 
 def test_locus_square_orbit():
     # y^2 + x^3 + x + t: k4 = 2, both singular values are irrational
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)])
     loc = singular_locus(p)
     assert p.kernel == (0, 1, -3, 2)
     assert (loc.exponent, loc.value) == (2, Fraction(-4, 27))
@@ -111,21 +108,21 @@ def test_locus_square_orbit():
 
 
 def test_locus_shifted_carrier():
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (1, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (1, 0, 1)])
     loc = singular_locus(p)
     assert p.kernel == (0, 1, -2, 1)
     assert (loc.exponent, loc.value) == (1, Fraction(1, 4))
 
 
 def test_locus_rational_pair():
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (1, 0, 0), (2, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (1, 0, 0), (2, 0, 1)])
     loc = singular_locus(p)
     assert (loc.exponent, loc.value) == (2, Fraction(4))
     assert loc.rational_points == (Fraction(-2), Fraction(2))
 
 
 def test_locus_all_kernel_entries_nonzero():
-    _, p = minimal_and_plane([(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)])
+    p = plane_of([(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)])
     loc = singular_locus(p)
     assert p.kernel == (3, -2, -4, 3)
     assert (loc.exponent, loc.value) == (3, Fraction(729, 1024))
@@ -135,7 +132,7 @@ def test_locus_all_kernel_entries_nonzero():
 def test_locus_degenerate_duplicate_monomial():
     # t rides on a copy of x^2: no closed form, the duplicate is reported;
     # the kernel e4 - e3 still gives the single degenerate fiber t = -1
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 1)])
     loc = singular_locus(p)
     assert loc.degenerate
     assert loc.duplicate_index == 2
@@ -150,29 +147,29 @@ def test_locus_degenerate_duplicate_monomial():
 
 
 def test_oracle_cusp_family():
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
     assert oracle_factors(p) == {t, 27 * t + 4}
 
 
 def test_oracle_square_orbit():
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)])
     assert oracle_factors(p) == {27 * t**2 + 4}
 
 
 def test_oracle_shifted_carrier():
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (1, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (1, 0, 1)])
     assert oracle_factors(p) == {t, 4 * t - 1}
 
 
 def test_oracle_singularities_on_coordinate_lines():
     # y^2 + x^3 + x + t x^2 degenerates at (x, y) = (1, 0) and (-1, 0) for
     # t = -+2: the oracle must pick those up from the line strata
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (1, 0, 0), (2, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (1, 0, 0), (2, 0, 1)])
     assert oracle_factors(p) == {t - 2, t + 2}
 
 
 def test_oracle_duplicate_family_collision_value():
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 1)])
     assert oracle_factors(p) == {t + 1}
 
 
@@ -180,7 +177,7 @@ def test_oracle_persistent_vertex_cone_degeneration():
     # 1 + y + x^3 y + t x^2 y: the vertex (0:1:0) is singular for every t,
     # with local cubic cone x^3 + t x^2 z + z^3 degenerating at 4t^3 = -27;
     # only the Newton-boundary face analysis sees this stratum
-    _, p = minimal_and_plane([(0, 0, 0), (0, 1, 0), (3, 1, 0), (2, 1, 1)])
+    p = plane_of([(0, 0, 0), (0, 1, 0), (3, 1, 0), (2, 1, 1)])
     assert oracle_factors(p) == {4 * t**3 + 27}
     assert oracle_matches_locus(discriminant_oracle(p), singular_locus(p))
 
@@ -199,7 +196,7 @@ def seeded_coefficients(rng) -> list:
 
 
 def seeded_oracle_inputs(seed: int, count: int):
-    """(minimal, plane) for the two pinned rows above and ``count`` seeded
+    """The plane models of the two pinned rows above and ``count`` seeded
     nondegenerate surfaces of degree 2 to 7, each with unit coefficients
     and again with seeded rational ones."""
     rng = random.Random(seed)
@@ -211,12 +208,11 @@ def seeded_oracle_inputs(seed: int, count: int):
                 rows_drawn.append(rows)
         except ValidationError:
             pass
-    inputs = []
-    for rows in rows_drawn:
-        for coefficients in (None, seeded_coefficients(rng)):
-            m = reduce_to_minimal(validate_surface(rows, coefficients))
-            inputs.append((m, plane_model(m)))
-    return inputs
+    return [
+        plane_model(reduce_to_minimal(validate_surface(rows, coefficients)))
+        for rows in rows_drawn
+        for coefficients in (None, seeded_coefficients(rng))
+    ]
 
 
 class SympyExpressionBuilt(Exception):
@@ -232,12 +228,12 @@ def test_oracle_builds_no_sympy_expression(monkeypatch):
 
     monkeypatch.setattr("sympy.polys.domains.domain.sympify", refuse)
     matched = 0
-    for m, p in seeded_oracle_inputs(5, 40):
+    for p in seeded_oracle_inputs(5, 40):
         oracle = discriminant_oracle(p)
         locus = singular_locus(p)
         if not locus.degenerate:
             matches = oracle_matches_locus(oracle, locus)
-            assert matches or not in_oracle_scope(m, p), p
+            assert matches or not in_oracle_scope(p), p
             matched += matches
     assert matched >= 40
 
@@ -267,7 +263,7 @@ def test_basis_is_sympys_reduced_basis(monkeypatch, seed):
     # every system the oracle builds, on the torus, the punctured lines and
     # the Newton faces of a persistent vertex, those free of t included, has
     # sympy's reduced lex basis
-    planes = [p for _, p in seeded_oracle_inputs(seed, 30)]
+    planes = seeded_oracle_inputs(seed, 30)
     calls = recorded_bases(monkeypatch, planes)
     shapes = Counter()
     for system, nonzero, basis in calls:
@@ -390,7 +386,7 @@ def test_euler_partials_hold_on_the_newton_faces(monkeypatch):
         return basis
 
     monkeypatch.setattr(oracle_module, "_basis", recording_basis)
-    _, p = minimal_and_plane([(0, 0, 0), (0, 1, 0), (3, 1, 0), (2, 1, 1)])
+    p = plane_of([(0, 0, 0), (0, 1, 0), (3, 1, 0), (2, 1, 1)])
     discriminant_oracle(p)
     assert len(seen) >= 2  # the torus and at least one face
     for system, nonzero, basis in seen:
@@ -402,8 +398,8 @@ def test_oracle_genus_zero_family_has_no_away_roots():
     # y + y^3 + x y^2 + t solves for x: every fiber is rational and stays
     # equisingular, so the closed form's roots t^2 = -4/27 are spurious and
     # the oracle correctly returns nothing away from t = 0
-    m, p = minimal_and_plane([(0, 1, 0), (0, 3, 0), (1, 2, 0), (0, 0, 1)])
-    assert generic_fiber_genus(superelliptic_form(m, p)) == 0
+    p = plane_of([(0, 1, 0), (0, 3, 0), (1, 2, 0), (0, 0, 1)])
+    assert generic_fiber_genus(superelliptic_form(p)) == 0
     factors = oracle_factors(p)
     assert factors <= {t}
     assert not oracle_matches_locus(discriminant_oracle(p), singular_locus(p))
@@ -417,16 +413,15 @@ def test_oracle_matches_locus_on_pinned_cases():
         [(0, 2, 0), (3, 0, 0), (1, 0, 0), (2, 0, 1)],
         [(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)],
     ):
-        _, p = minimal_and_plane(triples)
+        p = plane_of(triples)
         assert oracle_matches_locus(discriminant_oracle(p), singular_locus(p))
 
 
 @settings(max_examples=60, deadline=None)
 @given(nondegenerate_surfaces())
 def test_oracle_matches_locus_property(surface):
-    m = reduce_to_minimal(surface)
-    p = plane_model(m)
-    assume(in_oracle_scope(m, p))
+    p = plane_model(reduce_to_minimal(surface))
+    assume(in_oracle_scope(p))
     assert oracle_matches_locus(discriminant_oracle(p), singular_locus(p))
 
 
@@ -436,7 +431,7 @@ def test_oracle_matches_locus_property(surface):
 
 
 def test_structure_one_orbit_under_rotation():
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (1, 0, 0), (0, 0, 1)])
     orbit = singular_locus(p)
     assert orbit.exponent == 2
     assert orbit.value == Fraction(-4, 27)
@@ -445,14 +440,14 @@ def test_structure_one_orbit_under_rotation():
 
 
 def test_structure_trivial_orbit():
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
     orbit = singular_locus(p)
     assert orbit.exponent == 1
     assert not orbit.negation_invariant
 
 
 def test_structure_survives_degenerate_locus():
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 1)])
     orbit = singular_locus(p)
     assert orbit.exponent == 1
     assert orbit.value == Fraction(-1)
@@ -465,23 +460,23 @@ def test_structure_survives_degenerate_locus():
 
 
 def test_trichotomy_isotrivial_duplicate():
-    m, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 1)])
-    tri = classify_trichotomy(m, p, singular_locus(p))
+    p = plane_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 1)])
+    tri = classify_trichotomy(p, singular_locus(p))
     assert isinstance(tri, Isotrivial)
     assert tri.duplicate_index == 2
     assert tri.degeneration_value == Fraction(-1)
 
 
 def test_trichotomy_isotrivial_constant_term():
-    m, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (0, 0, 0), (0, 0, 1)])
-    tri = classify_trichotomy(m, p, singular_locus(p))
+    p = plane_of([(0, 2, 0), (3, 0, 0), (0, 0, 0), (0, 0, 1)])
+    tri = classify_trichotomy(p, singular_locus(p))
     assert isinstance(tri, Isotrivial)
     assert tri.duplicate_index == 2
 
 
 def test_trichotomy_superelliptic_weierstrass_shape():
-    m, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
-    tri = classify_trichotomy(m, p, singular_locus(p))
+    p = plane_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
+    tri = classify_trichotomy(p, singular_locus(p))
     assert isinstance(tri, Superelliptic)
     assert tri.form == SuperellipticForm(
         2,
@@ -498,8 +493,8 @@ def test_trichotomy_superelliptic_weierstrass_shape():
 def test_trichotomy_superelliptic_after_coordinate_change():
     # k = (0, -1, -1, 2): the three on-line monomials are not axis-aligned,
     # so the normal form needs the unimodular substitution
-    m, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (1, 0, 0), (2, 0, 1)])
-    tri = classify_trichotomy(m, p, singular_locus(p))
+    p = plane_of([(0, 2, 0), (3, 0, 0), (1, 0, 0), (2, 0, 1)])
+    tri = classify_trichotomy(p, singular_locus(p))
     assert isinstance(tri, Superelliptic)
     assert tri.form.cover_exponent == 2
     assert [(e, flag) for _, e, flag in tri.form.terms] == [
@@ -534,8 +529,8 @@ def test_superelliptic_form_is_exact_past_float_precision():
 
 
 def test_trichotomy_superelliptic_genus_two():
-    m, p = minimal_and_plane([(0, 5, 0), (2, 0, 0), (1, 0, 0), (0, 0, 3)])
-    tri = classify_trichotomy(m, p, singular_locus(p))
+    p = plane_of([(0, 5, 0), (2, 0, 0), (1, 0, 0), (0, 0, 3)])
+    tri = classify_trichotomy(p, singular_locus(p))
     assert isinstance(tri, Superelliptic)
     assert tri.form.cover_exponent == 5
     assert tri.generic_genus == 2
@@ -543,14 +538,14 @@ def test_trichotomy_superelliptic_genus_two():
 
 
 def test_trichotomy_constant_j_cover():
-    m, p = minimal_and_plane([(0, 3, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
-    tri = classify_trichotomy(m, p, singular_locus(p))
+    p = plane_of([(0, 3, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
+    tri = classify_trichotomy(p, singular_locus(p))
     assert isinstance(tri, Superelliptic)
     assert (tri.form.cover_exponent, tri.generic_genus) == (3, 1)
     assert tri.constant_j == Fraction(0)
 
-    m, p = minimal_and_plane([(0, 4, 0), (2, 0, 0), (1, 0, 0), (0, 0, 1)])
-    tri = classify_trichotomy(m, p, singular_locus(p))
+    p = plane_of([(0, 4, 0), (2, 0, 0), (1, 0, 0), (0, 0, 1)])
+    tri = classify_trichotomy(p, singular_locus(p))
     assert tri.constant_j == Fraction(1728)
 
     # the cube cover with t^2 (reduced to t), and with x and y swapped
@@ -558,8 +553,8 @@ def test_trichotomy_constant_j_cover():
         [(0, 3, 0), (3, 0, 0), (2, 0, 0), (0, 0, 2)],
         [(3, 0, 0), (0, 3, 0), (0, 2, 0), (0, 0, 1)],
     ):
-        m, p = minimal_and_plane(triples)
-        tri = classify_trichotomy(m, p, singular_locus(p))
+        p = plane_of(triples)
+        tri = classify_trichotomy(p, singular_locus(p))
         assert isinstance(tri, Superelliptic)
         assert (tri.form.cover_exponent, tri.generic_genus) == (3, 1)
         assert tri.constant_j == Fraction(0)
@@ -574,7 +569,7 @@ def test_isotrivial_branch_is_the_degenerate_locus():
         m = reduce_to_minimal(validate_surface(surface.rows, coefficients))
         p = plane_model(m)
         try:
-            tri = classify_trichotomy(m, p, singular_locus(p))
+            tri = classify_trichotomy(p, singular_locus(p))
         except ValidationError:  # rational generic fiber
             continue
         pairs = [(ex, ey) for _, (ex, ey, _) in m.equation.terms]
@@ -589,16 +584,16 @@ def test_isotrivial_branch_is_the_degenerate_locus():
 
 
 def test_trichotomy_semistable_branch():
-    m, p = minimal_and_plane([(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)])
-    tri = classify_trichotomy(m, p, singular_locus(p))
+    p = plane_of([(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)])
+    tri = classify_trichotomy(p, singular_locus(p))
     assert isinstance(tri, SemistableAway)
     assert (tri.locus.exponent, tri.locus.value) == (3, Fraction(729, 1024))
 
 
 def test_trichotomy_rejects_rational_fibers():
-    m, p = minimal_and_plane([(0, 1, 0), (0, 3, 0), (1, 2, 0), (0, 0, 1)])
+    p = plane_of([(0, 1, 0), (0, 3, 0), (1, 2, 0), (0, 0, 1)])
     with pytest.raises(ValidationError):
-        classify_trichotomy(m, p, singular_locus(p))
+        classify_trichotomy(p, singular_locus(p))
 
 
 def test_trichotomy_branch_two_iff_kernel_zero():
@@ -608,8 +603,8 @@ def test_trichotomy_branch_two_iff_kernel_zero():
         [(1, 2, 0), (3, 1, 0), (0, 1, 0), (1, 0, 1)],
         [(0, 3, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)],
     ):
-        m, p = minimal_and_plane(triples)
-        tri = classify_trichotomy(m, p, singular_locus(p))
+        p = plane_of(triples)
+        tri = classify_trichotomy(p, singular_locus(p))
         has_zero = any(p.kernel[i] == 0 for i in range(3))
         assert isinstance(tri, Superelliptic) == has_zero
 
@@ -619,42 +614,33 @@ def test_trichotomy_branch_two_iff_kernel_zero():
 # ---------------------------------------------------------------------------
 
 
-def test_superelliptic_genus_table():
-    assert superelliptic_genus(2, [1, 1, 1]) == 1
-    assert superelliptic_genus(2, [1, 1, 1, 1]) == 1
-    assert superelliptic_genus(2, [1] * 5) == 2  # hyperelliptic, (5-1)/2
-    assert superelliptic_genus(3, [1, 1, 1]) == 1
-    assert superelliptic_genus(3, [1, 1]) == 1
-    assert superelliptic_genus(4, [1, 1]) == 1
-    assert superelliptic_genus(6, [2, 1]) == 1
-    assert superelliptic_genus(2, [2, 1]) == 0
-    assert superelliptic_genus(1, [1, 1, 1]) == 0
+def cover(a, exponents) -> SuperellipticForm:
+    """u^a = psi(v), psi with unit coefficients and the given exponents, the
+    last one carrying t."""
+    return SuperellipticForm(
+        a, tuple((Fraction(1), e, i == 2) for i, e in enumerate(exponents))
+    )
 
 
-def test_superelliptic_genus_rejects_reducible_cover():
-    # y^2 = (x - r)^2 (...) with every multiplicity and the degree even:
-    # the cover splits into two components and has no single genus
-    with pytest.raises(ValidationError):
-        superelliptic_genus(2, [2])
-    with pytest.raises(ValidationError):
-        superelliptic_genus(4, [2, 2, 4])
-
-
-def test_superelliptic_genus_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        superelliptic_genus(0, [1])
-    with pytest.raises(ValidationError):
-        superelliptic_genus(2, [0, 1])
+def test_generic_fiber_genus_table():
+    assert generic_fiber_genus(cover(2, (0, 1, 3))) == 1
+    assert generic_fiber_genus(cover(2, (0, 1, 4))) == 1
+    assert generic_fiber_genus(cover(2, (0, 2, 5))) == 2  # hyperelliptic, (5-1)/2
+    assert generic_fiber_genus(cover(3, (0, 1, 3))) == 1
+    assert generic_fiber_genus(cover(3, (0, 1, 2))) == 1
+    assert generic_fiber_genus(cover(4, (0, 1, 2))) == 1
+    # a simple root at v = 0 counts as one more simple root
+    assert generic_fiber_genus(cover(2, (1, 2, 3))) == 1
+    # v^2 is absorbed by the square: u^2 = v^2 (v^2 + v + 1) is rational
+    assert generic_fiber_genus(cover(2, (2, 3, 4))) == 0
+    assert generic_fiber_genus(cover(1, (0, 1, 3))) == 0
 
 
 def test_generic_profile_with_repeated_origin_root():
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (1, 0, 1)])
-    m = reduce_to_minimal(surface_from_affine_triples(
-        [(0, 2, 0), (3, 0, 0), (2, 0, 0), (1, 0, 1)]
-    ))
-    form = superelliptic_form(m, p)
+    p = plane_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (1, 0, 1)])
+    form = superelliptic_form(p)
     assert sorted(e for _, e, _ in form.terms) == [1, 2, 3]
-    assert generic_profile(form) == [1, 1, 1]
+    assert generic_fiber_genus(form) == 1
 
 
 def test_constant_j_rejects_wrong_genus():
@@ -710,12 +696,12 @@ def fiber_singularities_are_nodal(plane, t0: Fraction) -> bool:
 
 
 def test_away_fiber_is_nodal():
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)])
     assert fiber_singularities_are_nodal(p, Fraction(-4, 27))
 
 
 def test_duplicate_family_node_vs_cusp():
-    _, p = minimal_and_plane([(0, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 1)])
+    p = plane_of([(0, 2, 0), (3, 0, 0), (2, 0, 0), (2, 0, 1)])
     # t = 0: y^2 + x^3 + x^2 has an ordinary node at the origin
     assert fiber_singularities_are_nodal(p, Fraction(0))
     # t = -1: y^2 + x^3 has a cusp
