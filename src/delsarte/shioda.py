@@ -31,20 +31,48 @@ and the member's entry sum is c + j + k = 2ap * ceil((c + j) / 2ap).  With
 lo, r = divmod(c, 2ap) (r is never 0, since 2ai = ap would make p even),
 the j below 2ap - r sit at level q = lo + 1, j = 2ap - r gives k = 0, and
 the j above sit at level lo + 2: slice i puts 2ap - r - 1 characters at
-level lo + 1 and r - 1 at level lo + 2.  The same split cuts the slice
-scan in half.  On the slice i = 1, lo = 0 and r = ap + 2a: a j below
-ap - 2a has entry sum 2ap, so its fractional parts sum to 1 and t = 1
-already puts it in Lambda, and j = ap - 2a gives k = 0.  So
-``excluded_fractions`` scans only the level-2 members, j from
-ap - 2a + 1 to 2ap - 1.
+level lo + 1 and r - 1 at level lo + 2.  The same split halves the slice.
+On the slice i = 1, lo = 0 and r = ap + 2a: a j below ap - 2a has entry
+sum 2ap, so its fractional parts sum to 1 and t = 1 already puts it in
+Lambda, and j = ap - 2a gives k = 0.  So only the level-2 members, j from
+ap - 2a + 1 to 2ap - 1, are candidates.
+
+``excluded_fractions`` sieves them over the units t of d = 2ap rather than
+scanning them one at a time.  With c = ap + 2a, a level-2 member has
+j + k = 2d - c.  Write x = tj mod d, r = -tc mod d and
+s = (t ap mod d) + (t 2a mod d): then tk mod d is r - x when x < r and
+r - x + d when x > r (x = r would make k = 0), so the scaled entry sum is
+s + r or s + r + d, and s + r, a multiple of d below 3d, is d or 2d (the
+sieve raises on anything else).  So each unit keeps the j on one side of
+r: x < r when s + r = 2d, x > r when it is d.  The units go in ascending
+order, the sieve stops when no j is left, and the j that survive every
+unit are the excluded fractions.  The units of d give the same verdicts as
+those of each member's own order, by the surjection ``exhaustive_scan``
+relies on; t = 1 keeps every level-2 j, and d - t keeps the same j as t,
+since it sends each scaled sum S to 4d - S, so only the odd t from 3 to
+d/2 prime to d are taken, each found by its own gcd test.  That is one
+list comprehension per unit over the j still left, where the scan member
+by member made one call per member: at 2ap = 9,998 the slice takes about
+5 ms in process, against 29 ms so.
 
 ``family_report`` gives every quantity ``picard`` prints.  Its recount,
 ``verify_family`` (``picard --verify``), relies on none of these
 shortcuts: it enumerates all of L0 from the adjugate of the family's
-exponent matrix, rescans every member with the exhaustive scan and
-recounts the Hodge levels from the members' entry sums.  Both per-member
-loops run on packed lanes (``_Lanes``): one int holds one value per
-lane, and one add and one masked reduction act on every lane at once.
+exponent matrix, rescans every member with both scans of the pair, the
+early-exit ``lambda_witnesses`` and the exhaustive ``exhaustive_scan``,
+and recounts the Hodge levels from the members' entry sums.
+``lambda_witnesses`` is one call for all the members.  It decides t = 1 by
+the entry sum; otherwise it walks the gcd-filtered units of the member's
+own order (``_units``), ascending, and stops at the least witness.  The
+witness depends only on the multiset of numerators, so it is computed once
+per sorted tuple of them; that memo and the unit table of each order met
+live for the one call.  On the Fermat surface of degree 100, whose 646,899
+level-2 members of L0 fall into 28,203 sorted tuples, the early-exit
+scans took 1.24-1.53 s of CPU one call per member, and take 0.74-1.07 s
+(``lefschetz_number`` of ``analyze --shioda`` runs the same kernel).
+Enumeration and the exhaustive scan run on packed lanes (``_Lanes``): one
+int holds one value per lane, and one add and one masked reduction act on
+every lane at once.
 ``enumerate_L0`` holds the group as four packed columns and closes it
 by doubling its cosets.  ``exhaustive_scan`` takes every unit of every
 member's order and never stops early, but it adds them all at once, and
@@ -57,9 +85,11 @@ lanes still take every unit of N.  A row is built by doubling from the
 rows of m's binary prefixes, not unit by unit.  The members' sums are
 made and compared one at a time, so no more than one is held.  A cold
 ``picard --p 43 --a 10 --verify`` took 3.1-3.3 s with one sum per unit,
-and takes 0.18-0.20 s so; ``--p 3 --a 829 --verify`` took 0.77-1.51 s
-with each row packed unit by unit, and takes 0.18-0.24 s (2-core shared
-VM), as with one table per order.
+and 0.18-0.20 s so; ``--p 3 --a 829 --verify`` took 0.77-1.51 s with each
+row packed unit by unit, and 0.18-0.24 s by doubling (2-core shared VM).
+With the slice sieve and the memoized early-exit kernel they take
+0.30-0.33 s and 0.28-0.29 s on a slower run of the same kind of host, where
+the member-by-member scans read 0.33-0.35 s and 0.29-0.33 s.
 The exhaustive scan lists the units of d with its own sieve
 (``_sieved_units``) rather than the early-exit scan's gcd filter of the
 units of each member's order (``_units``), so the two scans of the pair
@@ -70,7 +100,7 @@ Input sizes are bounded: a family member needs 2ap <= MAX_WEIGHT,
 ValidationError, before the closure starts, a group of more than MAX_L
 members, and ``check_recount_budget`` refuses a recount of more than
 MAX_RECOUNT steps, |L0| * 2ap; ``family_report`` runs it once, under
-``verify``, before the slice scan and before L0 is built.
+``verify``, before the slice sieve and before L0 is built.
 """
 
 from __future__ import annotations
@@ -88,9 +118,10 @@ from .errors import ValidationError, VerificationError
 if TYPE_CHECKING:
     from .exact import Adjugate
 
-# Largest weight 2ap of a family member.  The slice scan costs O(2ap) unit
-# scans: a cold ``picard`` takes about 0.14 s at 2ap = 9,998, and would
-# take 2.8 s at 2ap = 200,006.
+# Largest weight 2ap of a family member.  The slice sieve makes one pass
+# per unit below ap over the j still left: a cold ``picard`` takes
+# 0.10 s at 2ap = 9,998 (0.12-0.13 s member by member), and would take
+# about 0.2 s at 2ap = 200,006 (0.6-0.7 s so).
 MAX_WEIGHT = 10**4
 
 # Largest |L| that ``enumerate_L0`` closes: the Fermat surface of degree
@@ -99,11 +130,11 @@ MAX_L = 10**6
 
 # Largest |L0| * 2ap that ``verify_family`` rescans: the exhaustive scan
 # takes at most 2ap unit scalings per member of L0.  The largest member of
-# the p <= 43, a <= 10 grid, (43, 10), needs 30,990,960 steps (0.18-0.20 s
-# cold on a 2-core shared VM); (3, 829) needs 49,461,456 (0.18-0.24 s
+# the p <= 43, a <= 10 grid, (43, 10), needs 30,990,960 steps (0.30-0.33 s
+# cold on a 2-core shared VM); (3, 829) needs 49,461,456 (0.28-0.29 s
 # cold); the slowest admitted input found, (229, 1), the largest L0, needs
-# 47,617,344 (0.46-0.53 s cold, where its early-exit scans take most of
-# the time); (47, 106) would need 4.57 * 10**9.
+# 47,617,344 (0.43-0.63 s cold, against 0.59-0.79 s with one early-exit
+# call per member, on the same host); (47, 106) would need 4.57 * 10**9.
 MAX_RECOUNT = 5 * 10**7
 
 Numerators = tuple[int, int, int, int]
@@ -302,27 +333,49 @@ def enumerate_L0(d: int, generators: Sequence[Numerators]) -> frozenset[Numerato
     )
 
 
-@lru_cache(maxsize=256)
 def _units(modulus: int) -> tuple[int, ...]:
     """The t in [1, modulus] prime to ``modulus``, ascending."""
     return tuple(t for t in range(1, modulus + 1) if gcd(t, modulus) == 1)
 
 
-def lambda_membership(numerators: Numerators, d: int) -> Optional[int]:
-    """The least unit t modulo the character's order whose scaling of
-    ``numerators``/``d`` has fractional parts not summing to 2, or None when
-    the character lies outside Lambda.
+def lambda_witnesses(members: Iterable[Numerators], d: int) -> list[Optional[int]]:
+    """For each of ``members``, characters with numerators in [0, d) over
+    ``d``, the least unit t modulo its order whose scaling has fractional
+    parts not summing to 2, or None when it lies outside Lambda: the
+    early-exit scan, one verdict per member in the order given.
 
-    Unit t is exactly the order-preserving scaling.  Intended for
-    characters without zero entries (members of L0); ``verify_family``
-    compares this early-exit scan with ``exhaustive_scan`` on every member.
+    Unit t is exactly the order-preserving scaling.  Intended for members of
+    L0; ``verify_family`` compares these verdicts with ``exhaustive_scan``
+    on every member.  t = 1 is decided by the entry sum.  Otherwise the scan
+    walks ``_units`` of the member's order, ascending, and stops at the
+    first unit that moves the sum off 2d.  The witness depends on the
+    numerators and not on their order, so it is computed once per sorted
+    tuple of numerators; that memo and the unit tables of the orders met
+    are local to the call.
     """
-    n1, n2, n3, n4 = numerators
     target = 2 * d
-    for t in _units(d // gcd(d, n1, n2, n3, n4)):
-        if (t * n1) % d + (t * n2) % d + (t * n3) % d + (t * n4) % d != target:
-            return t
-    return None
+    tables: dict[int, tuple[int, ...]] = {}
+    memo: dict[tuple[int, ...], Optional[int]] = {}
+    witnesses: list[Optional[int]] = []
+    for numerators in members:
+        if sum(numerators) != target:
+            witnesses.append(1)
+            continue
+        key = tuple(sorted(numerators))
+        if key not in memo:
+            n1, n2, n3, n4 = key
+            order = d // gcd(d, n1, n2, n3, n4)
+            units = tables.get(order)
+            if units is None:
+                units = tables[order] = _units(order)
+            witness = None
+            for t in units:
+                if (t * n1) % d + (t * n2) % d + (t * n3) % d + (t * n4) % d != target:
+                    witness = t
+                    break
+            memo[key] = witness
+        witnesses.append(memo[key])
+    return witnesses
 
 
 @lru_cache(maxsize=256)
@@ -405,7 +458,7 @@ def exhaustive_scan(
 def lefschetz_number(adjugate: Adjugate) -> int:
     """#(L0 ∩ Lambda) for the exponent matrix A with ``(det A, adj A)``."""
     d, generators = shioda_vectors(adjugate)
-    return sum(lambda_membership(n, d) is not None for n in enumerate_L0(d, generators))
+    return sum(w is not None for w in lambda_witnesses(enumerate_L0(d, generators), d))
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +471,29 @@ def family_L0_count(params: FamilyParams) -> int:
 
 
 def excluded_fractions(params: FamilyParams) -> set[Fraction]:
-    """Brute force, on the slice i = 1, of the j-fractions outside Lambda.
-
-    Only the level-2 members are scanned, j from ap - 2a + 1 to 2ap - 1
-    with k = 4ap - c - j, c = ap + 2a: a smaller j has entry sum 2ap, so
-    t = 1 puts it in Lambda, and j = ap - 2a gives k = 0 (see the module
-    docstring)."""
+    """The j-fractions of the slice i = 1 outside Lambda, by a sieve over
+    the units t of d = 2ap (see the module docstring): the candidates are
+    the level-2 j, from ap - 2a + 1 to 2ap - 1, and each unit from 3 to d/2
+    keeps those whose scaled entry sum stays at 2d, the j with
+    tj mod d < r when s + r = 2d and those with tj mod d > r when it is d,
+    where c = ap + 2a, r = -tc mod d and s = (t ap mod d) + (t 2a mod d)."""
     a, p, d = params.a, params.p, params.weight
     c = a * p + 2 * a
-    return {
-        Fraction(j, d)
-        for j in range(d - c + 1, d)
-        if lambda_membership((a * p, 2 * a, j, 2 * d - c - j), d) is None
-    }
+    keep: Sequence[int] = range(d - c + 1, d)
+    for t in range(3, d // 2, 2):  # every unit of the even d is odd
+        if gcd(t, d) != 1:
+            continue
+        r = -t * c % d
+        level = t * a * p % d + t * 2 * a % d + r
+        if level == 2 * d:
+            keep = [j for j in keep if t * j % d < r]
+        elif level == d:
+            keep = [j for j in keep if t * j % d > r]
+        else:  # raised, not asserted: the claim must hold under -O too
+            raise AssertionError(f"scaled sum {level} at t = {t} is not {d} or {2 * d}")
+        if not keep:
+            break
+    return {Fraction(j, d) for j in keep}
 
 
 def gs_hodge_counts(params: FamilyParams) -> tuple[int, int, int]:
@@ -476,7 +539,7 @@ class FamilyReport(NamedTuple):
 def family_report(
     params: FamilyParams, *, hodge=False, excluded=False, verify=False
 ) -> FamilyReport:
-    """The ``picard`` record of ``params`` from one scan of the slice i = 1:
+    """The ``picard`` record of ``params`` from one sieve of the slice i = 1:
     rho_tilde is 2 plus p - 1 times its j-fractions outside Lambda (see the
     module docstring), and lambda is the rest of L0.  ``verify`` checks
     ``check_recount_budget`` before any scan, then recounts all of L0 with
@@ -518,7 +581,7 @@ def verify_family(
         raise VerificationError(f"L0 size {len(members)} != direct count {L0_count}")
     rows, sums = exhaustive_scan(members, d)
     slow = [s != rows.full for s in sums]
-    fast = [lambda_membership(n, d) is not None for n in members]
+    fast = [w is not None for w in lambda_witnesses(members, d)]
     if slow != fast:
         n = next(n for n, s, f in zip(members, slow, fast) if s != f)
         raise VerificationError(f"scan disagreement at {_readable(n, d)}")

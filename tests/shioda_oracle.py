@@ -13,14 +13,18 @@ by coset or counting it from an echelon form, ``enumerate_L0_product`` keeps
 its all-nonzero members, and ``lefschetz_by_fractions`` counts L0 ∩ Lambda
 on that list with a ``Fraction`` scan.
 
-Three helpers run part of the package.  ``exhaustive_sums`` reads the
+``lambda_membership`` is the early-exit scan one member at a time, with
+its own gcd filter of the units of the member's order: the reference that
+``shioda.lambda_witnesses`` is held against witness for witness, and that
+``excluded_fractions_all_j`` runs over every j of the family's slice, the
+reference of the slice sieve ``shioda.excluded_fractions``.
+
+Two helpers run part of the package.  ``exhaustive_sums`` reads the
 packed sum of ``shioda.exhaustive_scan``, the kernel ``picard --verify``
 compares, lane by lane over the units of d, so that the tests can hold
 each lane against ``fraction_exhaustive_sums``.  ``unit_row`` is the row
 that kernel packs, one product per unit of its own unit set, against which
-the rows it builds by doubling are held.  ``excluded_fractions_all_j`` is
-the slice scan over every j of the slice, with the package's early-exit
-scan, against which the scan of its level-2 members only is held.
+the rows it builds by doubling are held.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from delsarte.shioda import _sieved_units, exhaustive_scan, lambda_membership
+from delsarte.shioda import _sieved_units, exhaustive_scan
 
 
 def character(values) -> tuple[tuple[int, ...], int]:
@@ -100,14 +104,15 @@ def unit_row(order: int, m: int) -> list[int]:
     return [t * m % order for t in _sieved_units(order)]
 
 
-def _outside_lambda(numerators, d: int) -> bool:
-    """Every unit t modulo the order keeps sum((t*n) mod d) at 2d."""
+def lambda_membership(numerators, d: int):
+    """The least unit t modulo the order of ``numerators``/``d`` whose
+    scaling has fractional parts not summing to 2, or None when the
+    character lies outside Lambda: the early-exit scan of one member."""
     order = d // gcd(d, *numerators)
-    return all(
-        sum((t * n) % d for n in numerators) == 2 * d
-        for t in range(1, order + 1)
-        if gcd(t, order) == 1
-    )
+    for t in range(1, order + 1):
+        if gcd(t, order) == 1 and sum((t * n) % d for n in numerators) != 2 * d:
+            return t
+    return None
 
 
 def _family_members(p: int, a: int):
@@ -121,8 +126,9 @@ def _family_members(p: int, a: int):
 
 
 def excluded_fractions_all_j(p: int, a: int) -> set[Fraction]:
-    """The j-fractions of the slice (ap, 2a, j, k)/2ap outside Lambda, by the
-    early-exit scan over every j with k != 0, not only the level-2 ones."""
+    """The j-fractions of the slice (ap, 2a, j, k)/2ap outside Lambda, by
+    ``lambda_membership`` on every j with k != 0, not only the level-2 ones,
+    over the units of each member's own order."""
     d = 2 * a * p
     out = set()
     for j in range(1, d):
@@ -137,7 +143,8 @@ def picard_family_all_vectors(p: int, a: int) -> int:
     members (ap, 2ai, j, k)/2ap of L0, over every slice i, outside Lambda."""
     d = 2 * a * p
     return 2 + sum(
-        _outside_lambda(numerators, d) for numerators in _family_members(p, a)
+        lambda_membership(numerators, d) is None
+        for numerators in _family_members(p, a)
     )
 
 

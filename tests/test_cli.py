@@ -425,6 +425,20 @@ def test_picard_verify_builds_each_unit_set_once(capsys):
     assert {d // gcd(d, *n) for n in members} == {26, 52, 104}
 
 
+def test_analyze_shioda_at_the_character_bound(capsys):
+    # the Fermat surface of degree 100 sits at the bound, |L| = 10**6, with
+    # 960,597 members of L0; no slower admitted --shioda input is known.  It
+    # took 1.3-2.1 s cold in six runs (2-core shared VM)
+    surface = json.dumps(
+        {"monomials": [[100 if i == j else 0 for j in range(4)] for i in range(4)]}
+    )
+    start = time.perf_counter()
+    report = run_json(capsys, "analyze", surface, "--shioda")
+    elapsed = time.perf_counter() - start
+    assert report["shioda"] == {"lambda": 928610}
+    assert elapsed < 5.0
+
+
 def test_analyze_shioda_past_the_character_bound_exits_3_at_once(capsys):
     # the Fermat surface of degree 160 has |L| = 160**3 = 4,096,000, past the
     # bound of 10**6 members; unbounded, it ran for more than 40 s
@@ -645,27 +659,23 @@ def test_picard_verify_catches_a_wrong_exhaustive_unit_set(capsys, monkeypatch):
 
 
 def test_picard_verify_catches_a_flipped_early_exit_verdict(capsys, monkeypatch):
-    # the recount's early-exit scan flips its first verdict; the slice scan
-    # that runs before it keeps the true ones
-    real_scan, real_verify = shioda.lambda_membership, shioda.verify_family
+    # the early-exit kernel flips its first verdict; the slice sieve does not
+    # call it, so only the recount's comparison sees the flip
+    real_kernel = shioda.lambda_witnesses
     flipped = []
 
-    def flip_first(numerators, d):
-        witness = real_scan(numerators, d)
-        if flipped:
-            return witness
-        flipped.append((numerators, d))
-        return 1 if witness is None else None
+    def flip_first(members, d):
+        members = list(members)
+        witnesses = real_kernel(members, d)
+        flipped.append((members[0], d))
+        witnesses[0] = 1 if witnesses[0] is None else None
+        return witnesses
 
-    def verify_with_a_flip(*args):
-        monkeypatch.setattr(shioda, "lambda_membership", flip_first)
-        return real_verify(*args)
-
-    monkeypatch.setattr(shioda, "verify_family", verify_with_a_flip)
+    monkeypatch.setattr(shioda, "lambda_witnesses", flip_first)
     code, out, err = run_cli(capsys, *PICARD_VERIFY)
     assert code == 1
     assert out == ""
-    numerators, d = flipped[0]
+    [(numerators, d)] = flipped
     entries = ", ".join(str(Fraction(n, d)) for n in numerators)
     assert f"verification failed: scan disagreement at ({entries})" in err
     assert "scan disagreement at (1/2, " in err  # every family member has x-entry 1/2

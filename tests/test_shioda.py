@@ -1,13 +1,15 @@
 """Character-lattice enumeration: generators, L0, Lambda, Picard numbers.
 
-The early-exit unit scan is validated on whole small lattices against the
-exhaustive scan, the kernel ``shioda.exhaustive_scan`` that ``picard
---verify`` runs, read lane by lane, and both against a ``Fraction``
-reference; the one-slice family count and the closed-form Hodge levels are
-validated against walks over every member of L0, and the coset closure of
-L against the loop over every combination of the generators' multiples
-(``shioda_oracle.py``).  A character is a tuple of integer numerators over
-a denominator d, as the package holds it.
+The early-exit kernel ``shioda.lambda_witnesses`` is validated witness for
+witness against the one-member scan of ``shioda_oracle.py``, and on whole
+small lattices against the exhaustive scan, the kernel
+``shioda.exhaustive_scan`` that ``picard --verify`` runs, read lane by
+lane, and both against a ``Fraction`` reference; the slice sieve and the
+one-slice family count against scans over every j of the slice and over
+every member of L0, the closed-form Hodge levels against a walk over L0,
+and the coset closure of L against the loop over every combination of the
+generators' multiples (``shioda_oracle.py``).  A character is a tuple of
+integer numerators over a denominator d, as the package holds it.
 """
 
 import random
@@ -34,7 +36,7 @@ from delsarte.shioda import (
     family_report,
     gs_hodge_counts,
     is_prime,
-    lambda_membership,
+    lambda_witnesses,
     lefschetz_number,
     prefix_orders,
     shioda_vectors,
@@ -50,6 +52,7 @@ from shioda_oracle import (
     group_product,
     hodge_counts_all_vectors,
     integer_exhaustive_sums,
+    lambda_membership,
     lefschetz_by_fractions,
     order,
     picard_family_all_vectors,
@@ -71,6 +74,13 @@ def scaled(vector, t: int):
     return tuple(t * n % d for n in numerators), d
 
 
+def witness(numerators, d: int):
+    """The early-exit kernel's verdict on the one character
+    ``numerators``/``d``: its least witness t, or None outside Lambda."""
+    (found,) = lambda_witnesses([numerators], d)
+    return found
+
+
 def lemexcl_set(p: int) -> set:
     return {
         Fraction(p - 1, 2 * p), Fraction(1, 2), Fraction(p + 2, 2 * p),
@@ -89,11 +99,11 @@ def test_a_character_over_a_multiple_of_its_denominator():
     # they give the same witness and the same sums
     for j in (3, 11):  # in Lambda with witness 1, and outside Lambda
         numerators, d = family_slice_vector(11, 1, j)
-        witness = lambda_membership(numerators, d)
+        least = witness(numerators, d)
         sums = exhaustive_sums(numerators, d)
         for k in (2, 3, 7):
             scaled_up = tuple(k * n for n in numerators)
-            assert lambda_membership(scaled_up, k * d) == witness, (j, k)
+            assert witness(scaled_up, k * d) == least, (j, k)
             assert exhaustive_sums(scaled_up, k * d) == sums, (j, k)
     assert character([Fraction(-1, 3), Fraction(4, 3), 0, 1]) == ((2, 1, 0, 0), 3)
 
@@ -274,14 +284,14 @@ def test_lefschetz_number_matches_the_fraction_count():
 def test_membership_witness_example():
     v = family_slice_vector(11, 1, 3)
     assert v[1] == order(*v) == 22
-    assert lambda_membership(*v) == 1
+    assert witness(*v) == 1
     assert exhaustive_sums(*v)[1] == 1
 
 
 def test_membership_half_pair_excluded():
     # j/2ap = 1/2 puts two entries at 1/2; every odd t then forces sum 2
     v = family_slice_vector(11, 1, 11)
-    assert lambda_membership(*v) is None
+    assert witness(*v) is None
     assert all(s == 2 for s in exhaustive_sums(*v).values())
 
 
@@ -289,22 +299,78 @@ def test_membership_invariant_under_unit_scaling():
     v = family_slice_vector(11, 1, 3)
     for t in (3, 5, 21):
         assert gcd(t, order(*v)) == 1
-        assert (lambda_membership(*scaled(v, t)) is None) == (
-            lambda_membership(*v) is None
-        )
+        assert (witness(*scaled(v, t)) is None) == (witness(*v) is None)
     w = family_slice_vector(11, 1, 11)
-    assert lambda_membership(*scaled(w, 7)) is None
+    assert witness(*scaled(w, 7)) is None
+
+
+# the draws of the p <= 43, a <= 10 grid small enough for the benchmark's
+# picard --verify ops, |L0| <= 1500
+VERIFY_DRAWS = [
+    (p, a)
+    for p in range(3, 44)
+    if is_prime(p)
+    for a in range(1, 11)
+    if (p - 1) * (2 * a * p - 2) <= 1500
+]
+
+
+def test_lambda_witnesses_match_the_one_member_scan():
+    # witness for witness, the kernel against the reference's scan of one
+    # member at a time, on every member of L0 of the grid's verify draws and
+    # of the seeded random matrices
+    families = [FamilyParams(p, a).matrix for p, a in VERIFY_DRAWS]
+    assert len(families) == 45
+    for rows in families + random_matrices():
+        d, generators = shioda_vectors(adjugate(rows))
+        members = list(enumerate_L0(d, generators))
+        reference = [lambda_membership(n, d) for n in members]
+        assert lambda_witnesses(members, d) == reference, rows
+
+
+def test_lambda_witnesses_memo_is_exact():
+    # the kernel computes one witness per sorted tuple of numerators: shuffle
+    # the members and add a copy of each with its entries permuted, so that
+    # most witnesses come from the memo, and every one must still be the
+    # reference's
+    rng = random.Random(3407)
+    families = [FamilyParams(13, 4).matrix, FamilyParams(5, 6).matrix]
+    for rows in families + random_matrices()[:8]:
+        d, generators = shioda_vectors(adjugate(rows))
+        members = list(enumerate_L0(d, generators))
+        permuted = [tuple(rng.sample(n, 4)) for n in members]
+        mixed = members + permuted
+        rng.shuffle(mixed)
+        reference = [lambda_membership(n, d) for n in mixed]
+        assert lambda_witnesses(mixed, d) == reference, rows
+
+
+def test_lambda_witnesses_decide_t_1_by_the_entry_sum():
+    # entry sums d and 3d have fractional parts summing to 1 and 3, so t = 1
+    # is the witness, by hand and on every such member of L0 at (7, 3)
+    d = 22
+    level_1 = (11, 2, 3, 6)
+    level_3 = tuple(d - n for n in level_1)  # (11, 20, 19, 16)
+    assert (sum(level_1), sum(level_3)) == (d, 3 * d)
+    assert lambda_witnesses([level_1, level_3], d) == [1, 1]
+    assert [lambda_membership(n, d) for n in (level_1, level_3)] == [1, 1]
+    d, generators = shioda_vectors(adjugate(FamilyParams(7, 3).matrix))
+    members = list(enumerate_L0(d, generators))
+    witnesses = lambda_witnesses(members, d)
+    sums = Counter(sum(n) for n in members)
+    assert sums[d] > 0 and sums[3 * d] > 0
+    assert all(w == 1 for n, w in zip(members, witnesses) if sum(n) != 2 * d)
 
 
 def test_early_exit_agrees_with_exhaustive_scan():
     for p, a in [(3, 1), (3, 2), (5, 1)]:
         d, generators = shioda_vectors(adjugate(FamilyParams(p, a).matrix))
-        for n in enumerate_L0(d, generators):
-            witness = lambda_membership(n, d)
+        members = list(enumerate_L0(d, generators))
+        for n, least in zip(members, lambda_witnesses(members, d)):
             sums = exhaustive_sums(n, d)
-            assert (witness is not None) == any(s != 2 for s in sums.values())
-            if witness is not None:
-                assert witness == min(t for t, s in sums.items() if s != 2)
+            assert (least is not None) == any(s != 2 for s in sums.values())
+            if least is not None:
+                assert least == min(t for t, s in sums.items() if s != 2)
             # entry sums always land in {1, 2, 3} on L0
             assert set(sums.values()) <= {1, 2, 3}
 
@@ -333,12 +399,13 @@ def test_dual_routes_agree_on_seeded_draws():
         assert len(members) == count
         lam = lam_fraction = 0
         rows, packed_sums = exhaustive_scan(members, d)  # verify_family's one pass
-        for n, packed in zip(members, packed_sums):
+        witnesses = lambda_witnesses(members, d)  # and its early-exit pass
+        for n, packed, least in zip(members, packed_sums, witnesses):
             sums = exhaustive_sums(n, d)
             reference = fraction_exhaustive_sums(entries(n, d))
             assert sums == reference, (params, n)
             slow = any(s != 2 for s in sums.values())
-            assert (lambda_membership(n, d) is not None) == slow, (params, n)
+            assert (least is not None) == slow, (params, n)
             assert (packed != rows.full) == slow, (params, n)  # its verdict
             lam += slow
             lam_fraction += any(s != 2 for s in reference.values())
@@ -433,10 +500,10 @@ def test_exhaustive_scan_keeps_its_own_unit_set(monkeypatch):
     d, generators = shioda_vectors(adjugate(FamilyParams(11, 1).matrix))
     members = sorted(enumerate_L0(d, generators))
     sums = [exhaustive_sums(n, d) for n in members]
-    witnesses = [lambda_membership(n, d) for n in members]
+    witnesses = lambda_witnesses(members, d)
     monkeypatch.setattr(shioda, "_units", lambda modulus: (1,))
     assert [exhaustive_sums(n, d) for n in members] == sums
-    assert [lambda_membership(n, d) for n in members] != witnesses
+    assert lambda_witnesses(members, d) != witnesses
 
 
 def test_recount_budget_admits_the_grid():
@@ -584,6 +651,26 @@ def test_slice_scan_skips_only_members_in_Lambda_at_t_1():
         assert excluded_fractions(FamilyParams(p, a)) == excluded_fractions_all_j(p, a)
 
 
+def test_slice_sieve_matches_the_scan_over_every_j():
+    # the sieve over the units of 2ap against the reference's early-exit scan
+    # of every j of the slice over its own order's units, on every admitted
+    # (p, a) with 2ap <= 400
+    primes = [p for p in range(3, 201) if is_prime(p)]
+    pairs = [(p, a) for p in primes for a in range(1, 200 // p + 1)]
+    assert len(pairs) == 269
+    for p, a in pairs:
+        sieve = excluded_fractions(FamilyParams(p, a))
+        assert sieve == excluded_fractions_all_j(p, a), (p, a)
+
+
+def test_slice_sieve_at_the_largest_weights():
+    # the largest prime weight 2ap = 9,998, and 2ap = 9,996 and 10,000 with
+    # many small factors, so many orders among the members of the slice
+    for p, a in [(4999, 1), (3, 1666), (5, 1000)]:
+        sieve = excluded_fractions(FamilyParams(p, a))
+        assert sieve == excluded_fractions_all_j(p, a), (p, a)
+
+
 def test_out_of_lambda_spread_evenly_over_slices():
     # each i-slice contributes the same six excluded columns for p > 7
     p, a, d = 11, 1, 22
@@ -594,7 +681,7 @@ def test_out_of_lambda_spread_evenly_over_slices():
             k = -(a * p + 2 * a * i + j) % d
             if k == 0:
                 continue
-            if lambda_membership(*family_slice_vector(p, a, j, i)) is None:
+            if witness(*family_slice_vector(p, a, j, i)) is None:
                 count += 1
         per_slice.append(count)
     assert per_slice == [6] * (p - 1)
@@ -661,4 +748,4 @@ def test_published_witnesses(p, a, j, t):
     assert gcd(t, order(*vec)) == 1
     total = sum((frac_part(t * e) for e in entries(*vec)), Fraction(0))
     assert total == 1
-    assert lambda_membership(*vec) is not None
+    assert witness(*vec) is not None
