@@ -102,13 +102,10 @@ def _fiber_json(place: str, fiber) -> dict:
 
 
 def _verdict_json(section) -> dict:
-    verdict = section.verdict
-    if verdict.kind == "constant_j":
-        return {"kind": verdict.kind, "j": exact.rational_to_json(verdict.j_value)}
     return {
-        "kind": verdict.kind,
-        "gamma": exact.rational_to_json(verdict.gamma),
-        "base_change_exponent": verdict.base_change_exponent,
+        "kind": "base_change_gamma_lt_one",
+        "gamma": exact.rational_to_json(section.gamma),
+        "base_change_exponent": section.base_change_exponent,
         "away_type": section.away.symbol,
         "at_zero": section.at_zero.symbol,
         "at_infinity": section.at_infinity.symbol,
@@ -116,8 +113,8 @@ def _verdict_json(section) -> dict:
 
 
 def _genus_one_json(section) -> dict:
-    model, verdict = section.model, section.verdict
-    report = {
+    model = section.model
+    return {
         "weierstrass": {
             "a1": "0",  # the model is short: y^2 = x^3 + a2 x^2 + a4 x + a6
             "a3": "0",
@@ -134,10 +131,8 @@ def _genus_one_json(section) -> dict:
             _fiber_json("infinity", section.at_infinity),
         ],
         "verdict": _verdict_json(section),
+        "gamma": exact.rational_to_json(section.gamma),
     }
-    if verdict.kind == "base_change_gamma_lt_one":
-        report["gamma"] = exact.rational_to_json(verdict.gamma)
-    return report
 
 
 def _verify_json(oracle) -> dict:
@@ -312,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     picard.add_argument(
         "--excluded",
         action="store_true",
-        help="add the brute-forced set of out-of-Lambda j-fractions",
+        help="add the sieved set of out-of-Lambda j-fractions",
     )
 
     for command in (analyze, picard):

@@ -12,15 +12,18 @@ squarefree, and its roots must share one fiber type (each cofactor left by
 repeated division is prime to it; nothing is factored).  ``kodaira_type``
 reads the valuations off c4, c6 and delta.  ``genus_one_section`` splits
 c4, c6 and delta at the away orbit once, classifies the away fiber from
-those valuations and hands delta's cofactor to the verdict, so one model's
-invariants are computed once and divided by the orbit once.
+those valuations and hands delta's cofactor on to j and gamma, so one
+model's invariants are computed once and divided by the orbit once.
 
-The one quotient, j = c4^3/delta, is formed once, with the verdict, and
-without a gcd: the verdict first checks that delta = unit * t^m *
-(t^k4 - c)^nu with multiplicative away fibers, so c4 is prime to the orbit
-and the common factor of c4^3 and delta is the power of t read off the
-valuations at 0.  j is kept as a (numerator, denominator) pair in sympy's
-``cancel`` form (``exact.primitive_quotient``).  The report prints these
+The one quotient, j = c4^3/delta, is formed once, with gamma, and without
+a gcd.  j is never constant on a double cover of this shape (constant-j
+fibrations end on the isotrivial branch, or as covers of exponent at least
+3 whose trichotomy carries j), so the away fibers are multiplicative:
+the section first checks that delta = unit * t^m * (t^k4 - c)^nu, so c4
+is prime to the orbit and the common factor of c4^3 and delta is the power
+of t read off the valuations at 0.  j is kept as a (numerator,
+denominator) pair in sympy's ``cancel`` form (``exact.primitive_quotient``),
+whose denominator has at least two terms.  The report prints these
 polynomials with ``exact.format_polynomial`` and ``exact.format_quotient``,
 which write what sympy's ``str`` would.
 
@@ -32,9 +35,11 @@ whole of Tate's algorithm.
 
 ``genus_one_section`` computes each genus-one quantity once (psi from the
 cyclic-cover form, nu from the away fiber).  The section holds the fiber
-table; its verdict holds only k4 and gamma, which is ``gamma`` of that
-table (the away orbit as k4 places) over k4.  Its input is a genus-one
-double cover u^2 = psi(v), the one shape ``analysis.analyze`` hands it;
+table and the verdict's two numbers: the fibration is the base change of
+degree k4 (``base_change_exponent``) of a rational elliptic surface whose
+``gamma`` < 1 is ``gamma`` of that table (the away orbit as k4 places) over
+k4 (Fastenberg's corollary).  Its input is a genus-one double cover
+u^2 = psi(v), the one shape ``analysis.analyze`` hands it;
 ``genus_one_weierstrass`` raises ValidationError on any other cover, a
 precondition for a library caller and not a verdict on the surface.
 """
@@ -304,35 +309,17 @@ def genus_one_weierstrass(form: SuperellipticForm) -> WeierstrassModel:
 
 
 # ---------------------------------------------------------------------------
-# The eligibility verdict
+# The section and its gamma
 # ---------------------------------------------------------------------------
-
-
-class ConstantJ(NamedTuple):
-    """All smooth fibers share one modulus, ``j_value``."""
-
-    kind = "constant_j"
-    j_value: Fraction
-
-
-class BaseChangeOfGammaLessOne(NamedTuple):
-    """The fibration is the degree-k4 base change of a rational elliptic
-    fibration with one away fiber and gamma < 1; the fibers it is read off
-    are the section's."""
-
-    kind = "base_change_gamma_lt_one"
-    gamma: Fraction
-    base_change_exponent: int
-
-
-FastenbergVerdict = Union[ConstantJ, BaseChangeOfGammaLessOne]
 
 
 class GenusOneSection(NamedTuple):
     """The genus-one data of one fibration, each part computed once: the
     Weierstrass model, its invariants, j = c4^3/delta in lowest terms, the
     fibers at 0, over the away orbit ``orbit`` (t^k4 - c) and at infinity,
-    and the verdict."""
+    and the verdict: the fibration is the degree-k4 base change
+    (``base_change_exponent``) of a rational elliptic fibration with one
+    away fiber and ``gamma`` < 1, whose fibers are read off this table."""
 
     model: WeierstrassModel
     invariants: WeierstrassInvariants
@@ -341,36 +328,35 @@ class GenusOneSection(NamedTuple):
     at_zero: KodairaFiber
     away: KodairaFiber
     at_infinity: KodairaFiber
-    verdict: FastenbergVerdict
+    gamma: Fraction
+    base_change_exponent: int
 
 
-def _j_and_verdict(
+def _j_and_gamma(
     inv: WeierstrassInvariants,
     k4: int,
     delta_split: Split,
     at_zero: KodairaFiber,
     away: KodairaFiber,
     at_infinity: KodairaFiber,
-) -> tuple[Quotient, FastenbergVerdict]:
-    """j = c4^3/delta in lowest terms and the verdict, from the invariants
-    and the fiber table.
+) -> tuple[Quotient, Fraction]:
+    """j = c4^3/delta in lowest terms and the gamma of the quotient by
+    t -> t^k4, from the invariants and the fiber table.
 
-    j is constant exactly when c4^3 lc(delta) = lc(c4^3) delta.  Otherwise
-    the away fibers, over the orbit t^k4 - c, must be multiplicative, I_nu,
-    and delta = unit * t^m * orbit^nu; ``delta_split`` is delta's valuation
-    and cofactor at the orbit.  Then v(c4) = 0 on the orbit (a
-    multiplicative fiber of a model minimal there), so c4^3 and delta
-    share only t^min(3 v0(c4), m), and j needs no gcd.  The quotient by
-    t -> t^{k4} has a single away fiber I_nu, and its gamma is this table's
-    (k4 away places) over k4, 1 - (nu + n0/k4 + n_inf/k4)/6, the
-    divisibilities being consequences of j living in Q(t^{k4}).  Each of
-    these claims raises AssertionError when it fails.
+    j is never constant here: the cover is u^2 = p v^e1 + q v^e2 + r t v^e3
+    with distinct e_i, and scaling u and v leaves one modulus, proportional
+    to t^(e1 - e2).  So the away fibers, over the orbit t^k4 - c, must be
+    multiplicative, I_nu, and delta = unit * t^m * orbit^nu;
+    ``delta_split`` is delta's valuation and cofactor at the orbit.  Then
+    v(c4) = 0 on the orbit (a multiplicative fiber of a model minimal
+    there), so c4^3 and delta share only t^min(3 v0(c4), m), and j needs no
+    gcd.  The quotient by t -> t^{k4} has a single away fiber I_nu, and its
+    gamma is this table's (k4 away places) over k4,
+    1 - (nu + n0/k4 + n_inf/k4)/6, the divisibilities being consequences of
+    j living in Q(t^{k4}).  Each of these claims raises AssertionError when
+    it fails; a constant j fails the first two, as j then has no pole on
+    the orbit.
     """
-    cube, delta = inv.c4**3, inv.delta
-    if cube * delta.lc == delta * cube.lc:
-        value = Fraction(cube.lc, delta.lc)
-        return (QPoly([value.numerator]), QPoly([value.denominator])), ConstantJ(value)
-
     # raised, not asserted: every check here must hold under -O too
     nu = away.n
     if nu < 1 or away.symbol != f"I{nu}":
@@ -379,6 +365,7 @@ def _j_and_verdict(
     vd, delta_rest = delta_split
     if vd != nu or delta_rest.low != delta_rest.degree:
         raise AssertionError("discriminant has roots outside {0, away orbit}")
+    cube, delta = inv.c4**3, inv.delta
     low = min(cube.low, delta_rest.low)
     j = primitive_quotient(cube.shift(-low), delta.shift(-low))
 
@@ -386,14 +373,13 @@ def _j_and_verdict(
         raise AssertionError("j must be a function of t^k4")
     if at_zero.n % k4 or at_infinity.n % k4:
         raise AssertionError("k4 must divide n0 and n_inf")
-    quotient_gamma = gamma(at_zero, at_infinity, [(away, k4)]) / k4
-    return j, BaseChangeOfGammaLessOne(quotient_gamma, k4)
+    return j, gamma(at_zero, at_infinity, [(away, k4)]) / k4
 
 
 def genus_one_section(
     trichotomy: Superelliptic, locus: SingularLocus
 ) -> GenusOneSection:
-    """Model, invariants, fiber table, j and verdict of a genus-one
+    """Model, invariants, fiber table, j and gamma of a genus-one
     fibration.
 
     ``trichotomy`` is a superelliptic trichotomy of genus one whose
@@ -405,11 +391,12 @@ def genus_one_section(
     orbit = T**locus.exponent - locus.value
     at_zero = kodaira_type(inv, Fraction(0))
     # c4, c6 and delta divided by the orbit once: the away fiber and the
-    # verdict's shape of delta both come from these splits
+    # shape of delta both come from these splits
     splits = [_split(f, orbit) for f in (inv.c4, inv.c6, inv.delta)]
     away = _classify_valuations(*(v for v, _ in splits))
     at_infinity = kodaira_type(inv, AT_INFINITY)
-    j, verdict = _j_and_verdict(
-        inv, locus.exponent, splits[2], at_zero, away, at_infinity
+    k4 = locus.exponent
+    j, quotient_gamma = _j_and_gamma(inv, k4, splits[2], at_zero, away, at_infinity)
+    return GenusOneSection(
+        model, inv, j, orbit, at_zero, away, at_infinity, quotient_gamma, k4
     )
-    return GenusOneSection(model, inv, j, orbit, at_zero, away, at_infinity, verdict)

@@ -538,36 +538,19 @@ def format_polynomial(poly: QPoly) -> str:
 
 def format_quotient(numer: QPoly, denom: QPoly) -> str:
     """sympy's ``str`` of numer/denom, polynomials in t, as the expression
-    ``numer.as_expr()/denom.as_expr()``.
+    ``numer.as_expr()/denom.as_expr()``, for a nonzero ``numer`` and a
+    ``denom`` of at least two terms, such as j's unit * t^m * (t^k4 - c)^nu
+    with nu >= 1 (a ValueError otherwise).
 
-    Over a constant the quotient is a polynomial again, a monomial over a
-    monomial is one monomial (of negative degree, perhaps), and otherwise
-    each polynomial of several terms is parenthesized: ``(-t - 1)/(t - 2)``,
-    ``1/(27*t**2)``, ``t**(-2)``, ``6912/(27*t + 4)``.
+    1/denom stays a power of its sum, so the denominator is parenthesized,
+    and so is a numerator of several terms: ``(-t - 1)/(t - 2)``,
+    ``6912/(27*t + 4)``, ``-3*t**2/(t + 1)``.
     """
     top, bottom = _monomials(numer), _monomials(denom)
-    if not top:
-        return "0"
-    if len(bottom) > 1:  # 1/denom stays a power of its sum
-        if len(top) == 1:
-            e, p, q = top[0]
-            numer_factors = [_power(e)] if e else []
-            return _product(p, q, numer_factors, [f"({_format_sum(bottom)})"])
-        return f"({_format_sum(top)})/({_format_sum(bottom)})"
-    [(k, dp, dq)] = bottom
-    scale = Fraction(dq, dp)
-    if len(top) > 1 and k:  # a sum over a monomial
-        return _product(
-            scale.numerator, scale.denominator, [f"({_format_sum(top)})"], [_power(k)]
-        )
-    # a constant divides each term, and a monomial over a monomial is one
-    shifted = []
-    for e, p, q in top:
-        c = Fraction(p, q) * scale
-        shifted.append((e - k, c.numerator, c.denominator))
-    e, p, q = shifted[0]
-    if e >= 0:
-        return _format_sum(shifted)
-    if p == q == 1 and e < -1:
-        return f"t**({e})"
-    return _product(p, q, [], [_power(-e)])
+    if not top or len(bottom) < 2:
+        raise ValueError("a quotient needs a nonzero numerator over two or more terms")
+    if len(top) == 1:
+        e, p, q = top[0]
+        numer_factors = [_power(e)] if e else []
+        return _product(p, q, numer_factors, [f"({_format_sum(bottom)})"])
+    return f"({_format_sum(top)})/({_format_sum(bottom)})"

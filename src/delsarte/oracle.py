@@ -188,19 +188,21 @@ def _buchberger(polys: list) -> list:
     return sorted(result, key=itemgetter(0), reverse=True)
 
 
-def _basis(system: list, nonzero: str) -> list:
-    """Reduced lex Groebner basis of ``system`` and u * prod(nonzero) - 1,
-    which keeps the chart variables ``nonzero`` off 0, in the generators
-    (u, *nonzero, t): integer dicts from exponent tuples, each primitive with
-    a positive leading coefficient, by descending leading monomial.
+def _basis(system: list) -> list:
+    """Reduced lex Groebner basis of ``system`` and u * x1 * ... * xn - 1,
+    which keeps the chart variables x1..xn off 0, in the generators
+    (u, x1, ..., xn, t): integer dicts from exponent tuples, each primitive
+    with a positive leading coefficient, by descending leading monomial.
 
-    ``system`` holds dicts keyed by the exponents of ``nonzero`` and then of
-    t, with rational coefficients; each is scaled to integers before
-    Buchberger's algorithm runs.  With t last the basis eliminates all but
-    t.  No second order is needed for a system free of t: its basis is [1]
-    exactly for the unit ideal, in every order.  The reduced basis depends
-    on the ideal alone, so a caller may hand in any generators of it: the
-    oracle passes x * df/dx for df/dx wherever x is one of ``nonzero``.
+    ``system`` holds dicts keyed by the exponents of x1..xn and then of t,
+    with rational coefficients; each is scaled to integers before
+    Buchberger's algorithm runs.  The first one, f, is never empty on a
+    stratum (no variable divides all four plane monomials), so its keys
+    give n.  With t last the basis eliminates all but t.  No second order
+    is needed for a system free of t: its basis is [1] exactly for the unit
+    ideal, in every order.  The reduced basis depends on the ideal alone,
+    so a caller may hand in any generators of it: the oracle passes
+    x * df/dx for df/dx wherever x is one of the chart variables.
     """
     polys = []
     for p in system:
@@ -210,7 +212,7 @@ def _basis(system: list, nonzero: str) -> list:
             polys.append(
                 {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
             )
-    size = len(nonzero) + 1
+    size = len(next(iter(system[0])))  # x1..xn and t
     polys.append({(1,) * size + (0,): 1, (0,) * (size + 1): -1})
     return [p for _, p in _buchberger(polys)]
 
@@ -268,8 +270,8 @@ def _integral(polys) -> bool:
     return all(c.denominator == 1 for p in polys for c in p.values())
 
 
-def _eliminant(system: list, nonzero: str) -> Optional[QPoly]:
-    """Generator of (ideal of ``system`` and u * prod(nonzero) - 1)
+def _eliminant(system: list) -> Optional[QPoly]:
+    """Generator of (ideal of ``system`` and u * x1 * ... * xn - 1)
     intersected with Q[t], as ``_basis`` takes them.
 
     Returns None when the elimination ideal is zero (the stratum is critical
@@ -279,7 +281,7 @@ def _eliminant(system: list, nonzero: str) -> Optional[QPoly]:
     """
     # the last element has the least leading monomial; in lex with t last
     # it lies in Q[t] when any element does, and then it is the only one
-    last = _basis(system, nonzero)[-1]
+    last = _basis(system)[-1]
     if any(any(m[:-1]) for m in last):
         return None
     g = _in_qt({m[-1]: c for m, c in last.items()})
@@ -324,11 +326,11 @@ def _newton_boundary(points):
     return hull
 
 
-def _persistent_vertex_eliminant(coeff_at: dict, names: str) -> Optional[QPoly]:
+def _persistent_vertex_eliminant(coeff_at: dict) -> Optional[QPoly]:
     """t-values where a persistently singular vertex degenerates further.
 
-    ``coeff_at`` maps each exponent pair of the chart variables ``names`` to
-    its coefficient, a dict keyed by the exponent of t.  The germ at the
+    ``coeff_at`` maps each exponent pair of the two chart variables to its
+    coefficient, a dict keyed by the exponent of t.  The germ at the
     vertex is singular for every t, so the fiber only differs from its
     neighbours there when the equisingularity type jumps.  With the Newton
     boundary constant in t that happens exactly when some boundary face
@@ -354,7 +356,7 @@ def _persistent_vertex_eliminant(coeff_at: dict, names: str) -> Optional[QPoly]:
         # ideal is the unit ideal; on admitted input it is a binomial, which
         # never is critical there (k[3] != 0 rules out a third collinear
         # monomial free of t)
-        eliminant = _eliminant([face, _euler(face, 0), _euler(face, 1)], names)
+        eliminant = _eliminant([face, _euler(face, 0), _euler(face, 1)])
         if eliminant is None:
             return None
         result *= eliminant
@@ -383,13 +385,12 @@ def discriminant_oracle(plane: PlaneModel) -> QPoly:
         (2, 1),  # punctured line y = 0 (chart z = 1, x != 0)
         (1, 1),  # punctured line z = 0 (chart y = 1, x != 0)
     ):
-        chart, names = _at(family, one, 1), "xyz".replace("xyz"[one], "")
+        chart = _at(family, one, 1)
         # a variable set to 0 keeps its partial, a unit one takes x * d/dx
         system = [chart] + [(_diff if j == zero else _euler)(chart, j) for j in (0, 1)]
         if zero is not None:
             system = [_at(g, zero, 0) for g in system]
-            names = names.replace(names[zero], "")
-        contributions.append(_eliminant(system, names))
+        contributions.append(_eliminant(system))
 
     # the three vertices, each the origin of the chart where its coordinate
     # is 1: multiplicity >= 2 there means every monomial of local degree <= 1
@@ -402,8 +403,7 @@ def discriminant_oracle(plane: PlaneModel) -> QPoly:
         if conditions:
             contributions.append(_vertex_gcd(conditions))
         else:
-            names = "xyz".replace("xyz"[one], "")
-            contributions.append(_persistent_vertex_eliminant(coeff_at, names))
+            contributions.append(_persistent_vertex_eliminant(coeff_at))
 
     oracle = QPoly([1])
     for p in contributions:

@@ -108,7 +108,6 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -378,7 +377,6 @@ def lambda_witnesses(members: Iterable[Numerators], d: int) -> list[Optional[int
     return witnesses
 
 
-@lru_cache(maxsize=256)
 def _sieved_units(order: int) -> tuple[int, ...]:
     """The t in [1, order] prime to ``order``, ascending, by a sieve.
 

@@ -18,9 +18,9 @@ from sympy.polys.groebnertools import groebner
 from sympy.polys.rings import PolyRing
 
 
-def sympy_basis(system: list, nonzero: str) -> list:
-    size = len(nonzero) + 1
-    ring = PolyRing(("u", *nonzero, "t"), QQ, "lex")
+def sympy_basis(system: list) -> list:
+    size = len(next(iter(system[0])))  # the chart variables and t
+    ring = PolyRing(("u", *(f"x{i}" for i in range(1, size)), "t"), QQ, "lex")
     polys = [
         ring.from_dict(
             {(0, *m): QQ(c.numerator, c.denominator) for m, c in p.items()}

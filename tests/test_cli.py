@@ -408,17 +408,15 @@ def test_picard_verify_checks_the_budget_before_the_slice_scan(capsys, monkeypat
     assert calls == {"excluded_fractions": 2, "check_recount_budget": 2}
 
 
-def test_picard_verify_builds_each_unit_set_once(capsys):
+def test_picard_verify_builds_each_unit_set_once(capsys, monkeypatch):
     # the members of L0 at (13, 4) have orders 26, 52 and 104: the exhaustive
     # scan packs the units of d = 104 once per recount, and every member's
-    # lanes run over those units whatever its order, so it asks the sieve
-    # once, for d, and one table covers three orders
-    shioda._sieved_units.cache_clear()
+    # lanes run over those units whatever its order, so it sieves once, for
+    # d, and one table covers three orders (a table of a smaller order would
+    # miss units of d, and the recount would fail)
+    calls = count_calls(monkeypatch, [("shioda", "_sieved_units")])
     run_json(capsys, "picard", "--p", "13", "--a", "4", "--verify")
-    info = shioda._sieved_units.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
-    shioda._sieved_units(104)  # the one unit set asked for was that of d
-    assert shioda._sieved_units.cache_info().hits == 1
+    assert calls == {"_sieved_units": 1}
     d, generators = shioda.shioda_vectors(adjugate(shioda.FamilyParams(13, 4).matrix))
     members = shioda.enumerate_L0(d, generators)
     assert d == 104
@@ -955,10 +953,10 @@ def verify_fuzz_commands(seed: int, count: int) -> list[tuple[str, ...]]:
     return commands
 
 
-# the chart variables kept off 0 in the oracle's Groebner bases, each in
-# (u, *nonzero, t) in lex: the torus, the punctured lines and the Newton
-# faces at the three vertex charts
-ORACLE_SYSTEMS = {"xy", "x", "y", "xz", "yz"}
+# how many chart variables the oracle's Groebner bases keep off 0, each
+# basis in (u, x1, ..., xn, t) in lex: two on the torus and on the Newton
+# faces at the three vertex charts, one on the punctured lines
+ORACLE_CHART_SIZES = {1, 2}
 
 
 def test_verify_fuzz_exits_0_or_3_and_every_oracle_matches(capsys, monkeypatch):
@@ -968,9 +966,9 @@ def test_verify_fuzz_exits_0_or_3_and_every_oracle_matches(capsys, monkeypatch):
     systems = set()
     basis = oracle._basis
 
-    def recording_basis(system, nonzero):
-        systems.add(nonzero)
-        return basis(system, nonzero)
+    def recording_basis(system):
+        systems.add(len(next(iter(system[0]))) - 1)  # keyed by x1..xn and t
+        return basis(system)
 
     monkeypatch.setattr(oracle, "_basis", recording_basis)
     for argv in verify_fuzz_commands(23, 200):
@@ -986,7 +984,7 @@ def test_verify_fuzz_exits_0_or_3_and_every_oracle_matches(capsys, monkeypatch):
         outcomes[verify["oracle"]] += 1
     assert outcomes["match"] >= 100 and outcomes["exit 3"] >= 1, outcomes
     # every basis is taken over the generators of one of the strata
-    assert "xy" in systems and systems <= ORACLE_SYSTEMS
+    assert 2 in systems and systems <= ORACLE_CHART_SIZES
 
 
 @pytest.mark.parametrize("surface", [CUBIC_WITH_SECTION, ODD_ORDER_QUARTIC])

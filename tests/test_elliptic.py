@@ -6,6 +6,7 @@ checks (total = 12 on a rational elliptic surface) guard against symbol-table
 typos.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -28,8 +29,6 @@ from delsarte.analysis import analyze
 from delsarte.elliptic import (
     AT_INFINITY,
     INFINITY,
-    BaseChangeOfGammaLessOne,
-    ConstantJ,
     KodairaFiber,
     WeierstrassModel,
     _classify_valuations,
@@ -140,7 +139,7 @@ def test_section_is_polynomial_but_for_j():
 def test_j_matches_sympy_cancel(seed):
     # j is formed from the valuations at 0 and on the orbit, without a gcd;
     # sympy's field, whose QT.new(c4^3, delta) reduces by a gcd, is the
-    # oracle for the lowest-terms pair, and constant j agrees with the verdict
+    # oracle for the lowest-terms pair
     rng = random.Random(seed)
     sections = 0
     while sections < 60:
@@ -162,38 +161,71 @@ def test_j_matches_sympy_cancel(seed):
         assert tuple(map(to_ring, section.j)) == (j.numer, j.denom)
 
 
+# every reduced exponent pattern a double cover u^2 = psi(v) reaches
+# _double_cover_model with: three distinct exponents of v in [0, 4], the
+# least 0 or 1 (an even power of v is absorbed into u) and the largest 3
+# or 4 (a cubic or a quartic)
+DOUBLE_COVER_PATTERNS = [
+    pattern
+    for pattern in itertools.combinations(range(5), 3)
+    if pattern[0] <= 1 and pattern[-1] >= 3
+]
+
+
+def test_double_cover_sections_never_have_constant_j():
+    # the section has no constant-j route: u^2 = p v^e1 + q v^e2 + r t v^e3
+    # with distinct e_i keeps one modulus under scaling of u and v,
+    # proportional to t^(e1 - e2), so j moves with t.  On every pattern,
+    # with t on each term, unit and seeded rational coefficients and even
+    # shifts of the exponents, c4^3 is no constant multiple of delta
+    assert len(DOUBLE_COVER_PATTERNS) == 8
+    rng = random.Random(35)
+    coefficient_sets = [(Fraction(1),) * 3] + [
+        tuple(
+            Fraction(rng.choice([-7, -3, -2, -1, 1, 2, 5, 9]), rng.randrange(1, 8))
+            for _ in range(3)
+        )
+        for _ in range(9)
+    ]
+    forms = 0
+    for pattern in DOUBLE_COVER_PATTERNS:
+        for with_t in range(3):
+            for coefficients in coefficient_sets:
+                for shift in (0, 2, 4):
+                    terms = tuple(
+                        (c, e + shift, i == with_t)
+                        for i, (c, e) in enumerate(zip(coefficients, pattern))
+                    )
+                    model = genus_one_weierstrass(SuperellipticForm(2, terms))
+                    inv = weierstrass_invariants(model)
+                    cube = inv.c4**3
+                    assert cube * inv.delta.lc != inv.delta * cube.lc, terms
+                    forms += 1
+    assert forms == 720
+
+
 @pytest.mark.parametrize(
-    "terms, value, fibers",
+    "terms, fibers",
     [
         # c4 = 0, so v(c4) is infinite everywhere
-        (
-            ((Fraction(1), 3, False), (Fraction(-2), 0, True)),
-            0,
-            ("II", "I0", "II*"),
-        ),
+        (((Fraction(1), 3, False), (Fraction(-2), 0, True)), ("II", "I0", "II*")),
         # c6 = 0
-        (
-            ((Fraction(1), 3, False), (Fraction(3), 1, True)),
-            1728,
-            ("III", "I0", "III*"),
-        ),
+        (((Fraction(1), 3, False), (Fraction(3), 1, True)), ("III", "I0", "III*")),
     ],
     ids=["j0", "j1728"],
 )
-def test_constant_j_section(terms, value, fibers):
-    # analyze sends constant-j families to the isotrivial branch, so the
-    # section's constant-j route is driven here from a cyclic-cover form
-    # (u^2 = v^3 - 2t, u^2 = v^3 + 3tv) and an orbit t - 1
+def test_constant_j_models_keep_their_fiber_tables(terms, fibers):
+    # two-term covers u^2 = v^3 - 2t and u^2 = v^3 + 3tv have constant j,
+    # which no double cover analyze hands the section has; kodaira_type
+    # still reads their tables at 0, on the orbit t - 1 and at infinity, and
+    # the section refuses them on its own claim that the away fiber is I_nu
+    inv = weierstrass_invariants(genus_one_weierstrass(SuperellipticForm(2, terms)))
+    places = (Fraction(0), T - 1, AT_INFINITY)
+    assert tuple(kodaira_type(inv, place).symbol for place in places) == fibers
     trichotomy = SimpleNamespace(form=SuperellipticForm(2, terms))
     locus = SimpleNamespace(exponent=1, value=Fraction(1))
-    section = genus_one_section(trichotomy, locus)
-    assert section.verdict == ConstantJ(Fraction(value))
-    table = (section.at_zero, section.away, section.at_infinity)
-    assert tuple(fiber.symbol for fiber in table) == fibers
-    inv = section.invariants
-    j = QT.new(to_ring(inv.c4**3), to_ring(inv.delta))
-    assert tuple(map(to_ring, section.j)) == (j.numer, j.denom)
-    assert section.j == (QPoly([value]), QPoly([1]))
+    with pytest.raises(AssertionError, match="away fiber .* must be I_nu"):
+        genus_one_section(trichotomy, locus)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +402,14 @@ def test_discriminant_shape_is_checked_under_optimize():
     script = (
         "from corpus import surface_from_affine_triples\n"
         "from delsarte.analysis import analyze\n"
-        "from delsarte.elliptic import _j_and_verdict, _split\n"
+        "from delsarte.elliptic import _j_and_gamma, _split\n"
         "from delsarte.exact import T\n"
         "triples = [(0, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]\n"
         "s = analyze(surface_from_affine_triples(triples)).genus_one\n"
         "for delta in (T**2, s.invariants.delta * (T - 1)):\n"
         "    inv = s.invariants._replace(delta=delta)\n"
         "    try:\n"
-        "        _j_and_verdict(\n"
+        "        _j_and_gamma(\n"
         "            inv, 1, _split(delta, s.orbit), s.at_zero, s.away, s.at_infinity\n"
         "        )\n"
         "    except AssertionError as exc:\n"
@@ -398,7 +430,7 @@ def test_verdict_and_place_claims_are_checked_under_optimize():
         "from corpus import surface_from_affine_triples\n"
         "from delsarte.analysis import analyze\n"
         "from delsarte.elliptic import (\n"
-        "    WeierstrassModel, _j_and_verdict, _split,\n"
+        "    WeierstrassModel, _j_and_gamma, _split,\n"
         "    kodaira_type, weierstrass_invariants,\n"
         ")\n"
         "from kodaira_oracle import kodaira_fiber\n"
@@ -411,13 +443,13 @@ def test_verdict_and_place_claims_are_checked_under_optimize():
         "    WeierstrassModel(a4=QPoly([-3]), a6=T - 4)\n"
         ")\n"
         "calls = [\n"
-        "    lambda: _j_and_verdict(\n"
+        "    lambda: _j_and_gamma(\n"
         "        s.invariants._replace(c4=T), 2, split, **table\n"
         "    ),\n"
-        "    lambda: _j_and_verdict(\n"
+        "    lambda: _j_and_gamma(\n"
         "        s.invariants, 2, split, **dict(table, away=kodaira_fiber('II'))\n"
         "    ),\n"
-        "    lambda: _j_and_verdict(\n"
+        "    lambda: _j_and_gamma(\n"
         "        s.invariants, 2, split, **dict(table, at_zero=kodaira_fiber('I1'))\n"
         "    ),\n"
         "    lambda: kodaira_type(inv_i, T**2 - 4),\n"
@@ -476,8 +508,8 @@ def test_quartic_conversion():
     inv = weierstrass_invariants(model)
     assert inv.delta == 8503056 * (256 * T**3 - 27)
     section = report_of([(0, 2, 0), (4, 0, 0), (1, 0, 0), (0, 0, 1)]).genus_one
-    assert section.verdict.gamma == Fraction(5, 6)
-    assert section.verdict.base_change_exponent == 3
+    assert section.gamma == Fraction(5, 6)
+    assert section.base_change_exponent == 3
     assert section.at_infinity.symbol == "III*"
 
 
@@ -493,11 +525,10 @@ def test_odd_order_quartic_route():
     # root at x = 0; this realizes the (III, I1, IV*) configuration on an
     # honest 4-monomial surface
     section = report_of([(1, 2, 0), (3, 0, 0), (2, 0, 0), (0, 0, 1)]).genus_one
-    assert isinstance(section.verdict, BaseChangeOfGammaLessOne)
     assert section.at_zero.symbol == "III"
     assert section.away.symbol == "I1"
     assert section.at_infinity.symbol == "IV*"
-    assert section.verdict.gamma == Fraction(5, 6)
+    assert section.gamma == Fraction(5, 6)
 
 
 def test_direct_and_cyclic_cover_routes_agree():
@@ -622,10 +653,8 @@ def test_verdict_base_change_families():
     ]
     for triples, expected_gamma, k4, inf_symbol in cases:
         section = report_of(triples).genus_one
-        verdict = section.verdict
-        assert isinstance(verdict, BaseChangeOfGammaLessOne)
-        assert verdict.gamma == expected_gamma
-        assert verdict.base_change_exponent == k4
+        assert section.gamma == expected_gamma
+        assert section.base_change_exponent == k4
         assert section.at_infinity.symbol == inf_symbol
         assert section.away.symbol == "I1"
 
@@ -660,12 +689,10 @@ def genus_one_double_cover(surface) -> bool:
 def test_verdict_gamma_below_one_on_corpus():
     for surface in deterministic_corpus(min_count=10, keep=genus_one_double_cover):
         section = analyze(surface).genus_one
-        verdict = section.verdict
-        assert isinstance(verdict, BaseChangeOfGammaLessOne)
-        assert verdict.gamma < 1
+        assert section.gamma < 1
         assert section.away.conductor == 1  # multiplicative
-        if verdict.base_change_exponent == 1:
+        if section.base_change_exponent == 1:
             # no quotient: the verdict must agree with the raw formula
-            assert verdict.gamma == gamma(
+            assert section.gamma == gamma(
                 section.at_zero, section.at_infinity, [(section.away, 1)]
             )

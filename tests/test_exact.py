@@ -513,15 +513,25 @@ def sympy_quotient(numer, denom) -> str:
     return str(to_expr(numer) / to_expr(denom))
 
 
-def printed_j(numer, denom) -> str:
-    """j = numer/denom in lowest terms, as sympy's field keeps it, printed
-    from the QPolys of its numerator and denominator."""
+def term_count(poly: QPoly) -> int:
+    return sum(map(bool, poly.coeffs))
+
+
+def printed_j(numer, denom) -> bool:
+    """Whether j = numer/denom in lowest terms, as sympy's field keeps it,
+    has a denominator of two or more terms, as every j of a genus-one
+    section does; if so, its printed text is checked against sympy's."""
     j = QT.new(to_ring(numer), to_ring(denom))
-    assert format_quotient(from_ring(j.numer), from_ring(j.denom)) == str(j.as_expr())
-    return str(j.as_expr())
+    lowest = from_ring(j.numer), from_ring(j.denom)
+    if term_count(lowest[1]) < 2:
+        return False
+    assert format_quotient(*lowest) == str(j.as_expr())
+    return True
 
 
-# the shapes the printers must get right, each as (numerator, denominator)
+# quotient shapes, each as (numerator, denominator): a denominator of one
+# term, and a zero numerator, are refused (j's denominator is unit * t^m *
+# (t^k4 - c)^nu with nu >= 1), and every other shape prints as sympy's str
 QUOTIENT_SHAPES = [
     (0, 1), (0, T), (7, 1), (-7, 3), (1, T), (-1, T), (1, T**2), (-1, T**3),
     (5, T**2), (1, 27 * T**2), (5, 27 * T**2), (T + 1, 2), (5 - T, 1),
@@ -531,40 +541,51 @@ QUOTIENT_SHAPES = [
     (Fraction(3, 4) * T, T**2 + 1), (Fraction(1, 2) - 3 * T**4, 1),
     (2176782336 - 229582512 * T**4, 1), (T, -T - 1),
     (T + 1, Fraction(-2, 3) * T**2),
+    (5, 27 * T**3 + 4 * T**2), (T**3 + 1, Fraction(2, 3) * T - 1),
+    (Fraction(1, 2), T**2 - 2), (T - T**4, 3 * T**4 - T**2),
+    (T + 1, Fraction(-2, 3) * T**2 + T),
 ]
 
 
 @pytest.mark.parametrize("numer, denom", QUOTIENT_SHAPES)
 def test_quotient_shapes_print_as_sympy(numer, denom):
     numer, denom = numer + QPoly(), denom + QPoly()
+    if not numer or term_count(denom) < 2:
+        with pytest.raises(ValueError, match="two or more terms"):
+            format_quotient(numer, denom)
+        return
     assert format_quotient(numer, denom) == sympy_quotient(numer, denom)
-    printed_j(numer, denom)
+    assert printed_j(numer, denom)
 
 
 def test_printed_shapes_read_as_sympy_documents_them():
-    def show(numer, denom=1):
+    def show(numer, denom):
         return format_quotient(numer + QPoly(), denom + QPoly())
 
-    assert show(1, 27 * T**2) == "1/(27*t**2)"
-    assert show(1, T**2) == "t**(-2)"
-    assert show(T + 1, 2) == "t/2 + 1/2"
     assert show(-T - 1, T - 2) == "(-t - 1)/(t - 2)"
-    assert show(5 - T) == "5 - t"
-    assert show(Fraction(1, 2) - 3 * T**4) == "1/2 - 3*t**4"
-    assert show(Fraction(-1, 2) * T**2 - T + 5) == "-t**2/2 - t + 5"
-    assert show(0) == "0"
+    assert show(6912, 27 * T + 4) == "6912/(27*t + 4)"
+    assert show(Fraction(3, 4) * T, T**2 + 1) == "3*t/(4*(t**2 + 1))"
+    assert show(T**3 + 1, Fraction(2, 3) * T - 1) == "(t**3 + 1)/(2*t/3 - 1)"
+    with pytest.raises(ValueError):  # a monomial denominator
+        show(1, 27 * T**2)
+    assert format_polynomial(5 - T) == "5 - t"
+    assert format_polynomial(Fraction(1, 2) - 3 * T**4) == "1/2 - 3*t**4"
+    assert format_polynomial(Fraction(-1, 2) * T**2 - T + 5) == "-t**2/2 - t + 5"
+    assert format_polynomial(QPoly()) == "0"
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_printers_match_sympy_on_random_elements(seed):
     rng = random.Random(seed)
+    quotients = 0
     for _ in range(150):
         numer, denom = random_polynomial(rng), random_polynomial(rng)
         assert format_polynomial(numer) == str(to_expr(numer))
-        if not denom:
+        if not numer or term_count(denom) < 2:
             continue
         assert format_quotient(numer, denom) == sympy_quotient(numer, denom)
-        printed_j(numer, denom)
+        quotients += printed_j(numer, denom)
+    assert quotients >= 30
 
 
 def test_binomials_with_a_positive_constant_print_as_sympy():

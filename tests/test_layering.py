@@ -236,10 +236,7 @@ def test_every_public_name_resolves():
 
 # the stage modules, and the record types of theirs that cli may serialize
 STAGE_MODULES = {"reduction", "singular", "elliptic"}
-RECORD_TYPES = {
-    "Isotrivial", "Superelliptic", "SemistableAway", "ConstantJ",
-    "BaseChangeOfGammaLessOne",
-}
+RECORD_TYPES = {"Isotrivial", "Superelliptic", "SemistableAway"}
 # what cli may take from shioda: the family's parameters, its one record
 # function, and the names of the Hodge levels that key the record
 SHIODA_NAMES = {"FamilyParams", "family_report", "HODGE_LEVELS"}
@@ -280,44 +277,108 @@ def test_cli_does_no_arithmetic():
     assert not lines, f"cli.py has arithmetic operators on lines {lines}"
 
 
-def test_every_package_function_has_a_package_caller_or_an_export():
-    # no test-only API: a top-level function or class, or a method or
-    # property of a package class, that no package code names and the
-    # package does not export serves only the tests (a dunder such as the
-    # package's __getattr__ or QPoly's __add__ is called by the interpreter).
-    # Names are matched as names: a method counts as called wherever an
-    # attribute of its name is read, on whatever object
-    def names(node, *own):
+def unreached_definitions(trees) -> set[str]:
+    """``file: name`` of each top-level function or class, and each method
+    or property of a package class, in the (file, module tree) pairs
+    ``trees``, that no code of theirs reaches and the package does not
+    export (a dunder such as the package's __getattr__ or QPoly's __add__
+    is called by the interpreter).
+
+    A function, a class or a property is reached where its name is read, as
+    a name or as an attribute of any object.  A method is reached only
+    where it is called, ``x.name(...)``, or named on a class, ``Class.name``
+    as in ``reduce(QPoly.gcd, ...)``: a field read such as ``.terms`` does
+    not reach a method of that name.  A definition is not its own caller.
+    """
+    trees = list(trees)
+    classes = {
+        top.name
+        for _, tree in trees
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+    }
+
+    def reads(node, *own):
         found = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         found |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-        return found - set(own)  # a definition is not its own caller
+        return found - set(own)
 
-    defined, referenced = set(), set()
-    for file, tree in package_trees():
+    def calls(node, *own):
+        found = {
+            n.func.attr
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        }
+        found |= {
+            n.attr
+            for n in ast.walk(node)
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name)
+            and n.value.id in classes
+        }
+        return found - set(own)
+
+    defined, read, called = set(), set(), set()
+
+    def scan(node, *own):
+        read.update(reads(node, *own))
+        called.update(calls(node, *own))
+
+    for file, tree in trees:
         for top in tree.body:
             if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                referenced |= names(top)
+                scan(top)
                 continue
-            defined.add((file, top.name, top.name))
+            defined.add((file, top.name, top.name, False))
             if isinstance(top, ast.FunctionDef):
-                referenced |= names(top, top.name)
+                scan(top, top.name)
                 continue
             for header in (*top.bases, *top.keywords, *top.decorator_list):
-                referenced |= names(header)
+                scan(header)
             for member in top.body:
                 if isinstance(member, ast.FunctionDef):
-                    defined.add((file, f"{top.name}.{member.name}", member.name))
-                    referenced |= names(member, top.name, member.name)
+                    method = not any(
+                        isinstance(d, ast.Name) and d.id == "property"
+                        for d in member.decorator_list
+                    )
+                    qualified = f"{top.name}.{member.name}"
+                    defined.add((file, qualified, member.name, method))
+                    scan(member, top.name, member.name)
                 else:
-                    referenced |= names(member, top.name)
-    unreached = {
+                    scan(member, top.name)
+    return {
         f"{file}: {qualified}"
-        for file, qualified, name in defined
-        if name not in referenced
+        for file, qualified, name, method in defined
+        if name not in (called if method else read)
         and name not in delsarte._EXPORTS
         and not (name.startswith("__") and name.endswith("__"))
     }
+
+
+def test_every_package_function_has_a_package_caller_or_an_export():
+    # no test-only API: every definition of the package is reached by
+    # package code or exported
+    unreached = unreached_definitions(package_trees())
     assert not unreached, sorted(unreached)
+
+
+def test_a_field_read_does_not_reach_a_method_of_its_name():
+    # SuperellipticForm.terms and AffineEquation.terms are fields that the
+    # package reads as .terms; a test-only QPoly.terms() method added to
+    # exact.py is still unreached, while the package's own methods are not
+    trees = dict(package_trees())
+    assert any(
+        isinstance(node, ast.Attribute) and node.attr == "terms"
+        for name in ("cli.py", "reduction.py", "elliptic.py")
+        for node in ast.walk(trees[name])
+    )
+    qpoly = next(
+        top
+        for top in trees["exact.py"].body
+        if isinstance(top, ast.ClassDef) and top.name == "QPoly"
+    )
+    qpoly.body.append(ast.parse("def terms(self):\n    return self.coeffs\n").body[0])
+    assert unreached_definitions(trees.items()) == {"exact.py: QPoly.terms"}
 
 
 def test_star_import_binds_every_public_name():

@@ -422,7 +422,7 @@ def divisors(n: int) -> list:
 def test_sieved_units_match_the_gcd_filter():
     # the exhaustive scan's own unit set, by sieve, against the gcd filter on
     # every order up to 2,000 and the divisors of the largest weights
-    sieve = shioda._sieved_units.__wrapped__  # the sieve itself, not the cache
+    sieve = shioda._sieved_units
     assert sieve(1) == (1,)
     for n in sorted(set(range(1, 2001)) | set(divisors(9998)) | set(divisors(10000))):
         assert list(sieve(n)) == [t for t in range(1, n + 1) if gcd(t, n) == 1], n
@@ -433,7 +433,7 @@ def test_units_of_d_reduce_onto_the_units_of_each_divisor():
     # of d onto the units of every divisor N of d, each one phi(d)/phi(N)
     # times, so the lanes of one table over the units of d take every unit
     # of a member's order N; on every d up to 500 and the largest weights
-    sieve = shioda._sieved_units.__wrapped__  # the sieve itself, not the cache
+    sieve = shioda._sieved_units
     for d in [*range(1, 501), 9998, 10000]:
         units = sieve(d)
         for N in divisors(d):

@@ -238,14 +238,20 @@ def test_oracle_builds_no_sympy_expression(monkeypatch):
     assert matched >= 40
 
 
+def chart_size(system) -> int:
+    """How many chart variables ``system`` is in: its keys hold their
+    exponents and then that of t."""
+    return len(next(iter(system[0]))) - 1
+
+
 def recorded_bases(monkeypatch, planes) -> list:
-    """(system, nonzero, basis) of every ``_basis`` call that
-    ``discriminant_oracle`` makes on ``planes``."""
+    """(system, basis) of every ``_basis`` call that ``discriminant_oracle``
+    makes on ``planes``."""
     calls = []
 
-    def recording_basis(system, nonzero):
-        basis = _basis(system, nonzero)
-        calls.append((system, nonzero, basis))
+    def recording_basis(system):
+        basis = _basis(system)
+        calls.append((system, basis))
         return basis
 
     monkeypatch.setattr(oracle_module, "_basis", recording_basis)
@@ -266,13 +272,13 @@ def test_basis_is_sympys_reduced_basis(monkeypatch, seed):
     planes = seeded_oracle_inputs(seed, 30)
     calls = recorded_bases(monkeypatch, planes)
     shapes = Counter()
-    for system, nonzero, basis in calls:
-        assert basis == sympy_basis(system, nonzero), (system, nonzero)
+    for system, basis in calls:
+        assert basis == sympy_basis(system), system
         # primitive, with a positive leading coefficient
         assert all(gcd(*g.values()) == 1 and g[max(g)] > 0 for g in basis)
         free_of_t = not any(m[-1] for p in system for m in p)
-        shapes[len(nonzero)] += 1
-        shapes["free of t", len(nonzero)] += free_of_t
+        shapes[chart_size(system)] += 1
+        shapes["free of t", chart_size(system)] += free_of_t
         shapes["unit ideal"] += basis == [UNIT_IDEAL]
     # the torus and the faces have two chart variables, a line one; the
     # torus always carries t, so a system free of t with two chart
@@ -292,12 +298,12 @@ def test_basis_on_a_zero_elimination_ideal_and_an_infeasible_system():
         {},
     ]
     basis = [{(1, 0, 0): 1, (0, 0, 0): -1}, {(0, 1, 0): 1, (0, 0, 0): -1}]
-    assert _basis(line, "x") == basis == sympy_basis(line, "x")
-    assert _eliminant(line, "x") is None
+    assert _basis(line) == basis == sympy_basis(line)
+    assert _eliminant(line) is None
     # a monomial, kept off 0, generates the unit ideal
     point = [{(1, 0): Fraction(3)}]
-    assert _basis(point, "x") == [{(0, 0, 0): 1}] == sympy_basis(point, "x")
-    assert _eliminant(point, "x") == 1
+    assert _basis(point) == [{(0, 0, 0): 1}] == sympy_basis(point)
+    assert _eliminant(point) == 1
 
 
 def test_persistent_vertex_gives_up_on_a_face_critical_for_every_t():
@@ -305,15 +311,15 @@ def test_persistent_vertex_gives_up_on_a_face_critical_for_every_t():
     # keyed by the exponent of t; a face critical on the torus for every t,
     # free of t or not, says nothing about any one fiber
     behind_t_x3 = {(2, 0): {0: 1}, (1, 1): {0: -2}, (0, 2): {0: 1}, (3, 0): {1: 1}}
-    assert _persistent_vertex_eliminant(behind_t_x3, "xy") is None  # (x - y)^2
+    assert _persistent_vertex_eliminant(behind_t_x3) is None  # (x - y)^2
     with_y3 = {(2, 0): {0: 1}, (1, 1): {1: -2}, (0, 2): {2: 1}, (0, 3): {0: 1}}
-    assert _persistent_vertex_eliminant(with_y3, "xy") is None  # (x - t y)^2
+    assert _persistent_vertex_eliminant(with_y3) is None  # (x - t y)^2
     # a binomial face free of t is never critical on the torus
     cusp = {(2, 0): {0: 1}, (0, 3): {0: 1}, (2, 2): {1: 1}}
-    assert _persistent_vertex_eliminant(cusp, "xy") == 1
+    assert _persistent_vertex_eliminant(cusp) == 1
     # the boundary vertex t x y^2 degenerates at t = 0
     chain = {(2, 0): {0: 1}, (1, 2): {1: 1}, (0, 5): {0: 1}}
-    assert _persistent_vertex_eliminant(chain, "xy") == T
+    assert _persistent_vertex_eliminant(chain) == T
 
 
 def plain_partials(f: dict) -> list:
@@ -365,9 +371,9 @@ def test_euler_partials_generate_the_partials_ideal():
     # the reduced bases, hence the eliminants and their bytes, are equal
     singular_fibers = 0
     for f, at_t0 in seeded_torus_charts(23, 60):
-        assert _basis(euler_partials(f), "xy") == _basis(plain_partials(f), "xy")
-        basis = _basis(euler_partials(at_t0), "xy")
-        assert basis == _basis(plain_partials(at_t0), "xy")
+        assert _basis(euler_partials(f)) == _basis(plain_partials(f))
+        basis = _basis(euler_partials(at_t0))
+        assert basis == _basis(plain_partials(at_t0))
         singular_fibers += basis != [UNIT_IDEAL]
     # some fibers at a locus point are singular, so not every basis is [1]
     assert singular_fibers > 0
@@ -379,19 +385,19 @@ def test_euler_partials_hold_on_the_newton_faces(monkeypatch):
     # its plain partials
     seen = []
 
-    def recording_basis(system, nonzero):
-        basis = _basis(system, nonzero)
-        if len(nonzero) == 2:
-            seen.append((system, nonzero, basis))
+    def recording_basis(system):
+        basis = _basis(system)
+        if chart_size(system) == 2:
+            seen.append((system, basis))
         return basis
 
     monkeypatch.setattr(oracle_module, "_basis", recording_basis)
     p = plane_of([(0, 0, 0), (0, 1, 0), (3, 1, 0), (2, 1, 1)])
     discriminant_oracle(p)
     assert len(seen) >= 2  # the torus and at least one face
-    for system, nonzero, basis in seen:
+    for system, basis in seen:
         assert system == euler_partials(system[0])
-        assert basis == _basis(plain_partials(system[0]), nonzero)
+        assert basis == _basis(plain_partials(system[0]))
 
 
 def test_oracle_genus_zero_family_has_no_away_roots():
@@ -520,7 +526,7 @@ def test_superelliptic_form_is_exact_past_float_precision():
         section = report.genus_one
         fibers = (section.at_zero, section.away, section.at_infinity)
         assert [fiber.symbol for fiber in fibers] == ["I2", "I1", "III*"]
-        assert section.verdict.gamma == Fraction(1, 2)
+        assert section.gamma == Fraction(1, 2)
     assert forms[0].cover_exponent == 2
     assert [(e, flag) for _, e, flag in forms[0].terms] == [
         (1, False), (2, False), (3, True),
