@@ -240,9 +240,7 @@ def run_picard(args) -> dict:
     from .shioda import HODGE_LEVELS, FamilyParams, family_report
 
     params = FamilyParams(args.p, args.a)
-    family = family_report(
-        params, hodge=args.hodge, excluded=args.excluded, verify=args.verify
-    )
+    family = family_report(params, hodge=args.hodge, verify=args.verify)
     record = {
         "p": params.p,
         "a": params.a,
@@ -253,7 +251,7 @@ def run_picard(args) -> dict:
     }
     if family.hodge is not None:
         record.update(zip(HODGE_LEVELS.values(), family.hodge))
-    if family.excluded is not None:
+    if args.excluded:
         from .exact import rational_to_json
 
         record["excluded_fractions"] = [rational_to_json(q) for q in family.excluded]

@@ -8,10 +8,10 @@ exact machinery the rest of the code leans on:
 * exact k-th roots of rationals (for locating rational points on a locus
   ``t^k = c``);
 * integer linear algebra for exponent matrices: the determinant and
-  adjugate of a 4x4 matrix and the left kernel of a 4x3 one, both from 3x3
-  cofactors (fraction-free, so there is no pivoting nondeterminism), and
-  ``hermite``, the Hermite normal form with its unimodular transform, the
-  one echelon routine: integer kernels, Bezout pairs and the orders of the
+  adjugate of a 4x4 matrix from its 3x3 cofactors (fraction-free, so there
+  is no pivoting nondeterminism), and ``hermite``, the Hermite normal form
+  with its unimodular transform, the one echelon routine: the integer
+  kernels of degenerate matrices, Bezout pairs and the orders of the
   character groups all come from it;
 * ``QPoly``, a polynomial in t over Q with the few operations the genus-one
   section and the ``--verify`` oracle need, and ``primitive_quotient``,
@@ -158,7 +158,7 @@ _OMIT = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
 def _det3(a: Sequence[int], b: Sequence[int], c: Sequence[int],
-          p: int = 0, q: int = 1, r: int = 2) -> int:
+          p: int, q: int, r: int) -> int:
     """Determinant of the 3x3 integer matrix with rows a, b, c restricted to
     the columns p, q, r."""
     return (
@@ -218,33 +218,6 @@ def hermite(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
                 h[i] = [x - q * y for x, y in zip(h[i], pivot)]
         rank += 1
     return tuple(tuple(r[:width]) for r in h), tuple(tuple(r[width:]) for r in h)
-
-
-def left_kernel_normalized(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The integer left kernel of a 4x3 rank-3 integer matrix, normalized.
-
-    Returns the unique primitive integer vector k with ``k . rows = 0``,
-    gcd(k) = 1 and k[3] > 0.  Computed fraction-free: k_i is (up to sign) the
-    3x3 minor obtained by deleting row i.
-
-    Raises ``ValidationError`` if the rank is below 3 or the kernel's last
-    coordinate vanishes (no sign normalization exists).
-    """
-    if len(rows) != 4 or any(len(r) != 3 for r in rows):
-        raise ValidationError("left_kernel_normalized expects a 4x3 matrix")
-    k = [(-1) ** i * _det3(*(r for j, r in enumerate(rows) if j != i))
-         for i in range(4)]
-    if all(x == 0 for x in k):
-        raise ValidationError("matrix has rank < 3; left kernel is not a line")
-    g = gcd(*k)
-    k = [x // g for x in k]
-    if k[3] == 0:
-        raise ValidationError(
-            "left kernel vector has last coordinate 0; cannot normalize its sign"
-        )
-    if k[3] < 0:
-        k = [-x for x in k]
-    return tuple(k)
 
 
 # ---------------------------------------------------------------------------

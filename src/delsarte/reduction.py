@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import ValidationError
-from .exact import hermite, left_kernel_normalized, primitive_integer_vector
+from .exact import hermite, primitive_integer_vector
 from .model import (
     AffineEquation,
     BaseChangeRecord,
@@ -110,12 +110,15 @@ class MinimalFibration(NamedTuple):
     ``equation`` has t-exponent pattern (0, 0, 0, 1): the t-carrying monomial
     sits last.  ``carrier_index`` is that monomial's position in the input
     surface's own term order.  ``base_change`` ties the input equation f to
-    this one (see ``BaseChangeRecord``).
+    this one (see ``BaseChangeRecord``).  ``kernel`` is the relation vector
+    among the monomials' (x, y, 1), in the order of ``equation``, primitive
+    with kernel[3] > 0 (see ``_relation``).
     """
 
     equation: AffineEquation
     base_change: BaseChangeRecord
     carrier_index: int
+    kernel: tuple[int, int, int, int]
 
 
 def reduce_to_minimal(surface: DelsarteSurface) -> MinimalFibration:
@@ -132,7 +135,8 @@ def reduce_to_minimal(surface: DelsarteSurface) -> MinimalFibration:
     oriented so that c > 0 by ``_shifted_direction`` (column i of adj A spans the same line as column
     i of A^{-1}), and among the at most four candidates the one with the
     smallest |c| wins (ties: smallest carrier index), which makes the result
-    deterministic.
+    deterministic.  The relation vector comes from the same adjugate
+    (``_relation``).
     """
     if surface.is_degenerate:
         raise ValidationError("exponent matrix is singular; see classify_degenerate")
@@ -142,15 +146,17 @@ def reduce_to_minimal(surface: DelsarteSurface) -> MinimalFibration:
     if not carriers:  # cannot happen for nondegenerate input; keep the guard
         raise ValidationError("no monomial involves the base variable")
 
+    _, adj = surface.adjugate
     if len(carriers) == 1:
         idx = carriers[0]
         n = tvec[idx]
         record = BaseChangeRecord(
             twist=(0, 0), inner_degree=1, cleared_power=0, degree=n
         )
-        return MinimalFibration(_reorder_minimal(eq, idx), record, idx)
+        return MinimalFibration(
+            _reorder_minimal(eq, idx), record, idx, _relation(adj, idx)
+        )
 
-    _, adj = surface.adjugate
     best: Optional[tuple[int, int, tuple[int, ...]]] = None
     for idx in range(4):
         # column idx of adj A solves A w = det(A) e_idx
@@ -175,7 +181,22 @@ def reduce_to_minimal(surface: DelsarteSurface) -> MinimalFibration:
         raise AssertionError("the substitution must move the carrier monomial")
 
     record = BaseChangeRecord(twist=(a, b), inner_degree=c, cleared_power=e, degree=n)
-    return MinimalFibration(_reorder_minimal(eq, idx), record, idx)
+    return MinimalFibration(_reorder_minimal(eq, idx), record, idx, _relation(adj, idx))
+
+
+def _relation(adj, carrier: int) -> tuple[int, int, int, int]:
+    """The primitive relation k among the monomials' (x, y, 1), with the
+    carrier's entry moved last and made positive.
+
+    adj A . A = det A * I, so v = adj[2] - adj[3] (Shioda's u_3 A^{-1} times
+    det A) is orthogonal to the X0 and X1 columns of A and to X2 + X3 =
+    d (1, 1, 1, 1) - X0 - X1.  Its carrier entry is never 0: the reduced t
+    exponents a x + b y + c t - e vanish off the carrier, so their dot with
+    v is both n * v[carrier] and c * det A != 0.
+    """
+    v = primitive_integer_vector([x - y for x, y in zip(adj[2], adj[3])])
+    k = (*v[:carrier], *v[carrier + 1 :], v[carrier])
+    return k if k[3] > 0 else tuple(-x for x in k)  # type: ignore[return-value]
 
 
 def _reorder_minimal(eq: AffineEquation, carrier: int) -> AffineEquation:
@@ -201,7 +222,8 @@ class PlaneModel(NamedTuple):
     (x, y, z); the last monomial is the one multiplied by the parameter t.
     ``kernel`` is the primitive integer vector k with k . exponents = 0, the
     unique (up to sign, fixed by k[3] > 0) linear relation among the four
-    exponent vectors.  Its entries sum to 0.
+    exponent vectors, as ``reduce_to_minimal`` read it off the adjugate.
+    Its entries sum to 0.
     """
 
     exponents: tuple[tuple[int, int, int], ...]
@@ -212,7 +234,7 @@ class PlaneModel(NamedTuple):
 
 def plane_model(minimal: MinimalFibration) -> PlaneModel:
     """Homogenize the generic fiber g(x, y, t0) to a plane quartic-of-monomials
-    and compute the relation vector among the four monomials."""
+    and check the relation vector among the four monomials against it."""
     eq = minimal.equation
     if eq.t_exponents() != (0, 0, 0, 1):
         raise ValidationError("plane_model expects a minimal fibration")
@@ -220,14 +242,14 @@ def plane_model(minimal: MinimalFibration) -> PlaneModel:
     degree = max(ex + ey for ex, ey in pairs)
     exponents = tuple((ex, ey, degree - ex - ey) for ex, ey in pairs)
 
-    # no variable may divide all four monomials; guaranteed upstream, but the
-    # kernel computation below silently relies on it, so check loudly
+    # no variable may divide all four monomials, and k must relate them;
+    # both are guaranteed upstream, so check loudly
+    kernel = minimal.kernel
     for j in range(3):
-        if min(row[j] for row in exponents) != 0:
+        column = [row[j] for row in exponents]
+        if min(column) != 0:
             raise AssertionError(f"variable {j} divides every monomial")
-
-    kernel = left_kernel_normalized(exponents)
-    if sum(kernel) != 0:
-        raise AssertionError(f"kernel {kernel} of a plane model must sum to 0")
+        if sum(k * e for k, e in zip(kernel, column)):
+            raise AssertionError(f"kernel {kernel} does not annihilate column {j}")
     coeffs = tuple(c for c, _ in eq.terms)
     return PlaneModel(exponents, degree, kernel, coeffs)  # type: ignore[arg-type]

@@ -51,9 +51,8 @@ those of each member's own order, by the surjection ``exhaustive_scan``
 relies on; t = 1 keeps every level-2 j, and d - t keeps the same j as t,
 since it sends each scaled sum S to 4d - S, so only the odd t from 3 to
 d/2 prime to d are taken, each found by its own gcd test.  That is one
-list comprehension per unit over the j still left, where the scan member
-by member made one call per member: at 2ap = 9,998 the slice takes about
-5 ms in process, against 29 ms so.
+list comprehension per unit over the j still left: at 2ap = 9,998 the
+slice takes about 5 ms in process.
 
 ``family_report`` gives every quantity ``picard`` prints.  Its recount,
 ``verify_family`` (``picard --verify``), relies on none of these
@@ -68,8 +67,8 @@ witness depends only on the multiset of numerators, so it is computed once
 per sorted tuple of them; that memo and the unit table of each order met
 live for the one call.  On the Fermat surface of degree 100, whose 646,899
 level-2 members of L0 fall into 28,203 sorted tuples, the early-exit
-scans took 1.24-1.53 s of CPU one call per member, and take 0.74-1.07 s
-(``lefschetz_number`` of ``analyze --shioda`` runs the same kernel).
+scans take 0.74-1.07 s of CPU (``lefschetz_number`` of
+``analyze --shioda`` runs the same kernel).
 Enumeration and the exhaustive scan run on packed lanes (``_Lanes``): one
 int holds one value per lane, and one add and one masked reduction act on
 every lane at once.
@@ -84,12 +83,8 @@ its own: reduction mod N maps the units of d onto the units of N, so its
 lanes still take every unit of N.  A row is built by doubling from the
 rows of m's binary prefixes, not unit by unit.  The members' sums are
 made and compared one at a time, so no more than one is held.  A cold
-``picard --p 43 --a 10 --verify`` took 3.1-3.3 s with one sum per unit,
-and 0.18-0.20 s so; ``--p 3 --a 829 --verify`` took 0.77-1.51 s with each
-row packed unit by unit, and 0.18-0.24 s by doubling (2-core shared VM).
-With the slice sieve and the memoized early-exit kernel they take
-0.30-0.33 s and 0.28-0.29 s on a slower run of the same kind of host, where
-the member-by-member scans read 0.33-0.35 s and 0.29-0.33 s.
+``picard --p 43 --a 10 --verify`` takes 0.30-0.33 s and
+``--p 3 --a 829 --verify`` 0.28-0.29 s (2-core shared VM).
 The exhaustive scan lists the units of d with its own sieve
 (``_sieved_units``) rather than the early-exit scan's gcd filter of the
 units of each member's order (``_units``), so the two scans of the pair
@@ -119,8 +114,7 @@ if TYPE_CHECKING:
 
 # Largest weight 2ap of a family member.  The slice sieve makes one pass
 # per unit below ap over the j still left: a cold ``picard`` takes
-# 0.10 s at 2ap = 9,998 (0.12-0.13 s member by member), and would take
-# about 0.2 s at 2ap = 200,006 (0.6-0.7 s so).
+# 0.10 s at 2ap = 9,998, and would take about 0.2 s at 2ap = 200,006.
 MAX_WEIGHT = 10**4
 
 # Largest |L| that ``enumerate_L0`` closes: the Fermat surface of degree
@@ -132,8 +126,8 @@ MAX_L = 10**6
 # the p <= 43, a <= 10 grid, (43, 10), needs 30,990,960 steps (0.30-0.33 s
 # cold on a 2-core shared VM); (3, 829) needs 49,461,456 (0.28-0.29 s
 # cold); the slowest admitted input found, (229, 1), the largest L0, needs
-# 47,617,344 (0.43-0.63 s cold, against 0.59-0.79 s with one early-exit
-# call per member, on the same host); (47, 106) would need 4.57 * 10**9.
+# 47,617,344 (0.43-0.63 s cold on the same host); (47, 106) would need
+# 4.57 * 10**9.
 MAX_RECOUNT = 5 * 10**7
 
 Numerators = tuple[int, int, int, int]
@@ -521,21 +515,21 @@ def check_recount_budget(params: FamilyParams) -> None:
 
 
 class FamilyReport(NamedTuple):
-    """Every quantity ``picard`` prints for one family member; ``hodge``
-    (h20, h11prim, h02), ``excluded`` (the sorted j-fractions of the slice
-    outside Lambda) and ``vectors_checked`` are None unless asked for."""
+    """Every quantity ``picard`` prints for one family member: ``excluded``
+    is the sorted j-fractions of the slice outside Lambda; ``hodge``
+    (h20, h11prim, h02) and ``vectors_checked`` are None unless asked for."""
 
     L0_count: int
     lefschetz: int  # #(L0 ∩ Lambda)
     rho_tilde: int  # rho of the desingularization
     rho: int
     hodge: Optional[tuple[int, int, int]]
-    excluded: Optional[tuple[Fraction, ...]]
+    excluded: tuple[Fraction, ...]
     vectors_checked: Optional[int]
 
 
 def family_report(
-    params: FamilyParams, *, hodge=False, excluded=False, verify=False
+    params: FamilyParams, *, hodge=False, verify=False
 ) -> FamilyReport:
     """The ``picard`` record of ``params`` from one sieve of the slice i = 1:
     rho_tilde is 2 plus p - 1 times its j-fractions outside Lambda (see the
@@ -551,7 +545,7 @@ def family_report(
     levels = gs_hodge_counts(params) if hodge else None
     return FamilyReport(
         count, lam, rho_tilde, rho_tilde - 1, levels,
-        tuple(sorted(fractions)) if excluded else None,
+        tuple(sorted(fractions)),
         verify_family(params, count, lam, levels) if verify else None,
     )
 

@@ -61,8 +61,11 @@ class SingularLocus(NamedTuple):
     exponent: int
     value: Fraction
     rational_points: tuple[Fraction, ...]
-    degenerate: bool = False
     duplicate_index: Optional[int] = None
+
+    @property
+    def degenerate(self) -> bool:
+        return self.duplicate_index is not None
 
     @property
     def negation_invariant(self) -> bool:
@@ -109,9 +112,7 @@ def singular_locus(plane: PlaneModel) -> SingularLocus:
     points = tuple(rational_kth_roots(value, exponent))
     for i in range(3):
         if plane.exponents[i] == plane.exponents[3]:
-            return SingularLocus(
-                exponent, value, points, degenerate=True, duplicate_index=i
-            )
+            return SingularLocus(exponent, value, points, i)
     return SingularLocus(exponent, value, points)
 
 

@@ -1,10 +1,10 @@
 """Tests for the exact-arithmetic core.
 
-The left-kernel routine is cofactor based, so the oracle here is a completely
-independent fraction-based Gaussian elimination nullspace.  Determinants and
-ranks are cross-checked against sympy, adjugates against a plain integer
-matrix product, and the polynomial and quotient printers against sympy's
-``str`` of the same expression.
+The plane model's relation vector is read off the adjugate, so the oracle
+for it here is a completely independent fraction-based Gaussian elimination
+nullspace.  Determinants and ranks are cross-checked against sympy,
+adjugates against a plain integer matrix product, and the polynomial and
+quotient printers against sympy's ``str`` of the same expression.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 
+from corpus import nondegenerate_surfaces, surface_from_affine_triples
 from delsarte.errors import ValidationError
 from delsarte.exact import (
     MAX_DIGITS,
@@ -28,13 +29,13 @@ from delsarte.exact import (
     format_polynomial,
     format_quotient,
     hermite,
-    left_kernel_normalized,
     parse_rational,
     primitive_integer_vector,
     primitive_quotient,
     rational_kth_roots,
     rational_to_json,
 )
+from delsarte.reduction import plane_model, reduce_to_minimal
 from qt_oracle import QT, QT_RING, from_ring, to_expr, to_ring
 from shioda_oracle import frac_part
 
@@ -318,9 +319,11 @@ def test_row_vector_times_inverse_frozen():
 
 
 # ---------------------------------------------------------------------------
-# Left kernel
+# The plane model's relation vector, the left kernel of its exponents
 # ---------------------------------------------------------------------------
 
+# plane exponents of minimal families, the t-monomial last, and their
+# relation vectors: the plane models of test_reduction.PLANE_CASES
 KERNEL_CASES = [
     ([[0, 2, 1], [3, 0, 0], [2, 0, 1], [0, 0, 3]], (0, 2, -3, 1)),
     ([[0, 2, 1], [3, 0, 0], [1, 0, 2], [0, 0, 3]], (0, 1, -3, 2)),
@@ -329,44 +332,34 @@ KERNEL_CASES = [
 ]
 
 
+def plane_kernel(rows) -> tuple[int, ...]:
+    """The relation vector of the minimal family whose plane exponents are
+    ``rows``, its t-monomial last."""
+    triples = [(x, y, int(i == 3)) for i, (x, y, _) in enumerate(rows)]
+    plane = plane_model(reduce_to_minimal(surface_from_affine_triples(triples)))
+    assert plane.exponents == tuple(map(tuple, rows))
+    return plane.kernel
+
+
 @pytest.mark.parametrize("rows,expected", KERNEL_CASES)
 def test_left_kernel_frozen_cases(rows, expected):
-    assert left_kernel_normalized(rows) == expected
+    assert plane_kernel(rows) == expected
 
 
 @pytest.mark.parametrize("rows,_", KERNEL_CASES)
 def test_left_kernel_matches_gaussian_oracle(rows, _):
-    k = left_kernel_normalized(rows)
-    assert parallel(k, nullspace_left_oracle(rows))
+    assert parallel(plane_kernel(rows), nullspace_left_oracle(rows))
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(0, 6), min_size=3, max_size=3), min_size=4, max_size=4
-    )
-)
-@settings(max_examples=200)
-def test_left_kernel_random_against_oracle(rows):
-    if rank(rows) < 3:
-        with pytest.raises(ValidationError, match="rank < 3"):
-            left_kernel_normalized(rows)
-        return
-    try:
-        k = left_kernel_normalized(rows)
-    except ValidationError:
-        # legitimate: the kernel line may have last coordinate 0
-        oracle = nullspace_left_oracle(rows)
-        assert oracle[3] == 0
-        return
+@given(nondegenerate_surfaces())
+@settings(max_examples=200, deadline=None)
+def test_left_kernel_random_against_oracle(surface):
+    plane = plane_model(reduce_to_minimal(surface))
+    k, rows = plane.kernel, plane.exponents
     assert gcd(*k) == 1
     assert k[3] > 0
     assert vecmat(k, rows) == (0, 0, 0)
     assert parallel(k, nullspace_left_oracle(rows))
-
-
-def test_left_kernel_shape_check():
-    with pytest.raises(ValidationError):
-        left_kernel_normalized([[1, 2], [3, 4]])
 
 
 # ---------------------------------------------------------------------------

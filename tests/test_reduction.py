@@ -191,7 +191,7 @@ def test_plane_model_rejects_non_minimal():
     eq = AffineEquation(
         tuple((Fraction(1), e) for e in [(0, 2, 0), (3, 0, 0), (1, 0, 2), (0, 0, 1)])
     )
-    fake = MinimalFibration(eq, BaseChangeRecord((0, 0), 1, 0, 1), 3)
+    fake = MinimalFibration(eq, BaseChangeRecord((0, 0), 1, 0, 1), 3, (0, 1, -3, 2))
     with pytest.raises(ValidationError):
         plane_model(fake)
 
