@@ -57,21 +57,34 @@ slice takes about 5 ms in process.
 ``family_report`` gives every quantity ``picard`` prints.  Its recount,
 ``verify_family`` (``picard --verify``), relies on none of these
 shortcuts: it enumerates all of L0 from the adjugate of the family's
-exponent matrix, rescans every member with both scans of the pair, the
-early-exit ``lambda_witnesses`` and the exhaustive ``exhaustive_scan``,
-and recounts the Hodge levels from the members' entry sums.
-``lambda_witnesses`` is one call for all the members.  It decides t = 1 by
-the entry sum; otherwise it walks the gcd-filtered units of the member's
-own order (``_units``), ascending, and stops at the least witness.  The
-witness depends only on the multiset of numerators, so it is computed once
-per sorted tuple of them; that memo and the unit table of each order met
-live for the one call.  On the Fermat surface of degree 100, whose 646,899
-level-2 members of L0 fall into 28,203 sorted tuples, the early-exit
-scans take 0.74-1.07 s of CPU (``lefschetz_number`` of
-``analyze --shioda`` runs the same kernel).
+exponent matrix, as one ``PackedL0``, and reads the Hodge levels off the
+packed entry sums.  A member at entry sum d or 3d is in Lambda by its
+t = 1 lane, so it needs no scan; the three level counts must add up to
+|L0|, and h20 must equal h02, since n -> -n swaps entry sums d and 3d.
+Both scans of the pair, the early-exit ``lambda_witnesses`` and the
+exhaustive ``exhaustive_scan``, rescan every level-2 member, and these
+are the only members unpacked into tuples; none of them may have
+early-exit witness 1.  ``lambda_witnesses`` is one call for all the
+members it is given.  It decides t = 1 by the entry sum; otherwise it
+walks the gcd-filtered units below N/2 of the member's own order N
+(``_units``), ascending, and stops at the least witness, which is below
+N/2 since t and N - t give scaled sums S and 4d - S.  The witness depends
+only on the multiset of numerators and is the same for -n, so it is
+computed once per sorted tuple of them and stored under both; that memo
+and the unit table of each order met live for the one call.  On the
+Fermat surface of degree 100, 313,698 of the 960,597 members of L0 sit
+at entry sum d or 3d and are counted by popcount, and the 646,899
+level-2 members fall into 28,203 sorted tuples: ``lefschetz_number``
+(``analyze --shioda``) takes 0.6-0.7 s in process.
 Enumeration and the exhaustive scan run on packed lanes (``_Lanes``): one
-int holds one value per lane, and one add and one masked reduction act on
-every lane at once.
+int holds one value per lane, and one add and one masked reduction or
+compare act on every lane at once.  A lane is 16 bits wide when the
+largest value it holds fits, else 64.  ``enumerate_L0`` sizes its lanes
+for the entry sums, up to 4d - 4, so 16-bit lanes serve d <= 16,384.  A
+compare with a bound b adds 2^(w-1) - b to every lane, so it needs
+b <= 2^(w-1): the levels compare the sums with 2d, then the sums less 2d
+on the upper half with d, and both bounds fit 16-bit lanes up to
+d = 16,384 (a compare with 3d would hold only to d = 10,922).
 ``enumerate_L0`` holds the group as four packed columns and closes it
 by doubling its cosets.  ``exhaustive_scan`` takes every unit of every
 member's order and never stops early, but it adds them all at once, and
@@ -101,7 +114,6 @@ MAX_RECOUNT steps, |L0| * 2ap; ``family_report`` runs it once, under
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, lcm
@@ -234,14 +246,15 @@ def prefix_orders(d: int, generators: Sequence[Numerators]) -> list[int]:
 class _Lanes:
     """``count`` lanes of w bits packed into one int, for values reduced
     modulo ``modulus``: w = 16 when ``largest``, the largest value a lane
-    will hold, fits in 16 bits, else 64 (callers keep it below 2^64).
+    will hold, fits in 16 bits, else 64 (callers keep it below 2^63).
     ``ones`` holds 1 in every lane.
 
     A lane-wise add or shift never carries into the next lane while every
-    lane stays at most ``largest``.  ``reduce`` subtracts the modulus N
-    from every lane that reached it, so lanes in [0, 2N) come back in
-    [0, N) when 2N - 2 <= ``largest``: it adds 2^(w-1) - N to every lane,
-    keeps each lane's top bit and subtracts that bit times N.  ``pack`` and
+    lane stays at most ``largest``.  ``at_least`` compares every lane with a
+    bound b at once: it adds 2^(w-1) - b to every lane and keeps each lane's
+    top bit, so it needs b <= 2^(w-1) and every lane below b + 2^(w-1).
+    ``reduce`` subtracts the modulus N from every lane that reached it, so
+    lanes in [0, 2N) come back in [0, N) when N <= 2^(w-1).  ``pack`` and
     ``unpack`` go through the bytes of an ``array`` in the host's byte
     order, so they read the lanes in one order on any host.
     """
@@ -277,14 +290,61 @@ class _Lanes:
     def reduce(self, packed: int) -> int:
         return packed - self._reached(packed, self._bias) * self.modulus
 
-    def nonzero(self, packed: int) -> int:
-        """1 in every lane of ``packed`` that is not 0, else 0."""
-        return self._reached(packed, self._top - self.ones)
+    def at_least(self, packed: int, bound: int) -> int:
+        """1 in every lane of ``packed`` that is at least ``bound``, else 0."""
+        return self._reached(packed, ((1 << (self.width - 1)) - bound) * self.ones)
 
 
-def enumerate_L0(d: int, generators: Sequence[Numerators]) -> frozenset[Numerators]:
-    """All-nonzero members of the subgroup generated by ``generators``, as
-    numerators over ``d``.
+class PackedL0:
+    """L0 in packed lanes, as ``enumerate_L0`` returns it: ``columns`` are
+    the four coordinates of every member of L over ``d``, one lane per
+    member (``lanes``), ``mask`` is 1 in the lane of every member of L0 and
+    0 elsewhere, and ``levels`` are the masks of the members of L0 at entry
+    sum d, 2d and 3d, which give h20, h11prim and h02 (``HODGE_LEVELS``).
+
+    A member of L has entry sum 0, d, 2d or 3d, since every generator's is
+    an integer and the lanes lie in [0, d).  So one add of the columns
+    gives every entry sum, a compare with 2d splits them in two, and a
+    compare with d of the sums less 2d on the upper half splits each half
+    again; both bounds are at most 2^15 while the lanes are 16 bits wide,
+    d <= 16,384 (see the module docstring).  ``len`` and ``counts`` are
+    popcounts of the masks, and ``members`` unpacks one level.
+    """
+
+    __slots__ = ("lanes", "columns", "mask", "levels")
+
+    def __init__(self, d: int, lanes: _Lanes, columns: Sequence[int]) -> None:
+        self.lanes, self.columns = lanes, tuple(columns)
+        n1, n2, n3, n4 = columns
+        self.mask = mask = (  # the members with no zero entry
+            lanes.at_least(n1, 1) & lanes.at_least(n2, 1)
+            & lanes.at_least(n3, 1) & lanes.at_least(n4, 1)
+        )
+        sums = n1 + n2 + n3 + n4
+        upper = lanes.at_least(sums, 2 * d)
+        odd = lanes.at_least(sums - 2 * d * upper, d)
+        self.levels = (mask & odd & ~upper, mask & upper & ~odd, mask & upper & odd)
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    @property
+    def counts(self) -> tuple[int, int, int]:
+        """(h20, h11prim, h02): the members at entry sum d, 2d and 3d."""
+        h20, h11, h02 = (level.bit_count() for level in self.levels)
+        return h20, h11, h02
+
+    def members(self, q: int) -> list[Numerators]:
+        """The members at entry sum q*d as tuples of numerators, in lane
+        order: each column is compressed by the level's mask before the
+        zip, so no tuple is built for a member of another level."""
+        keep = self.lanes.unpack(self.levels[q - 1])
+        return list(zip(*(compress(self.lanes.unpack(x), keep) for x in self.columns)))
+
+
+def enumerate_L0(d: int, generators: Sequence[Numerators]) -> PackedL0:
+    """The all-nonzero members of the subgroup generated by ``generators``,
+    as numerators over ``d``, in one ``PackedL0``.
 
     ``prefix_orders`` counts the groups the generators span, one prefix
     at a time; the last one is L, and when it has more than MAX_L members
@@ -296,10 +356,10 @@ def enumerate_L0(d: int, generators: Sequence[Numerators]) -> frozenset[Numerato
     the columns hold the cosets H + mg for m < f, adding fg to every lane
     (one add and one reduction per column) gives those for f <= m < 2f.
     So the work is O(|L|) big-integer work in O(log |L|) steps, rather
-    than the product of the generators' orders, and the members with no
-    zero entry are read through a packed mask.  A lane holds up to 2d - 2,
-    so d stays below 2^63; from ``shioda_vectors`` d is the lcm of the
-    generators' orders, which divides |L| <= MAX_L.
+    than the product of the generators' orders.  Every lane is sized for
+    the entry sums, up to 4d - 4, that ``PackedL0`` adds, so d stays below
+    2^61; from ``shioda_vectors`` d is the lcm of the generators' orders,
+    which divides |L| <= MAX_L.
     """
     orders = prefix_orders(d, generators)
     size = orders[-1]
@@ -310,7 +370,7 @@ def enumerate_L0(d: int, generators: Sequence[Numerators]) -> frozenset[Numerato
         cosets = order // count
         filled = 1  # the columns hold the cosets H + mg, m < filled
         while filled < cosets:
-            lanes = _Lanes(count * filled, d, 2 * d - 2)
+            lanes = _Lanes(count * filled, d, 4 * d - 4)
             added = (1 << count * min(filled, cosets - filled) * lanes.width) - 1
             columns = [
                 x | (lanes.reduce(x + filled * c % d * lanes.ones) & added)
@@ -318,33 +378,37 @@ def enumerate_L0(d: int, generators: Sequence[Numerators]) -> frozenset[Numerato
                 for x, c in zip(columns, g)
             ]
             filled = min(2 * filled, cosets)
-    lanes = _Lanes(size, d, 2 * d - 2)
-    n1, n2, n3, n4 = columns
-    mask = lanes.nonzero(n1) & lanes.nonzero(n2) & lanes.nonzero(n3) & lanes.nonzero(n4)
-    return frozenset(
-        compress(zip(*(lanes.unpack(column) for column in columns)), lanes.unpack(mask))
-    )
+    return PackedL0(d, _Lanes(size, d, 4 * d - 4), columns)
 
 
 def _units(modulus: int) -> tuple[int, ...]:
-    """The t in [1, modulus] prime to ``modulus``, ascending."""
-    return tuple(t for t in range(1, modulus + 1) if gcd(t, modulus) == 1)
+    """The t in [1, modulus / 2) prime to ``modulus``, ascending: the half
+    of the units that the early-exit scan walks (``lambda_witnesses``)."""
+    return tuple(t for t in range(1, (modulus + 1) // 2) if gcd(t, modulus) == 1)
 
 
 def lambda_witnesses(members: Iterable[Numerators], d: int) -> list[Optional[int]]:
-    """For each of ``members``, characters with numerators in [0, d) over
-    ``d``, the least unit t modulo its order whose scaling has fractional
-    parts not summing to 2, or None when it lies outside Lambda: the
-    early-exit scan, one verdict per member in the order given.
+    """For each of ``members``, characters of L0 with numerators in [0, d)
+    over ``d``, the least unit t modulo its order whose scaling has
+    fractional parts not summing to 2, or None when it lies outside Lambda:
+    the early-exit scan, one verdict per member in the order given.
 
-    Unit t is exactly the order-preserving scaling.  Intended for members of
-    L0; ``verify_family`` compares these verdicts with ``exhaustive_scan``
-    on every member.  t = 1 is decided by the entry sum.  Otherwise the scan
-    walks ``_units`` of the member's order, ascending, and stops at the
-    first unit that moves the sum off 2d.  The witness depends on the
+    Unit t is exactly the order-preserving scaling.  ``verify_family``
+    compares these verdicts with ``exhaustive_scan`` on every level-2
+    member.  t = 1 is decided by the entry sum.  Otherwise the scan walks
+    ``_units`` of the member's order N, ascending, and stops at the first
+    unit that moves the sum off 2d.  Those units stop below N/2, and no
+    witness is lost: a member of L0 has no zero entry, so neither has t
+    times it, and (N - t)n_k = -tn_k mod d gives (t n_k mod d) +
+    ((N - t) n_k mod d) = d for each k.  So t and N - t give scaled sums S
+    and 4d - S, and one is 2d exactly when the other is; of two witnesses
+    t and N - t the lesser is below N/2 (t = N/2 is a unit only at N = 2,
+    where t = 1 is the only unit).  The same sums show that n and its
+    negative -n have the same witnesses.  The witness depends on the
     numerators and not on their order, so it is computed once per sorted
-    tuple of numerators; that memo and the unit tables of the orders met
-    are local to the call.
+    tuple of numerators and stored under that tuple and under the sorted
+    tuple of -n; that memo and the unit tables of the orders met are local
+    to the call.  A member with a zero entry raises ValueError.
     """
     target = 2 * d
     tables: dict[int, tuple[int, ...]] = {}
@@ -357,6 +421,8 @@ def lambda_witnesses(members: Iterable[Numerators], d: int) -> list[Optional[int
         key = tuple(sorted(numerators))
         if key not in memo:
             n1, n2, n3, n4 = key
+            if not n1:
+                raise ValueError(f"{_readable(key, d)} has a zero entry, so is not in L0")
             order = d // gcd(d, n1, n2, n3, n4)
             units = tables.get(order)
             if units is None:
@@ -366,7 +432,7 @@ def lambda_witnesses(members: Iterable[Numerators], d: int) -> list[Optional[int
                 if (t * n1) % d + (t * n2) % d + (t * n3) % d + (t * n4) % d != target:
                     witness = t
                     break
-            memo[key] = witness
+            memo[key] = memo[(d - n4, d - n3, d - n2, d - n1)] = witness
         witnesses.append(memo[key])
     return witnesses
 
@@ -448,9 +514,14 @@ def exhaustive_scan(
 
 
 def lefschetz_number(adjugate: Adjugate) -> int:
-    """#(L0 ∩ Lambda) for the exponent matrix A with ``(det A, adj A)``."""
+    """#(L0 ∩ Lambda) for the exponent matrix A with ``(det A, adj A)``:
+    every member at entry sum d or 3d, where t = 1 is a witness, and the
+    level-2 members with an early-exit witness."""
     d, generators = shioda_vectors(adjugate)
-    return sum(w is not None for w in lambda_witnesses(enumerate_L0(d, generators), d))
+    characters = enumerate_L0(d, generators)
+    h20, _, h02 = characters.counts
+    witnesses = lambda_witnesses(characters.members(2), d)
+    return h20 + h02 + sum(w is not None for w in witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -557,32 +628,47 @@ def verify_family(
     scan; returns the number of characters checked, and raises
     VerificationError on the first disagreement.
 
-    This enumerates all of L0, so it checks ``L0_count``, the Lefschetz
-    number ``lam`` of the slice count, and the early-exit scan on every
-    member: one list of verdicts comes from one pass of the exhaustive scan,
-    one from the early-exit scan, and the first member where they differ is
-    named; with ``hodge``, the levels of ``gs_hodge_counts``, it checks
-    those against the members' entry sums.  ``family_report`` checks
-    ``check_recount_budget`` before it calls this.
+    This enumerates all of L0 (``enumerate_L0``), so it checks
+    ``L0_count``, and that the three level counts of the packed entry sums
+    add up to it.  Every member at entry sum d or 3d is in Lambda by its
+    t = 1 lane, read off those sums once for all members.  Both scans of
+    the pair run on the level-2 members: one list of verdicts comes from
+    one pass of the exhaustive scan, one from the early-exit scan, and the
+    first member where they differ is named, then the first with early-exit
+    witness 1, which no member of entry sum 2d can have.  Then it checks
+    the Lefschetz number ``lam`` of the slice count and h20 == h02, since
+    n -> -n maps entry sum d to 3d; with ``hodge``, the levels of
+    ``gs_hodge_counts``, it checks those against the level counts.
+    ``family_report`` checks ``check_recount_budget`` before it calls this.
     """
     from .exact import adjugate  # only the matrix route needs it
 
     d, generators = shioda_vectors(adjugate(params.matrix))
-    members = enumerate_L0(d, generators)
-    if len(members) != L0_count:
-        raise VerificationError(f"L0 size {len(members)} != direct count {L0_count}")
+    characters = enumerate_L0(d, generators)
+    size, levels = len(characters), characters.counts
+    if size != L0_count:
+        raise VerificationError(f"L0 size {size} != direct count {L0_count}")
+    if sum(levels) != size:
+        raise VerificationError(f"level counts {levels} do not add up to L0 size {size}")
+    members = characters.members(2)
     rows, sums = exhaustive_scan(members, d)
     slow = [s != rows.full for s in sums]
-    fast = [w is not None for w in lambda_witnesses(members, d)]
+    witnesses = lambda_witnesses(members, d)
+    fast = [w is not None for w in witnesses]
     if slow != fast:
         n = next(n for n, s, f in zip(members, slow, fast) if s != f)
         raise VerificationError(f"scan disagreement at {_readable(n, d)}")
-    slow_lam = sum(slow)
+    if 1 in witnesses:
+        n = members[witnesses.index(1)]
+        raise VerificationError(f"level-2 member {_readable(n, d)} has early-exit witness 1")
+    h20, _, h02 = levels
+    slow_lam = h20 + h02 + sum(slow)
     if slow_lam != lam:
         raise VerificationError(f"lambda {slow_lam} != {lam}")
+    if h20 != h02:
+        raise VerificationError(f"h20 {h20} != h02 {h02}, though n -> -n swaps them")
     if hodge is not None:
-        levels = Counter(map(sum, members))  # members by entry sum q*d
-        for (q, name), count in zip(HODGE_LEVELS.items(), hodge):
-            if levels[q * d] != count:
-                raise VerificationError(f"{name} {levels[q * d]} != {count}")
-    return len(members)
+        for name, recount, count in zip(HODGE_LEVELS.values(), levels, hodge):
+            if recount != count:
+                raise VerificationError(f"{name} {recount} != {count}")
+    return size

@@ -3,7 +3,8 @@
 ``row_sets(n)`` lists every set of four distinct exponent rows of degree n,
 ``itertools.combinations`` over the sorted rows, with no reduction by the
 symmetries of P^3.  ``sweep`` runs ``analyze(surface, verify=True,
-shioda=True)`` on each set and tallies the outcomes by branch.  On every
+shioda=True)`` on each set, tallies the outcomes by branch and counts the
+Lefschetz numbers lambda of the reports that reach the character count.  On every
 minimal form it also checks that the relation vector annihilates the plane
 exponents and that ``base_change`` confirms the base-change record; an
 ``analyze --verify`` mismatch raises ``VerificationError``, and any other
@@ -25,6 +26,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 from base_change import apply_base_change, scale_t_exponents, term_set
 from delsarte.analysis import analyze
@@ -51,26 +53,27 @@ def random_coefficients(rng: random.Random) -> list[Fraction]:
     ]
 
 
-def outcome(rows, coefficients=None) -> str:
+def outcome(rows, coefficients=None) -> tuple[str, Optional[int]]:
     """The branch that ``analyze`` gives the surface, after the checks of
-    the module docstring."""
+    the module docstring, with its Lefschetz number: None when ``analyze``
+    stops before the character count."""
     try:
         surface = validate_surface(rows, coefficients)
     except ValidationError:
-        return "invalid"
+        return "invalid", None
     try:
         report = analyze(surface, verify=True, shioda=True)
     except ValidationError as exc:
         if "cyclic-cover genus 0" not in str(exc):
             raise
-        return "genus_zero_cover"
+        return "genus_zero_cover", None
     if report.degeneracy is not None:
-        return report.degeneracy.kind
+        return report.degeneracy.kind, None
     check_minimal(surface, report)
     branch = report.trichotomy.branch
     if branch == "superelliptic":
-        return "genus_one_section" if report.genus_one else "superelliptic"
-    return branch
+        branch = "genus_one_section" if report.genus_one else "superelliptic"
+    return branch, report.lefschetz
 
 
 def check_minimal(surface, report) -> None:
@@ -86,15 +89,20 @@ def check_minimal(surface, report) -> None:
     assert term_set(moved) == term_set(reduced), surface
 
 
-def sweep(sets, seed=None) -> Counter:
-    """The tally of ``outcome`` over the row sets ``sets``: with
-    coefficients 1, or, given a ``seed``, with rational coefficients drawn
-    from one ``random.Random(seed)`` in the order of the sets."""
+def sweep(sets, seed=None) -> tuple[Counter, Counter]:
+    """``(tally, lambdas)``: the branches of ``outcome`` over the row sets
+    ``sets`` and the Lefschetz numbers it reached, each counted by value,
+    with coefficients 1, or, given a ``seed``, with rational coefficients
+    drawn from one ``random.Random(seed)`` in the order of the sets."""
     rng = None if seed is None else random.Random(seed)
-    return Counter(
-        outcome(rows, None if rng is None else random_coefficients(rng))
-        for rows in sets
-    )
+    tally: Counter = Counter()
+    lambdas: Counter = Counter()
+    for rows in sets:
+        branch, lam = outcome(rows, None if rng is None else random_coefficients(rng))
+        tally[branch] += 1
+        if lam is not None:
+            lambdas[lam] += 1
+    return tally, lambdas
 
 
 def main() -> None:
@@ -104,13 +112,15 @@ def main() -> None:
     args = parser.parse_args()
     for seed in (None, args.seed):
         start = time.perf_counter()
-        tally = sweep(row_sets(args.degree), seed)
+        tally, lambdas = sweep(row_sets(args.degree), seed)
         record = {
             "degree": args.degree,
             "coefficients": "ones" if seed is None else f"seed {seed}",
             "row_sets": sum(tally.values()),
             "seconds": round(time.perf_counter() - start, 1),
             "tally": dict(sorted(tally.items())),
+            "lambda_total": sum(lam * n for lam, n in lambdas.items()),
+            "lambdas": dict(sorted(lambdas.items())),
         }
         print(json.dumps(record))
 

@@ -409,24 +409,26 @@ def test_picard_verify_checks_the_budget_before_the_slice_scan(capsys, monkeypat
 
 
 def test_picard_verify_builds_each_unit_set_once(capsys, monkeypatch):
-    # the members of L0 at (13, 4) have orders 26, 52 and 104: the exhaustive
-    # scan packs the units of d = 104 once per recount, and every member's
-    # lanes run over those units whatever its order, so it sieves once, for
-    # d, and one table covers three orders (a table of a smaller order would
-    # miss units of d, and the recount would fail)
+    # the level-2 members of L0 at (13, 4), the members both scans take, have
+    # orders 26, 52 and 104: the exhaustive scan packs the units of d = 104
+    # once per recount, and every member's lanes run over those units
+    # whatever its order, so it sieves once, for d, and one table covers
+    # three orders (a table of a smaller order would miss units of d, and the
+    # recount would fail)
     calls = count_calls(monkeypatch, [("shioda", "_sieved_units")])
     run_json(capsys, "picard", "--p", "13", "--a", "4", "--verify")
     assert calls == {"_sieved_units": 1}
     d, generators = shioda.shioda_vectors(adjugate(shioda.FamilyParams(13, 4).matrix))
-    members = shioda.enumerate_L0(d, generators)
+    members = shioda.enumerate_L0(d, generators).members(2)
     assert d == 104
     assert {d // gcd(d, *n) for n in members} == {26, 52, 104}
 
 
 def test_analyze_shioda_at_the_character_bound(capsys):
     # the Fermat surface of degree 100 sits at the bound, |L| = 10**6, with
-    # 960,597 members of L0; no slower admitted --shioda input is known.  It
-    # took 1.3-2.1 s cold in six runs (2-core shared VM)
+    # 960,597 members of L0, of which only the 646,899 at entry sum 2d are
+    # unpacked and scanned.  It took 0.7-1.2 s cold in five runs (2-core
+    # shared VM); the test below pins a slower admitted input
     surface = json.dumps(
         {"monomials": [[100 if i == j else 0 for j in range(4)] for i in range(4)]}
     )
@@ -435,6 +437,23 @@ def test_analyze_shioda_at_the_character_bound(capsys):
     elapsed = time.perf_counter() - start
     assert report["shioda"] == {"lambda": 928610}
     assert elapsed < 5.0
+
+
+def test_analyze_shioda_on_the_slowest_admitted_input_found(capsys):
+    # the slowest admitted --shioda input that a seeded search over shapes
+    # with |L| near the bound found (CHANGES.md): |L| = 869,632, and 6,803
+    # sorted tuples of level-2 members outside Lambda, of orders up to
+    # 13,588, each walk every unit below half their order.  It took
+    # 5.9-6.4 s cold in four runs (2-core shared VM), and 11.4-13.4 s when
+    # the early-exit scan walked every unit of the order
+    surface = json.dumps(
+        {"monomials": [[0, 0, 221, 127], [0, 0, 307, 41], [0, 32, 0, 316], [316, 32, 0, 0]]}
+    )
+    start = time.perf_counter()
+    report = run_json(capsys, "analyze", surface, "--shioda")
+    elapsed = time.perf_counter() - start
+    assert report["shioda"] == {"lambda": 839514}
+    assert elapsed < 15.0
 
 
 def test_analyze_shioda_past_the_character_bound_exits_3_at_once(capsys):
@@ -677,6 +696,52 @@ def test_picard_verify_catches_a_flipped_early_exit_verdict(capsys, monkeypatch)
     entries = ", ".join(str(Fraction(n, d)) for n in numerators)
     assert f"verification failed: scan disagreement at ({entries})" in err
     assert "scan disagreement at (1/2, " in err  # every family member has x-entry 1/2
+
+
+def patch_levels(monkeypatch, edit) -> None:
+    """Make ``enumerate_L0`` hand over the level masks ``edit(h20, h11, h02)``
+    in place of its own, each 1 in the lane of every member it holds."""
+    real = shioda.enumerate_L0
+
+    def patched(d, generators):
+        characters = real(d, generators)
+        characters.levels = edit(*characters.levels)
+        return characters
+
+    monkeypatch.setattr(shioda, "enumerate_L0", patched)
+
+
+def first_lane(mask: int) -> int:
+    return mask & -mask
+
+
+def test_picard_verify_catches_a_level_1_member_handed_over_as_level_2(capsys, monkeypatch):
+    # the level counts still add up to |L0|, and both scans agree that the
+    # moved member is in Lambda, but its early-exit witness is t = 1
+    patch_levels(monkeypatch, lambda h20, h11, h02: (
+        h20 ^ first_lane(h20), h11 | first_lane(h20), h02))
+    code, out, err = run_cli(capsys, *PICARD_VERIFY)
+    assert (code, out) == (1, "")
+    assert "verification failed: level-2 member (1/2, " in err
+    assert "has early-exit witness 1" in err
+
+
+def test_picard_verify_catches_levels_1_and_3_out_of_balance(capsys, monkeypatch):
+    # a member of entry sum 1 counted at entry sum 3: |L0|, the scans and
+    # lambda all hold, but n -> -n swaps the two levels, so h20 == h02 fails
+    patch_levels(monkeypatch, lambda h20, h11, h02: (
+        h20 ^ first_lane(h20), h11, h02 | first_lane(h20)))
+    code, out, err = run_cli(capsys, *PICARD_VERIFY)
+    assert (code, out) == (1, "")
+    assert "verification failed: h20 19 != h02 21, though n -> -n swaps them" in err
+
+
+def test_picard_verify_catches_level_counts_off_L0(capsys, monkeypatch):
+    # a member counted at two levels, so the three counts pass |L0|
+    patch_levels(monkeypatch, lambda h20, h11, h02: (h20, h11 | first_lane(h20), h02))
+    code, out, err = run_cli(capsys, *PICARD_VERIFY)
+    assert (code, out) == (1, "")
+    assert "verification failed: level counts (20, 161, 20) do not add up to L0 size 200" in err
 
 
 def test_missing_subcommand_exits_2(capsys):

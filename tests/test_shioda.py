@@ -74,6 +74,30 @@ def scaled(vector, t: int):
     return tuple(t * n % d for n in numerators), d
 
 
+def L0_levels(d: int, generators) -> list:
+    """The three levels of ``enumerate_L0(d, generators)``, members at entry
+    sum d, 2d and 3d as lists of tuples, each member at its own level and the
+    three of them |L0| in all."""
+    characters = enumerate_L0(d, generators)
+    levels = [characters.members(q) for q in (1, 2, 3)]
+    for q, members in zip((1, 2, 3), levels):
+        assert all(sum(n) == q * d for n in members), (d, q)
+    assert [len(members) for members in levels] == list(characters.counts)
+    assert sum(characters.counts) == len(characters)
+    return levels
+
+
+def L0_members(d: int, generators) -> list:
+    """Every member of ``enumerate_L0(d, generators)``: the union of its
+    three levels, in level order."""
+    return [n for members in L0_levels(d, generators) for n in members]
+
+
+def negative(numerators, d: int):
+    """The character -n of ``numerators``/``d``, numerators in [0, d)."""
+    return tuple(-n % d for n in numerators)
+
+
 def witness(numerators, d: int):
     """The early-exit kernel's verdict on the one character
     ``numerators``/``d``: its least witness t, or None outside Lambda."""
@@ -160,13 +184,16 @@ def test_generators_need_a_nonsingular_matrix():
 def test_L0_counts():
     for p, a in [(3, 2), (11, 1)]:
         params = FamilyParams(p, a)
-        members = enumerate_L0(*shioda_vectors(adjugate(params.matrix)))
+        d, generators = shioda_vectors(adjugate(params.matrix))
+        members = L0_members(d, generators)
+        assert len(members) == len(enumerate_L0(d, generators))
         assert len(members) == family_L0_count(params) == (p - 1) * (2 * a * p - 2)
 
 
 def test_L0_of_trivial_generators():
     zero = (0, 0, 0, 0)
-    assert enumerate_L0(1, (zero, zero, zero)) == frozenset()
+    assert frozenset(L0_members(1, (zero, zero, zero))) == frozenset()
+    assert len(enumerate_L0(1, (zero, zero, zero))) == 0
 
 
 def test_L0_closure_stops_past_its_bound(monkeypatch):
@@ -178,7 +205,7 @@ def test_L0_closure_stops_past_its_bound(monkeypatch):
         enumerate_L0(*shioda_vectors(adjugate(fermat)))
     monkeypatch.setattr(shioda, "MAX_L", 7**3)
     d, generators = shioda_vectors(adjugate(fermat))
-    assert enumerate_L0(d, generators) == enumerate_L0_product(d, generators)
+    assert frozenset(L0_members(d, generators)) == enumerate_L0_product(d, generators)
 
 
 def test_L0_refuses_past_the_bound_before_any_coset():
@@ -199,16 +226,28 @@ def test_L0_refuses_past_the_bound_before_any_coset():
 
 
 def test_L0_closure_across_the_lane_width_switch():
-    # hand-built generators around the switch of the closure's lanes from 16
-    # bits (a coset's sum, at most 2d - 2, fits in 16) to 64: at d = 32,771 a
-    # 16-bit lane would carry into its neighbour.  Each group has members
-    # with zero entries: 187 multiples of (7, 31, 151, -189) at 32,767 =
-    # 7 * 31 * 151, three members at 32,768, and at the prime 32,771 the
-    # identity, or every member when a generator entry is 0.  The product
-    # loop takes every combination of the generators' multiples, so the
-    # other generators are 0.
+    # hand-built generators around the switch of the lanes from 16 bits to
+    # 64: the entry sums reach 4d - 4, so 16-bit lanes hold them up to
+    # d = 16,384, where the compare with 2d still has its bias 2^15 - 2d >= 0;
+    # at 16,385 a 16-bit lane would carry into its neighbour.  The multiples
+    # of (1, 1, 1, -3) fall on all three levels and reach the entry sum 3d
+    # at (d - 1, d - 1, d - 1, 3); at 16,383 = 3 * 43 * 127 three of them
+    # have a zero entry.  At 16,384 the generator is that member, so the
+    # lane after the identity's sum 0 holds 3d: a direct compare with 3d,
+    # whose bias 2^15 - 3d is negative there, would borrow from it and
+    # count it at level 2.  The cases past 32,767
+    # sit around the closure's earlier switch at 2d - 2 = 0xFFFF, now well
+    # inside the 64-bit lanes, and have members with zero entries: 187
+    # multiples of (7, 31, 151, -189) at 32,767 = 7 * 31 * 151, three
+    # members at 32,768, and at the prime 32,771 the identity, or every
+    # member when a generator entry is 0.  The product loop takes every
+    # combination of the generators' multiples, so the other generators
+    # are 0.
     zero = (0, 0, 0, 0)
     cases = [
+        (16383, ((1, 1, 1, 16383 - 3), zero, zero)),
+        (16384, ((16384 - 1, 16384 - 1, 16384 - 1, 3), zero, zero)),
+        (16385, ((1, 1, 1, 16385 - 3), zero, zero)),
         (32767, ((7, 31, 151, 32767 - 189), zero, zero)),
         (32768, ((1, 3, 5, 32768 - 9), (16384, 16384, 0, 0), zero)),
         (32771, (zero, (1, 2, 3, 32771 - 6), zero)),
@@ -216,10 +255,19 @@ def test_L0_closure_across_the_lane_width_switch():
     ]
     sizes = []
     for d, generators in cases:
-        closure = enumerate_L0(d, generators)
-        assert closure == enumerate_L0_product(d, generators), d
-        sizes.append((len(group_product(d, generators)), len(closure)))
-    assert sizes == [(32767, 32580), (65536, 65533), (32771, 32770), (32771, 0)]
+        assert enumerate_L0(d, generators).lanes.width == (16 if d <= 16384 else 64)
+        product = enumerate_L0_product(d, generators)
+        levels = L0_levels(d, generators)
+        assert frozenset(n for members in levels for n in members) == product, d
+        by_sum = Counter(sum(n) for n in product)
+        assert [len(members) for members in levels] == [by_sum[q * d] for q in (1, 2, 3)]
+        assert len(set(levels[1])) == len(levels[1])
+        assert set(levels[1]) == {n for n in product if sum(n) == 2 * d}, d
+        sizes.append((len(group_product(d, generators)), len(product)))
+    assert sizes == [
+        (16383, 16380), (16384, 16383), (16385, 16384),
+        (32767, 32580), (65536, 65533), (32771, 32770), (32771, 0),
+    ]
 
 
 def random_matrices() -> list:
@@ -252,7 +300,7 @@ def test_L0_closure_matches_the_product_loop():
     for rows in random_matrices() + families:
         d, generators = shioda_vectors(adjugate(rows))
         members = group_product(d, generators)
-        closure = enumerate_L0(d, generators)
+        closure = frozenset(L0_members(d, generators))
         assert closure == frozenset(n for n in members if 0 not in n), rows
         # the Hermite count of each prefix group, whose quotients set the
         # closure's coset counts, is the size of the group its generators
@@ -318,14 +366,48 @@ VERIFY_DRAWS = [
 def test_lambda_witnesses_match_the_one_member_scan():
     # witness for witness, the kernel against the reference's scan of one
     # member at a time, on every member of L0 of the grid's verify draws and
-    # of the seeded random matrices
+    # of the seeded random matrices, and on every member's negative after
+    # all the members, so that the negatives come from the memo's second key
     families = [FamilyParams(p, a).matrix for p, a in VERIFY_DRAWS]
     assert len(families) == 45
     for rows in families + random_matrices():
         d, generators = shioda_vectors(adjugate(rows))
-        members = list(enumerate_L0(d, generators))
+        members = L0_members(d, generators)
+        members += [negative(n, d) for n in members]
         reference = [lambda_membership(n, d) for n in members]
         assert lambda_witnesses(members, d) == reference, rows
+
+
+def test_lambda_witnesses_scan_the_units_below_half_the_order(monkeypatch):
+    # a member outside Lambda walks every unit t < N/2 of its order N and no
+    # other, a member in Lambda stops at its least witness, below N/2, and a
+    # member's negative costs no scan
+    real_units = shioda._units
+    tried = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            for t in tuple.__iter__(self):
+                tried.append(t)
+                yield t
+
+    monkeypatch.setattr(shioda, "_units", lambda modulus: Counted(real_units(modulus)))
+    outside, d = family_slice_vector(11, 1, 11)  # (1/2, 1/11, 1/2, 10/11)
+    assert order(outside, d) == 22
+    assert lambda_witnesses([outside, negative(outside, d)], d) == [None, None]
+    assert tried == [1, 3, 5, 7, 9]  # of the units 1, 3, ..., 21 of 22
+    tried.clear()
+    inside, d = family_slice_vector(11, 4, 51)  # (1/2, 1/11, 51/88, 73/88)
+    assert order(inside, d) == 88
+    assert lambda_witnesses([inside, negative(inside, d)], d) == [23, 23]
+    assert lambda_membership(inside, d) == lambda_membership(negative(inside, d), d) == 23
+    assert tried == [1, 3, 5, 7, 9, 13, 15, 17, 19, 21, 23]
+    # the argument needs every entry nonzero: (0, 2/3, 2/3, 2/3) has entry
+    # sum 2 and its one witness is t = 2 = N - 1, whose partner t = 1 keeps
+    # the sum at 2, so the kernel refuses it
+    assert lambda_membership((0, 2, 2, 2), 3) == 2
+    with pytest.raises(ValueError, match="has a zero entry"):
+        lambda_witnesses([(0, 2, 2, 2)], 3)
 
 
 def test_lambda_witnesses_memo_is_exact():
@@ -337,7 +419,7 @@ def test_lambda_witnesses_memo_is_exact():
     families = [FamilyParams(13, 4).matrix, FamilyParams(5, 6).matrix]
     for rows in families + random_matrices()[:8]:
         d, generators = shioda_vectors(adjugate(rows))
-        members = list(enumerate_L0(d, generators))
+        members = L0_members(d, generators)
         permuted = [tuple(rng.sample(n, 4)) for n in members]
         mixed = members + permuted
         rng.shuffle(mixed)
@@ -355,7 +437,7 @@ def test_lambda_witnesses_decide_t_1_by_the_entry_sum():
     assert lambda_witnesses([level_1, level_3], d) == [1, 1]
     assert [lambda_membership(n, d) for n in (level_1, level_3)] == [1, 1]
     d, generators = shioda_vectors(adjugate(FamilyParams(7, 3).matrix))
-    members = list(enumerate_L0(d, generators))
+    members = L0_members(d, generators)
     witnesses = lambda_witnesses(members, d)
     sums = Counter(sum(n) for n in members)
     assert sums[d] > 0 and sums[3 * d] > 0
@@ -365,7 +447,7 @@ def test_lambda_witnesses_decide_t_1_by_the_entry_sum():
 def test_early_exit_agrees_with_exhaustive_scan():
     for p, a in [(3, 1), (3, 2), (5, 1)]:
         d, generators = shioda_vectors(adjugate(FamilyParams(p, a).matrix))
-        members = list(enumerate_L0(d, generators))
+        members = L0_members(d, generators)
         for n, least in zip(members, lambda_witnesses(members, d)):
             sums = exhaustive_sums(n, d)
             assert (least is not None) == any(s != 2 for s in sums.values())
@@ -395,7 +477,7 @@ def test_dual_routes_agree_on_seeded_draws():
             break
         count = family_L0_count(params)
         d, generators = shioda_vectors(adjugate(params.matrix))
-        members = enumerate_L0(d, generators)
+        members = L0_members(d, generators)
         assert len(members) == count
         lam = lam_fraction = 0
         rows, packed_sums = exhaustive_scan(members, d)  # verify_family's one pass
@@ -498,7 +580,7 @@ def test_exhaustive_scan_keeps_its_own_unit_set(monkeypatch):
     # a wrong unit table for the early-exit scan leaves the exhaustive scan
     # as it was: the two scans of the pair list their units independently
     d, generators = shioda_vectors(adjugate(FamilyParams(11, 1).matrix))
-    members = sorted(enumerate_L0(d, generators))
+    members = sorted(L0_members(d, generators))
     sums = [exhaustive_sums(n, d) for n in members]
     witnesses = lambda_witnesses(members, d)
     monkeypatch.setattr(shioda, "_units", lambda modulus: (1,))

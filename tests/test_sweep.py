@@ -1,6 +1,7 @@
 """Every surface of degree <= 3 through ``analyze``, by ``tests/sweep.py``.
 
-The tally of outcomes by branch is pinned.  A change that moves it on
+The tally of outcomes by branch is pinned, and so are the Lefschetz numbers
+lambda of ``analyze(..., shioda=True)``, counted by value.  A change that moves it on
 purpose (a new branch, a genus-0 cover that gets analyzed) restates it here
 and says so in CHANGES.md.
 """
@@ -24,9 +25,14 @@ TALLY_UP_TO_DEGREE_3 = {
     "superelliptic": 80,  # without one
 }
 
+# lambda is 0 on every surface of degree <= 3 that reaches the character
+# count (as at p_g = 0); degree 4 gives the first nonzero values, up to 18
+LAMBDAS_UP_TO_DEGREE_3 = {0: 2557}
+
 
 @pytest.mark.parametrize("seed", [None, 1], ids=["ones", "rational"])
 def test_every_surface_up_to_degree_3_keeps_its_branch_tally(seed):
     # 5,056 row sets; the coefficients move no surface to another branch
-    tally = sweep(chain(*map(row_sets, (1, 2, 3))), seed)
+    tally, lambdas = sweep(chain(*map(row_sets, (1, 2, 3))), seed)
     assert tally == TALLY_UP_TO_DEGREE_3
+    assert lambdas == LAMBDAS_UP_TO_DEGREE_3
